@@ -65,7 +65,7 @@ class IoError(CoprError, OSError):
 
 
 class RefusedNonFinite(CoprError, ValueError):
-    """Refusing to serialize non-finite descriptor components."""
+    """Refusing non-finite values: descriptors, model parameters, observations."""
 
 
 class CoincidentAnchors(CoprError, ValueError):

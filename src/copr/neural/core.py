@@ -6,8 +6,17 @@ gradients for a mean-squared-error head or for an arbitrary output
 gradient, and textbook Adam with bias correction.
 
 All math runs in float64 so analytic gradients check cleanly against
-central finite differences. Models are immutable; every update returns a
-new model, which keeps trained models safely shareable across threads.
+central finite differences. Exported models (:class:`MlpModel`) are
+immutable and safely shareable across threads. Training runs on a
+:class:`RawNet` and a :class:`RawAdam` instead, which update parameters,
+gradients and moments in place in flat buffers.
+
+Buffer ownership: :func:`forward_batch` and :func:`backward_batch` allocate
+fresh arrays unless given a :class:`Workspace`. Only the caller that owns
+every array those calls return may pass one (the regressor trainer does,
+for its own batches), because the next call reuses the arrays. An array
+handed to anyone else, such as densified descriptors or encoder outputs,
+always comes from a call without a workspace and is never overwritten.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DimMismatch, ShapeMismatch
+from ..errors import DimMismatch, InvalidConfig, RefusedNonFinite, ShapeMismatch
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -32,21 +41,28 @@ class Activation(enum.Enum):
     IDENTITY = 1
 
 
-def gelu(x):
-    """GeLU in its tanh approximation.
+def _gelu_into(z, th, out, scratch):
+    """GeLU of ``z`` written into ``out``; leaves the tanh term in ``th``.
 
-    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
+    0.5 * z * (1 + tanh(sqrt(2/pi) * (z + 0.044715 * z^3))), with the cube
+    taken as (z*z)*z: numpy's general ``power`` goes through libm ``pow``
+    and is tens of times slower. ``scratch`` receives 1 + tanh.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    np.multiply(z, z, out=th)
+    th *= z
+    th *= _GELU_A
+    th += z
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    np.multiply(z, 0.5, out=out)
+    out *= np.add(th, 1.0, out=scratch)
+    return out
 
 
-def gelu_derivative(x):
+def gelu(x):
+    """GeLU in its tanh approximation, the same kernel the network runs."""
     x = np.asarray(x, dtype=np.float64)
-    inner = _GELU_C * (x + _GELU_A * x**3)
-    th = np.tanh(inner)
-    sech2 = 1.0 - th**2
-    return 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    return _gelu_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,7 @@ class Layer:
         if w.ndim != 2 or w.shape[0] != b.shape[0]:
             raise ShapeMismatch(f"layer weights {w.shape} incompatible with bias {b.shape}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("layer parameters must be finite")
+            raise RefusedNonFinite("layer parameters must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -76,7 +92,7 @@ class MlpModel:
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("model needs at least one layer")
+            raise InvalidConfig("model needs at least one layer")
         layers = tuple(self.layers)
         for a, b in zip(layers, layers[1:]):
             if a.weights.shape[0] != b.weights.shape[1]:
@@ -128,26 +144,55 @@ def init_mlp(widths, activations, seed: int) -> MlpModel:
     return MlpModel(layers=tuple(layers))
 
 
-def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False):
+class Workspace:
+    """Scratch arrays reused across calls, one per (name, shape).
+
+    Only code that owns every array a call returns may pass a workspace to
+    :func:`forward_batch`, :func:`backward_batch` or :func:`mse_batch_grad`:
+    the next call with the same workspace and batch shape overwrites the
+    outputs, the cache and the gradients of the last one.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, shape) -> np.ndarray:
+        key = (name, shape)
+        arr = self._arrays.get(key)
+        if arr is None:
+            arr = self._arrays[key] = np.empty(shape)
+        return arr
+
+
+def _fresh(name, shape) -> np.ndarray:
+    return np.empty(shape)
+
+
+def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work: Workspace | None = None):
     """Forward pass over a (batch, input_dim) matrix.
 
     Returns (output, cache); cache holds per-layer inputs,
     pre-activations, and the GeLU tanh terms so the backward pass never
-    recomputes a tanh.
+    recomputes a tanh. Every array is fresh unless ``work`` is given.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
+    take = _fresh if work is None else work
     activations = [x]
     pre = []
     tanhs = []
-    for layer in model.layers:
-        z = activations[-1] @ layer.weights.T + layer.bias
+    for li, layer in enumerate(model.layers):
+        shape = (x.shape[0], layer.weights.shape[0])
+        z = np.matmul(activations[-1], layer.weights.T, out=take(("z", li), shape))
+        z += layer.bias
         pre.append(z)
         if layer.activation is Activation.GELU:
-            th = np.tanh(_GELU_C * (z + _GELU_A * z**3))
+            th = take(("th", li), shape)
             tanhs.append(th)
-            activations.append(0.5 * z * (1.0 + th))
+            activations.append(_gelu_into(z, th, take(("a", li), shape), take("scratch", shape)))
         else:
             tanhs.append(None)
             activations.append(z)
@@ -162,25 +207,42 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     return y[0]
 
 
-def backward_batch(model: MlpModel, cache, d_output: np.ndarray):
+def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, work: Workspace | None = None):
     """Reverse-mode pass from an output gradient.
 
     ``d_output`` is dLoss/dOutput of shape (batch, output_dim). Returns
     (grads, d_input) where grads is a list of (dW, db) per layer summed
-    over the batch.
+    over the batch. The gradients are written into ``grads`` when given
+    (e.g. a :class:`RawNet`'s views) and into fresh arrays otherwise; the
+    cache is only read.
     """
     activations, pre, tanhs = cache
-    grads = [None] * len(model.layers)
+    take = _fresh if work is None else work
+    if grads is None:
+        grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers]
     delta = np.asarray(d_output, dtype=np.float64)
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         if layer.activation is Activation.GELU:
             z = pre[li]
             th = tanhs[li]
-            deriv = 0.5 * (1.0 + th) + 0.5 * z * (1.0 - th**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * z**2)
-            delta = delta * deriv
-        grads[li] = (delta.T @ activations[li], delta.sum(axis=0))
-        delta = delta @ layer.weights
+            # GeLU'(z) = 0.5 * (1 + th) + 0.5 * z * (1 - th^2) * c * (1 + 3a * z^2)
+            deriv = np.add(th, 1.0, out=take("deriv", z.shape))
+            deriv *= 0.5
+            term = np.multiply(z, 0.5, out=take("term", z.shape))
+            tmp = np.multiply(th, th, out=take("tmp", z.shape))
+            term *= np.subtract(1.0, tmp, out=tmp)
+            term *= _GELU_C
+            np.multiply(z, z, out=tmp)
+            tmp *= 3.0 * _GELU_A
+            tmp += 1.0
+            term *= tmp
+            deriv += term
+            delta = np.multiply(delta, deriv, out=deriv)
+        gw, gb = grads[li]
+        np.matmul(delta.T, activations[li], out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
+        delta = np.matmul(delta, layer.weights, out=take(("delta", li), activations[li].shape))
     return grads, delta
 
 
@@ -202,22 +264,19 @@ def mlp_grad(model: MlpModel, x, target):
     return loss, grads
 
 
-def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray):
-    """Batch-mean MSE loss and gradients (averaged over the batch)."""
-    y, cache = forward_batch(model, x, keep_cache=True)
-    resid = y - targets
-    loss = float(np.mean(resid**2))
-    d_out = 2.0 * resid / resid.size
-    grads, _ = backward_batch(model, cache, d_out)
-    return loss, grads
+def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray, grads=None, work: Workspace | None = None):
+    """Gradients of the batch-mean MSE (averaged over the batch).
 
-
-def zero_grads(model: MlpModel):
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-
-
-def add_grads(acc, grads, scale: float = 1.0):
-    return [(aw + scale * gw, ab + scale * gb) for (aw, ab), (gw, gb) in zip(acc, grads)]
+    ``grads`` and ``work`` are passed on to :func:`backward_batch` and
+    :func:`forward_batch`. The loss itself is not computed.
+    """
+    y, cache = forward_batch(model, x, keep_cache=True, work=work)
+    take = _fresh if work is None else work
+    d_out = np.subtract(y, targets, out=take("d_out", y.shape))
+    d_out *= 2.0
+    d_out /= d_out.size
+    grads, _ = backward_batch(model, cache, d_out, grads=grads, work=work)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -235,7 +294,7 @@ class AdamState:
 
 def init_adam(model: MlpModel, lr: float) -> AdamState:
     if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
+        raise InvalidConfig("learning rate must be positive")
     zeros = tuple((np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers)
     return AdamState(lr=float(lr), step_count=0, m=zeros, v=zeros)
 
@@ -288,33 +347,38 @@ class RawLayer:
         self.activation = activation
 
 
+def _layer_views(flat: np.ndarray, layers) -> list:
+    """(weights, bias) views into a flat buffer laid out like ``layers``."""
+    views = []
+    offset = 0
+    for l in layers:
+        w_end = offset + l.weights.size
+        b_end = w_end + l.bias.size
+        views.append((flat[offset:w_end].reshape(l.weights.shape), flat[w_end:b_end]))
+        offset = b_end
+    return views
+
+
 class RawNet:
     """Mutable model view sharing :func:`forward_batch`/:func:`backward_batch`.
 
-    All parameters live in one flat buffer; layer weights and biases are
-    reshaped views into it, so a flat in-place optimizer update is visible
-    to the next forward pass with no copying.
+    All parameters live in one flat buffer ``flat`` and their gradients in
+    a second one, ``grad``, of the same layout. Layer weights and biases are
+    reshaped views into ``flat`` and ``grads`` lists the per-layer (dW, db)
+    views into ``grad``, so backward_batch writes the gradient the optimizer
+    reads, and the optimizer's in-place update is visible to the next
+    forward pass, with no copying.
     """
 
-    __slots__ = ("layers", "flat", "slices")
+    __slots__ = ("layers", "flat", "grad", "grads")
 
     def __init__(self, model: MlpModel):
-        total = sum(l.weights.size + l.bias.size for l in model.layers)
-        self.flat = np.empty(total)
-        self.layers = []
-        self.slices = []
-        offset = 0
-        for l in model.layers:
-            w_view = self.flat[offset : offset + l.weights.size].reshape(l.weights.shape)
-            w_view[...] = l.weights
-            w_slice = (offset, offset + l.weights.size)
-            offset += l.weights.size
-            b_view = self.flat[offset : offset + l.bias.size]
-            b_view[...] = l.bias
-            b_slice = (offset, offset + l.bias.size)
-            offset += l.bias.size
-            self.layers.append(RawLayer(w_view, b_view, l.activation))
-            self.slices.append((w_slice, b_slice))
+        self.flat = np.concatenate([np.concatenate([l.weights.ravel(), l.bias]) for l in model.layers])
+        self.layers = [
+            RawLayer(w, b, l.activation) for (w, b), l in zip(_layer_views(self.flat, model.layers), model.layers)
+        ]
+        self.grad = np.zeros_like(self.flat)
+        self.grads = self.views(self.grad)
 
     @classmethod
     def from_model(cls, model: MlpModel) -> "RawNet":
@@ -328,33 +392,30 @@ class RawNet:
     def output_dim(self) -> int:
         return int(self.layers[-1].weights.shape[0])
 
+    def views(self, flat: np.ndarray) -> list:
+        """Per-layer (weights, bias) views into a buffer laid out like ``flat``."""
+        return _layer_views(flat, self.layers)
+
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
 
     def to_model(self, params: np.ndarray | None = None) -> MlpModel:
         flat = self.flat if params is None else params
-        layers = []
-        for layer, ((ws, we), (bs, be)) in zip(self.layers, self.slices):
-            layers.append(
-                Layer(
-                    weights=flat[ws:we].reshape(layer.weights.shape).copy(),
-                    bias=flat[bs:be].copy(),
-                    activation=layer.activation,
-                )
-            )
+        layers = [
+            Layer(weights=w.copy(), bias=b.copy(), activation=l.activation)
+            for (w, b), l in zip(self.views(flat), self.layers)
+        ]
         return MlpModel(layers=tuple(layers))
-
-    def flatten_grads(self, grads, out: np.ndarray) -> np.ndarray:
-        for (gw, gb), ((ws, we), (bs, be)) in zip(grads, self.slices):
-            out[ws:we] = gw.ravel()
-            out[bs:be] = gb.ravel()
-        return out
 
 
 class RawAdam:
-    """In-place Adam over a :class:`RawNet`; same recurrence as adam_step."""
+    """In-place Adam over a :class:`RawNet`; same recurrence as adam_step.
 
-    __slots__ = ("lr", "beta1", "beta2", "eps", "t", "m", "v", "_g")
+    ``m``, ``v`` and the parameters are updated in place, with two scratch
+    vectors for the temporaries, so a step allocates nothing.
+    """
+
+    __slots__ = ("lr", "beta1", "beta2", "eps", "t", "m", "v", "_s", "_u")
 
     def __init__(self, net: RawNet, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -364,18 +425,26 @@ class RawAdam:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
-        self._g = np.empty_like(net.flat)
+        self._s = np.empty_like(net.flat)
+        self._u = np.empty_like(net.flat)
 
-    def step(self, net: RawNet, grads) -> None:
-        g = net.flatten_grads(grads, self._g)
+    def step(self, net: RawNet, grad: np.ndarray) -> None:
+        """One update from ``grad``, a flat gradient laid out like ``net.flat``."""
+        s, u = self._s, self._u
         self.t += 1
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=s)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g**2
-        update = self.lr * (self.m / (1.0 - self.beta1**self.t))
-        update /= np.sqrt(self.v / (1.0 - self.beta2**self.t)) + self.eps
-        net.flat -= update
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - self.beta2
+        self.v += s
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=u)
+        u *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        u /= s
+        net.flat -= u
 
 
 def regress_nonlinear(model: MlpModel, f_anchor, dp) -> np.ndarray:

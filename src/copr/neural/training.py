@@ -12,20 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidConfig
+from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidConfig, RefusedNonFinite
 from ..geometry import RelativePose
 from .core import (
     Activation,
     MlpModel,
     RawAdam,
     RawNet,
-    add_grads,
+    Workspace,
     backward_batch,
     forward_batch,
     init_mlp,
     mse_batch_grad,
     splitmix64,
-    zero_grads,
 )
 from .losses import distance_grads, relative_grads, triplet_grads
 
@@ -78,9 +77,9 @@ def _split_indices(n: int, fraction: float, rng: np.random.Generator):
     return perm[n_val:], perm[:n_val]
 
 
-def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray, work: Workspace | None = None) -> float:
     """Mean squared error of the model over a stacked evaluation set."""
-    out, _ = forward_batch(model, x)
+    out, _ = forward_batch(model, x, work=work)
     return float(np.mean((out - y) ** 2))
 
 
@@ -91,11 +90,39 @@ def _minibatches(order: np.ndarray, batch_size: int):
 
 @dataclass(frozen=True)
 class TrainResult:
-    """A trained snapshot plus the validation losses bracketing the run."""
+    """A trained snapshot, the validation losses bracketing the run, and
+    how the run ended: ``epochs_run`` epochs, then ``stop_reason``
+    (``"early_stop"`` after ``early_stop_patience`` epochs without a better
+    validation loss, else ``"max_epochs"``)."""
 
     model: MlpModel
     initial_val_loss: float
     best_val_loss: float
+    epochs_run: int
+    stop_reason: str
+
+
+def _fit(net: RawNet, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
+    """Run epochs until ``cfg.epochs`` or early stopping; keep the snapshot
+    with the best validation loss (the untrained init if none improves)."""
+    initial_val = val_loss()
+    best_val = initial_val
+    best_params = net.snapshot()
+    stale = 0
+    stop_reason = "max_epochs"
+    for epochs_run in range(1, cfg.epochs + 1):
+        run_epoch()
+        val = val_loss()
+        if val < best_val:
+            best_val = val
+            best_params = net.snapshot()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                stop_reason = "early_stop"
+                break
+    return TrainResult(net.to_model(best_params), initial_val, best_val, epochs_run, stop_reason)
 
 
 def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainResult:
@@ -130,25 +157,19 @@ def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainR
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_va, y_va = x[val_idx], y[val_idx]
 
-    initial_val = mse_over(net, x_va, y_va)
-    best_val = initial_val
-    best_params = net.snapshot()
-    stale = 0
-    for _ in range(cfg.epochs):
+    # This trainer owns every array its forward/backward passes return, so
+    # each batch shape's arrays are allocated once and reused.
+    work = Workspace()
+
+    def run_epoch():
         order = rng.permutation(len(x_tr))
         for batch in _minibatches(order, cfg.batch_size):
-            _, grads = mse_batch_grad(net, x_tr[batch], y_tr[batch])
-            opt.step(net, grads)
-        val = mse_over(net, x_va, y_va)
-        if val < best_val:
-            best_val = val
-            best_params = net.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
-    return TrainResult(model=net.to_model(best_params), initial_val_loss=initial_val, best_val_loss=best_val)
+            xb = np.take(x_tr, batch, axis=0, out=work("x", (len(batch), x_tr.shape[1])))
+            yb = np.take(y_tr, batch, axis=0, out=work("y", (len(batch), y_tr.shape[1])))
+            mse_batch_grad(net, xb, yb, grads=net.grads, work=work)
+            opt.step(net, net.grad)
+
+    return _fit(net, cfg, run_epoch, lambda: mse_over(net, x_va, y_va, work))
 
 
 def train_regressor(pairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
@@ -216,7 +237,7 @@ class EncoderDataset:
         if len(self.labels) != n or self.translations.shape[0] != n or self.quaternions.shape[0] != n:
             raise DimMismatch("dataset arrays disagree in length")
         if not np.all(np.isfinite(obs)):
-            raise ValueError("observations must be finite")
+            raise RefusedNonFinite("observations must be finite")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
 
@@ -335,74 +356,57 @@ def train_encoder_full(
     if len(val_idx) == 0:
         val_idx = train_idx
     obs = dataset.observations
+    # Gradients of the second and later backward passes of a batch, summed
+    # into encoder.grad.
+    part = np.empty_like(encoder.grad)
+    part_grads = encoder.views(part)
 
-    def batch_loss_and_grads(model, head_model, rows, with_grads):
+    def backward_sum(terms):
+        (cache, g), *rest = terms
+        backward_batch(encoder, cache, g, grads=encoder.grads)
+        for cache, g in rest:
+            backward_batch(encoder, cache, g, grads=part_grads)
+            encoder.grad += part
+
+    def batch_loss(rows, with_grads):
+        """Batch loss; with ``with_grads`` also the gradients, in encoder.grad
+        (and head.grad)."""
         if variant == "triplet":
             xq, xp, xn = obs[rows[:, 0]], obs[rows[:, 1]], obs[rows[:, 2]]
-            fq, cq = forward_batch(model, xq, keep_cache=with_grads)
-            fp, cp = forward_batch(model, xp, keep_cache=with_grads)
-            fn, cn = forward_batch(model, xn, keep_cache=with_grads)
+            fq, cq = forward_batch(encoder, xq, keep_cache=with_grads)
+            fp, cp = forward_batch(encoder, xp, keep_cache=with_grads)
+            fn, cn = forward_batch(encoder, xn, keep_cache=with_grads)
             loss, gq, gp, gn = triplet_grads(fq, fp, fn, margin)
-            if not with_grads:
-                return loss, None, None
-            grads = zero_grads(model)
-            for cache, g in ((cq, gq), (cp, gp), (cn, gn)):
-                layer_grads, _ = backward_batch(model, cache, g)
-                grads = add_grads(grads, layer_grads)
-            return loss, grads, None
+            if with_grads:
+                backward_sum(((cq, gq), (cp, gp), (cn, gn)))
+            return loss
+        xa, xb = obs[rows[:, 0]], obs[rows[:, 1]]
+        fa, ca = forward_batch(encoder, xa, keep_cache=with_grads)
+        fb, cb = forward_batch(encoder, xb, keep_cache=with_grads)
         if variant == "relative":
-            xa, xb = obs[rows[:, 0]], obs[rows[:, 1]]
-            fa, ca = forward_batch(model, xa, keep_cache=with_grads)
-            fb, cb = forward_batch(model, xb, keep_cache=with_grads)
             stacked = np.hstack([fa, fb])
-            dp_hat, ch = forward_batch(head_model, stacked, keep_cache=with_grads)
+            dp_hat, ch = forward_batch(head, stacked, keep_cache=with_grads)
             dp_gt = _relative_pose_rows(dataset, rows[:, 0], rows[:, 1])
             loss, g_dp = relative_grads(dp_hat, dp_gt)
-            if not with_grads:
-                return loss, None, None
-            head_grads, g_stacked = backward_batch(head_model, ch, g_dp)
-            n = dataset.descriptor_dim
-            grads_a, _ = backward_batch(model, ca, g_stacked[:, :n])
-            grads_b, _ = backward_batch(model, cb, g_stacked[:, n:])
-            return loss, add_grads(grads_a, grads_b), head_grads
-        xa, xb = obs[rows[:, 0]], obs[rows[:, 1]]
-        fa, ca = forward_batch(model, xa, keep_cache=with_grads)
-        fb, cb = forward_batch(model, xb, keep_cache=with_grads)
-        loss, g1, g2 = distance_grads(
-            fa, fb, dataset.translations[rows[:, 0]], dataset.translations[rows[:, 1]]
-        )
-        if not with_grads:
-            return loss, None, None
-        grads_a, _ = backward_batch(model, ca, g1)
-        grads_b, _ = backward_batch(model, cb, g2)
-        return loss, add_grads(grads_a, grads_b), None
-
-    def val_loss(model, head_model):
-        loss, _, _ = batch_loss_and_grads(model, head_model, samples[val_idx], with_grads=False)
+            if with_grads:
+                _, g_stacked = backward_batch(head, ch, g_dp, grads=head.grads)
+                n = dataset.descriptor_dim
+                backward_sum(((ca, g_stacked[:, :n]), (cb, g_stacked[:, n:])))
+            return loss
+        loss, g1, g2 = distance_grads(fa, fb, dataset.translations[rows[:, 0]], dataset.translations[rows[:, 1]])
+        if with_grads:
+            backward_sum(((ca, g1), (cb, g2)))
         return loss
 
-    initial_val = val_loss(encoder, head)
-    best_val = initial_val
-    best_params = encoder.snapshot()
-    stale = 0
-    for _ in range(cfg.epochs):
+    def run_epoch():
         order = rng.permutation(len(train_idx))
         for batch in _minibatches(order, cfg.batch_size):
-            rows = samples[train_idx[batch]]
-            _, enc_grads, head_grads = batch_loss_and_grads(encoder, head, rows, with_grads=True)
-            enc_opt.step(encoder, enc_grads)
-            if head_grads is not None:
-                head_opt.step(head, head_grads)
-        val = val_loss(encoder, head)
-        if val < best_val:
-            best_val = val
-            best_params = encoder.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
-    return TrainResult(model=encoder.to_model(best_params), initial_val_loss=initial_val, best_val_loss=best_val)
+            batch_loss(samples[train_idx[batch]], with_grads=True)
+            enc_opt.step(encoder, encoder.grad)
+            if head is not None:
+                head_opt.step(head, head.grad)
+
+    return _fit(encoder, cfg, run_epoch, lambda: batch_loss(samples[val_idx], with_grads=False))
 
 
 def train_encoder(

@@ -1,7 +1,9 @@
 """Network framework tests: GeLU, gradients vs finite differences, Adam,
-the regressor architecture, encoder losses, and model files."""
+the in-place training step and its reused buffers, the regressor
+architecture, encoder losses, and model files."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copr.errors import (
+    CoprError,
     DimMismatch,
     EmptyTrainingSet,
     InsufficientScenes,
     InvalidConfig,
+    RefusedNonFinite,
     ZeroVector,
 )
 from copr.geometry import RelativePose
@@ -34,7 +38,18 @@ from copr.neural import (
     regress_nonlinear,
     save_model,
 )
-from copr.neural.core import Layer, splitmix64
+from copr.neural.core import (
+    Layer,
+    RawAdam,
+    RawNet,
+    Workspace,
+    adam_update_arrays,
+    backward_batch,
+    forward_batch,
+    mse_batch_grad,
+    regress_nonlinear_batch,
+    splitmix64,
+)
 from copr.neural.training import (
     EncoderDataset,
     build_training_pairs,
@@ -242,6 +257,101 @@ class TestAdam:
             theta = theta - lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
             assert abs(current.layers[0].weights[0, 0] - theta) <= 1e-12
 
+    def test_raw_adam_matches_hand_recurrence(self):
+        # RawAdam is the optimizer training runs; check it against the
+        # per-array recurrence over several steps with changing gradients.
+        lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(8)
+        model = _rand_model(rng)
+        net = RawNet(model)
+        opt = RawAdam(net, lr)
+        states = [[[l.weights, 0.0, 0.0], [l.bias, 0.0, 0.0]] for l in model.layers]
+        for t in range(1, 6):
+            grad = rng.standard_normal(net.flat.shape)
+            opt.step(net, grad)
+            for layer, layer_states, layer_grads in zip(net.layers, states, net.views(grad)):
+                for state, g, actual in zip(layer_states, layer_grads, (layer.weights, layer.bias)):
+                    state[:] = adam_update_arrays(*state, g, lr, b1, b2, eps, t)
+                    np.testing.assert_allclose(actual, state[0], rtol=0, atol=1e-12)
+
+    def test_non_positive_learning_rate_is_typed(self):
+        with pytest.raises(InvalidConfig):
+            init_adam(init_mlp([2, 2], [Activation.IDENTITY], 0), 0.0)
+
+
+def _batch_mse(model, x, t) -> float:
+    y, _ = forward_batch(model, x)
+    return float(np.mean((y - t) ** 2))
+
+
+class TestTrainingStep:
+    """The in-place step the regressor trainer runs: gradients written into
+    a RawNet's flat buffer, with per-batch buffers reused between calls."""
+
+    def test_flat_gradients_match_backward_bitwise(self):
+        rng = np.random.default_rng(21)
+        model = _rand_model(rng, max_layers=4)
+        x = rng.standard_normal((9, model.input_dim))
+        t = rng.standard_normal((9, model.output_dim))
+        net = RawNet(model)
+        mse_batch_grad(net, x, t, grads=net.grads, work=Workspace())
+        y, cache = forward_batch(model, x, keep_cache=True)
+        grads, _ = backward_batch(model, cache, 2.0 * (y - t) / y.size)
+        assert net.grad.tobytes() == _flatten_grads(grads).tobytes()
+
+    def test_flat_gradients_match_central_differences(self):
+        rng = np.random.default_rng(22)
+        h = 1e-6
+        for _ in range(5):
+            model = _rand_model(rng)
+            x = rng.standard_normal((6, model.input_dim))
+            t = rng.standard_normal((6, model.output_dim))
+            net = RawNet(model)
+            mse_batch_grad(net, x, t, grads=net.grads, work=Workspace())
+            flat = _flatten_params(model)
+            for i in range(len(flat)):
+                bumped = flat.copy()
+                bumped[i] += h
+                lp = _batch_mse(_model_with_params(model, bumped), x, t)
+                bumped[i] -= 2 * h
+                lm = _batch_mse(_model_with_params(model, bumped), x, t)
+                fd = (lp - lm) / (2 * h)
+                assert abs(net.grad[i] - fd) / max(1.0, abs(net.grad[i]), abs(fd)) <= 1e-6
+
+    def test_reused_buffers_match_fresh_across_batch_sizes(self):
+        rng = np.random.default_rng(23)
+        model = init_regressor(8, seed=4)
+        reused, fresh = RawNet(model), RawNet(model)
+        reused_opt, fresh_opt = RawAdam(reused, 1e-3), RawAdam(fresh, 1e-3)
+        work = Workspace()
+        for rows in (64, 1, 64):
+            x = rng.standard_normal((rows, model.input_dim))
+            t = rng.standard_normal((rows, model.output_dim))
+            mse_batch_grad(reused, x, t, grads=reused.grads, work=work)
+            fresh_grads = mse_batch_grad(fresh, x, t)
+            assert reused.grad.tobytes() == _flatten_grads(fresh_grads).tobytes()
+            reused_opt.step(reused, reused.grad)
+            fresh_opt.step(fresh, _flatten_grads(fresh_grads))
+            assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_returned_arrays_survive_later_calls(self):
+        rng = np.random.default_rng(24)
+        model = init_regressor(8, seed=5)
+        anchors, dps = rng.standard_normal((2, 16, 8)), rng.standard_normal((2, 16, 7))
+        first = regress_nonlinear_batch(model, anchors[0], dps[0])
+        kept = first.copy()
+        regress_nonlinear_batch(model, anchors[1], dps[1])
+        assert first.tobytes() == kept.tobytes()
+
+        x = rng.standard_normal((2, 16, model.input_dim))
+        y, cache = forward_batch(model, x[0], keep_cache=True)
+        grads, d_in = backward_batch(model, cache, np.ones_like(y))
+        held = [a.copy() for a in (y, d_in, *cache[0], *cache[1], *(g for pair in grads for g in pair))]
+        y2, cache2 = forward_batch(model, x[1], keep_cache=True)
+        backward_batch(model, cache2, np.ones_like(y2))
+        now = [y, d_in, *cache[0], *cache[1], *(g for pair in grads for g in pair)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(held, now))
+
 
 class TestRegressor:
     def test_architecture_widths(self):
@@ -323,6 +433,20 @@ class TestRegressor:
         for l1, l2 in zip(m1.layers, m2.layers):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()
+
+    def test_result_records_epochs_and_stop_reason(self):
+        rng = np.random.default_rng(6)
+        pairs = []
+        for _ in range(60):
+            t1, t2 = rng.standard_normal((2, 3))
+            pairs.append((rng.standard_normal(3), RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0]), rng.standard_normal(3)))
+        full = train_regressor_full(pairs, TrainConfig(lr=1e-3, epochs=3, batch_size=8, seed=1, early_stop_patience=5), 3)
+        assert (full.epochs_run, full.stop_reason) == (3, "max_epochs")
+        # Unlearnable noise at a huge step size: validation stops improving.
+        cfg = TrainConfig(lr=1.0, epochs=50, batch_size=8, seed=1, early_stop_patience=2)
+        stopped = train_regressor_full(pairs, cfg, 3)
+        assert stopped.stop_reason == "early_stop"
+        assert cfg.early_stop_patience <= stopped.epochs_run < cfg.epochs
 
 
 class TestBuildTrainingPairs:
@@ -460,6 +584,23 @@ class TestTrainEncoder:
             assert res.model.output_dim == ds.descriptor_dim
             assert res.model.input_dim == ds.observation_dim
 
+    def test_result_records_epochs_and_stop_reason(self):
+        ds = _toy_dataset()
+        cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=16, seed=1, early_stop_patience=5)
+        full = train_encoder_full(ds, "distance", cfg, pool_size=100)
+        assert (full.epochs_run, full.stop_reason) == (2, "max_epochs")
+        cfg = TrainConfig(lr=1.0, epochs=50, batch_size=16, seed=1, early_stop_patience=2)
+        stopped = train_encoder_full(ds, "relative", cfg, pool_size=100)
+        assert stopped.stop_reason == "early_stop"
+        assert cfg.early_stop_patience <= stopped.epochs_run < cfg.epochs
+
+    def test_non_finite_observations_are_typed(self):
+        ds = _toy_dataset()
+        obs = ds.observations.copy()
+        obs[0, 0] = np.nan
+        with pytest.raises(RefusedNonFinite):
+            EncoderDataset(obs, ds.translations, ds.quaternions, ds.labels, ds.descriptor_dim)
+
     def test_bitwise_deterministic(self):
         ds = _toy_dataset()
         cfg = TrainConfig(lr=1e-3, epochs=3, batch_size=16, seed=11, validation_fraction=0.4, early_stop_patience=3)
@@ -502,6 +643,23 @@ class TestModelIo:
 
         with pytest.raises(ParseError):
             load_model(path)
+
+    def test_zero_layers_is_typed(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(struct.pack("<4sII", b"CPRM", 1, 0))
+        with pytest.raises(InvalidConfig):
+            load_model(path)
+
+    def test_nan_weight_is_typed(self, tmp_path):
+        path = tmp_path / "h.bin"
+        save_model(init_regressor(2, seed=1), path)
+        blob = bytearray(path.read_bytes())
+        # First weight of the first layer, after the file and layer headers.
+        blob[24:28] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RefusedNonFinite) as caught:
+            load_model(path)
+        assert isinstance(caught.value, CoprError)
 
 
 class TestInit:
