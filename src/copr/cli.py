@@ -51,7 +51,7 @@ from .synth import (
     make_stray_case,
     save_scene,
 )
-from .vpr_map import load_descriptor_block, load_map, retrieve, save_map
+from .vpr_map import load_descriptor_block, load_map, retrieve_many, save_map, to_matches
 
 _METHOD_FLAGS = {
     "lin-interp": METHOD_LIN_INTERP,
@@ -230,8 +230,9 @@ def _cmd_retrieve(args) -> int:
     def _num(v):
         return None if v != v else v  # NaN when the query pose is unknown
 
+    indices, distances = retrieve_many(descriptors, ref_map, args.k)
     for i, query_id in enumerate(ids):
-        matches = retrieve(descriptors[i], ref_map, args.k, query_pose=poses[i])
+        matches = to_matches(ref_map, indices[i], distances[i], query_pose=poses[i])
         line = {
             "query_id": query_id,
             "matches": [

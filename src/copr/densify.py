@@ -29,9 +29,10 @@ from .errors import (
     TooFewAnchors,
     TooFewNeighbors,
 )
-from .geometry import Pose, RelativePose, quat_conjugate, quat_multiply, quat_slerp
+from .geometry import Pose, quat_slerp, relative_pose_rows
+from .geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.densify.RelativePose)
 from .neural.core import MlpModel, regress_nonlinear_batch
-from .vpr_map import Origin, ReferenceMap
+from .vpr_map import Origin, ReferenceMap, nearest_neighbors
 
 INTERPOLATION = "interpolation"
 EXTRAPOLATION = "extrapolation"
@@ -292,23 +293,38 @@ def plane_fit_regress(neighbors, t_new) -> np.ndarray:
     deficient systems (collinear or coplanar anchors) fall back to the
     minimum-norm solution with singular values below 1e-10 of the largest
     treated as zero, so degenerate geometry still yields finite output.
+    One row of :func:`plane_fit_many`.
     """
     neighbors = list(neighbors)
     if len(neighbors) < 4:
         raise TooFewNeighbors(f"plane fit needs at least 4 neighbors, got {len(neighbors)}")
     f = np.asarray([np.asarray(d, dtype=np.float64) for d, _ in neighbors])
     t = np.asarray([np.asarray(p, dtype=np.float64) for _, p in neighbors])
-    design = np.hstack([t, np.ones((len(neighbors), 1))])
-    coef, _, _, _ = np.linalg.lstsq(design, f, rcond=1e-10)
-    t_new = np.asarray(t_new, dtype=np.float64).reshape(3)
-    return np.concatenate([t_new, [1.0]]) @ coef
+    t_new = np.asarray(t_new, dtype=np.float64).reshape(1, 3)
+    return plane_fit_many(f, t, np.arange(len(neighbors))[None, :], t_new)[0]
 
 
-def _nearest_indices(translations: np.ndarray, point: np.ndarray, count: int) -> np.ndarray:
-    diff = translations - point
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d2, kind="stable")
-    return order[:count]
+def plane_fit_many(descriptors, translations, neighbor_idx, t_new) -> np.ndarray:
+    """Stacked :func:`plane_fit_regress` over the rows of ``neighbor_idx``.
+
+    Row i fits ``descriptors[neighbor_idx[i]]`` over
+    ``translations[neighbor_idx[i]]`` and evaluates the fit at ``t_new[i]``.
+    The min-norm solution comes from one batched pseudo-inverse of the
+    (m, k, 4) design matrices with the same 1e-10 relative singular-value
+    cut as ``lstsq``; the prediction is the weighted sum of the neighbor
+    descriptors with weights [t_new, 1] @ pinv(design).
+    """
+    neighbor_idx = np.asarray(neighbor_idx)
+    m, k = neighbor_idx.shape
+    design = np.ones((m, k, 4))
+    design[:, :, :3] = translations[neighbor_idx]
+    x = np.ones((m, 1, 4))
+    x[:, 0, :3] = t_new
+    weights = np.matmul(x, np.linalg.pinv(design, rcond=1e-10))[:, 0, :]
+    out = weights[:, :1] * descriptors[neighbor_idx[:, 0]]
+    for j in range(1, k):
+        out += weights[:, j : j + 1] * descriptors[neighbor_idx[:, j]]
+    return out
 
 
 def densify_map(
@@ -357,25 +373,17 @@ def densify_map(
                 target.pose.t,
             )
     elif method == METHOD_LIN_REG:
-        regressed = np.empty((len(plan.targets), sparse.dim))
-        for r, target in enumerate(plan.targets):
-            idx = _nearest_indices(sparse.translations, target_t[r], neighbors)
-            if len(idx) < 4:
-                raise TooFewNeighbors("sparse map too small for a plane fit")
-            nbrs = [(sparse.descriptors[i], sparse.translations[i]) for i in idx]
-            regressed[r] = plane_fit_regress(nbrs, target_t[r])
+        if min(neighbors, len(sparse)) < 4:
+            raise TooFewNeighbors("sparse map too small for a plane fit")
+        idx = nearest_neighbors(target_t, sparse.translations, neighbors)[0]
+        regressed = plane_fit_many(sparse.descriptors, sparse.translations, idx, target_t)
     else:
-        anchor_rows = np.empty((len(plan.targets), sparse.dim))
-        dp_rows = np.empty((len(plan.targets), 7))
-        for r, target in enumerate(plan.targets):
-            i = int(_nearest_indices(sparse.translations, target_t[r], 1)[0])
-            dp = RelativePose(
-                dt=target.pose.t - sparse.translations[i],
-                dq=_relative_quat(sparse.quaternions[i], target.pose.q),
-            )
-            anchor_rows[r] = sparse.descriptors[i]
-            dp_rows[r] = dp.as_vector()
-        regressed = regress_nonlinear_batch(model, anchor_rows, dp_rows)
+        nearest = nearest_neighbors(target_t, sparse.translations, 1)[0][:, 0]
+        target_q = np.asarray([t.pose.q for t in plan.targets])
+        dp_rows = relative_pose_rows(
+            sparse.translations[nearest], sparse.quaternions[nearest], target_t, target_q
+        )
+        regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows)
 
     new_entries = [
         (target.id, regressed[r], target.pose, Origin.REGRESSED)
@@ -383,6 +391,3 @@ def densify_map(
     ]
     return sparse.extended(new_entries)
 
-
-def _relative_quat(q_anchor: np.ndarray, q_target: np.ndarray) -> np.ndarray:
-    return quat_multiply(quat_conjugate(q_anchor), q_target)

@@ -30,6 +30,10 @@ class EmptyMap(CoprError, ValueError):
     """Operation requires a non-empty reference map."""
 
 
+class DuplicateId(CoprError, ValueError):
+    """Two reference-map entries share one id."""
+
+
 class BadMagic(CoprError, ValueError):
     """Binary file does not start with the expected magic bytes."""
 

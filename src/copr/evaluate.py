@@ -31,11 +31,11 @@ from .densify import (
     subsample_trajectory,
 )
 from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
-from .geometry import Pose, relative_pose
+from .geometry import Pose, angular_error_deg_many, relative_pose, row_dots
 from .neural.core import MlpModel, forward_batch, regress_nonlinear
 from .neural.training import TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
-from .vpr_map import Origin, ReferenceMap, oracle_retrieve, retrieve
+from .vpr_map import Origin, ReferenceMap, oracle_retrieve, retrieve, retrieve_many
 
 METHOD_LABELS = {
     METHOD_LIN_INTERP: "LinInterp",
@@ -87,24 +87,27 @@ def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
     """
     if len(ref_map) == 0:
         raise EmptyMap("cannot localize against an empty map")
-    results = []
-    for desc, pose in queries:
-        match = retrieve(desc, ref_map, k=1, query_pose=pose)[0]
-        results.append(
-            PerQuery(
-                translation_error=match.translation_error,
-                rotation_error=match.rotation_error,
-                matched_id=match.ref_id,
-                matched_origin=ref_map.origins[match.ref_index].value,
-            )
+    queries = list(queries)
+    if not queries:
+        return ErrorSummary(mte_m=float("nan"), mre_deg=float("nan"), per_query=())
+    descriptors = [np.asarray(desc, dtype=np.float64).reshape(-1) for desc, _ in queries]
+    if any(len(desc) != ref_map.dim for desc in descriptors):
+        raise DimMismatch(f"query dims do not all match map dim {ref_map.dim}")
+    matched = retrieve_many(np.asarray(descriptors), ref_map, k=1)[0][:, 0]
+    # Each error is bit-equal to np.linalg.norm / angular_error_deg of one query.
+    diff = ref_map.translations[matched] - np.asarray([pose.t for _, pose in queries])
+    t_errs = np.sqrt(row_dots(diff, diff))
+    r_errs = angular_error_deg_many(ref_map.quaternions[matched], np.asarray([pose.q for _, pose in queries]))
+    results = tuple(
+        PerQuery(
+            translation_error=te,
+            rotation_error=re,
+            matched_id=ref_map.ids[i],
+            matched_origin=ref_map.origins[i].value,
         )
-    t_errs = np.asarray([r.translation_error for r in results])
-    r_errs = np.asarray([r.rotation_error for r in results])
-    return ErrorSummary(
-        mte_m=float(np.median(t_errs)) if len(results) else float("nan"),
-        mre_deg=float(np.median(r_errs)) if len(results) else float("nan"),
-        per_query=tuple(results),
+        for te, re, i in zip(t_errs.tolist(), r_errs.tolist(), matched.tolist())
     )
+    return ErrorSummary(mte_m=float(np.median(t_errs)), mre_deg=float(np.median(r_errs)), per_query=results)
 
 
 def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroQuaternion
+from .errors import RefusedNonFinite, ZeroQuaternion
 
 _ZERO_NORM = 1e-12
 
@@ -114,10 +114,25 @@ def angular_error_deg(q_a, q_b) -> float:
     return math.degrees(2.0 * math.acos(min(1.0, dot)))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, m) arrays, each bit-equal to ``np.dot``.
+
+    A stacked (1, m) @ (m, 1) matmul runs the same dot kernel as ``np.dot``
+    on one row (and ``np.linalg.norm`` is the square root of that dot);
+    ``einsum`` sums in another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def angular_error_deg_many(qs_a: np.ndarray, qs_b: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`angular_error_deg` for (n, 4) quaternion arrays."""
-    dots = np.abs(np.einsum("ij,ij->i", qs_a, qs_b))
-    return np.degrees(2.0 * np.arccos(np.minimum(1.0, dots)))
+    """Row-wise :func:`angular_error_deg` for (n, 4) quaternion arrays, bit-equal to it.
+
+    The arccos is libm's (``math.acos``); numpy's vectorized arccos differs
+    from it in the last bit for some inputs. ``fmin`` clamps NaN to 1 as
+    the scalar ``min(1.0, dot)`` does.
+    """
+    dots = np.fmin(1.0, np.abs(row_dots(np.asarray(qs_a, dtype=np.float64), np.asarray(qs_b, dtype=np.float64))))
+    return np.degrees(2.0 * np.fromiter(map(math.acos, dots), dtype=np.float64, count=len(dots)))
 
 
 @dataclass(frozen=True)
@@ -159,12 +174,58 @@ class RelativePose:
         return np.concatenate([self.dt, self.dq])
 
 
-def relative_pose(anchor: Pose, target: Pose) -> RelativePose:
-    """Relative pose from ``anchor`` to ``target``.
+def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
+    """Relative poses from anchors ``a`` to targets ``b`` as (n, 7) rows (dt, dq).
 
-    The translation difference is taken in the world frame; the rotation is
-    anchor.q^-1 * target.q, normalized to canonical sign.
+    dt = t_b - t_a in the world frame; dq = conj(q_a) * q_b (Hamilton
+    product), scaled to unit norm and canonical sign. Every row is
+    bit-equal to what :class:`RelativePose` makes of the unnormalized
+    product: same operation order, same dot product for the norm.
+
+    Raises:
+        RefusedNonFinite: if a translation difference is not finite.
+        ZeroQuaternion: if a product's norm is at or below 1e-12.
     """
-    dt = target.t - anchor.t
-    dq = quat_multiply(quat_conjugate(anchor.q), target.q)
-    return RelativePose(dt=dt, dq=dq)
+    t_a = np.asarray(t_a, dtype=np.float64).reshape(-1, 3)
+    t_b = np.asarray(t_b, dtype=np.float64).reshape(-1, 3)
+    q_a = np.asarray(q_a, dtype=np.float64).reshape(-1, 4)
+    q_b = np.asarray(q_b, dtype=np.float64).reshape(-1, 4)
+    out = np.empty((len(t_a), 7))
+    np.subtract(t_b, t_a, out=out[:, :3])
+    if not np.all(np.isfinite(out[:, :3])):
+        raise RefusedNonFinite("relative translation must be finite")
+    aw, ax, ay, az = q_a[:, 0], -q_a[:, 1], -q_a[:, 2], -q_a[:, 3]
+    bw, bx, by, bz = q_b.T
+    dq = out[:, 3:]
+    dq[:, 0] = aw * bw - ax * bx - ay * by - az * bz
+    dq[:, 1] = aw * bx + ax * bw + ay * bz - az * by
+    dq[:, 2] = aw * by - ax * bz + ay * bw + az * bx
+    dq[:, 3] = aw * bz + ax * by - ay * bx + az * bw
+    norms = np.sqrt(row_dots(dq, dq))
+    if np.any(norms <= _ZERO_NORM):
+        raise ZeroQuaternion(f"quaternion norm {float(norms.min()):.3e} too small to normalize")
+    dq /= norms[:, None]
+    # Canonical sign: the first non-zero component becomes positive.
+    first = dq[np.arange(len(dq)), np.argmax(dq != 0.0, axis=1)]
+    dq[first < 0.0] *= -1.0
+    return out
+
+
+def relative_poses(t_a, q_a, t_b, q_b) -> list[RelativePose]:
+    """:func:`relative_pose_rows` as :class:`RelativePose` values.
+
+    Each value holds its row exactly; normalizing the unit quaternion a
+    second time could move its last bits.
+    """
+    out = []
+    for row in relative_pose_rows(t_a, q_a, t_b, q_b):
+        rp = object.__new__(RelativePose)
+        object.__setattr__(rp, "dt", _readonly(row[:3].copy()))
+        object.__setattr__(rp, "dq", _readonly(row[3:].copy()))
+        out.append(rp)
+    return out
+
+
+def relative_pose(anchor: Pose, target: Pose) -> RelativePose:
+    """Relative pose from ``anchor`` to ``target``; see :func:`relative_pose_rows`."""
+    return relative_poses(anchor.t, anchor.q, target.t, target.q)[0]

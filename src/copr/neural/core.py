@@ -181,23 +181,25 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
     take = _fresh if work is None else work
-    activations = [x]
-    pre = []
-    tanhs = []
+    cache = ([x], [], []) if keep_cache else None
+    a = x
     for li, layer in enumerate(model.layers):
         shape = (x.shape[0], layer.weights.shape[0])
-        z = np.matmul(activations[-1], layer.weights.T, out=take(("z", li), shape))
+        z = np.matmul(a, layer.weights.T, out=take(("z", li), shape))
         z += layer.bias
-        pre.append(z)
+        th = None
         if layer.activation is Activation.GELU:
             th = take(("th", li), shape)
-            tanhs.append(th)
-            activations.append(_gelu_into(z, th, take(("a", li), shape), take("scratch", shape)))
+            a = _gelu_into(z, th, take(("a", li), shape), take("scratch", shape))
         else:
-            tanhs.append(None)
-            activations.append(z)
-    cache = (activations, pre, tanhs) if keep_cache else None
-    return activations[-1], cache
+            a = z
+        # Without a cache, this layer's arrays are dropped once the next
+        # layer has consumed ``a``.
+        if cache is not None:
+            cache[0].append(a)
+            cache[1].append(z)
+            cache[2].append(th)
+    return a, cache
 
 
 def mlp_forward(model: MlpModel, x) -> np.ndarray:

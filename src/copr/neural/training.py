@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidConfig, RefusedNonFinite
-from ..geometry import RelativePose
+from ..geometry import RelativePose, relative_pose_rows, relative_poses
 from .core import (
     Activation,
     MlpModel,
@@ -177,7 +177,9 @@ def train_regressor(pairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
     return train_regressor_full(pairs, cfg, descriptor_dim).model
 
 
-def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: int):
+def build_training_pairs(
+    ref_map, max_translation: float, max_pairs: int, seed: int
+) -> list[tuple[np.ndarray, RelativePose, np.ndarray]]:
     """Ordered (f_anchor, dp, f_target) pairs from one trajectory map.
 
     Keeps all ordered pairs whose relative translation stays at or below
@@ -198,27 +200,9 @@ def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: 
         keep = rng.choice(len(ii), size=max_pairs, replace=False)
         keep.sort()
         ii, jj = ii[keep], jj[keep]
-    pairs = []
-    for a, b in zip(ii, jj):
-        dp = RelativePose(
-            dt=t[b] - t[a],
-            dq=_conj_multiply(ref_map.quaternions[a], ref_map.quaternions[b]),
-        )
-        pairs.append((ref_map.descriptors[a], dp, ref_map.descriptors[b]))
-    return pairs
-
-
-def _conj_multiply(q_anchor: np.ndarray, q_target: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = q_anchor[0], -q_anchor[1], -q_anchor[2], -q_anchor[3]
-    bw, bx, by, bz = q_target
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    q = ref_map.quaternions
+    dps = relative_poses(t[ii], q[ii], t[jj], q[jj])
+    return [(ref_map.descriptors[a], dp, ref_map.descriptors[b]) for a, b, dp in zip(ii, jj, dps)]
 
 
 @dataclass(frozen=True)
@@ -304,17 +288,6 @@ def _sample_same_scene_pairs(dataset: EncoderDataset, count: int, rng: np.random
     return out
 
 
-def _relative_pose_rows(dataset: EncoderDataset, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
-    rows = np.empty((len(idx_a), 7))
-    for r, (a, b) in enumerate(zip(idx_a, idx_b)):
-        dp = RelativePose(
-            dt=dataset.translations[b] - dataset.translations[a],
-            dq=_conj_multiply(dataset.quaternions[a], dataset.quaternions[b]),
-        )
-        rows[r] = dp.as_vector()
-    return rows
-
-
 def train_encoder_full(
     dataset: EncoderDataset,
     variant: str,
@@ -386,7 +359,10 @@ def train_encoder_full(
         if variant == "relative":
             stacked = np.hstack([fa, fb])
             dp_hat, ch = forward_batch(head, stacked, keep_cache=with_grads)
-            dp_gt = _relative_pose_rows(dataset, rows[:, 0], rows[:, 1])
+            a, b = rows[:, 0], rows[:, 1]
+            dp_gt = relative_pose_rows(
+                dataset.translations[a], dataset.quaternions[a], dataset.translations[b], dataset.quaternions[b]
+            )
             loss, g_dp = relative_grads(dp_hat, dp_gt)
             if with_grads:
                 _, g_stacked = backward_batch(head, ch, g_dp, grads=head.grads)

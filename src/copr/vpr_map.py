@@ -29,7 +29,9 @@ from .errors import (
     BadMagic,
     CountMismatch,
     DimMismatch,
+    DuplicateId,
     EmptyMap,
+    InvalidConfig,
     IoError,
     ParseError,
     RefusedNonFinite,
@@ -108,7 +110,7 @@ class ReferenceMap:
         if desc.shape[0] != n:
             raise CountMismatch(f"{n} ids but {desc.shape[0]} descriptor rows")
         if not np.all(np.isfinite(desc)):
-            raise ValueError("descriptors must be finite")
+            raise RefusedNonFinite("descriptors must be finite")
         t = np.ascontiguousarray(np.asarray(self.translations, dtype=np.float64).reshape(n, 3))
         q = np.ascontiguousarray(np.asarray(self.quaternions, dtype=np.float64).reshape(n, 4))
         if len(self.origins) != n:
@@ -116,7 +118,7 @@ class ReferenceMap:
         index = {}
         for i, entry_id in enumerate(self.ids):
             if entry_id in index:
-                raise ValueError(f"duplicate map id {entry_id!r}")
+                raise DuplicateId(f"duplicate map id {entry_id!r}")
             index[entry_id] = i
         for a in (desc, t, q):
             a.setflags(write=False)
@@ -188,29 +190,96 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = None) -> list[Match]:
-    """Exact brute-force nearest neighbors of ``query`` in feature space.
+# Query rows per block in nearest_neighbors are chosen so that a block's
+# (rows, reference count) distance matrix holds about this many elements.
+_BLOCK_ELEMENTS = 1 << 18
 
-    Returns min(k, len(map)) matches sorted by ascending Euclidean
-    distance; equal distances are broken by ascending entry index. When
-    ``query_pose`` is given, translation and rotation errors against it are
-    filled in.
+
+def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest reference rows of each query row, ties by index.
+
+    ``queries`` is (m, dim) and ``refs`` is (n, dim) with n >= 1; k >= 1.
+    Returns (indices, d2), both (m, min(k, n)): row i is
+    ``np.argsort(d2_i, kind="stable")[:k]`` and its values, for the squared
+    Euclidean distances d2_i from query i in difference form,
+    ``einsum("ij,ij->i", refs - q, refs - q)``.
+
+    One GEMM per block of queries gives approximate values
+    ||r||^2 - 2 q.r (the FAISS decomposition, Johnson et al.,
+    arXiv:1702.08734; the constant ||q||^2 is dropped). The entries within
+    ``tol`` of the k-th smallest approximate value form a shortlist, which
+    is re-ranked in difference form. With gamma = (dim + 2) u (u = 2^-53),
+    both the approximate value (shifted by ||q||^2) and the difference form
+    lie within gamma (||q|| + ||r||)^2 of the exact distance, whatever the
+    summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1). So the k entries ranked first in difference
+    form, and any entry tied with the k-th, lie within
+    4 gamma (||q|| + max ||r||)^2 of the k-th approximate value; ``tol``
+    is twice that.
+    """
+    n, dim = refs.shape
+    k = min(int(k), n)
+    ref_sq = np.einsum("ij,ij->i", refs, refs)
+    scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + math.sqrt(float(ref_sq.max()))
+    tol = 4.0 * (dim + 2) * np.finfo(np.float64).eps * scale * scale
+    indices = np.empty((len(queries), k), dtype=np.intp)
+    d2 = np.empty((len(queries), k))
+    # Scaling by -2 is exact, so one GEMM with -2 R gives -2 q.r.
+    refs_m2 = np.ascontiguousarray(-2.0 * refs.T)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, len(queries), block):
+        qb = queries[lo : lo + block]
+        approx = np.matmul(qb, refs_m2)
+        approx += ref_sq
+        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + tol[lo : lo + block]
+        shortlist = approx <= cut[:, None]
+        # Non-finite magnitudes void the bound: re-rank the whole row.
+        shortlist[~np.isfinite(cut)] = True
+        rows, cols = np.nonzero(shortlist)
+        diff = refs[cols] - qb[rows]
+        exact = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((cols, exact, rows))
+        counts = np.bincount(rows, minlength=len(qb))
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        indices[lo : lo + block] = cols[pick]
+        d2[lo : lo + block] = exact[pick]
+    return indices, d2
+
+
+def retrieve_many(queries, ref_map: ReferenceMap, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact brute-force nearest neighbors of each query row in feature space.
+
+    Returns (indices, distances), both (m, min(k, len(map))), sorted by
+    ascending Euclidean distance with equal distances broken by ascending
+    entry index; see :func:`nearest_neighbors`.
+
+    Raises:
+        EmptyMap: the map has no entries.
+        DimMismatch: queries are not (m, map dim).
+        InvalidConfig: k < 1.
+        RefusedNonFinite: a query component is not finite.
     """
     if len(ref_map) == 0:
         raise EmptyMap("cannot retrieve from an empty map")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    if q.shape[0] != ref_map.dim:
-        raise DimMismatch(f"query dim {q.shape[0]} != map dim {ref_map.dim}")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != ref_map.dim:
+        raise DimMismatch(f"query block of shape {q.shape} does not match map dim {ref_map.dim}")
     if k < 1:
-        raise ValueError("k must be a positive integer")
-    diff = ref_map.descriptors - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    k = min(int(k), len(ref_map))
-    order = np.argsort(d2, kind="stable")[:k]
-    dists = np.sqrt(d2[order])
+        raise InvalidConfig("k must be a positive integer")
+    if not np.all(np.isfinite(q)):
+        raise RefusedNonFinite("queries must be finite")
+    indices, d2 = nearest_neighbors(q, ref_map.descriptors, k)
+    return indices, np.sqrt(d2)
+
+
+def to_matches(ref_map: ReferenceMap, indices, distances, query_pose: Pose | None = None) -> list[Match]:
+    """One query's :func:`retrieve_many` row as :class:`Match` values.
+
+    When ``query_pose`` is given, translation and rotation errors against
+    it are filled in; otherwise they are NaN.
+    """
     out = []
-    for rank, idx in enumerate(order):
-        i = int(idx)
+    for i, dist in zip(indices.tolist(), distances.tolist()):
         if query_pose is not None:
             te = float(np.linalg.norm(ref_map.translations[i] - query_pose.t))
             re = angular_error_deg(ref_map.quaternions[i], query_pose.q)
@@ -221,12 +290,25 @@ def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = Non
             Match(
                 ref_id=ref_map.ids[i],
                 ref_index=i,
-                feature_distance=float(dists[rank]),
+                feature_distance=dist,
                 translation_error=te,
                 rotation_error=re,
             )
         )
     return out
+
+
+def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = None) -> list[Match]:
+    """Exact nearest neighbors of one ``query``; one row of :func:`retrieve_many`.
+
+    Returns min(k, len(map)) matches sorted by ascending Euclidean
+    distance; equal distances are broken by ascending entry index. When
+    ``query_pose`` is given, translation and rotation errors against it are
+    filled in.
+    """
+    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    indices, distances = retrieve_many(q, ref_map, k)
+    return to_matches(ref_map, indices[0], distances[0], query_pose)
 
 
 def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:

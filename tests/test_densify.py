@@ -16,6 +16,7 @@ from copr.densify import (
     gen_extrap_grid,
     gen_interp_targets,
     lin_interp,
+    plane_fit_many,
     plane_fit_regress,
     subsample_trajectory,
 )
@@ -26,9 +27,10 @@ from copr.errors import (
     TooFewAnchors,
     TooFewNeighbors,
 )
-from copr.geometry import Pose, quat_from_yaw
+from copr.geometry import Pose, quat_from_yaw, relative_pose
+from copr.neural.core import regress_nonlinear
 from copr.neural.training import TrainConfig, train_regressor
-from copr.vpr_map import Origin, ReferenceMap
+from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors
 
 
 def _line_map(n, spacing=1.0, dim=2):
@@ -257,6 +259,74 @@ class TestPlaneFit:
             plane_fit_regress([(np.zeros(1), [0, 0, 0])] * 3, [0, 0, 0])
 
 
+def _stable_knn(translations, point, count):
+    # Reference: the per-target scan densify_map ran before the batched kernel.
+    diff = translations - point
+    return np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[:count]
+
+
+_grid_points = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30)
+
+
+class TestNearestTranslations:
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_points, _grid_points, st.integers(1, 8))
+    def test_matches_stable_argsort_on_integer_grid(self, refs, points, count):
+        # Integer grids make exact distance ties (and ties at the k-th) common.
+        refs = np.asarray(refs, dtype=float)
+        points = np.asarray(points, dtype=float)
+        got, d2 = nearest_neighbors(points, refs, count)
+        assert got.shape == d2.shape == (len(points), min(count, len(refs)))
+        for row, p in zip(got, points):
+            np.testing.assert_array_equal(row, _stable_knn(refs, p, count))
+
+    def test_many_blocks_of_targets(self):
+        rng = np.random.default_rng(3)
+        refs = rng.integers(-4, 5, size=(300, 3)).astype(float)
+        points = rng.integers(-4, 5, size=(1500, 3)).astype(float) / 2.0
+        got, _ = nearest_neighbors(points, refs, 4)
+        for row, p in zip(got, points):
+            np.testing.assert_array_equal(row, _stable_knn(refs, p, 4))
+
+
+def _lstsq_fit(f, t, t_new):
+    design = np.hstack([t, np.ones((len(t), 1))])
+    coef = np.linalg.lstsq(design, f, rcond=1e-10)[0]
+    return np.concatenate([t_new, [1.0]]) @ coef
+
+
+class TestPlaneFitMany:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.sampled_from(["general", "coplanar", "collinear", "coincident"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lstsq_including_rank_deficient(self, k, shape, seed):
+        # Integer coordinates: the design is either exactly rank deficient
+        # or well conditioned, so lstsq and the batched pinv agree to 1e-9.
+        rng = np.random.default_rng(seed)
+        m, dim = 5, 3
+        if shape == "general":
+            t = rng.integers(-5, 6, size=(m, k, 3)).astype(float)
+        elif shape == "coplanar":
+            t = np.zeros((m, k, 3))
+            t[:, :, :2] = rng.integers(-5, 6, size=(m, k, 2))
+        elif shape == "collinear":
+            t = rng.integers(-5, 6, size=(m, k, 1)) * rng.integers(-2, 3, size=(m, 1, 3)).astype(float)
+        else:
+            t = np.repeat(rng.integers(-5, 6, size=(m, 1, 3)).astype(float), k, axis=1)
+        f = rng.standard_normal((m, k, dim))
+        t_new = rng.integers(-8, 9, size=(m, 3)).astype(float)
+        idx = np.arange(m * k).reshape(m, k)
+        got = plane_fit_many(f.reshape(-1, dim), t.reshape(-1, 3), idx, t_new)
+        for i in range(m):
+            np.testing.assert_allclose(got[i], _lstsq_fit(f[i], t[i], t_new[i]), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(
+                plane_fit_regress(list(zip(f[i], t[i])), t_new[i]), got[i], rtol=1e-12, atol=1e-12
+            )
+
+
 def _affine_line_map(n, a, b, spacing=0.5):
     entries = []
     rng = np.random.default_rng(23)
@@ -338,6 +408,25 @@ class TestDensifyMap:
         dense = densify_map(m, plan, "nonlin_reg", model=model)
         for i in range(len(m), len(dense)):
             np.testing.assert_allclose(dense.descriptors[i], const, atol=1e-3)
+
+    def test_nonlin_reg_matches_per_target_regression(self):
+        # Reference: nearest sparse entry by stable argsort, relative_pose,
+        # one regress_nonlinear call per target.
+        m = _affine_line_map(9, np.eye(3)[:2], np.zeros(2))
+        m = m.extended([("dup", m.descriptors[3], m.pose(3), Origin.ANCHOR)])
+        pairs = [
+            (m.descriptors[i], relative_pose(m.pose(i), m.pose(j)), m.descriptors[j])
+            for i in range(9)
+            for j in range(9)
+        ]
+        model = train_regressor(pairs, TrainConfig(epochs=2, seed=1), 2)
+        cfg = DensifyConfig(stride=2, grid_step=0.25, grid_span=0.5, dedupe_radius=0.0)
+        plan = gen_extrap_grid(m, cfg)
+        dense = densify_map(m, plan, "nonlin_reg", model=model)
+        for r, target in enumerate(plan.targets):
+            i = int(_stable_knn(m.translations, target.pose.t, 1)[0])
+            want = regress_nonlinear(model, m.descriptors[i], relative_pose(m.pose(i), target.pose))
+            np.testing.assert_allclose(dense.descriptors[len(m) + r], want, rtol=1e-12, atol=1e-12)
 
     def test_plan_json_round_trip(self):
         m = _line_map(4)

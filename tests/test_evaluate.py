@@ -25,7 +25,7 @@ from copr.evaluate import (
 from copr.geometry import Pose
 from copr.neural.training import TrainConfig
 from copr.synth import FieldConfig, SceneConfig, gen_scene, make_stray_case
-from copr.vpr_map import Origin, ReferenceMap
+from copr.vpr_map import Origin, ReferenceMap, retrieve
 
 
 def _pose(x=0.0, y=0.0):
@@ -75,6 +75,18 @@ class TestLocalize:
         ]
         s = localize_and_summarize(queries, m)
         np.testing.assert_allclose(s.mte_m, 0.25, atol=1e-12)
+
+    def test_per_query_errors_equal_scalar_retrieve(self):
+        # The batched scoring must give each query exactly what one
+        # retrieve(..., query_pose) call reports.
+        scene = _small_scene(seed=34, n=60)
+        s = localize_and_summarize(scene.queries, scene.gt_dense)
+        assert len(s.per_query) == len(scene.queries)
+        for (desc, pose), got in zip(scene.queries, s.per_query):
+            match = retrieve(desc, scene.gt_dense, k=1, query_pose=pose)[0]
+            assert got.matched_id == match.ref_id
+            assert got.translation_error == match.translation_error
+            assert abs(got.rotation_error - match.rotation_error) <= 1e-12
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):

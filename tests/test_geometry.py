@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copr.errors import ZeroQuaternion
+from copr.errors import RefusedNonFinite, ZeroQuaternion
 from copr.geometry import (
     Pose,
     RelativePose,
     angular_error_deg,
+    angular_error_deg_many,
     canonical_sign,
     normalize_quat,
     quat_conjugate,
@@ -19,6 +20,8 @@ from copr.geometry import (
     quat_multiply,
     quat_slerp,
     relative_pose,
+    relative_pose_rows,
+    relative_poses,
     rotate_vector,
 )
 
@@ -84,6 +87,61 @@ class TestNormalizeQuat:
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
         first_nonzero = next((c for c in out if c != 0.0), 1.0)
         assert first_nonzero > 0.0
+
+
+# Unit quaternions with exact zeros and negative leading components, so
+# canonical sign is decided past the first component.
+_AXIS_QUATS = [[0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -0.6, 0.8, 0], [0.6, 0, 0, -0.8]]
+
+
+class TestRelativePoseRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_rows_equal_scalar_relative_pose_bitwise(self, seed, n):
+        rng = np.random.default_rng(seed)
+        quats = [
+            _rand_unit_quat(rng) if rng.random() < 0.6 else normalize_quat(_AXIS_QUATS[rng.integers(6)])
+            for _ in range(2 * n)
+        ]
+        poses = [Pose(t=rng.standard_normal(3) * 10, q=q) for q in quats]
+        a, b = poses[:n], poses[n:]
+        rows = relative_pose_rows(
+            [p.t for p in a], [p.q for p in a], [p.t for p in b], [p.q for p in b]
+        )
+        assert rows.shape == (n, 7)
+        for row, pa, pb in zip(rows, a, b):
+            np.testing.assert_array_equal(row, relative_pose(pa, pb).as_vector())
+            # The per-row construction the kernel replaced: normalize the raw
+            # Hamilton product inside RelativePose.
+            old = RelativePose(dt=pb.t - pa.t, dq=quat_multiply(quat_conjugate(pa.q), pb.q))
+            np.testing.assert_array_equal(row, old.as_vector())
+
+    def test_values_hold_their_rows_read_only(self):
+        rng = np.random.default_rng(2)
+        t_a, t_b = rng.standard_normal((2, 4, 3))
+        q_a = np.array([_rand_unit_quat(rng) for _ in range(4)])
+        q_b = np.array([_rand_unit_quat(rng) for _ in range(4)])
+        rows = relative_pose_rows(t_a, q_a, t_b, q_b)
+        values = relative_poses(t_a, q_a, t_b, q_b)
+        for row, rp in zip(rows, values):
+            np.testing.assert_array_equal(rp.as_vector(), row)
+            with pytest.raises(ValueError):
+                rp.dq[0] = 0.0
+
+    def test_rejects_non_finite_translation_and_zero_quaternion(self):
+        with pytest.raises(RefusedNonFinite):
+            relative_pose_rows([[0, 0, math.nan]], [[1, 0, 0, 0]], [[0, 0, 0]], [[1, 0, 0, 0]])
+        with pytest.raises(ZeroQuaternion):
+            relative_pose_rows([[0, 0, 0]], [[0, 0, 0, 0]], [[0, 0, 0]], [[1, 0, 0, 0]])
+
+    def test_angular_error_many_matches_scalar(self):
+        rng = np.random.default_rng(31)
+        qa = np.array([_rand_unit_quat(rng) for _ in range(500)] + [normalize_quat(q) for q in _AXIS_QUATS])
+        qb = np.array([_rand_unit_quat(rng) for _ in range(500)] + [normalize_quat(q) for q in _AXIS_QUATS[::-1]])
+        qb[:50] = qa[:50]
+        got = angular_error_deg_many(qa, qb)
+        want = [angular_error_deg(x, y) for x, y in zip(qa, qb)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestRelativePose:

@@ -4,6 +4,7 @@ architecture, encoder losses, and model files."""
 
 import math
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -180,6 +181,23 @@ class TestForward:
         model = init_mlp([3, 2], [Activation.IDENTITY], 0)
         with pytest.raises(DimMismatch):
             mlp_forward(model, [1.0, 2.0])
+
+    def test_without_cache_drops_each_layer_once_consumed(self):
+        # The 8-layer regressor on 4000 rows: holding every layer's z, tanh
+        # and activation until the return peaks at 22x the input's bytes,
+        # dropping them at 5x.
+        model = init_regressor(32, 0)
+        x = np.random.default_rng(4).standard_normal((4000, 39))
+        cached, _ = forward_batch(model, x, keep_cache=True)
+        tracemalloc.start()
+        try:
+            out, cache = forward_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache is None
+        np.testing.assert_array_equal(out, cached)
+        assert peak <= 10 * x.nbytes
 
 
 class TestGradients:

@@ -5,12 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copr.errors import (
     BadMagic,
     CountMismatch,
     DimMismatch,
+    DuplicateId,
     EmptyMap,
+    InvalidConfig,
     ParseError,
     RefusedNonFinite,
     VersionUnsupported,
@@ -22,6 +26,7 @@ from copr.vpr_map import (
     load_map,
     oracle_retrieve,
     retrieve,
+    retrieve_many,
     save_map,
 )
 
@@ -118,6 +123,72 @@ class TestRetrieve:
         assert math.isnan(out[0].translation_error)
 
 
+def _brute_force(refs, q, k):
+    # Reference: the full stable sort of difference-form distances that
+    # retrieval ran per query before the GEMM shortlist.
+    diff = refs - q
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.argsort(d2, kind="stable")[:k]
+    return order, np.sqrt(d2[order])
+
+
+@st.composite
+def _tied_maps(draw):
+    """Descriptor rows with duplicates and neighbors one ulp apart, plus queries.
+
+    A large shared offset makes the GEMM form ||r||^2 - 2 q.r cancel badly,
+    so its order can differ from the exact one by more than the gaps.
+    """
+    dim = draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    base = np.asarray(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)), dtype=float) + offset
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        row = base + np.asarray(draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)), dtype=float)
+        steps = draw(st.integers(-2, 2))
+        col = draw(st.integers(0, dim - 1))
+        for _ in range(abs(steps)):
+            row[col] = np.nextafter(row[col], math.copysign(math.inf, steps))
+        rows.append(row)
+    refs = np.asarray(rows)
+    queries = np.vstack([refs[: draw(st.integers(0, len(refs)))], base[None, :]])
+    return refs, queries
+
+
+class TestRetrieveMany:
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_maps(), st.sampled_from(["1", "3", "n"]))
+    def test_matches_brute_force_with_duplicates_and_ulp_ties(self, case, k_kind):
+        refs, queries = case
+        k = {"1": 1, "3": 3, "n": len(refs)}[k_kind]
+        m = _map_of(refs)
+        indices, distances = retrieve_many(queries, m, k)
+        for q, idx, dist in zip(queries, indices, distances):
+            want_idx, want_dist = _brute_force(m.descriptors, q, k)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(dist, want_dist)
+
+    def test_many_query_blocks(self):
+        rng = np.random.default_rng(12)
+        m = _map_of(rng.integers(-2, 3, size=(3000, 4)).astype(float))
+        queries = rng.integers(-2, 3, size=(400, 4)).astype(float)
+        indices, _ = retrieve_many(queries, m, 3)
+        for q, idx in zip(queries, indices):
+            np.testing.assert_array_equal(idx, _brute_force(m.descriptors, q, 3)[0])
+
+    def test_non_finite_query_refused(self):
+        m = _map_of([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(RefusedNonFinite):
+            retrieve([math.nan, 0.0], m, k=1)
+        with pytest.raises(RefusedNonFinite):
+            retrieve_many([[0.0, 0.0], [math.inf, 0.0]], m, k=1)
+
+    def test_k_below_one_is_invalid_config(self):
+        m = _map_of([[0.0]])
+        with pytest.raises(InvalidConfig):
+            retrieve([0.0], m, k=0)
+
+
 class TestOracleRetrieve:
     def test_coincident_pose(self):
         m = _map_of([[0.0], [1.0]], translations=[(0, 0, 0), (5, 0, 0)])
@@ -157,6 +228,12 @@ class TestMapType:
     def test_non_finite_descriptor_rejected(self):
         with pytest.raises(ValueError):
             _map_of([[math.inf]])
+
+    def test_map_errors_are_typed(self):
+        with pytest.raises(DuplicateId):
+            _map_of([[0.0], [1.0]], ids=["a", "a"])
+        with pytest.raises(RefusedNonFinite):
+            _map_of([[math.nan]])
 
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
