@@ -33,18 +33,10 @@ from .evaluate import (
 from .geometry import Pose, RelativePose, angular_error_deg, normalize_quat, relative_pose
 from .neural import (
     Activation,
-    AdamState,
     MlpModel,
     TrainConfig,
-    adam_step,
     gelu,
     load_model,
-    loss_distance,
-    loss_relative,
-    loss_triplet,
-    mlp_forward,
-    mlp_grad,
-    regress_nonlinear,
     save_model,
     train_encoder,
     train_regressor,

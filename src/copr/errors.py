@@ -18,6 +18,10 @@ class ZeroQuaternion(CoprError, ValueError):
     """Quaternion norm too small to normalize (below 1e-12)."""
 
 
+class NonUnitQuaternion(CoprError, ValueError):
+    """Quaternion norm more than 1e-6 away from 1 where a unit one is required."""
+
+
 class DimMismatch(CoprError, ValueError):
     """Vector or descriptor dimensions do not agree."""
 

@@ -15,7 +15,7 @@ import csv as csv_module
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .densify import (
     subsample_trajectory,
 )
 from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
-from .geometry import Pose, angular_error_deg_many, relative_pose, row_dots
-from .neural.core import MlpModel, forward_batch, regress_nonlinear
+from .geometry import angular_error_deg_many, relative_pose, row_dots
+from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
 from .neural.training import TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
 from .vpr_map import Origin, ReferenceMap, oracle_retrieve, retrieve, retrieve_many
@@ -42,23 +42,6 @@ METHOD_LABELS = {
     METHOD_LIN_REG: "LinReg",
     METHOD_NONLIN_REG: "NonLinReg",
 }
-
-CSV_COLUMNS = [
-    "experiment",
-    "map",
-    "densification",
-    "retrieval",
-    "mte_m",
-    "mre_deg",
-    "map_size",
-    "t_train_s",
-    "t_dense_ms",
-    "t_enc_ms",
-    "t_match_ms",
-    "t_retr_ms",
-    "seed",
-]
-
 
 @dataclass(frozen=True)
 class PerQuery:
@@ -129,6 +112,37 @@ def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
     )
 
 
+class _Table:
+    """JSON and CSV forms shared by the report types: ``rows`` of the
+    dataclass ``row_type``, one CSV column per field, plus a ``config`` dict."""
+
+    row_type: type
+
+    def to_json(self) -> str:
+        return json.dumps({"config": self.config, "rows": [asdict(r) for r in self.rows]}, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str):
+        doc = json.loads(text)
+        return cls(rows=tuple(cls.row_type(**r) for r in doc["rows"]), config=doc["config"])
+
+    def to_csv(self) -> str:
+        cols = [f.name for f in fields(self.row_type)]
+        buf = io.StringIO()
+        writer = csv_module.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        for r in self.rows:
+            d = asdict(r)
+            writer.writerow([_csv_cell(d[c]) for c in cols])
+        return buf.getvalue()
+
+
+def _csv_cell(v):
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return v
+
+
 @dataclass(frozen=True)
 class ExperimentRow:
     experiment: str
@@ -146,33 +160,14 @@ class ExperimentRow:
     seed: int = 0
 
 
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
+
+
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(_Table):
     rows: tuple[ExperimentRow, ...]
     config: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"config": self.config, "rows": [asdict(r) for r in self.rows]}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        doc = json.loads(text)
-        return cls(rows=tuple(ExperimentRow(**r) for r in doc["rows"]), config=doc["config"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv_module.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            d = asdict(r)
-            writer.writerow([_csv_cell(d[c]) for c in CSV_COLUMNS])
-        return buf.getvalue()
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return v
+    row_type = ExperimentRow
 
 
 @dataclass(frozen=True)
@@ -186,27 +181,10 @@ class StrayRow:
 
 
 @dataclass(frozen=True)
-class StrayReport:
+class StrayReport(_Table):
     rows: tuple[StrayRow, ...]
     config: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"config": self.config, "rows": [asdict(r) for r in self.rows]}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StrayReport":
-        doc = json.loads(text)
-        return cls(rows=tuple(StrayRow(**r) for r in doc["rows"]), config=doc["config"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv_module.writer(buf, lineterminator="\n")
-        cols = ["case_seed", "similarity", "rank_before", "rank_after", "demoted", "stray_id"]
-        writer.writerow(cols)
-        for r in self.rows:
-            d = asdict(r)
-            writer.writerow([_csv_cell(d[c]) for c in cols])
-        return buf.getvalue()
+    row_type = StrayRow
 
 
 def emit_report(report, fmt: str, path) -> None:
@@ -300,9 +278,14 @@ def _method_rows(
     t_enc_ms: float,
     t_train_s: float,
     sparse_train_s: float = 0.0,
+    gt: ReferenceMap | None = None,
 ):
-    """Oracle row, sparse row, and one VPR row per densification method."""
-    rows = []
+    """Oracle row, GTMap row (with ``gt``), sparse row, and one VPR row per
+    densification method.
+
+    The oracle runs on ``gt`` when given, else on the first densified map,
+    else on the sparse map.
+    """
     dense_maps = {}
     dense_times = {}
     for method in methods:
@@ -312,12 +295,29 @@ def _method_rows(
         )
         dense_times[method] = (time.perf_counter() - start) * 1e3
 
-    oracle_map = next(iter(dense_maps.values())) if dense_maps else sparse
+    def vpr_row(map_name, densification, ref_map, **timings):
+        summary, t_match = _timed_localize(scene_queries, ref_map)
+        return ExperimentRow(
+            experiment=experiment,
+            map=map_name,
+            densification=densification,
+            retrieval="VPR",
+            mte_m=summary.mte_m,
+            mre_deg=summary.mre_deg,
+            map_size=len(ref_map),
+            t_enc_ms=t_enc_ms,
+            t_match_ms=t_match,
+            t_retr_ms=t_enc_ms + t_match,
+            seed=seed,
+            **timings,
+        )
+
+    oracle_map = gt if gt is not None else next(iter(dense_maps.values()), sparse)
     osum = _oracle_summary(scene_queries, oracle_map)
-    rows.append(
+    rows = [
         ExperimentRow(
             experiment=experiment,
-            map="M_dense" if dense_maps else "M_sparse",
+            map="M_sparse" if gt is None and not dense_maps else "M_dense",
             densification="-",
             retrieval="Oracle",
             mte_m=osum.mte_m,
@@ -325,41 +325,18 @@ def _method_rows(
             map_size=len(oracle_map),
             seed=seed,
         )
-    )
-    ssum, t_match = _timed_localize(scene_queries, sparse)
-    rows.append(
-        ExperimentRow(
-            experiment=experiment,
-            map="M_sparse",
-            densification="-",
-            retrieval="VPR",
-            mte_m=ssum.mte_m,
-            mre_deg=ssum.mre_deg,
-            map_size=len(sparse),
-            t_train_s=sparse_train_s,
-            t_enc_ms=t_enc_ms,
-            t_match_ms=t_match,
-            t_retr_ms=t_enc_ms + t_match,
-            seed=seed,
-        )
-    )
+    ]
+    if gt is not None:
+        rows.append(vpr_row("M_dense", "GTMap", gt))
+    rows.append(vpr_row("M_sparse", "-", sparse, t_train_s=sparse_train_s))
     for method in methods:
-        msum, t_match = _timed_localize(scene_queries, dense_maps[method])
         rows.append(
-            ExperimentRow(
-                experiment=experiment,
-                map="M_dense",
-                densification=METHOD_LABELS[method],
-                retrieval="VPR",
-                mte_m=msum.mte_m,
-                mre_deg=msum.mre_deg,
-                map_size=len(dense_maps[method]),
+            vpr_row(
+                "M_dense",
+                METHOD_LABELS[method],
+                dense_maps[method],
                 t_train_s=t_train_s if method == METHOD_NONLIN_REG else 0.0,
                 t_dense_ms=dense_times[method],
-                t_enc_ms=t_enc_ms,
-                t_match_ms=t_match,
-                t_retr_ms=t_enc_ms + t_match,
-                seed=seed,
             )
         )
     return rows
@@ -386,77 +363,9 @@ def exp_interpolation(
     else:
         plan = TargetPlan(scheme="interpolation", targets=())
     t_enc = _time_encoding(scene)
-
-    rows = []
-    osum = _oracle_summary(scene.queries, gt)
-    rows.append(
-        ExperimentRow(
-            experiment="interp",
-            map="M_dense",
-            densification="-",
-            retrieval="Oracle",
-            mte_m=osum.mte_m,
-            mre_deg=osum.mre_deg,
-            map_size=len(gt),
-            seed=seed,
-        )
+    rows = _method_rows(
+        "interp", scene.queries, anchors, plan, methods, model, neighbors, seed, t_enc, t_train_s, gt=gt
     )
-    gsum, t_match = _timed_localize(scene.queries, gt)
-    rows.append(
-        ExperimentRow(
-            experiment="interp",
-            map="M_dense",
-            densification="GTMap",
-            retrieval="VPR",
-            mte_m=gsum.mte_m,
-            mre_deg=gsum.mre_deg,
-            map_size=len(gt),
-            t_enc_ms=t_enc,
-            t_match_ms=t_match,
-            t_retr_ms=t_enc + t_match,
-            seed=seed,
-        )
-    )
-    ssum, t_match = _timed_localize(scene.queries, anchors)
-    rows.append(
-        ExperimentRow(
-            experiment="interp",
-            map="M_sparse",
-            densification="-",
-            retrieval="VPR",
-            mte_m=ssum.mte_m,
-            mre_deg=ssum.mre_deg,
-            map_size=len(anchors),
-            t_enc_ms=t_enc,
-            t_match_ms=t_match,
-            t_retr_ms=t_enc + t_match,
-            seed=seed,
-        )
-    )
-    for method in methods:
-        start = time.perf_counter()
-        dense = densify_map(
-            anchors, plan, method, model=model if method == METHOD_NONLIN_REG else None, neighbors=neighbors
-        )
-        t_dense = (time.perf_counter() - start) * 1e3
-        msum, t_match = _timed_localize(scene.queries, dense)
-        rows.append(
-            ExperimentRow(
-                experiment="interp",
-                map="M_dense",
-                densification=METHOD_LABELS[method],
-                retrieval="VPR",
-                mte_m=msum.mte_m,
-                mre_deg=msum.mre_deg,
-                map_size=len(dense),
-                t_train_s=t_train_s if method == METHOD_NONLIN_REG else 0.0,
-                t_dense_ms=t_dense,
-                t_enc_ms=t_enc,
-                t_match_ms=t_match,
-                t_retr_ms=t_enc + t_match,
-                seed=seed,
-            )
-        )
     config = {
         "experiment": "interp",
         "stride": stride,
@@ -632,9 +541,9 @@ def exp_stray(cases, model: MlpModel) -> StrayReport:
         matches = retrieve(case.query_descriptor, before, k=len(before))
         rank_before = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)
 
-        nearest = oracle_retrieve(case.query_pose, case.refs)
-        dp = relative_pose(case.refs.pose(nearest.ref_index), case.query_pose)
-        regressed = regress_nonlinear(model, case.refs.descriptors[nearest.ref_index], dp)
+        i = oracle_retrieve(case.query_pose, case.refs).ref_index
+        dp = relative_pose(case.refs.pose(i), case.query_pose)
+        regressed = regress_nonlinear_batch(model, case.refs.descriptors[i : i + 1], dp.as_vector()[None])[0]
         after = before.extended([("regressed#q", regressed, case.query_pose, Origin.REGRESSED)])
         matches = retrieve(case.query_descriptor, after, k=len(after))
         rank_after = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)

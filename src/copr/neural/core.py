@@ -6,10 +6,12 @@ gradients for a mean-squared-error head or for an arbitrary output
 gradient, and textbook Adam with bias correction.
 
 All math runs in float64 so analytic gradients check cleanly against
-central finite differences. Exported models (:class:`MlpModel`) are
-immutable and safely shareable across threads. Training runs on a
-:class:`RawNet` and a :class:`RawAdam` instead, which update parameters,
-gradients and moments in place in flat buffers.
+central finite differences. One model type, :class:`MlpModel`, keeps every
+parameter in one flat buffer with per-layer views. A constructed model is
+immutable and safely shareable across threads. Training lays a private
+model over a writable copy of that buffer (:meth:`MlpModel.on_buffer`), and
+:class:`RawAdam`, the one optimizer, updates it in place from a flat
+gradient buffer of the same layout.
 
 Buffer ownership: :func:`forward_batch` and :func:`backward_batch` allocate
 fresh arrays unless given a :class:`Workspace`. Only the caller that owns
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,11 +86,32 @@ class Layer:
         object.__setattr__(self, "bias", b)
 
 
+def _layer_views(flat: np.ndarray, layers) -> list:
+    """(weights, bias) views into a flat buffer laid out like ``layers``."""
+    views = []
+    offset = 0
+    for l in layers:
+        w_end = offset + l.weights.size
+        b_end = w_end + l.bias.size
+        views.append((flat[offset:w_end].reshape(l.weights.shape), flat[w_end:b_end]))
+        offset = b_end
+    return views
+
+
 @dataclass(frozen=True)
 class MlpModel:
-    """A stack of dense layers with chained dimensions."""
+    """A stack of dense layers with chained dimensions.
+
+    Every parameter lives in one float64 buffer ``flat``: per layer, the
+    row-major weights followed by the bias. The layers' weights and biases
+    are read-only views into it. Construction copies the given layers into
+    a fresh read-only buffer, so a constructed model is immutable and safely
+    shareable across threads; :meth:`on_buffer` lays a model over a buffer
+    its caller owns, which is how a trainer updates a private model in place.
+    """
 
     layers: tuple[Layer, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -99,7 +122,33 @@ class MlpModel:
                 raise ShapeMismatch(
                     f"layer output dim {a.weights.shape[0]} does not feed layer input dim {b.weights.shape[1]}"
                 )
-        object.__setattr__(self, "layers", layers)
+        flat = np.concatenate([np.concatenate([l.weights.ravel(), l.bias]) for l in layers])
+        flat.setflags(write=False)
+        self._bind(flat, layers)
+
+    def _bind(self, flat: np.ndarray, layers) -> None:
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(
+            self,
+            "layers",
+            tuple(Layer(w, b, l.activation) for (w, b), l in zip(_layer_views(flat, layers), layers)),
+        )
+
+    def on_buffer(self, flat: np.ndarray) -> "MlpModel":
+        """A model with these layers' shapes and activations whose parameters
+        are views into ``flat``, a buffer laid out like ``self.flat``.
+
+        ``flat`` is not copied: whoever can write it changes the model.
+        """
+        if flat.dtype != np.float64 or flat.shape != self.flat.shape or not flat.flags.c_contiguous:
+            raise ShapeMismatch(f"parameter buffer {flat.dtype}{flat.shape} does not match {self.flat.shape}")
+        model = object.__new__(MlpModel)
+        model._bind(flat, self.layers)
+        return model
+
+    def views(self, buffer: np.ndarray) -> list:
+        """Per-layer (weights, bias) views into a buffer laid out like ``flat``."""
+        return _layer_views(buffer, self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -202,20 +251,13 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work
     return a, cache
 
 
-def mlp_forward(model: MlpModel, x) -> np.ndarray:
-    """Forward pass for a single input vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y, _ = forward_batch(model, x)
-    return y[0]
-
-
 def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, work: Workspace | None = None):
     """Reverse-mode pass from an output gradient.
 
     ``d_output`` is dLoss/dOutput of shape (batch, output_dim). Returns
     (grads, d_input) where grads is a list of (dW, db) per layer summed
     over the batch. The gradients are written into ``grads`` when given
-    (e.g. a :class:`RawNet`'s views) and into fresh arrays otherwise; the
+    (e.g. a :class:`RawAdam`'s views) and into fresh arrays otherwise; the
     cache is only read.
     """
     activations, pre, tanhs = cache
@@ -248,24 +290,6 @@ def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, wor
     return grads, delta
 
 
-def mlp_grad(model: MlpModel, x, target):
-    """Loss and parameter gradients for one (input, target) pair.
-
-    The loss is the mean over output dimensions of the squared error;
-    gradients come from reverse-mode differentiation.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    t = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    if t.shape[1] != model.output_dim:
-        raise DimMismatch(f"target dim {t.shape[1]} does not match model output dim {model.output_dim}")
-    y, cache = forward_batch(model, x, keep_cache=True)
-    resid = y - t
-    loss = float(np.mean(resid**2))
-    d_out = 2.0 * resid / resid.shape[1]
-    grads, _ = backward_batch(model, cache, d_out)
-    return loss, grads
-
-
 def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray, grads=None, work: Workspace | None = None):
     """Gradients of the batch-mean MSE (averaged over the batch).
 
@@ -281,145 +305,23 @@ def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray, grads=No
     return grads
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """Adam accumulators shaped like the model they optimize."""
-
-    lr: float
-    step_count: int
-    m: tuple
-    v: tuple
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def init_adam(model: MlpModel, lr: float) -> AdamState:
-    if lr <= 0.0:
-        raise InvalidConfig("learning rate must be positive")
-    zeros = tuple((np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers)
-    return AdamState(lr=float(lr), step_count=0, m=zeros, v=zeros)
-
-
-def adam_update_arrays(theta, m, v, g, lr, beta1, beta2, eps, t):
-    """The Adam recurrence on one parameter array; returns (theta, m, v).
-
-    m and v are the first and second moment running averages and t the
-    1-based step count used for bias correction.
-    """
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g**2
-    theta = theta - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
-    return theta, m, v
-
-
-def adam_step(state: AdamState, model: MlpModel, grads) -> tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update; returns (new model, new state)."""
-    if len(grads) != len(model.layers):
-        raise ShapeMismatch("gradient list does not match model layers")
-    t = state.step_count + 1
-    new_layers = []
-    new_m = []
-    new_v = []
-    for layer, (mw, mb), (vw, vb), (gw, gb) in zip(model.layers, state.m, state.v, grads):
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-            raise ShapeMismatch("gradient shapes do not match layer shapes")
-        w, mw, vw = adam_update_arrays(layer.weights, mw, vw, gw, state.lr, state.beta1, state.beta2, state.eps, t)
-        b, mb, vb = adam_update_arrays(layer.bias, mb, vb, gb, state.lr, state.beta1, state.beta2, state.eps, t)
-        new_layers.append(Layer(weights=w, bias=b, activation=layer.activation))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    return MlpModel(layers=tuple(new_layers)), replace(
-        state, step_count=t, m=tuple(new_m), v=tuple(new_v)
-    )
-
-
-class RawLayer:
-    """Mutable duck-typed layer used inside training loops.
-
-    Skips the frozen-dataclass validation that :class:`Layer` performs on
-    every construction; forward/backward only touch the three attributes.
-    """
-
-    __slots__ = ("weights", "bias", "activation")
-
-    def __init__(self, weights, bias, activation):
-        self.weights = weights
-        self.bias = bias
-        self.activation = activation
-
-
-def _layer_views(flat: np.ndarray, layers) -> list:
-    """(weights, bias) views into a flat buffer laid out like ``layers``."""
-    views = []
-    offset = 0
-    for l in layers:
-        w_end = offset + l.weights.size
-        b_end = w_end + l.bias.size
-        views.append((flat[offset:w_end].reshape(l.weights.shape), flat[w_end:b_end]))
-        offset = b_end
-    return views
-
-
-class RawNet:
-    """Mutable model view sharing :func:`forward_batch`/:func:`backward_batch`.
-
-    All parameters live in one flat buffer ``flat`` and their gradients in
-    a second one, ``grad``, of the same layout. Layer weights and biases are
-    reshaped views into ``flat`` and ``grads`` lists the per-layer (dW, db)
-    views into ``grad``, so backward_batch writes the gradient the optimizer
-    reads, and the optimizer's in-place update is visible to the next
-    forward pass, with no copying.
-    """
-
-    __slots__ = ("layers", "flat", "grad", "grads")
-
-    def __init__(self, model: MlpModel):
-        self.flat = np.concatenate([np.concatenate([l.weights.ravel(), l.bias]) for l in model.layers])
-        self.layers = [
-            RawLayer(w, b, l.activation) for (w, b), l in zip(_layer_views(self.flat, model.layers), model.layers)
-        ]
-        self.grad = np.zeros_like(self.flat)
-        self.grads = self.views(self.grad)
-
-    @classmethod
-    def from_model(cls, model: MlpModel) -> "RawNet":
-        return cls(model)
-
-    @property
-    def input_dim(self) -> int:
-        return int(self.layers[0].weights.shape[1])
-
-    @property
-    def output_dim(self) -> int:
-        return int(self.layers[-1].weights.shape[0])
-
-    def views(self, flat: np.ndarray) -> list:
-        """Per-layer (weights, bias) views into a buffer laid out like ``flat``."""
-        return _layer_views(flat, self.layers)
-
-    def snapshot(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def to_model(self, params: np.ndarray | None = None) -> MlpModel:
-        flat = self.flat if params is None else params
-        layers = [
-            Layer(weights=w.copy(), bias=b.copy(), activation=l.activation)
-            for (w, b), l in zip(self.views(flat), self.layers)
-        ]
-        return MlpModel(layers=tuple(layers))
-
-
 class RawAdam:
-    """In-place Adam over a :class:`RawNet`; same recurrence as adam_step.
+    """Adam (Kingma & Ba, arXiv:1412.6980) with bias correction, in place.
 
-    ``m``, ``v`` and the parameters are updated in place, with two scratch
-    vectors for the temporaries, so a step allocates nothing.
+    Holds the moments ``m`` and ``v`` and the gradient buffer ``grad``, all
+    laid out like the model's ``flat``; ``grads`` lists the per-layer
+    (dW, db) views into ``grad`` that :func:`backward_batch` writes. A step
+    updates the moments and the parameters in place, with two scratch
+    vectors for the temporaries, so it allocates nothing.
     """
 
-    __slots__ = ("lr", "beta1", "beta2", "eps", "t", "m", "v", "_s", "_u")
+    __slots__ = ("lr", "beta1", "beta2", "eps", "t", "m", "v", "grad", "grads", "_s", "_u")
 
-    def __init__(self, net: RawNet, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net: MlpModel, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        if not lr > 0.0:
+            raise InvalidConfig("learning rate must be positive")
+        if not net.flat.flags.writeable:
+            raise InvalidConfig("Adam updates its model in place; pass a model on a writable buffer")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -427,11 +329,13 @@ class RawAdam:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
+        self.grad = np.zeros_like(net.flat)
+        self.grads = net.views(self.grad)
         self._s = np.empty_like(net.flat)
         self._u = np.empty_like(net.flat)
 
-    def step(self, net: RawNet, grad: np.ndarray) -> None:
-        """One update from ``grad``, a flat gradient laid out like ``net.flat``."""
+    def step(self, net: MlpModel, grad: np.ndarray) -> None:
+        """One update of ``net.flat`` from ``grad``, a flat gradient laid out like it."""
         s, u = self._s, self._u
         self.t += 1
         self.m *= self.beta1
@@ -446,34 +350,24 @@ class RawAdam:
         np.sqrt(s, out=s)
         s += self.eps
         u /= s
-        net.flat -= u
-
-
-def regress_nonlinear(model: MlpModel, f_anchor, dp) -> np.ndarray:
-    """Regress a descriptor at a target pose from one anchor.
-
-    Stacks the anchor descriptor with the 7-component relative pose and
-    runs the regressor; the model input dim must equal descriptor dim + 7.
-    """
-    f_anchor = np.asarray(f_anchor, dtype=np.float64).reshape(-1)
-    x = np.concatenate([f_anchor, dp.as_vector()])
-    if x.shape[0] != model.input_dim:
-        raise DimMismatch(
-            f"stacked input length {x.shape[0]} does not match regressor input dim {model.input_dim}"
-        )
-    if model.output_dim != f_anchor.shape[0]:
-        raise DimMismatch(
-            f"regressor output dim {model.output_dim} does not match descriptor dim {f_anchor.shape[0]}"
-        )
-    return mlp_forward(model, x)
+        np.subtract(net.flat, u, out=net.flat)
 
 
 def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`regress_nonlinear` over stacked rows."""
+    """Regress descriptors at target poses, one row per (anchor, target).
+
+    Row i stacks anchor descriptor ``f_anchors[i]`` with the 7-component
+    relative pose ``dp_vectors[i]`` and runs the regressor on it; the model
+    input dim must equal descriptor dim + 7, its output dim the descriptor dim.
+    """
     x = np.hstack([f_anchors, dp_vectors])
     if x.shape[1] != model.input_dim:
         raise DimMismatch(
             f"stacked input length {x.shape[1]} does not match regressor input dim {model.input_dim}"
+        )
+    if model.output_dim != x.shape[1] - 7:
+        raise DimMismatch(
+            f"regressor output dim {model.output_dim} does not match descriptor dim {x.shape[1] - 7}"
         )
     y, _ = forward_batch(model, x)
     return y

@@ -1,10 +1,9 @@
 """Encoder training losses: triplet, relative-pose, and distance-based.
 
-Each public function returns the scalar loss. The ``*_grads`` helpers also
-return gradients with respect to the descriptor inputs, which is what the
-encoder training loop feeds back through the network. Subgradient 0 is
-used at the non-differentiable kinks (active hinge boundary, zero
-residuals).
+Each function takes a batch of rows and returns the batch-mean loss and
+its gradients with respect to the inputs, which is what the encoder
+training loop feeds back through the network. Subgradient 0 is used at
+the non-differentiable kinks (active hinge boundary, zero residuals).
 """
 
 from __future__ import annotations
@@ -14,56 +13,6 @@ import numpy as np
 from ..errors import DimMismatch, ZeroVector
 
 _EPS = 1e-15
-
-
-def _unit(f: np.ndarray) -> tuple[np.ndarray, float]:
-    n = float(np.linalg.norm(f))
-    if n <= _EPS:
-        raise ZeroVector("cannot L2-normalize a zero descriptor")
-    return f / n, n
-
-
-def loss_triplet(f_q, f_p, f_n, margin: float) -> float:
-    """Hinged triplet loss on L2-normalized descriptors.
-
-    max(d(q, p) - d(q, n) + margin, 0), where d is Euclidean distance and
-    all three inputs are normalized to unit length first.
-    """
-    f_q = np.asarray(f_q, dtype=np.float64)
-    f_p = np.asarray(f_p, dtype=np.float64)
-    f_n = np.asarray(f_n, dtype=np.float64)
-    if not (f_q.shape == f_p.shape == f_n.shape):
-        raise DimMismatch("triplet descriptors must share one dimension")
-    u_q, _ = _unit(f_q)
-    u_p, _ = _unit(f_p)
-    u_n, _ = _unit(f_n)
-    d_p = float(np.linalg.norm(u_q - u_p))
-    d_n = float(np.linalg.norm(u_q - u_n))
-    return max(d_p - d_n + margin, 0.0)
-
-
-def loss_relative(dp_hat, dp_gt) -> float:
-    """Euclidean norm of the stacked 7-component relative-pose residual."""
-    a = np.asarray(dp_hat, dtype=np.float64).reshape(-1)
-    b = np.asarray(dp_gt, dtype=np.float64).reshape(-1)
-    if a.shape[0] != 7 or b.shape[0] != 7:
-        raise DimMismatch("relative-pose vectors must have exactly 7 components")
-    return float(np.linalg.norm(a - b))
-
-
-def loss_distance(f_1, f_2, t_1, t_2) -> float:
-    """| descriptor distance minus physical distance |.
-
-    Penalizes the gap between the Euclidean feature distance and the
-    Euclidean translation distance of the same pair.
-    """
-    f_1 = np.asarray(f_1, dtype=np.float64)
-    f_2 = np.asarray(f_2, dtype=np.float64)
-    if f_1.shape != f_2.shape:
-        raise DimMismatch("descriptor pair must share one dimension")
-    df = float(np.linalg.norm(f_1 - f_2))
-    dt = float(np.linalg.norm(np.asarray(t_1, dtype=np.float64) - np.asarray(t_2, dtype=np.float64)))
-    return abs(df - dt)
 
 
 def _normalize_rows_with_grad(f: np.ndarray):
@@ -84,9 +33,13 @@ def _normalize_rows_with_grad(f: np.ndarray):
 def triplet_grads(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, margin: float):
     """Batched triplet loss and input gradients.
 
+    Per row: max(d(q, p) - d(q, n) + margin, 0), where d is Euclidean
+    distance and all three descriptors are normalized to unit length first.
     Inputs are (batch, dim) raw descriptors; returns (mean loss, g_q, g_p,
     g_n) where each gradient is dMeanLoss/dInput.
     """
+    if not (f_q.shape == f_p.shape == f_n.shape):
+        raise DimMismatch("triplet descriptors must share one shape")
     b = f_q.shape[0]
     u_q, back_q = _normalize_rows_with_grad(f_q)
     u_p, back_p = _normalize_rows_with_grad(f_p)
@@ -111,7 +64,12 @@ def triplet_grads(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, margin: flo
 
 
 def relative_grads(dp_hat: np.ndarray, dp_gt: np.ndarray):
-    """Batched relative-pose loss and gradient w.r.t. the estimate."""
+    """Batched relative-pose loss and gradient w.r.t. the estimate.
+
+    Per row: the Euclidean norm of the 7-component relative-pose residual.
+    """
+    if dp_hat.shape != dp_gt.shape or dp_hat.shape[1:] != (7,):
+        raise DimMismatch("relative-pose rows must have exactly 7 components")
     resid = dp_hat - dp_gt
     norms = np.linalg.norm(resid, axis=1)
     loss = float(np.mean(norms))
@@ -121,7 +79,13 @@ def relative_grads(dp_hat: np.ndarray, dp_gt: np.ndarray):
 
 
 def distance_grads(f_1: np.ndarray, f_2: np.ndarray, t_1: np.ndarray, t_2: np.ndarray):
-    """Batched distance loss and gradients w.r.t. both descriptors."""
+    """Batched distance loss and gradients w.r.t. both descriptors.
+
+    Per row: | descriptor distance - physical distance |, the gap between
+    the Euclidean feature distance and the translation distance of the pair.
+    """
+    if f_1.shape != f_2.shape:
+        raise DimMismatch("descriptor pair must share one shape")
     diff = f_1 - f_2
     df = np.linalg.norm(diff, axis=1)
     dt = np.linalg.norm(t_1 - t_2, axis=1)

@@ -18,7 +18,6 @@ from .core import (
     Activation,
     MlpModel,
     RawAdam,
-    RawNet,
     Workspace,
     backward_batch,
     forward_batch,
@@ -102,12 +101,18 @@ class TrainResult:
     stop_reason: str
 
 
-def _fit(net: RawNet, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
+def _trainable(model: MlpModel) -> MlpModel:
+    """A private copy of ``model`` on a writable buffer, for in-place training."""
+    return model.on_buffer(model.flat.copy())
+
+
+def _fit(net: MlpModel, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
     """Run epochs until ``cfg.epochs`` or early stopping; keep the snapshot
-    with the best validation loss (the untrained init if none improves)."""
+    with the best validation loss (the untrained init if none improves) and
+    export it as a read-only model."""
     initial_val = val_loss()
     best_val = initial_val
-    best_params = net.snapshot()
+    best_params = net.flat.copy()
     stale = 0
     stop_reason = "max_epochs"
     for epochs_run in range(1, cfg.epochs + 1):
@@ -115,14 +120,15 @@ def _fit(net: RawNet, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
         val = val_loss()
         if val < best_val:
             best_val = val
-            best_params = net.snapshot()
+            best_params = net.flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 stop_reason = "early_stop"
                 break
-    return TrainResult(net.to_model(best_params), initial_val, best_val, epochs_run, stop_reason)
+    best_params.setflags(write=False)
+    return TrainResult(net.on_buffer(best_params), initial_val, best_val, epochs_run, stop_reason)
 
 
 def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainResult:
@@ -148,7 +154,7 @@ def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainR
 
     init_seed, rng_seed = splitmix64(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    net = RawNet.from_model(init_regressor(descriptor_dim, init_seed))
+    net = _trainable(init_regressor(descriptor_dim, init_seed))
     opt = RawAdam(net, cfg.lr)
 
     train_idx, val_idx = _split_indices(len(pairs), cfg.validation_fraction, rng)
@@ -166,8 +172,8 @@ def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainR
         for batch in _minibatches(order, cfg.batch_size):
             xb = np.take(x_tr, batch, axis=0, out=work("x", (len(batch), x_tr.shape[1])))
             yb = np.take(y_tr, batch, axis=0, out=work("y", (len(batch), y_tr.shape[1])))
-            mse_batch_grad(net, xb, yb, grads=net.grads, work=work)
-            opt.step(net, net.grad)
+            mse_batch_grad(net, xb, yb, grads=opt.grads, work=work)
+            opt.step(net, opt.grad)
 
     return _fit(net, cfg, run_epoch, lambda: mse_over(net, x_va, y_va, work))
 
@@ -314,11 +320,11 @@ def train_encoder_full(
     seed_b, state = splitmix64(state)
     seed_c, _ = splitmix64(state)
     rng = np.random.Generator(np.random.PCG64(seed_b))
-    encoder = RawNet.from_model(init_encoder(dataset.observation_dim, dataset.descriptor_dim, seed_a))
+    encoder = _trainable(init_encoder(dataset.observation_dim, dataset.descriptor_dim, seed_a))
     enc_opt = RawAdam(encoder, cfg.lr)
     head = head_opt = None
     if variant == "relative":
-        head = RawNet.from_model(init_rpe_head(dataset.descriptor_dim, seed_c))
+        head = _trainable(init_rpe_head(dataset.descriptor_dim, seed_c))
         head_opt = RawAdam(head, cfg.lr)
 
     if variant == "triplet":
@@ -330,20 +336,20 @@ def train_encoder_full(
         val_idx = train_idx
     obs = dataset.observations
     # Gradients of the second and later backward passes of a batch, summed
-    # into encoder.grad.
-    part = np.empty_like(encoder.grad)
+    # into enc_opt.grad.
+    part = np.empty_like(enc_opt.grad)
     part_grads = encoder.views(part)
 
     def backward_sum(terms):
         (cache, g), *rest = terms
-        backward_batch(encoder, cache, g, grads=encoder.grads)
+        backward_batch(encoder, cache, g, grads=enc_opt.grads)
         for cache, g in rest:
             backward_batch(encoder, cache, g, grads=part_grads)
-            encoder.grad += part
+            enc_opt.grad += part
 
     def batch_loss(rows, with_grads):
-        """Batch loss; with ``with_grads`` also the gradients, in encoder.grad
-        (and head.grad)."""
+        """Batch loss; with ``with_grads`` also the gradients, in enc_opt.grad
+        (and head_opt.grad)."""
         if variant == "triplet":
             xq, xp, xn = obs[rows[:, 0]], obs[rows[:, 1]], obs[rows[:, 2]]
             fq, cq = forward_batch(encoder, xq, keep_cache=with_grads)
@@ -365,7 +371,7 @@ def train_encoder_full(
             )
             loss, g_dp = relative_grads(dp_hat, dp_gt)
             if with_grads:
-                _, g_stacked = backward_batch(head, ch, g_dp, grads=head.grads)
+                _, g_stacked = backward_batch(head, ch, g_dp, grads=head_opt.grads)
                 n = dataset.descriptor_dim
                 backward_sum(((ca, g_stacked[:, :n]), (cb, g_stacked[:, n:])))
             return loss
@@ -378,9 +384,9 @@ def train_encoder_full(
         order = rng.permutation(len(train_idx))
         for batch in _minibatches(order, cfg.batch_size):
             batch_loss(samples[train_idx[batch]], with_grads=True)
-            enc_opt.step(encoder, encoder.grad)
+            enc_opt.step(encoder, enc_opt.grad)
             if head is not None:
-                head_opt.step(head, head.grad)
+                head_opt.step(head, head_opt.grad)
 
     return _fit(encoder, cfg, run_epoch, lambda: batch_loss(samples[val_idx], with_grads=False))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, IoError
-from .geometry import Pose, quat_from_yaw, rotate_vector
+from .geometry import Pose, quat_from_yaw
 from .neural.training import EncoderDataset
 from .vpr_map import Origin, ReferenceMap, load_map, save_map
 

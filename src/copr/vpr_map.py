@@ -33,15 +33,19 @@ from .errors import (
     EmptyMap,
     InvalidConfig,
     IoError,
+    NonUnitQuaternion,
     ParseError,
     RefusedNonFinite,
     VersionUnsupported,
+    ZeroQuaternion,
 )
 from .geometry import Pose, angular_error_deg
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 DESCRIPTOR_MAGIC = b"CPRD"
 DESCRIPTOR_VERSION = 1
+# Largest accepted distance of a map quaternion's norm from 1.
+_UNIT_QUAT_TOL = 1e-6
 
 
 class Origin(enum.Enum):
@@ -68,12 +72,26 @@ class Match:
     rotation_error: float = math.nan
 
 
-@dataclass(frozen=True)
-class MapEntry:
-    id: str
-    descriptor: np.ndarray
-    pose: Pose
-    origin: Origin
+def _check_poses(ids, t: np.ndarray, q: np.ndarray) -> None:
+    """Raise for the first entry whose pose is not finite or whose quaternion
+    is not unit; the error's ``entry`` attribute is that entry's index.
+
+    Quaternions are checked, not renormalized: normalizing an already unit
+    quaternion again can move its last bit.
+    """
+    finite = np.isfinite(t).all(axis=1) & np.isfinite(q).all(axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+    checks = (
+        (~finite, RefusedNonFinite, "pose translation and quaternion must be finite"),
+        (norms < 1e-12, ZeroQuaternion, "quaternion is zero"),
+        (np.abs(norms - 1.0) > _UNIT_QUAT_TOL, NonUnitQuaternion, "quaternion is not unit"),
+    )
+    for bad, error, problem in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            exc = error(f"map entry {i} ({ids[i]!r}): {problem}")
+            exc.entry = i
+            raise exc
 
 
 def _as_matrix(rows, dim=None) -> np.ndarray:
@@ -115,6 +133,7 @@ class ReferenceMap:
         q = np.ascontiguousarray(np.asarray(self.quaternions, dtype=np.float64).reshape(n, 4))
         if len(self.origins) != n:
             raise CountMismatch(f"{n} ids but {len(self.origins)} origin flags")
+        _check_poses(self.ids, t, q)
         index = {}
         for i, entry_id in enumerate(self.ids):
             if entry_id in index:
@@ -157,13 +176,6 @@ class ReferenceMap:
 
     def pose(self, i: int) -> Pose:
         return Pose(t=self.translations[i], q=self.quaternions[i])
-
-    def entry(self, i: int) -> MapEntry:
-        return MapEntry(self.ids[i], self.descriptors[i], self.pose(i), self.origins[i])
-
-    def entries(self):
-        for i in range(len(self)):
-            yield self.entry(i)
 
     def extended(self, entries) -> "ReferenceMap":
         """A new map with ``entries`` appended; this map is left untouched."""
@@ -372,13 +384,14 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
         raise IoError(f"cannot read pose file {pose_path}: {exc}") from exc
     if not rows or rows[0] != POSE_CSV_HEADER:
         raise ParseError(f"pose file must start with header {','.join(POSE_CSV_HEADER)}", line=1)
-    ids, ts, qs = [], [], []
+    ids, ts, qs, linenos = [], [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 8:
             raise ParseError(f"expected 8 fields, got {len(row)}", line=lineno)
         ids.append(row[0])
+        linenos.append(lineno)
         try:
             vals = [float(v) for v in row[1:]]
         except ValueError as exc:
@@ -396,13 +409,18 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
         desc = l2_normalize_rows(desc)
 
     n = len(ids)
-    return ReferenceMap(
-        ids=tuple(ids),
-        descriptors=desc,
-        translations=np.asarray(ts, dtype=np.float64).reshape(n, 3),
-        quaternions=np.asarray(qs, dtype=np.float64).reshape(n, 4),
-        origins=tuple(_origin_from_id(i) for i in ids),
-    )
+    try:
+        return ReferenceMap(
+            ids=tuple(ids),
+            descriptors=desc,
+            translations=np.asarray(ts, dtype=np.float64).reshape(n, 3),
+            quaternions=np.asarray(qs, dtype=np.float64).reshape(n, 4),
+            origins=tuple(_origin_from_id(i) for i in ids),
+        )
+    except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion) as exc:
+        if not hasattr(exc, "entry"):
+            raise
+        raise type(exc)(f"{pose_path} line {linenos[exc.entry]}: {exc}") from exc
 
 
 def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:

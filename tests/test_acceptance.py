@@ -13,8 +13,7 @@ from copr import benchmarks as B
 from copr.densify import plane_fit_regress
 from copr.evaluate import oracle_violations, report_signature
 from copr.geometry import RelativePose
-from copr.neural import adam_step, init_adam, mlp_grad
-from copr.neural.core import Layer, MlpModel, Activation
+from copr.neural.core import Layer, MlpModel, Activation, RawAdam
 from copr.neural.model_io import load_model, save_model
 from copr.synth import load_scene, save_scene
 from copr.vpr_map import load_map, retrieve, save_map
@@ -148,23 +147,23 @@ def test_criterion_4_gradient_oracle():
         worst = max(worst, gradient_check(model, x, target))
     grads_ok = worst <= 1e-6
 
-    # Adam: two steps against the hand recurrence.
+    # Adam: two steps of the optimizer training runs against the hand recurrence.
     lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
     model = MlpModel(
         layers=(Layer(weights=np.array([[0.3]]), bias=np.zeros(1), activation=Activation.IDENTITY),)
     )
-    state = init_adam(model, lr)
+    net = model.on_buffer(model.flat.copy())
+    opt = RawAdam(net, lr)
     g = 1.0
-    grads = [(np.array([[g]]), np.zeros(1))]
+    grad = np.array([g, 0.0])
     theta, m, v = 0.3, 0.0, 0.0
     adam_err = 0.0
-    current = model
     for t in (1, 2):
-        current, state = adam_step(state, current, grads)
+        opt.step(net, grad)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        adam_err = max(adam_err, abs(float(current.layers[0].weights[0, 0]) - theta))
+        adam_err = max(adam_err, abs(float(net.layers[0].weights[0, 0]) - theta))
     check(
         4,
         "analytic gradients vs central differences (100 models) and Adam hand recurrence",

@@ -28,7 +28,7 @@ from copr.errors import (
     TooFewNeighbors,
 )
 from copr.geometry import Pose, quat_from_yaw, relative_pose
-from copr.neural.core import regress_nonlinear
+from copr.neural.core import regress_nonlinear_batch
 from copr.neural.training import TrainConfig, train_regressor
 from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors
 
@@ -411,7 +411,7 @@ class TestDensifyMap:
 
     def test_nonlin_reg_matches_per_target_regression(self):
         # Reference: nearest sparse entry by stable argsort, relative_pose,
-        # one regress_nonlinear call per target.
+        # one one-row regress_nonlinear_batch call per target.
         m = _affine_line_map(9, np.eye(3)[:2], np.zeros(2))
         m = m.extended([("dup", m.descriptors[3], m.pose(3), Origin.ANCHOR)])
         pairs = [
@@ -425,7 +425,8 @@ class TestDensifyMap:
         dense = densify_map(m, plan, "nonlin_reg", model=model)
         for r, target in enumerate(plan.targets):
             i = int(_stable_knn(m.translations, target.pose.t, 1)[0])
-            want = regress_nonlinear(model, m.descriptors[i], relative_pose(m.pose(i), target.pose))
+            dp = relative_pose(m.pose(i), target.pose).as_vector()
+            want = regress_nonlinear_batch(model, m.descriptors[i : i + 1], dp[None])[0]
             np.testing.assert_allclose(dense.descriptors[len(m) + r], want, rtol=1e-12, atol=1e-12)
 
     def test_plan_json_round_trip(self):

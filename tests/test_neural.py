@@ -1,10 +1,11 @@
-"""Network framework tests: GeLU, gradients vs finite differences, Adam,
-the in-place training step and its reused buffers, the regressor
-architecture, encoder losses, and model files."""
+"""Network framework tests: GeLU, the flat-buffer model, gradients vs
+finite differences, Adam, the in-place training step and its reused
+buffers, the regressor architecture, encoder losses, and model files."""
 
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from copr.errors import (
     InsufficientScenes,
     InvalidConfig,
     RefusedNonFinite,
+    ShapeMismatch,
     ZeroVector,
 )
 from copr.geometry import RelativePose
@@ -26,35 +28,27 @@ from copr.neural import (
     Activation,
     MlpModel,
     TrainConfig,
-    adam_step,
     gelu,
-    init_adam,
     init_mlp,
     load_model,
-    loss_distance,
-    loss_relative,
-    loss_triplet,
-    mlp_forward,
-    mlp_grad,
-    regress_nonlinear,
     save_model,
 )
 from copr.neural.core import (
     Layer,
     RawAdam,
-    RawNet,
     Workspace,
-    adam_update_arrays,
     backward_batch,
     forward_batch,
     mse_batch_grad,
     regress_nonlinear_batch,
     splitmix64,
 )
+from copr.neural.losses import distance_grads, relative_grads, triplet_grads
 from copr.neural.training import (
     EncoderDataset,
     build_training_pairs,
     init_regressor,
+    mse_over,
     regressor_widths,
     train_encoder,
     train_encoder_full,
@@ -106,21 +100,47 @@ def _flatten_grads(grads):
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
 
+def _trainable(model):
+    """A private copy of ``model`` on a writable buffer, as the trainers make."""
+    return model.on_buffer(model.flat.copy())
+
+
+def _forward_one(model, x):
+    """The model's output for one input vector: a one-row batch."""
+    y, _ = forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return y[0]
+
+
+def adam_reference(theta, m, v, g, lr, beta1, beta2, eps, t):
+    """The Adam recurrence on one parameter array; returns (theta, m, v).
+
+    m and v are the first and second moment running averages and t the
+    1-based step count used for bias correction.
+    """
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g**2
+    theta = theta - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return theta, m, v
+
+
 def gradient_check(model, x, target, h=1e-6, tol=1e-6) -> float:
     """Max relative error of analytic gradients vs central differences.
 
-    Relative error uses a unit floor: |g - g_fd| / max(1, |g|, |g_fd|).
+    Runs the gradient and loss pair training uses (``mse_batch_grad``,
+    ``mse_over``) on a one-row batch. Relative error uses a unit floor:
+    |g - g_fd| / max(1, |g|, |g_fd|).
     """
-    _, grads = mlp_grad(model, x, target)
-    analytic = _flatten_grads(grads)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    target = np.asarray(target, dtype=np.float64).reshape(1, -1)
+    analytic = _flatten_grads(mse_batch_grad(model, x, target))
     flat = _flatten_params(model)
     worst = 0.0
     for i in range(len(flat)):
         bumped = flat.copy()
         bumped[i] += h
-        lp, _ = mlp_grad(_model_with_params(model, bumped), x, target)
+        lp = mse_over(_model_with_params(model, bumped), x, target)
         bumped[i] -= 2 * h
-        lm, _ = mlp_grad(_model_with_params(model, bumped), x, target)
+        lm = mse_over(_model_with_params(model, bumped), x, target)
         fd = (lp - lm) / (2 * h)
         err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))
         worst = max(worst, err)
@@ -162,25 +182,25 @@ class TestForward:
                 Layer(weights=np.zeros((2, 3)), bias=np.zeros(2), activation=Activation.IDENTITY),
             )
         )
-        np.testing.assert_array_equal(mlp_forward(model, [1.0, -2.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(_forward_one(model, [1.0, -2.0]), [0.0, 0.0])
 
     def test_identity_layer_returns_input(self):
         model = MlpModel(
             layers=(Layer(weights=np.eye(4), bias=np.zeros(4), activation=Activation.IDENTITY),)
         )
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(mlp_forward(model, x), x)
+        np.testing.assert_array_equal(_forward_one(model, x), x)
 
     def test_single_gelu_layer(self):
         model = MlpModel(
             layers=(Layer(weights=np.array([[1.0]]), bias=np.zeros(1), activation=Activation.GELU),)
         )
-        np.testing.assert_allclose(mlp_forward(model, [1.0]), [_gelu_reference(1.0)], atol=1e-12)
+        np.testing.assert_allclose(_forward_one(model, [1.0]), [_gelu_reference(1.0)], atol=1e-12)
 
     def test_dim_mismatch(self):
         model = init_mlp([3, 2], [Activation.IDENTITY], 0)
         with pytest.raises(DimMismatch):
-            mlp_forward(model, [1.0, 2.0])
+            _forward_one(model, [1.0, 2.0])
 
     def test_without_cache_drops_each_layer_once_consumed(self):
         # The 8-layer regressor on 4000 rows: holding every layer's z, tanh
@@ -200,15 +220,67 @@ class TestForward:
         assert peak <= 10 * x.nbytes
 
 
+class TestFlatModel:
+    """One model type: every parameter in one flat buffer, layers as views."""
+
+    def test_layers_are_read_only_views_into_flat(self):
+        model = _rand_model(np.random.default_rng(30), max_layers=4)
+        assert model.flat.tobytes() == _flatten_params(model).tobytes()
+        assert not model.flat.flags.writeable
+        for layer in model.layers:
+            assert np.shares_memory(layer.weights, model.flat)
+            assert np.shares_memory(layer.bias, model.flat)
+            assert not layer.weights.flags.writeable
+
+    def test_construction_copies_the_given_arrays(self):
+        w = np.ones((2, 3))
+        model = MlpModel(layers=(Layer(weights=w, bias=np.zeros(2), activation=Activation.IDENTITY),))
+        assert not np.shares_memory(model.flat, w)
+
+    def test_on_buffer_shares_the_buffer(self):
+        model = init_mlp([3, 4, 2], [Activation.GELU, Activation.IDENTITY], 5)
+        net = _trainable(model)
+        net.flat[:] += 1.0
+        np.testing.assert_array_equal(net.layers[0].weights, model.layers[0].weights + 1.0)
+        np.testing.assert_array_equal(net.layers[1].bias, model.layers[1].bias + 1.0)
+        with pytest.raises(ShapeMismatch):
+            model.on_buffer(np.zeros(model.flat.size + 1))
+
+    def test_forward_through_views_matches_separate_arrays(self):
+        # The same bits as per-layer arrays allocated one by one.
+        model = init_regressor(32, seed=3)
+        separate = SimpleNamespace(
+            input_dim=model.input_dim,
+            layers=[
+                SimpleNamespace(weights=l.weights.copy(), bias=l.bias.copy(), activation=l.activation)
+                for l in model.layers
+            ],
+        )
+        rng = np.random.default_rng(32)
+        for rows in (1, 7, 64, 3000):
+            x = rng.standard_normal((rows, model.input_dim))
+            assert forward_batch(model, x)[0].tobytes() == forward_batch(separate, x)[0].tobytes()
+
+    def test_trained_model_is_read_only(self):
+        rng = np.random.default_rng(31)
+        pairs = [
+            (rng.standard_normal(3), RelativePose(dt=rng.standard_normal(3), dq=[1, 0, 0, 0]), rng.standard_normal(3))
+            for _ in range(20)
+        ]
+        model = train_regressor(pairs, TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0), 3)
+        assert not model.flat.flags.writeable
+        with pytest.raises(ValueError):
+            model.flat[0] = 0.0
+
+
 class TestGradients:
     def test_zero_loss_zero_gradients(self):
         rng = np.random.default_rng(1)
         model = _rand_model(rng)
-        x = rng.standard_normal(model.input_dim)
-        target = mlp_forward(model, x)
-        loss, grads = mlp_grad(model, x, target)
-        assert loss == 0.0
-        for gw, gb in grads:
+        x = rng.standard_normal((1, model.input_dim))
+        target, _ = forward_batch(model, x)
+        assert mse_over(model, x, target) == 0.0
+        for gw, gb in mse_batch_grad(model, x, target):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
 
@@ -224,64 +296,58 @@ class TestGradients:
         model = MlpModel(
             layers=(Layer(weights=np.array([[2.0, 1.0]]), bias=np.zeros(1), activation=Activation.IDENTITY),)
         )
-        x = np.array([1.0, 1.0])
-        y = mlp_forward(model, x)
-        l1, _ = mlp_grad(model, x, y + 0.5)
-        l2, _ = mlp_grad(model, x, y + 1.0)
+        x = np.array([[1.0, 1.0]])
+        y, _ = forward_batch(model, x)
+        l1 = mse_over(model, x, y + 0.5)
+        l2 = mse_over(model, x, y + 1.0)
         np.testing.assert_allclose(l2, 4.0 * l1, rtol=1e-12)
 
 
+def _one_weight_model(w):
+    return MlpModel(layers=(Layer(weights=np.array([[w]]), bias=np.zeros(1), activation=Activation.IDENTITY),))
+
+
 class TestAdam:
+    """RawAdam, the one optimizer, against the Adam recurrence."""
+
     def test_zero_gradient_is_identity(self):
         model = init_mlp([2, 2], [Activation.IDENTITY], 7)
-        state = init_adam(model, 5e-4)
-        zeros = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-        current = model
+        net = _trainable(model)
+        opt = RawAdam(net, 5e-4)
         for step in range(5):
-            current, state = adam_step(state, current, zeros)
-            assert state.step_count == step + 1
-        for before, after in zip(model.layers, current.layers):
-            np.testing.assert_array_equal(before.weights, after.weights)
-            np.testing.assert_array_equal(before.bias, after.bias)
+            opt.step(net, np.zeros_like(net.flat))
+            assert opt.t == step + 1
+        assert net.flat.tobytes() == model.flat.tobytes()
 
     def test_first_step_hand_recurrence(self):
         lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
-        model = MlpModel(
-            layers=(Layer(weights=np.array([[1.0]]), bias=np.zeros(1), activation=Activation.IDENTITY),)
-        )
-        state = init_adam(model, lr)
-        grads = [(np.array([[1.0]]), np.zeros(1))]
-        stepped, state = adam_step(state, model, grads)
+        net = _trainable(_one_weight_model(1.0))
+        RawAdam(net, lr).step(net, np.array([1.0, 0.0]))
         m = (1 - b1) * 1.0
         v = (1 - b2) * 1.0
         expected = 1.0 - lr * (m / (1 - b1)) / (math.sqrt(v / (1 - b2)) + eps)
-        assert abs(stepped.layers[0].weights[0, 0] - expected) <= 1e-12
-        assert abs((stepped.layers[0].weights[0, 0] - 1.0) + lr / (1 + eps)) <= 1e-12
+        assert abs(net.layers[0].weights[0, 0] - expected) <= 1e-12
+        assert abs((net.layers[0].weights[0, 0] - 1.0) + lr / (1 + eps)) <= 1e-12
 
     def test_two_steps_hand_recurrence(self):
         lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
-        model = MlpModel(
-            layers=(Layer(weights=np.array([[0.5]]), bias=np.zeros(1), activation=Activation.IDENTITY),)
-        )
-        state = init_adam(model, lr)
+        net = _trainable(_one_weight_model(0.5))
+        opt = RawAdam(net, lr)
         g = 0.7
-        grads = [(np.array([[g]]), np.zeros(1))]
         theta, m, v = 0.5, 0.0, 0.0
-        current = model
         for t in (1, 2):
-            current, state = adam_step(state, current, grads)
+            opt.step(net, np.array([g, 0.0]))
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            assert abs(current.layers[0].weights[0, 0] - theta) <= 1e-12
+            assert abs(net.layers[0].weights[0, 0] - theta) <= 1e-12
 
     def test_raw_adam_matches_hand_recurrence(self):
-        # RawAdam is the optimizer training runs; check it against the
-        # per-array recurrence over several steps with changing gradients.
+        # Several steps with changing gradients, per layer array.
         lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(8)
         model = _rand_model(rng)
-        net = RawNet(model)
+        net = _trainable(model)
         opt = RawAdam(net, lr)
         states = [[[l.weights, 0.0, 0.0], [l.bias, 0.0, 0.0]] for l in model.layers]
         for t in range(1, 6):
@@ -289,33 +355,43 @@ class TestAdam:
             opt.step(net, grad)
             for layer, layer_states, layer_grads in zip(net.layers, states, net.views(grad)):
                 for state, g, actual in zip(layer_states, layer_grads, (layer.weights, layer.bias)):
-                    state[:] = adam_update_arrays(*state, g, lr, b1, b2, eps, t)
+                    state[:] = adam_reference(*state, g, lr, b1, b2, eps, t)
                     np.testing.assert_allclose(actual, state[0], rtol=0, atol=1e-12)
 
+    def test_gradient_views_cover_the_flat_gradient(self):
+        model = _rand_model(np.random.default_rng(9))
+        opt = RawAdam(_trainable(model), 1e-3)
+        for (gw, gb), layer in zip(opt.grads, model.layers):
+            assert gw.shape == layer.weights.shape and gb.shape == layer.bias.shape
+            assert np.shares_memory(gw, opt.grad) and np.shares_memory(gb, opt.grad)
+        assert sum(gw.size + gb.size for gw, gb in opt.grads) == opt.grad.size
+
     def test_non_positive_learning_rate_is_typed(self):
+        net = _trainable(init_mlp([2, 2], [Activation.IDENTITY], 0))
+        for lr in (0.0, -1e-3, math.nan):
+            with pytest.raises(InvalidConfig):
+                RawAdam(net, lr)
+
+    def test_read_only_model_is_refused(self):
         with pytest.raises(InvalidConfig):
-            init_adam(init_mlp([2, 2], [Activation.IDENTITY], 0), 0.0)
-
-
-def _batch_mse(model, x, t) -> float:
-    y, _ = forward_batch(model, x)
-    return float(np.mean((y - t) ** 2))
+            RawAdam(init_mlp([2, 2], [Activation.IDENTITY], 0), 1e-3)
 
 
 class TestTrainingStep:
     """The in-place step the regressor trainer runs: gradients written into
-    a RawNet's flat buffer, with per-batch buffers reused between calls."""
+    the optimizer's flat buffer, with per-batch buffers reused between calls."""
 
     def test_flat_gradients_match_backward_bitwise(self):
         rng = np.random.default_rng(21)
         model = _rand_model(rng, max_layers=4)
         x = rng.standard_normal((9, model.input_dim))
         t = rng.standard_normal((9, model.output_dim))
-        net = RawNet(model)
-        mse_batch_grad(net, x, t, grads=net.grads, work=Workspace())
+        net = _trainable(model)
+        opt = RawAdam(net, 1e-3)
+        mse_batch_grad(net, x, t, grads=opt.grads, work=Workspace())
         y, cache = forward_batch(model, x, keep_cache=True)
         grads, _ = backward_batch(model, cache, 2.0 * (y - t) / y.size)
-        assert net.grad.tobytes() == _flatten_grads(grads).tobytes()
+        assert opt.grad.tobytes() == _flatten_grads(grads).tobytes()
 
     def test_flat_gradients_match_central_differences(self):
         rng = np.random.default_rng(22)
@@ -324,31 +400,32 @@ class TestTrainingStep:
             model = _rand_model(rng)
             x = rng.standard_normal((6, model.input_dim))
             t = rng.standard_normal((6, model.output_dim))
-            net = RawNet(model)
-            mse_batch_grad(net, x, t, grads=net.grads, work=Workspace())
+            net = _trainable(model)
+            opt = RawAdam(net, 1e-3)
+            mse_batch_grad(net, x, t, grads=opt.grads, work=Workspace())
             flat = _flatten_params(model)
             for i in range(len(flat)):
                 bumped = flat.copy()
                 bumped[i] += h
-                lp = _batch_mse(_model_with_params(model, bumped), x, t)
+                lp = mse_over(_model_with_params(model, bumped), x, t)
                 bumped[i] -= 2 * h
-                lm = _batch_mse(_model_with_params(model, bumped), x, t)
+                lm = mse_over(_model_with_params(model, bumped), x, t)
                 fd = (lp - lm) / (2 * h)
-                assert abs(net.grad[i] - fd) / max(1.0, abs(net.grad[i]), abs(fd)) <= 1e-6
+                assert abs(opt.grad[i] - fd) / max(1.0, abs(opt.grad[i]), abs(fd)) <= 1e-6
 
     def test_reused_buffers_match_fresh_across_batch_sizes(self):
         rng = np.random.default_rng(23)
         model = init_regressor(8, seed=4)
-        reused, fresh = RawNet(model), RawNet(model)
+        reused, fresh = _trainable(model), _trainable(model)
         reused_opt, fresh_opt = RawAdam(reused, 1e-3), RawAdam(fresh, 1e-3)
         work = Workspace()
         for rows in (64, 1, 64):
             x = rng.standard_normal((rows, model.input_dim))
             t = rng.standard_normal((rows, model.output_dim))
-            mse_batch_grad(reused, x, t, grads=reused.grads, work=work)
+            mse_batch_grad(reused, x, t, grads=reused_opt.grads, work=work)
             fresh_grads = mse_batch_grad(fresh, x, t)
-            assert reused.grad.tobytes() == _flatten_grads(fresh_grads).tobytes()
-            reused_opt.step(reused, reused.grad)
+            assert reused_opt.grad.tobytes() == _flatten_grads(fresh_grads).tobytes()
+            reused_opt.step(reused, reused_opt.grad)
             fresh_opt.step(fresh, _flatten_grads(fresh_grads))
             assert reused.flat.tobytes() == fresh.flat.tobytes()
 
@@ -399,13 +476,17 @@ class TestRegressor:
         )
         model = MlpModel(layers=layers)
         dp = RelativePose(dt=[1, 0, 0], dq=[1, 0, 0, 0])
-        np.testing.assert_array_equal(regress_nonlinear(model, np.ones(4), dp), np.zeros(4))
+        out = regress_nonlinear_batch(model, np.ones((1, 4)), dp.as_vector()[None])
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_dim_mismatch(self):
         model = init_regressor(4, seed=0)
         dp = RelativePose(dt=[0, 0, 0], dq=[1, 0, 0, 0])
         with pytest.raises(DimMismatch):
-            regress_nonlinear(model, np.ones(5), dp)
+            regress_nonlinear_batch(model, np.ones((1, 5)), dp.as_vector()[None])
+        wide = init_mlp([11, 5], [Activation.IDENTITY], 0)
+        with pytest.raises(DimMismatch):
+            regress_nonlinear_batch(wide, np.ones((1, 4)), dp.as_vector()[None])
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -434,7 +515,7 @@ class TestRegressor:
             t1 = rng.uniform(-1, 1, 3)
             t2 = t1 + rng.uniform(-0.5, 0.5, 3)
             dp = RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0])
-            pred = regress_nonlinear(res.model, field(t1), dp)
+            pred = regress_nonlinear_batch(res.model, field(t1)[None], dp.as_vector()[None])[0]
             held.append(np.mean((pred - field(t2)) ** 2))
         assert float(np.mean(held)) <= 1e-3
 
@@ -496,72 +577,151 @@ class TestBuildTrainingPairs:
             np.testing.assert_array_equal(d1.as_vector(), d2.as_vector())
 
 
+def _central_differences(loss, arrays, h=1e-6):
+    """dLoss/dArray for each array by central differences, one entry at a time."""
+    out = []
+    for a in arrays:
+        g = np.empty_like(a)
+        for idx in np.ndindex(a.shape):
+            keep = a[idx]
+            a[idx] = keep + h
+            lp = loss()
+            a[idx] = keep - h
+            lm = loss()
+            a[idx] = keep
+            g[idx] = (lp - lm) / (2 * h)
+        out.append(g)
+    return out
+
+
+def _unit_pair_with_chord(chord, dim=4):
+    # Two unit vectors at exactly the requested Euclidean chord length.
+    theta = 2.0 * math.asin(chord / 2.0)
+    u = np.zeros(dim)
+    u[0] = 1.0
+    v = np.zeros(dim)
+    v[0] = math.cos(theta)
+    v[1] = math.sin(theta)
+    return u, v
+
+
 class TestLosses:
-    def _unit_pair_with_chord(self, chord, dim=4):
-        # Two unit vectors at exactly the requested Euclidean chord length.
-        theta = 2.0 * math.asin(chord / 2.0)
-        u = np.zeros(dim)
-        u[0] = 1.0
-        v = np.zeros(dim)
-        v[0] = math.cos(theta)
-        v[1] = math.sin(theta)
-        return u, v
+    """The batched losses encoder training runs: one-row values against hand
+    values, properties over batches, and gradients against central differences."""
 
     def test_triplet_satisfied_margin_zero(self):
-        q, n = self._unit_pair_with_chord(0.8)
-        assert loss_triplet(q, q, n, margin=0.3) == 0.0
+        q, n = _unit_pair_with_chord(0.8)
+        loss, gq, gp, gn = triplet_grads(q[None], q[None], n[None], margin=0.3)
+        assert loss == 0.0
+        for g in (gq, gp, gn):
+            np.testing.assert_array_equal(g, 0.0)
 
     def test_triplet_hand_value(self):
-        q, p = self._unit_pair_with_chord(0.5)
-        _, n = self._unit_pair_with_chord(0.4)
+        q, p = _unit_pair_with_chord(0.5)
+        _, n = _unit_pair_with_chord(0.4)
         # Scaling inputs must not matter: the loss normalizes internally.
-        val = loss_triplet(3.0 * q, 0.5 * p, 7.0 * n, margin=0.3)
-        np.testing.assert_allclose(val, 0.5 - 0.4 + 0.3, atol=1e-12)
+        rows = np.array([[1.0], [3.0], [0.25]])
+        loss = triplet_grads(rows * q, rows * p, rows[::-1] * 7.0 * n, margin=0.3)[0]
+        np.testing.assert_allclose(loss, 0.5 - 0.4 + 0.3, atol=1e-12)
 
     def test_triplet_equal_pos_neg_gives_margin(self):
-        q, p = self._unit_pair_with_chord(0.7)
-        assert loss_triplet(q, p, p.copy(), margin=0.3) == pytest.approx(0.3, abs=1e-15)
+        q, p = _unit_pair_with_chord(0.7)
+        assert triplet_grads(q[None], p[None], p[None].copy(), margin=0.3)[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_triplet_zero_vector(self):
+        f = np.ones((2, 3))
+        z = f.copy()
+        z[1] = 0.0
         with pytest.raises(ZeroVector):
-            loss_triplet(np.zeros(3), np.ones(3), np.ones(3), margin=0.3)
+            triplet_grads(z, f, f, margin=0.3)
+        with pytest.raises(DimMismatch):
+            triplet_grads(f, f, np.ones((2, 4)), margin=0.3)
 
     def test_relative_zero_and_unit(self):
-        v = np.arange(7.0)
-        assert loss_relative(v, v) == 0.0
-        e = np.zeros(7)
-        e[0] = 1.0
-        assert loss_relative(v + e, v) == 1.0
+        v = np.arange(14.0).reshape(2, 7)
+        loss, g = relative_grads(v, v.copy())
+        assert loss == 0.0
+        np.testing.assert_array_equal(g, 0.0)
+        e = np.zeros((2, 7))
+        e[0, 0] = 1.0
+        e[1, 6] = -1.0
+        assert relative_grads(v + e, v)[0] == 1.0
 
     def test_relative_hand_norm(self):
-        v = np.zeros(7)
-        np.testing.assert_allclose(loss_relative(v + 0.1, v), math.sqrt(7 * 0.01), atol=1e-12)
+        v = np.zeros((3, 7))
+        np.testing.assert_allclose(relative_grads(v + 0.1, v)[0], math.sqrt(7 * 0.01), atol=1e-12)
 
     def test_relative_length_check(self):
         with pytest.raises(DimMismatch):
-            loss_relative(np.zeros(6), np.zeros(6))
+            relative_grads(np.zeros((2, 6)), np.zeros((2, 6)))
+        with pytest.raises(DimMismatch):
+            relative_grads(np.zeros((2, 7)), np.zeros((3, 7)))
 
     def test_distance_cases(self):
-        f = np.array([1.0, 0.0])
-        assert loss_distance(f, f, [0, 0, 0], [0, 0, 0]) == 0.0
-        d = loss_distance([0.5, 0.0], [0.0, 0.0], [0, 0, 0], [0.2, 0, 0])
+        f = np.array([[1.0, 0.0]])
+        t = np.zeros((1, 3))
+        assert distance_grads(f, f.copy(), t, t.copy())[0] == 0.0
+        d = distance_grads(np.array([[0.5, 0.0]]), np.zeros((1, 2)), t, np.array([[0.2, 0.0, 0.0]]))[0]
         np.testing.assert_allclose(d, 0.3, atol=1e-12)
+        with pytest.raises(DimMismatch):
+            distance_grads(np.zeros((1, 2)), np.zeros((1, 3)), t, t)
 
     def test_distance_symmetric_in_pairs(self):
         rng = np.random.default_rng(6)
-        f1, f2 = rng.standard_normal((2, 5))
-        t1, t2 = rng.standard_normal((2, 3))
-        assert loss_distance(f1, f2, t1, t2) == loss_distance(f2, f1, t2, t1)
+        f1, f2 = rng.standard_normal((2, 4, 5))
+        t1, t2 = rng.standard_normal((2, 4, 3))
+        l12, g1, g2 = distance_grads(f1, f2, t1, t2)
+        l21, h2, h1 = distance_grads(f2, f1, t2, t1)
+        assert l12 == l21
+        np.testing.assert_array_equal(g1, h1)
+        np.testing.assert_array_equal(g2, h2)
 
     @settings(max_examples=80)
     @given(st.integers(0, 2**31 - 1))
     def test_losses_non_negative(self, seed):
         rng = np.random.default_rng(seed)
-        f = rng.standard_normal((3, 4)) + 0.01
-        t = rng.standard_normal((2, 3))
-        assert loss_triplet(f[0], f[1], f[2], margin=0.3) >= 0.0
-        assert loss_relative(rng.standard_normal(7), rng.standard_normal(7)) >= 0.0
-        assert loss_distance(f[0], f[1], t[0], t[1]) >= 0.0
+        f = rng.standard_normal((3, 5, 4)) + 0.01
+        t = rng.standard_normal((2, 5, 3))
+        assert triplet_grads(f[0], f[1], f[2], margin=0.3)[0] >= 0.0
+        assert relative_grads(rng.standard_normal((5, 7)), rng.standard_normal((5, 7)))[0] >= 0.0
+        assert distance_grads(f[0], f[1], t[0], t[1])[0] >= 0.0
+
+    def test_triplet_gradients_match_central_differences(self):
+        rng = np.random.default_rng(40)
+        f = rng.standard_normal((3, 16, 4))
+        raw = _triplet_raw(f, 0.3)
+        # Rows on both sides of the hinge, none near its kink.
+        f = f[:, np.abs(raw) > 1e-3]
+        assert np.any(raw > 1e-3) and np.any(raw < -1e-3)
+        analytic = triplet_grads(f[0], f[1], f[2], 0.3)[1:]
+        numeric = _central_differences(lambda: triplet_grads(f[0], f[1], f[2], 0.3)[0], f)
+        for a, n in zip(analytic, numeric):
+            np.testing.assert_allclose(a, n, rtol=0, atol=1e-7)
+
+    def test_relative_gradients_match_central_differences(self):
+        rng = np.random.default_rng(41)
+        dp_hat, dp_gt = rng.standard_normal((2, 8, 7))
+        (numeric,) = _central_differences(lambda: relative_grads(dp_hat, dp_gt)[0], [dp_hat])
+        np.testing.assert_allclose(relative_grads(dp_hat, dp_gt)[1], numeric, rtol=0, atol=1e-7)
+
+    def test_distance_gradients_match_central_differences(self):
+        rng = np.random.default_rng(42)
+        f = rng.standard_normal((2, 16, 5))
+        t = rng.standard_normal((2, 16, 3))
+        gap = np.linalg.norm(f[0] - f[1], axis=1) - np.linalg.norm(t[0] - t[1], axis=1)
+        # Rows on both sides of the |gap| kink, none near it.
+        f = f[:, np.abs(gap) > 1e-3]
+        t = t[:, np.abs(gap) > 1e-3]
+        assert np.any(gap > 1e-3) and np.any(gap < -1e-3)
+        _, g1, g2 = distance_grads(f[0], f[1], t[0], t[1])
+        numeric = _central_differences(lambda: distance_grads(f[0], f[1], t[0], t[1])[0], f)
+        for a, n in zip((g1, g2), numeric):
+            np.testing.assert_allclose(a, n, rtol=0, atol=1e-7)
+
+
+def _triplet_raw(f, margin):
+    u = f / np.linalg.norm(f, axis=2, keepdims=True)
+    return np.linalg.norm(u[0] - u[1], axis=1) - np.linalg.norm(u[0] - u[2], axis=1) + margin
 
 
 def _toy_dataset(n_scenes=2, per_scene=12, dim=3, seed=0):

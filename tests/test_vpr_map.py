@@ -15,9 +15,11 @@ from copr.errors import (
     DuplicateId,
     EmptyMap,
     InvalidConfig,
+    NonUnitQuaternion,
     ParseError,
     RefusedNonFinite,
     VersionUnsupported,
+    ZeroQuaternion,
 )
 from copr.geometry import Pose
 from copr.vpr_map import (
@@ -235,6 +237,22 @@ class TestMapType:
         with pytest.raises(RefusedNonFinite):
             _map_of([[math.nan]])
 
+    def test_invalid_poses_are_typed(self):
+        m = _map_of([[0.0], [1.0]])
+        for t, q, error in (
+            ([0.0, math.nan, 0.0], [1.0, 0.0, 0.0, 0.0], RefusedNonFinite),
+            ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], ZeroQuaternion),
+            ([0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.7], NonUnitQuaternion),
+        ):
+            with pytest.raises(error, match="entry 1"):
+                ReferenceMap(
+                    ids=m.ids,
+                    descriptors=m.descriptors,
+                    translations=[m.translations[0], t],
+                    quaternions=[m.quaternions[0], q],
+                    origins=m.origins,
+                )
+
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
         before = m.descriptors.copy()
@@ -347,6 +365,35 @@ class TestMapIo:
         save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
         loaded = load_map(tmp_path / "p.csv", tmp_path / "d.bin", l2_normalize=True)
         np.testing.assert_allclose(np.linalg.norm(loaded.descriptors, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("r1,nan,0,0,1,0,0,0", RefusedNonFinite),
+            ("r1,0,inf,0,1,0,0,0", RefusedNonFinite),
+            ("r1,1,0,0,nan,0,0,0", RefusedNonFinite),
+            ("r1,1,0,0,0,0,0,0", ZeroQuaternion),
+            ("r1,1,0,0,2,0,0,0", NonUnitQuaternion),
+            ("r1,1,0,0,1.00001,0,0,0", NonUnitQuaternion),
+        ],
+    )
+    def test_corrupt_pose_row_reports_line(self, tmp_path, row, error):
+        m = _map_of([[0.0], [1.0], [2.0]])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        lines[2] = row
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match="line 3"):
+            load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+
+    def test_near_unit_quaternion_loads_unchanged(self, tmp_path):
+        m = _map_of([[0.0], [1.0]])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        lines[2] = "r1,1,0,0,1.0000001,0,0,0"
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        loaded = load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+        assert loaded.quaternions[1, 0] == 1.0000001
 
     def test_origin_inferred_from_id_marker(self, tmp_path):
         m = _map_of([[0.0], [1.0]], ids=["a0", "a0#gx1y0"])
