@@ -10,10 +10,19 @@ network regressor.
 Regressed entries are appended after the originals with deterministic
 provenance ids: ``<anchor>#gx<i>y<j>`` for grid targets and
 ``<a1>~<a2>#k<n>`` for interpolation targets.
+
+Grid dedupe rule: candidates are visited anchor by anchor, i-major,
+j-minor. A candidate is dropped when it is close to any anchor or to an
+earlier kept candidate. Two points are close when, with
+cell = max(dedupe_radius, 1e-9) and cell keys floor(v / cell) per axis,
+their keys differ by at most 1 on every axis and d @ d <= dedupe_radius**2
+for d = candidate - other point (so a point exactly at the radius is
+close).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,10 +35,11 @@ from .errors import (
     EmptyMap,
     InvalidConfig,
     MethodPlanMismatch,
+    RefusedNonFinite,
     TooFewAnchors,
     TooFewNeighbors,
 )
-from .geometry import Pose, quat_slerp, relative_pose_rows
+from .geometry import Pose, poses, quat_slerp, relative_pose_rows, row_dots
 from .geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.densify.RelativePose)
 from .neural.core import MlpModel, regress_nonlinear_batch
 from .vpr_map import Origin, ReferenceMap, nearest_neighbors
@@ -81,20 +91,36 @@ class Target:
 
 @dataclass(frozen=True)
 class TargetPlan:
-    """Poses to regress plus the anchors assigned to each."""
+    """Poses to regress plus the anchors assigned to each.
+
+    ``translations`` (n, 3) and ``quaternions`` (n, 4) stack the targets'
+    poses in plan order, read-only.
+    """
 
     scheme: str
     targets: tuple[Target, ...]
+    translations: np.ndarray = field(init=False, repr=False, compare=False)
+    quaternions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in (INTERPOLATION, EXTRAPOLATION):
             raise InvalidConfig(f"unknown plan scheme {self.scheme!r}")
-        for t in self.targets:
+        targets = tuple(self.targets)
+        ts, qs = [], []
+        for t in targets:
             if self.scheme == INTERPOLATION and len(t.anchor_ids) != 2:
                 raise InvalidConfig("interpolation targets carry exactly two anchor ids")
             if self.scheme == EXTRAPOLATION and len(t.anchor_ids) < 1:
                 raise InvalidConfig("extrapolation targets carry at least one anchor id")
-        object.__setattr__(self, "targets", tuple(self.targets))
+            ts.append(t.pose.t)
+            qs.append(t.pose.q)
+        translations = np.array(ts, dtype=np.float64).reshape(-1, 3)
+        quaternions = np.array(qs, dtype=np.float64).reshape(-1, 4)
+        translations.setflags(write=False)
+        quaternions.setflags(write=False)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "translations", translations)
+        object.__setattr__(self, "quaternions", quaternions)
 
     def to_json(self) -> str:
         doc = {
@@ -147,21 +173,17 @@ def subsample_trajectory(ref_map: ReferenceMap, stride: int) -> tuple[ReferenceM
         raise EmptyMap("cannot subsample an empty map")
     if stride < 2:
         raise InvalidConfig("stride must be at least 2")
-    anchor_idx = list(range(0, len(ref_map), stride))
     anchors = ReferenceMap(
-        ids=tuple(ref_map.ids[i] for i in anchor_idx),
-        descriptors=ref_map.descriptors[anchor_idx],
-        translations=ref_map.translations[anchor_idx],
-        quaternions=ref_map.quaternions[anchor_idx],
-        origins=tuple(ref_map.origins[i] for i in anchor_idx),
+        ids=ref_map.ids[::stride],
+        descriptors=ref_map.descriptors[::stride],
+        translations=ref_map.translations[::stride],
+        quaternions=ref_map.quaternions[::stride],
+        origins=ref_map.origins[::stride],
     )
-    last_slot = max(len(anchor_idx) - 2, 0)
-    dropped = []
-    for i in range(len(ref_map)):
-        if i % stride == 0:
-            continue
-        dropped.append(DroppedPose(left_anchor=min(i // stride, last_slot), pose=ref_map.pose(i)))
-    return anchors, dropped
+    dropped = np.flatnonzero(np.arange(len(ref_map)) % stride)
+    left = np.minimum(dropped // stride, max(len(anchors) - 2, 0))
+    dropped_poses = poses(ref_map.translations[dropped], ref_map.quaternions[dropped])
+    return anchors, list(map(DroppedPose, left.tolist(), dropped_poses))
 
 
 def gen_interp_targets(
@@ -202,31 +224,117 @@ def gen_interp_targets(
     return TargetPlan(scheme=INTERPOLATION, targets=tuple(targets))
 
 
-class _SpatialHash:
-    """Uniform-grid hash for incremental radius queries during dedupe."""
+# Odd multipliers that fold a dedupe cell's integer keys into one uint64 code.
+# The codes of a cell's 27 neighbors are distinct; codes of far-apart cells
+# can collide, so every pair found through a code has its keys compared.
+_CELL_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 1], dtype=np.uint64)
+_NEIGHBORS = list(itertools.product((-1, 0, 1), repeat=3))
+_NEIGHBOR_SHIFTS = np.array(_NEIGHBORS).astype(np.uint64) @ _CELL_MULTIPLIERS
+# The same cell and the 13 neighbors lexicographically after it: within one
+# point set, each pair in two different neighbor cells is found once.
+_HALF_SHIFTS = _NEIGHBOR_SHIFTS[[i for i, n in enumerate(_NEIGHBORS) if n >= (0, 0, 0)]]
 
-    def __init__(self, radius: float):
-        self.radius = radius
-        self.cell = max(radius, 1e-9)
-        self.buckets: dict[tuple[int, int, int], list[np.ndarray]] = {}
 
-    def _key(self, p: np.ndarray) -> tuple[int, int, int]:
-        return tuple(int(math.floor(v / self.cell)) for v in p)
+def _close_pairs(points, keys, codes, queries, others, radius, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """(query, other) pairs of ``points`` indices that the dedupe calls close,
+    for every other point in a cell ``shifts`` away from the query's cell.
 
-    def near(self, p: np.ndarray) -> bool:
-        kx, ky, kz = self._key(p)
-        r2 = self.radius * self.radius
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for other in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        d = p - other
-                        if float(d @ d) <= r2:
-                            return True
-        return False
+    Two points are close when their cell keys differ by at most 1 on every
+    axis and d @ d <= radius**2 for their difference d (its sign does not
+    change d @ d).
+    """
+    found_query, found_other = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    if not (len(queries) and len(others)):
+        return found_query[0], found_other[0]
+    others = others[np.argsort(codes[others], kind="stable")]
+    other_codes, other_points, other_keys = codes[others], points[others], keys[others]
+    # One entry per occupied cell: its code, first position in ``others`` and size.
+    starts = np.flatnonzero(np.r_[True, other_codes[1:] != other_codes[:-1]])
+    cells, sizes = other_codes[starts], np.diff(np.r_[starts, len(others)])
+    # Queries in code order let each binary search start where the last one ended.
+    queries = queries[np.argsort(codes[queries], kind="stable")]
+    query_codes, query_points, query_keys = codes[queries], points[queries], keys[queries]
+    r2 = radius * radius
+    for shift in shifts:
+        wanted = query_codes + shift
+        cell = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
+        counts = np.where(cells[cell] == wanted, sizes[cell], 0)
+        lo = starts[cell]
+        total = int(counts.sum())
+        if not total:
+            continue
+        q = np.repeat(np.arange(len(queries)), counts)
+        o = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        d = np.repeat(query_points, counts, axis=0) - other_points[o]
+        close = row_dots(d, d) <= r2
+        q, o = q[close], o[close]
+        close = np.all(np.abs(query_keys[q] - other_keys[o]) <= 1, axis=1)
+        found_query.append(queries[q[close]])
+        found_other.append(others[o[close]])
+    return np.concatenate(found_query), np.concatenate(found_other)
 
-    def add(self, p: np.ndarray) -> None:
-        self.buckets.setdefault(self._key(p), []).append(p)
+
+def _cell_ranks(keys: np.ndarray) -> np.ndarray:
+    """Small non-negative integers in place of one axis's cell keys: equal
+    keys share a rank and keys 1 apart get ranks 1 apart; any wider gap
+    becomes a gap of 2. Neighbor tests on ranks match those on the keys,
+    for keys of any magnitude.
+    """
+    values, inverse = np.unique(keys, return_inverse=True)
+    gaps = np.where(np.diff(values) == 1.0, 1, 2)
+    return np.r_[0, np.cumsum(gaps)][inverse]
+
+
+# Candidates are deduped in chunks of this many, in order: a chunk is checked
+# against the points kept before it, then resolved within itself. Kept points
+# are sparse, so the pairs a chunk enumerates stay few even when the radius
+# spans many grid steps.
+_DEDUPE_CHUNK = 2048
+
+
+def _dedupe(points: np.ndarray, first: int, radius: float) -> np.ndarray:
+    """Keep mask over ``points[first:]``: greedy, in order, a point is dropped
+    when it is close to one of ``points[:first]`` or to an earlier kept point.
+    """
+    cell = max(radius, 1e-9)
+    with np.errstate(over="ignore"):
+        keys = np.stack([_cell_ranks(np.floor(points[:, axis] / cell)) for axis in range(3)], axis=1)
+    codes = keys.astype(np.uint64) @ _CELL_MULTIPLIERS
+    keep = np.ones(len(points), dtype=bool)
+    # Fixed points are always kept, so a point close to one is dropped outright.
+    near_fixed, _ = _close_pairs(
+        points, keys, codes, np.arange(first, len(points)), np.arange(first), radius, _NEIGHBOR_SHIFTS
+    )
+    keep[near_fixed] = False
+    kept = np.zeros(0, dtype=np.intp)
+    for lo in range(first, len(points), _DEDUPE_CHUNK):
+        hi = min(lo + _DEDUPE_CHUNK, len(points))
+        chunk = np.arange(lo, hi)
+        near_kept, _ = _close_pairs(points, keys, codes, chunk[keep[lo:hi]], kept, radius, _NEIGHBOR_SHIFTS)
+        keep[near_kept] = False
+        rest = chunk[keep[lo:hi]]
+        a, b = _close_pairs(points, keys, codes, rest, rest, radius, _HALF_SHIFTS)
+        keep[lo:hi] = _greedy(keep[lo:hi].tolist(), np.maximum(a, b) - lo, np.minimum(a, b) - lo)
+        kept = np.concatenate([kept, rest[keep[rest]]])
+        # In code order, so the next chunk's sort of it is a merge of two runs.
+        kept = kept[np.argsort(codes[kept], kind="stable")]
+    return keep[first:]
+
+
+def _greedy(flags: list, later: np.ndarray, earlier: np.ndarray) -> list:
+    """Visit the points with an earlier partner in order; drop each one that
+    has a partner still flagged kept. Pairs of a point with itself are ignored.
+    """
+    pick = later != earlier
+    order = np.argsort(later[pick], kind="stable")
+    later, earlier = later[pick][order], earlier[pick][order].tolist()
+    visit, starts = np.unique(later, return_index=True)
+    ends = np.r_[starts[1:], len(later)]
+    # Every earlier partner is decided before its later point is visited.
+    for point, lo, hi in zip(visit.tolist(), starts.tolist(), ends.tolist()):
+        if any(map(flags.__getitem__, earlier[lo:hi])):
+            flags[point] = False
+    return flags
 
 
 def gen_extrap_grid(anchors: ReferenceMap, cfg: DensifyConfig) -> TargetPlan:
@@ -235,30 +343,33 @@ def gen_extrap_grid(anchors: ReferenceMap, cfg: DensifyConfig) -> TargetPlan:
     Around each anchor, targets sit at (x + i*step, y + j*step, z) for
     i, j in [-half, +half] minus the center, half = floor(span/step).
     Targets within ``dedupe_radius`` of any anchor or an earlier kept
-    target are dropped, so overlapping grids stay conflict-free.
+    target are dropped (the dedupe rule in the module docstring), so
+    overlapping grids stay conflict-free.
     """
     if len(anchors) == 0:
         raise EmptyMap("cannot build a grid around an empty anchor map")
     half = int(math.floor(cfg.grid_span / cfg.grid_step + 1e-9))
-    hash_ = _SpatialHash(cfg.dedupe_radius)
-    for t in anchors.translations:
-        hash_.add(np.asarray(t, dtype=np.float64))
-    targets = []
-    for a in range(len(anchors)):
-        ax, ay, az = anchors.translations[a]
-        q = anchors.quaternions[a]
-        aid = anchors.ids[a]
-        for i in range(-half, half + 1):
-            for j in range(-half, half + 1):
-                if i == 0 and j == 0:
-                    continue
-                p = np.array([ax + i * cfg.grid_step, ay + j * cfg.grid_step, az])
-                if hash_.near(p):
-                    continue
-                hash_.add(p)
-                targets.append(
-                    Target(id=f"{aid}#gx{i}y{j}", pose=Pose(t=p, q=q), anchor_ids=(aid,))
-                )
+    steps = [(i, j) for i in range(-half, half + 1) for j in range(-half, half + 1) if (i, j) != (0, 0)]
+    offsets = np.array(steps, dtype=np.float64) * cfg.grid_step
+    candidates = np.empty((len(anchors), len(steps), 3))
+    with np.errstate(over="ignore"):
+        candidates[:, :, :2] = anchors.translations[:, None, :2] + offsets
+    candidates[:, :, 2] = anchors.translations[:, None, 2]
+    candidates = candidates.reshape(-1, 3)
+    if not np.all(np.isfinite(candidates)):
+        raise RefusedNonFinite("grid target translations must be finite")
+    keep = _dedupe(np.concatenate([anchors.translations, candidates]), len(anchors), cfg.dedupe_radius)
+    kept = np.flatnonzero(keep)
+    owner, slot = np.divmod(kept, len(steps))
+    suffixes = [f"#gx{i}y{j}" for i, j in steps]
+    anchor_ids = [(aid,) for aid in anchors.ids]
+    owner_l = owner.tolist()
+    targets = map(
+        Target,
+        [anchors.ids[a] + suffixes[k] for a, k in zip(owner_l, slot.tolist())],
+        poses(candidates[kept], anchors.quaternions[owner]),
+        [anchor_ids[a] for a in owner_l],
+    )
     return TargetPlan(scheme=EXTRAPOLATION, targets=tuple(targets))
 
 
@@ -268,21 +379,24 @@ def lin_interp(f_a1, f_a2, t_a1, t_a2, t_new) -> np.ndarray:
     With b1 = ||t_new - t_a1|| and b2 = ||t_new - t_a2||, the weights are
     (1 - b1/(b1+b2)) on the first anchor and (1 - b2/(b1+b2)) on the
     second, so a target sitting on an anchor copies that anchor exactly.
+    One row of :func:`lin_interp_many`.
     """
     f_a1 = np.asarray(f_a1, dtype=np.float64)
     f_a2 = np.asarray(f_a2, dtype=np.float64)
     if f_a1.shape != f_a2.shape:
         raise DimMismatch("anchor descriptors must share one dimension")
-    t_a1 = np.asarray(t_a1, dtype=np.float64)
-    t_a2 = np.asarray(t_a2, dtype=np.float64)
-    t_new = np.asarray(t_new, dtype=np.float64)
-    if float(np.linalg.norm(t_a1 - t_a2)) <= 1e-12:
+    rows = (np.asarray(t, dtype=np.float64).reshape(1, -1) for t in (t_a1, t_a2, t_new))
+    return lin_interp_many(f_a1[None], f_a2[None], *rows)[0]
+
+
+def lin_interp_many(f_a1, f_a2, t_a1, t_a2, t_new) -> np.ndarray:
+    """Row-wise :func:`lin_interp` over (m, dim) descriptors and (m, 3) translations, bit-equal to it."""
+    if np.any(np.sqrt(row_dots(t_a1 - t_a2, t_a1 - t_a2)) <= 1e-12):
         raise CoincidentAnchors("interpolation anchors share one translation")
-    b1 = float(np.linalg.norm(t_new - t_a1))
-    b2 = float(np.linalg.norm(t_new - t_a2))
-    a1 = b1 / (b1 + b2)
-    a2 = b2 / (b1 + b2)
-    return (1.0 - a1) * f_a1 + (1.0 - a2) * f_a2
+    d1, d2 = t_new - t_a1, t_new - t_a2
+    b1 = np.sqrt(row_dots(d1, d1))[:, None]
+    b2 = np.sqrt(row_dots(d2, d2))[:, None]
+    return (1.0 - b1 / (b1 + b2)) * f_a1 + (1.0 - b2 / (b1 + b2)) * f_a2
 
 
 def plane_fit_regress(neighbors, t_new) -> np.ndarray:
@@ -359,19 +473,12 @@ def densify_map(
     if len(sparse) == 0:
         raise EmptyMap("cannot densify an empty map")
 
-    target_t = np.asarray([t.pose.t for t in plan.targets])
+    target_t = plan.translations
     if method == METHOD_LIN_INTERP:
-        regressed = np.empty((len(plan.targets), sparse.dim))
-        for r, target in enumerate(plan.targets):
-            i1 = sparse.index_of(target.anchor_ids[0])
-            i2 = sparse.index_of(target.anchor_ids[1])
-            regressed[r] = lin_interp(
-                sparse.descriptors[i1],
-                sparse.descriptors[i2],
-                sparse.translations[i1],
-                sparse.translations[i2],
-                target.pose.t,
-            )
+        i1, i2 = np.array([[sparse.index_of(a) for a in t.anchor_ids] for t in plan.targets]).T
+        regressed = lin_interp_many(
+            sparse.descriptors[i1], sparse.descriptors[i2], sparse.translations[i1], sparse.translations[i2], target_t
+        )
     elif method == METHOD_LIN_REG:
         if min(neighbors, len(sparse)) < 4:
             raise TooFewNeighbors("sparse map too small for a plane fit")
@@ -379,15 +486,15 @@ def densify_map(
         regressed = plane_fit_many(sparse.descriptors, sparse.translations, idx, target_t)
     else:
         nearest = nearest_neighbors(target_t, sparse.translations, 1)[0][:, 0]
-        target_q = np.asarray([t.pose.q for t in plan.targets])
         dp_rows = relative_pose_rows(
-            sparse.translations[nearest], sparse.quaternions[nearest], target_t, target_q
+            sparse.translations[nearest], sparse.quaternions[nearest], target_t, plan.quaternions
         )
         regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows)
 
-    new_entries = [
-        (target.id, regressed[r], target.pose, Origin.REGRESSED)
-        for r, target in enumerate(plan.targets)
-    ]
-    return sparse.extended(new_entries)
-
+    return sparse.extended(
+        tuple(t.id for t in plan.targets),
+        regressed,
+        target_t,
+        plan.quaternions,
+        (Origin.REGRESSED,) * len(plan.targets),
+    )

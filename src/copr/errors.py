@@ -68,6 +68,10 @@ class ParseError(CoprError, ValueError):
         self.offset = offset
 
 
+class UnwritableId(CoprError, ValueError):
+    """A map id cannot be written to the pose CSV: it holds a separator, quote or line break."""
+
+
 class IoError(CoprError, OSError):
     """Filesystem error while reading or writing an artifact."""
 

@@ -536,7 +536,7 @@ def exp_stray(cases, model: MlpModel) -> StrayReport:
         if model.output_dim != case.refs.dim:
             raise DimMismatch("regressor output dim does not match the stray-case descriptor dim")
         before = case.refs.extended(
-            [(case.stray_id, case.stray_descriptor, case.stray_pose, Origin.ANCHOR)]
+            (case.stray_id,), case.stray_descriptor[None], case.stray_pose.t, case.stray_pose.q, (Origin.ANCHOR,)
         )
         matches = retrieve(case.query_descriptor, before, k=len(before))
         rank_before = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)
@@ -544,7 +544,9 @@ def exp_stray(cases, model: MlpModel) -> StrayReport:
         i = oracle_retrieve(case.query_pose, case.refs).ref_index
         dp = relative_pose(case.refs.pose(i), case.query_pose)
         regressed = regress_nonlinear_batch(model, case.refs.descriptors[i : i + 1], dp.as_vector()[None])[0]
-        after = before.extended([("regressed#q", regressed, case.query_pose, Origin.REGRESSED)])
+        after = before.extended(
+            ("regressed#q",), regressed[None], case.query_pose.t, case.query_pose.q, (Origin.REGRESSED,)
+        )
         matches = retrieve(case.query_descriptor, after, k=len(after))
         rank_after = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)
         rows.append(

@@ -53,6 +53,23 @@ def normalize_quat(q) -> np.ndarray:
     return canonical_sign(q / n)
 
 
+def normalize_quat_rows(q) -> np.ndarray:
+    """Row-wise :func:`normalize_quat` of an (n, 4) array, each row bit-equal to it.
+
+    Raises:
+        ZeroQuaternion: if a row's norm is at or below 1e-12.
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    norms = np.sqrt(row_dots(q, q))
+    if np.any(norms <= _ZERO_NORM):
+        raise ZeroQuaternion(f"quaternion norm {float(norms.min()):.3e} too small to normalize")
+    out = q / norms[:, None]
+    # Canonical sign: the first non-zero component becomes positive.
+    first = out[np.arange(len(out)), np.argmax(out != 0.0, axis=1)]
+    out[first < 0.0] *= -1.0
+    return out
+
+
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product a * b for (w, x, y, z) quaternions."""
     aw, ax, ay, az = a
@@ -145,10 +162,34 @@ class Pose:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
         if not np.all(np.isfinite(t)):
-            raise ValueError("pose translation must be finite")
+            raise RefusedNonFinite("pose translation must be finite")
         q = normalize_quat(self.q)
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "q", _readonly(q))
+
+
+def poses(t, q) -> list[Pose]:
+    """:class:`Pose` values over the rows of (n, 3) translations and (n, 4)
+    quaternions, each bit-equal to ``Pose(t=t[i], q=q[i])``.
+
+    The blocks are validated and normalized once; each pose holds read-only
+    row views of them.
+
+    Raises:
+        RefusedNonFinite: if a translation is not finite.
+        ZeroQuaternion: if a quaternion's norm is at or below 1e-12.
+    """
+    t = np.array(t, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(t)):
+        raise RefusedNonFinite("pose translation must be finite")
+    q = normalize_quat_rows(q)
+    out = []
+    for t_row, q_row in zip(_readonly(t), _readonly(q)):
+        pose = object.__new__(Pose)
+        object.__setattr__(pose, "t", t_row)
+        object.__setattr__(pose, "q", q_row)
+        out.append(pose)
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +205,7 @@ class RelativePose:
     def __post_init__(self):
         dt = np.asarray(self.dt, dtype=np.float64).reshape(3).copy()
         if not np.all(np.isfinite(dt)):
-            raise ValueError("relative translation must be finite")
+            raise RefusedNonFinite("relative translation must be finite")
         dq = normalize_quat(self.dq)
         object.__setattr__(self, "dt", _readonly(dt))
         object.__setattr__(self, "dq", _readonly(dq))
@@ -196,18 +237,12 @@ def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
         raise RefusedNonFinite("relative translation must be finite")
     aw, ax, ay, az = q_a[:, 0], -q_a[:, 1], -q_a[:, 2], -q_a[:, 3]
     bw, bx, by, bz = q_b.T
-    dq = out[:, 3:]
+    dq = np.empty((len(t_a), 4))
     dq[:, 0] = aw * bw - ax * bx - ay * by - az * bz
     dq[:, 1] = aw * bx + ax * bw + ay * bz - az * by
     dq[:, 2] = aw * by - ax * bz + ay * bw + az * bx
     dq[:, 3] = aw * bz + ax * by - ay * bx + az * bw
-    norms = np.sqrt(row_dots(dq, dq))
-    if np.any(norms <= _ZERO_NORM):
-        raise ZeroQuaternion(f"quaternion norm {float(norms.min()):.3e} too small to normalize")
-    dq /= norms[:, None]
-    # Canonical sign: the first non-zero component becomes positive.
-    first = dq[np.arange(len(dq)), np.argmax(dq != 0.0, axis=1)]
-    dq[first < 0.0] *= -1.0
+    out[:, 3:] = normalize_quat_rows(dq)
     return out
 
 

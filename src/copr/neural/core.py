@@ -67,7 +67,7 @@ def gelu(x):
     return _gelu_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -98,7 +98,7 @@ def _layer_views(flat: np.ndarray, layers) -> list:
     return views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """A stack of dense layers with chained dimensions.
 

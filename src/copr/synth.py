@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, IoError
-from .geometry import Pose, quat_from_yaw
+from .geometry import Pose, poses, quat_from_yaw
 from .neural.training import EncoderDataset
 from .vpr_map import Origin, ReferenceMap, load_map, save_map
 
@@ -506,7 +506,7 @@ def load_scene(directory) -> SyntheticScene:
     gt_dense = load_map(directory / _FILES["refs"][0], directory / _FILES["refs"][1])
     train_refs = load_map(directory / _FILES["train"][0], directory / _FILES["train"][1])
     query_map = load_map(directory / _FILES["queries"][0], directory / _FILES["queries"][1])
-    queries = [(query_map.descriptors[i], query_map.pose(i)) for i in range(len(query_map))]
+    queries = list(zip(query_map.descriptors, poses(query_map.translations, query_map.quaternions)))
     labels = sidecar["labels"]
     return SyntheticScene(
         gt_dense=gt_dense,

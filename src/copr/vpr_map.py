@@ -8,7 +8,8 @@ contiguous float64 matrix so retrieval is a single vectorized scan.
 File formats
 ------------
 Pose CSV: UTF-8, LF line endings, header ``id,tx,ty,tz,qw,qx,qy,qz``,
-decimal floats (written with shortest round-trip repr).
+decimal floats (written with shortest round-trip repr). Ids are written
+unquoted, so an id may not hold a comma, a double quote, CR or LF.
 
 Descriptor binary: magic bytes ``CPRD``, u32 little-endian version (=1),
 u32 LE count, u32 LE dim N, then count*N f32 LE values row-major, rows in
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -36,8 +38,10 @@ from .errors import (
     NonUnitQuaternion,
     ParseError,
     RefusedNonFinite,
+    UnwritableId,
     VersionUnsupported,
     ZeroQuaternion,
+    ZeroVector,
 )
 from .geometry import Pose, angular_error_deg
 
@@ -134,11 +138,16 @@ class ReferenceMap:
         if len(self.origins) != n:
             raise CountMismatch(f"{n} ids but {len(self.origins)} origin flags")
         _check_poses(self.ids, t, q)
-        index = {}
-        for i, entry_id in enumerate(self.ids):
-            if entry_id in index:
-                raise DuplicateId(f"duplicate map id {entry_id!r}")
-            index[entry_id] = i
+        index = dict(zip(self.ids, range(n)))
+        if len(index) != n:
+            seen = set()
+            for i, entry_id in enumerate(self.ids):
+                if entry_id in seen:
+                    break
+                seen.add(entry_id)
+            exc = DuplicateId(f"duplicate map id {self.ids[i]!r}")
+            exc.entry = i
+            raise exc
         for a in (desc, t, q):
             a.setflags(write=False)
         object.__setattr__(self, "descriptors", desc)
@@ -177,28 +186,25 @@ class ReferenceMap:
     def pose(self, i: int) -> Pose:
         return Pose(t=self.translations[i], q=self.quaternions[i])
 
-    def extended(self, entries) -> "ReferenceMap":
-        """A new map with ``entries`` appended; this map is left untouched."""
-        entries = list(entries)
-        if not entries:
+    def extended(self, ids, descriptors, translations, quaternions, origins) -> "ReferenceMap":
+        """A new map with the given column blocks appended; this map is left untouched."""
+        ids = tuple(ids)
+        if not ids:
             return self
-        extra = _as_matrix([np.asarray(e[1], dtype=np.float64) for e in entries], self.dim if len(self) else None)
-        desc = np.vstack([self.descriptors, extra]) if len(self) else extra
-        t = np.vstack([self.translations, [e[2].t for e in entries]])
-        q = np.vstack([self.quaternions, [e[2].q for e in entries]])
+        extra = _as_matrix(descriptors, self.dim if len(self) else None)
         return ReferenceMap(
-            ids=self.ids + tuple(e[0] for e in entries),
-            descriptors=desc,
-            translations=t,
-            quaternions=q,
-            origins=self.origins + tuple(e[3] for e in entries),
+            ids=self.ids + ids,
+            descriptors=np.vstack([self.descriptors, extra]) if len(self) else extra,
+            translations=np.vstack([self.translations, np.reshape(translations, (-1, 3))]),
+            quaternions=np.vstack([self.quaternions, np.reshape(quaternions, (-1, 4))]),
+            origins=self.origins + tuple(origins),
         )
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms <= 0.0):
-        raise ValueError("cannot L2-normalize a zero descriptor row")
+        raise ZeroVector("cannot L2-normalize a zero descriptor row")
     return m / norms
 
 
@@ -369,6 +375,40 @@ def load_descriptor_block(descriptor_path) -> np.ndarray:
     return values.reshape(count, dim) if count else np.zeros((0, dim))
 
 
+def _pose_fields(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank pose-file row after the header."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed pose file: {exc}", line=reader.line_num) from exc
+    if not rows or rows[0] != POSE_CSV_HEADER:
+        raise ParseError(f"pose file must start with header {','.join(POSE_CSV_HEADER)}", line=1)
+    return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+
+
+def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """(n, 7) pose values of the rows, parsed as ``float()`` parses them.
+
+    One numpy conversion parses well-formed rows; otherwise the rows are
+    parsed one by one and the first malformed row raises ParseError.
+    """
+    try:
+        if all(len(row) == 8 for _, row in rows):
+            return np.array([row[1:] for _, row in rows], dtype=np.float64).reshape(len(rows), 7)
+    except ValueError:
+        pass
+    values = []
+    for lineno, row in rows:
+        if len(row) != 8:
+            raise ParseError(f"expected 8 fields, got {len(row)}", line=lineno)
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise ParseError(f"bad float in pose row: {exc}", line=lineno) from exc
+    return np.array(values, dtype=np.float64).reshape(len(rows), 7)
+
+
 def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> ReferenceMap:
     """Load a reference map from a pose CSV plus a descriptor binary.
 
@@ -377,27 +417,17 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
     unit norm at load time (off by default; plain Euclidean matching).
     """
     try:
-        with open(pose_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(pose_path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read pose file {pose_path}: {exc}") from exc
-    if not rows or rows[0] != POSE_CSV_HEADER:
-        raise ParseError(f"pose file must start with header {','.join(POSE_CSV_HEADER)}", line=1)
-    ids, ts, qs, linenos = [], [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 8:
-            raise ParseError(f"expected 8 fields, got {len(row)}", line=lineno)
-        ids.append(row[0])
-        linenos.append(lineno)
-        try:
-            vals = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"bad float in pose row: {exc}", line=lineno) from exc
-        ts.append(vals[0:3])
-        qs.append(vals[3:7])
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"pose file is not UTF-8: {exc.reason}", line=raw.count(b"\n", 0, exc.start) + 1) from exc
+    rows = _pose_fields(text)
+    values = _pose_values(rows)
+    ids = tuple(row[0] for _, row in rows)
 
     desc = load_descriptor_block(descriptor_path)
     count = desc.shape[0]
@@ -408,40 +438,49 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
     if l2_normalize and count:
         desc = l2_normalize_rows(desc)
 
-    n = len(ids)
     try:
         return ReferenceMap(
-            ids=tuple(ids),
+            ids=ids,
             descriptors=desc,
-            translations=np.asarray(ts, dtype=np.float64).reshape(n, 3),
-            quaternions=np.asarray(qs, dtype=np.float64).reshape(n, 4),
-            origins=tuple(_origin_from_id(i) for i in ids),
+            translations=values[:, :3],
+            quaternions=values[:, 3:],
+            origins=tuple(map(_origin_from_id, ids)),
         )
-    except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion) as exc:
+    except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):
             raise
-        raise type(exc)(f"{pose_path} line {linenos[exc.entry]}: {exc}") from exc
+        raise type(exc)(f"{pose_path} line {rows[exc.entry][0]}: {exc}") from exc
+
+
+# Characters a pose-file id cannot hold: the field separator, the csv
+# quote character and the line terminators.
+_UNWRITABLE_ID_CHARS = ',"\r\n'
 
 
 def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
     """Write a map to the pose CSV + descriptor binary formats.
 
     Descriptor payloads are f32; poses are written with shortest
-    round-trip float repr so load_map is an exact inverse. Refuses to
-    write anything if a descriptor component is non-finite.
+    round-trip float repr so load_map is an exact inverse. Writes nothing
+    if a descriptor component is non-finite or an id holds a comma, a
+    double quote, CR or LF.
     """
     if not np.all(np.isfinite(ref_map.descriptors)):
         raise RefusedNonFinite("map contains non-finite descriptor components")
+    # The NUL separator is not one of the refused characters.
+    all_ids = "\0".join(ref_map.ids)
+    if any(c in all_ids for c in _UNWRITABLE_ID_CHARS):
+        bad = next(i for i in ref_map.ids if any(c in i for c in _UNWRITABLE_ID_CHARS))
+        raise UnwritableId(f"map id {bad!r} holds a comma, double quote, CR or LF")
     payload = np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
     header = struct.pack("<4sIII", DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
+    row = "%s" + ",%r" * 7
+    values = np.hstack([ref_map.translations, ref_map.quaternions]).tolist()
+    lines = [",".join(POSE_CSV_HEADER)]
+    lines += [row % (entry_id, *vals) for entry_id, vals in zip(ref_map.ids, values)]
     try:
         with open(pose_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(POSE_CSV_HEADER) + "\n")
-            for i in range(len(ref_map)):
-                t = ref_map.translations[i]
-                q = ref_map.quaternions[i]
-                fields = [ref_map.ids[i]] + [repr(float(v)) for v in (*t, *q)]
-                fh.write(",".join(fields) + "\n")
+            fh.write("\n".join(lines) + "\n")
         with open(descriptor_path, "wb") as fh:
             fh.write(header)
             fh.write(payload)

@@ -1,12 +1,14 @@
 """Densification tests: target plans, linear regressors, map assembly."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copr import densify as densify_module
 from copr.densify import (
     EXTRAPOLATION,
     INTERPOLATION,
@@ -24,6 +26,7 @@ from copr.errors import (
     CoincidentAnchors,
     InvalidConfig,
     MethodPlanMismatch,
+    RefusedNonFinite,
     TooFewAnchors,
     TooFewNeighbors,
 )
@@ -61,6 +64,24 @@ class TestSubsample:
         anchors, dropped = subsample_trajectory(m, 2)
         assert anchors.ids == ("a0", "a2")
         np.testing.assert_array_equal([d.pose.t[0] for d in dropped], [1.0, 3.0])
+
+    def test_dropped_poses_match_per_entry_poses(self):
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((23, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        m = ReferenceMap(
+            ids=tuple(f"a{i}" for i in range(23)),
+            descriptors=np.zeros((23, 1)),
+            translations=rng.standard_normal((23, 3)),
+            quaternions=q,
+            origins=(Origin.ANCHOR,) * 23,
+        )
+        _, dropped = subsample_trajectory(m, 5)
+        kept = [i for i in range(23) if i % 5]
+        assert [d.left_anchor for d in dropped] == [min(i // 5, 3) for i in kept]
+        for d, i in zip(dropped, kept):
+            assert d.pose.t.tobytes() == m.pose(i).t.tobytes()
+            assert d.pose.q.tobytes() == m.pose(i).q.tobytes()
 
     def test_config_invariants(self):
         with pytest.raises(InvalidConfig):
@@ -173,6 +194,150 @@ class TestExtrapGrid:
         cfg = DensifyConfig(stride=2, grid_step=0.05, grid_span=0.05, dedupe_radius=0.0)
         ids = [t.id for t in gen_extrap_grid(m, cfg).targets]
         assert "a0#gx-1y0" in ids and "a0#gx1y1" in ids
+
+
+class _ReferenceSpatialHash:
+    """The per-point dedupe hash gen_extrap_grid used before it was batched."""
+
+    def __init__(self, radius):
+        self.radius = radius
+        self.cell = max(radius, 1e-9)
+        self.buckets = {}
+
+    def _key(self, p):
+        return tuple(int(math.floor(v / self.cell)) for v in p)
+
+    def near(self, p):
+        kx, ky, kz = self._key(p)
+        r2 = self.radius * self.radius
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for other in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                        d = p - other
+                        if float(d @ d) <= r2:
+                            return True
+        return False
+
+    def add(self, p):
+        self.buckets.setdefault(self._key(p), []).append(p)
+
+
+def _reference_extrap_grid(anchors, cfg):
+    """(id, t, q, anchor_ids) per target, one candidate at a time, as gen_extrap_grid did."""
+    half = int(math.floor(cfg.grid_span / cfg.grid_step + 1e-9))
+    hash_ = _ReferenceSpatialHash(cfg.dedupe_radius)
+    for t in anchors.translations:
+        hash_.add(np.asarray(t, dtype=np.float64))
+    out = []
+    for a in range(len(anchors)):
+        ax, ay, az = anchors.translations[a]
+        for i in range(-half, half + 1):
+            for j in range(-half, half + 1):
+                if i == 0 and j == 0:
+                    continue
+                p = np.array([ax + i * cfg.grid_step, ay + j * cfg.grid_step, az])
+                if hash_.near(p):
+                    continue
+                hash_.add(p)
+                pose = Pose(t=p, q=anchors.quaternions[a])
+                out.append((f"{anchors.ids[a]}#gx{i}y{j}", pose.t.tobytes(), pose.q.tobytes(), (anchors.ids[a],)))
+    return out
+
+
+def _anchor_map(translations, yaws):
+    return ReferenceMap.from_entries(
+        (f"a{i}", np.zeros(1), Pose(t=t, q=quat_from_yaw(yaw)), Origin.ANCHOR)
+        for i, (t, yaw) in enumerate(zip(translations, yaws))
+    )
+
+
+def _plan_rows(plan):
+    return [(t.id, t.pose.t.tobytes(), t.pose.q.tobytes(), t.anchor_ids) for t in plan.targets]
+
+
+_STEPS = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 1.8])
+
+
+@st.composite
+def _lattice_grid_cases(draw):
+    """Anchors on an integer multiple of the step (exact ties between grids)
+    with radius 0, step/2, step, or a multiple of the step."""
+    step = draw(_STEPS)
+    half = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-1, 1)), min_size=n, max_size=n))
+    translations = [(i * step, j * step, k * step) for i, j, k in cells]
+    radius = draw(st.sampled_from([0.0, step / 2, step, 1.5 * step, 2 * step]))
+    yaws = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return translations, yaws, DensifyConfig(stride=2, grid_step=step, grid_span=half * step, dedupe_radius=radius)
+
+
+@st.composite
+def _float_grid_cases(draw):
+    step = draw(_STEPS)
+    n = draw(st.integers(1, 12))
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    z = st.one_of(st.sampled_from([0.0, 0.5]), coord)
+    translations = draw(st.lists(st.tuples(coord, coord, z), min_size=n, max_size=n))
+    radius = draw(st.floats(0.0, 3.0 * step))
+    span = draw(st.sampled_from([1, 2, 3])) * step
+    yaws = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return translations, yaws, DensifyConfig(stride=2, grid_step=step, grid_span=span, dedupe_radius=radius)
+
+
+class TestExtrapGridMatchesReference:
+    """The batched dedupe keeps exactly the targets the per-point greedy kept."""
+
+    @given(_lattice_grid_cases(), st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_anchors_with_exact_ties(self, case, chunk):
+        translations, yaws, cfg = case
+        m = _anchor_map(translations, yaws)
+        want = _reference_extrap_grid(m, cfg)
+        assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+        with mock.patch.object(densify_module, "_DEDUPE_CHUNK", chunk):
+            assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+
+    @given(_float_grid_cases(), st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_float_anchors(self, case, chunk):
+        translations, yaws, cfg = case
+        m = _anchor_map(translations, yaws)
+        want = _reference_extrap_grid(m, cfg)
+        assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+        with mock.patch.object(densify_module, "_DEDUPE_CHUNK", chunk):
+            assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+
+    @pytest.mark.parametrize("radius_in_steps", [0.0, 0.5, 1.0, 3.0, 8.0])
+    def test_dense_trajectory(self, radius_in_steps):
+        # 40 anchors of 80 candidates span more than one dedupe chunk.
+        rng = np.random.default_rng(17)
+        angles = np.sort(rng.uniform(0, 2 * math.pi, 40))
+        translations = np.c_[np.cos(angles), np.sin(angles), np.zeros(40)]
+        m = _anchor_map(translations, angles)
+        cfg = DensifyConfig(stride=2, grid_step=0.1, grid_span=0.4, dedupe_radius=0.1 * radius_in_steps)
+        assert _plan_rows(gen_extrap_grid(m, cfg)) == _reference_extrap_grid(m, cfg)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-6, 0.25])
+    def test_far_apart_large_coordinates(self, radius):
+        # At radius 0 the cell is 1e-9, so these cell keys reach about 7e23.
+        translations = [(5e9, 0.0, 0.0), (5e9 + 0.25, 0.0, 0.0), (-1e12, 3e12, 7e14), (0.0, 0.0, 0.0)]
+        m = _anchor_map(translations, [0.0, 1.0, 2.0, 3.0])
+        cfg = DensifyConfig(stride=2, grid_step=0.25, grid_span=0.5, dedupe_radius=radius)
+        assert _plan_rows(gen_extrap_grid(m, cfg)) == _reference_extrap_grid(m, cfg)
+
+    def test_overflowing_candidates_refused(self):
+        m = _anchor_map([(1.7e308, 0.0, 0.0)], [0.0])
+        with pytest.raises(RefusedNonFinite):
+            gen_extrap_grid(m, DensifyConfig(stride=2, grid_step=1e308, grid_span=1e308, dedupe_radius=0.0))
+
+    def test_plan_blocks_stack_target_poses(self):
+        m = _line_map(4, spacing=0.07)
+        plan = gen_extrap_grid(m, DensifyConfig(stride=2, grid_step=0.05, grid_span=0.1, dedupe_radius=0.025))
+        assert plan.translations.tobytes() == b"".join(t.pose.t.tobytes() for t in plan.targets)
+        assert plan.quaternions.tobytes() == b"".join(t.pose.q.tobytes() for t in plan.targets)
+        assert not plan.translations.flags.writeable and not plan.targets[0].pose.t.flags.writeable
 
 
 class TestLinInterp:
@@ -364,6 +529,20 @@ class TestDensifyMap:
         assert all(o is Origin.REGRESSED for o in dense.origins[5:])
         assert all("#" in i for i in dense.ids[5:])
 
+    def test_lin_interp_matches_per_target_blend_bitwise(self):
+        rng = np.random.default_rng(41)
+        m = _affine_line_map(11, rng.standard_normal((3, 3)), rng.standard_normal(3))
+        anchors, dropped = subsample_trajectory(m, 3)
+        plan = gen_interp_targets(anchors, dropped=dropped)
+        dense = densify_map(anchors, plan, "lin_interp")
+        for r, target in enumerate(plan.targets):
+            i1, i2 = (anchors.index_of(a) for a in target.anchor_ids)
+            # The scalar blend the batched kernel replaced.
+            b1 = float(np.linalg.norm(target.pose.t - anchors.translations[i1]))
+            b2 = float(np.linalg.norm(target.pose.t - anchors.translations[i2]))
+            want = (1.0 - b1 / (b1 + b2)) * anchors.descriptors[i1] + (1.0 - b2 / (b1 + b2)) * anchors.descriptors[i2]
+            assert dense.descriptors[len(anchors) + r].tobytes() == want.tobytes()
+
     def test_sparse_never_mutated(self):
         m = _line_map(6)
         before = (m.descriptors.copy(), m.translations.copy(), m.ids)
@@ -413,7 +592,7 @@ class TestDensifyMap:
         # Reference: nearest sparse entry by stable argsort, relative_pose,
         # one one-row regress_nonlinear_batch call per target.
         m = _affine_line_map(9, np.eye(3)[:2], np.zeros(2))
-        m = m.extended([("dup", m.descriptors[3], m.pose(3), Origin.ANCHOR)])
+        m = m.extended(("dup",), m.descriptors[3:4], m.translations[3], m.quaternions[3], (Origin.ANCHOR,))
         pairs = [
             (m.descriptors[i], relative_pose(m.pose(i), m.pose(j)), m.descriptors[j])
             for i in range(9)

@@ -15,6 +15,8 @@ from copr.geometry import (
     angular_error_deg_many,
     canonical_sign,
     normalize_quat,
+    normalize_quat_rows,
+    poses,
     quat_conjugate,
     quat_from_yaw,
     quat_multiply,
@@ -87,6 +89,42 @@ class TestNormalizeQuat:
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
         first_nonzero = next((c for c in out if c != 0.0), 1.0)
         assert first_nonzero > 0.0
+
+
+class TestRowKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(-10, 10), min_size=4, max_size=4), min_size=1, max_size=12))
+    def test_normalize_quat_rows_equals_normalize_quat_bitwise(self, rows):
+        q = np.asarray(rows + _AXIS_QUATS, dtype=np.float64)
+        q = q[np.sqrt(np.einsum("ij,ij->i", q, q)) > 1e-11]
+        got = normalize_quat_rows(q)
+        for row, qi in zip(got, q):
+            assert row.tobytes() == normalize_quat(qi).tobytes()
+
+    def test_normalize_quat_rows_rejects_a_zero_row(self):
+        with pytest.raises(ZeroQuaternion):
+            normalize_quat_rows([[1, 0, 0, 0], [0, 0, 0, 1e-13]])
+
+    def test_poses_equal_per_row_poses_and_are_read_only(self):
+        rng = np.random.default_rng(8)
+        t = rng.standard_normal((6, 3))
+        q = np.r_[rng.standard_normal((4, 4)), _AXIS_QUATS[:2]]
+        values = poses(t, q)
+        for i, p in enumerate(values):
+            one = Pose(t=t[i], q=q[i])
+            assert p.t.tobytes() == one.t.tobytes() and p.q.tobytes() == one.q.tobytes()
+            with pytest.raises(ValueError):
+                p.t[0] = 0.0
+        t[0, 0] = 99.0
+        assert values[0].t[0] != 99.0
+
+    def test_non_finite_translation_is_refused(self):
+        with pytest.raises(RefusedNonFinite):
+            poses([[0, math.inf, 0]], [[1, 0, 0, 0]])
+        with pytest.raises(RefusedNonFinite):
+            Pose(t=[0, math.nan, 0], q=[1, 0, 0, 0])
+        with pytest.raises(RefusedNonFinite):
+            RelativePose(dt=[math.inf, 0, 0], dq=[1, 0, 0, 0])
 
 
 # Unit quaternions with exact zeros and negative leading components, so

@@ -223,6 +223,12 @@ class TestForward:
 class TestFlatModel:
     """One model type: every parameter in one flat buffer, layers as views."""
 
+    def test_models_compare_and_hash_by_identity(self):
+        a, b = init_regressor(4, 0), init_regressor(4, 0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and len({a.layers[0], b.layers[0]}) == 2
+        assert {a: 1}[a] == 1
+
     def test_layers_are_read_only_views_into_flat(self):
         model = _rand_model(np.random.default_rng(30), max_layers=4)
         assert model.flat.tobytes() == _flatten_params(model).tobytes()

@@ -178,7 +178,7 @@ class TestStrayCase:
         from copr.vpr_map import Origin
 
         combined = case.refs.extended(
-            [(case.stray_id, case.stray_descriptor, case.stray_pose, Origin.ANCHOR)]
+            (case.stray_id,), case.stray_descriptor[None], case.stray_pose.t, case.stray_pose.q, (Origin.ANCHOR,)
         )
         top = retrieve(case.query_descriptor, combined, k=1)[0]
         assert top.ref_id == case.stray_id

@@ -1,6 +1,7 @@
 """Reference-map tests: retrieval exactness, tie-breaking, file round trips."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from copr.errors import (
     BadMagic,
+    CoprError,
     CountMismatch,
     DimMismatch,
     DuplicateId,
@@ -18,11 +20,14 @@ from copr.errors import (
     NonUnitQuaternion,
     ParseError,
     RefusedNonFinite,
+    UnwritableId,
     VersionUnsupported,
     ZeroQuaternion,
+    ZeroVector,
 )
 from copr.geometry import Pose
 from copr.vpr_map import (
+    POSE_CSV_HEADER,
     Origin,
     ReferenceMap,
     load_map,
@@ -256,7 +261,8 @@ class TestMapType:
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
         before = m.descriptors.copy()
-        bigger = m.extended([("x#1", np.array([2.0]), _pose(9.0), Origin.REGRESSED)])
+        pose = _pose(9.0)
+        bigger = m.extended(("x#1",), [[2.0]], pose.t, pose.q, (Origin.REGRESSED,))
         assert len(m) == 2 and len(bigger) == 3
         np.testing.assert_array_equal(m.descriptors, before)
         assert bigger.origins[-1] is Origin.REGRESSED
@@ -406,3 +412,139 @@ class TestMapIo:
         )
         loaded = self._roundtrip(m, tmp_path)
         assert loaded.origins == (Origin.ANCHOR, Origin.REGRESSED)
+
+
+def _reference_pose_csv(ref_map) -> bytes:
+    """The pose CSV as save_map wrote it one field at a time."""
+    lines = [",".join(POSE_CSV_HEADER) + "\n"]
+    for i in range(len(ref_map)):
+        fields = [ref_map.ids[i]] + [repr(float(v)) for v in (*ref_map.translations[i], *ref_map.quaternions[i])]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _random_map(rng, n, dim=3):
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    scale = 10.0 ** rng.integers(-12, 12, size=(n, 1))
+    return ReferenceMap(
+        ids=tuple(f"r{i}" + ("#gx1y0" if i % 3 == 0 else "") + " é" * (i % 2) for i in range(n)),
+        descriptors=rng.standard_normal((n, dim)),
+        translations=rng.standard_normal((n, 3)) * scale,
+        quaternions=q,
+        origins=(Origin.ANCHOR,) * n,
+    )
+
+
+class TestPoseCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_bytes_equal_the_per_field_writer(self, tmp_path_factory, seed, n):
+        tmp = tmp_path_factory.mktemp("csv")
+        m = _random_map(np.random.default_rng(seed), n)
+        save_map(m, tmp / "p.csv", tmp / "d.bin")
+        assert (tmp / "p.csv").read_bytes() == _reference_pose_csv(m)
+        back = load_map(tmp / "p.csv", tmp / "d.bin")
+        assert back.ids == m.ids
+        assert back.translations.tobytes() == m.translations.tobytes()
+        assert back.quaternions.tobytes() == m.quaternions.tobytes()
+
+    @pytest.mark.parametrize("bad_id", ["a,b", 'say "hi"', "cr\r", "lf\n", ","])
+    def test_unwritable_id_refused_before_writing(self, tmp_path, bad_id):
+        m = _map_of([[0.0], [1.0]], ids=["ok", bad_id])
+        with pytest.raises(UnwritableId):
+            save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        assert isinstance(UnwritableId("x"), CoprError)
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "d.bin").exists()
+
+    def test_crlf_and_quoted_files_still_load(self, tmp_path):
+        m = _map_of([[0.0], [1.0]], ids=["a", "b"])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        text = (tmp_path / "p.csv").read_text()
+        (tmp_path / "p.csv").write_bytes(text.replace("\n", "\r\n").replace("b,", '"b",').encode())
+        back = load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+        assert back.ids == ("a", "b")
+        np.testing.assert_array_equal(back.translations, m.translations)
+
+    def test_duplicate_id_reports_line(self, tmp_path):
+        m = _map_of([[0.0], [1.0], [2.0]], ids=["a", "b", "c"])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        text = (tmp_path / "p.csv").read_text()
+        (tmp_path / "p.csv").write_text(text.replace("\nc,", "\na,"))
+        with pytest.raises(DuplicateId, match="line 4"):
+            load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+
+    def test_zero_descriptor_refused_on_l2_normalize(self, tmp_path):
+        m = _map_of([[0.0, 0.0], [1.0, 0.0]])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        with pytest.raises(ZeroVector):
+            load_map(tmp_path / "p.csv", tmp_path / "d.bin", l2_normalize=True)
+
+    def test_non_utf8_pose_file_reports_line(self, tmp_path):
+        m = _map_of([[0.0], [1.0]])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        raw = (tmp_path / "p.csv").read_bytes()
+        (tmp_path / "p.csv").write_bytes(raw.replace(b"r1,", b"r\xff,"))
+        with pytest.raises(ParseError) as info:
+            load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+        assert info.value.line == 3
+
+
+_FUZZ_MAP = _map_of(np.arange(12.0).reshape(4, 3), ids=["a0", "a1", "a1#gx1y0", "a2"])
+
+
+class TestCorruptedFilesFuzz:
+    """Corrupted map files load as some map or raise a CoprError; pose-row
+    errors name the line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 7), st.text(max_size=12))
+    def test_corrupted_pose_field(self, tmp_path_factory, line, field, text):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        save_map(_FUZZ_MAP, tmp / "p.csv", tmp / "d.bin")
+        lines = (tmp / "p.csv").read_text().split("\n")
+        fields = lines[line - 1].split(",")
+        fields[field] = text
+        lines[line - 1] = ",".join(fields)
+        (tmp / "p.csv").write_text("\n".join(lines), encoding="utf-8")
+        try:
+            load_map(tmp / "p.csv", tmp / "d.bin")
+        except CountMismatch:
+            pass
+        except ParseError as exc:
+            # A line break or quote in the text moves the fault to a later line.
+            assert exc.line is not None and exc.line >= line
+            if not any(c in text for c in '\n\r"'):
+                assert exc.line == line
+        except CoprError as exc:
+            assert re.search(r"line \d+", str(exc))
+            if not isinstance(exc, DuplicateId) and not any(c in text for c in '\n\r"'):
+                assert f"line {line}:" in str(exc)
+
+    @pytest.mark.parametrize("text", ['"', 'a"b', '"x\ny"'])
+    def test_quotes_raise_a_typed_error_or_load(self, tmp_path, text):
+        save_map(_FUZZ_MAP, tmp_path / "p.csv", tmp_path / "d.bin")
+        raw = (tmp_path / "p.csv").read_text().replace("a1,", text + ",", 1)
+        (tmp_path / "p.csv").write_text(raw)
+        try:
+            load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+        except (ParseError, CountMismatch):
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), min_size=1, max_size=6), st.integers(-8, 8))
+    def test_corrupted_descriptor_bytes(self, tmp_path_factory, edits, resize):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        save_map(_FUZZ_MAP, tmp / "p.csv", tmp / "d.bin")
+        blob = bytearray((tmp / "d.bin").read_bytes())
+        for offset, value in edits:
+            blob[offset % len(blob)] = value
+        blob = blob[: len(blob) + resize] if resize < 0 else blob + bytes(resize)
+        (tmp / "d.bin").write_bytes(bytes(blob))
+        try:
+            loaded = load_map(tmp / "p.csv", tmp / "d.bin", l2_normalize=True)
+        except CoprError:
+            return
+        assert np.all(np.isfinite(loaded.descriptors))
