@@ -35,7 +35,6 @@ from .neural import (
     Activation,
     MlpModel,
     TrainConfig,
-    gelu,
     load_model,
     save_model,
     train_encoder,
@@ -46,13 +45,12 @@ from .synth import (
     SceneConfig,
     StrayCase,
     SyntheticScene,
-    eval_field,
     gen_scene,
     load_scene,
     make_field,
     make_stray_case,
     save_scene,
 )
-from .vpr_map import Match, Origin, ReferenceMap, load_map, oracle_retrieve, retrieve, save_map
+from .vpr_map import Match, Origin, ReferenceMap, load_map, oracle_retrieve, origin_of, retrieve, save_map
 
 __version__ = "0.1.0"

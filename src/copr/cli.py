@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: synth, train-h, train-encoder, densify, retrieve, eval, and
-exp {interp, extrap, sweep, encoders, stray}. Every command takes an
-optional JSON config file; individual flags (and generic --set dot.path=value
-overrides) take precedence over config keys. Each run echoes its fully
-resolved configuration next to its outputs.
+exp {interp, extrap, sweep, encoders, stray}. Each command accepts only the
+flags it reads. synth, train-h, train-encoder, densify and exp take an
+optional JSON --config, a --seed override and generic --set dot.path=value
+overrides, which take precedence over config keys; only exp writes a report
+and takes --format. retrieve and eval read no config. Each run that writes
+files echoes its resolved configuration next to them.
 
 Exit codes: 0 success, 1 validation error or bad usage, 2 I/O error.
 stdout carries machine-readable output only; human-facing logs go to
@@ -41,7 +43,7 @@ from .evaluate import (
     train_scene_regressor,
 )
 from .neural.model_io import load_model, save_model
-from .neural.training import TrainConfig, build_training_pairs, train_encoder, train_regressor
+from .neural.training import TrainConfig, train_encoder
 from .synth import (
     FieldConfig,
     SceneConfig,
@@ -350,33 +352,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="copr", description="Descriptor-map densification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def configurable(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--set", action="append", metavar="PATH=VALUE", help="override a config key (dot path)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("synth", help="generate and export a synthetic scene")
-    common(p)
+    configurable(p)
     p.add_argument("--out", required=True)
     p.add_argument("--benchmark", choices=sorted(benchmarks.NAMED_SCENES))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-h", help="train the descriptor regressor on a scene")
-    common(p)
+    configurable(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_h)
 
     p = sub.add_parser("train-encoder", help="train a synthetic feature encoder")
-    common(p)
+    configurable(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--variant", choices=("triplet", "relative", "distance"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_encoder)
 
     p = sub.add_parser("densify", help="densify a scene's reference map")
-    common(p)
+    configurable(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), required=True)
     p.add_argument("--scheme", choices=("interp", "extrap"), required=True)
@@ -390,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_densify)
 
     p = sub.add_parser("retrieve", help="nearest-neighbor matches for query descriptors")
-    common(p)
     p.add_argument("--map", required=True, help="scene directory holding refs_poses.csv/refs_descriptors.bin")
     p.add_argument("--query", required=True, help="query descriptor binary")
     p.add_argument("--query-poses", dest="query_poses", help="query pose CSV")
@@ -398,14 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("eval", help="localize a scene's queries against a map")
-    common(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--map", help="densified map directory (defaults to the scene's own refs)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("exp", help="run an experiment protocol")
-    common(p)
+    configurable(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("kind", choices=("interp", "extrap", "sweep", "encoders", "stray"))
     p.add_argument("--scene", help="scene directory (required except for stray with a config)")
     p.add_argument("--model", help="pre-trained regressor to reuse")

@@ -9,7 +9,9 @@ network regressor.
 
 Regressed entries are appended after the originals with deterministic
 provenance ids: ``<anchor>#gx<i>y<j>`` for grid targets and
-``<a1>~<a2>#k<n>`` for interpolation targets.
+``<a1>~<a2>#k<n>`` for interpolation targets. The ``#`` marker is what makes
+an entry regressed (:func:`copr.vpr_map.origin_of`), so a plan refuses a
+target id without one.
 
 Grid dedupe rule: candidates are visited anchor by anchor, i-major,
 j-minor. A candidate is dropped when it is close to any anchor or to an
@@ -42,7 +44,7 @@ from .errors import (
 from .geometry import Pose, poses, quat_slerp, relative_pose_rows, row_dots
 from .geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.densify.RelativePose)
 from .neural.core import MlpModel, regress_nonlinear_batch
-from .vpr_map import Origin, ReferenceMap, nearest_neighbors
+from .vpr_map import ReferenceMap, nearest_neighbors
 
 INTERPOLATION = "interpolation"
 EXTRAPOLATION = "extrapolation"
@@ -94,7 +96,8 @@ class TargetPlan:
     """Poses to regress plus the anchors assigned to each.
 
     ``translations`` (n, 3) and ``quaternions`` (n, 4) stack the targets'
-    poses in plan order, read-only.
+    poses in plan order, read-only. Every target id holds the ``#``
+    provenance marker of a regressed entry.
     """
 
     scheme: str
@@ -108,6 +111,8 @@ class TargetPlan:
         targets = tuple(self.targets)
         ts, qs = [], []
         for t in targets:
+            if "#" not in t.id:
+                raise InvalidConfig(f"target id {t.id!r} lacks the '#' marker of a regressed entry")
             if self.scheme == INTERPOLATION and len(t.anchor_ids) != 2:
                 raise InvalidConfig("interpolation targets carry exactly two anchor ids")
             if self.scheme == EXTRAPOLATION and len(t.anchor_ids) < 1:
@@ -178,7 +183,6 @@ def subsample_trajectory(ref_map: ReferenceMap, stride: int) -> tuple[ReferenceM
         descriptors=ref_map.descriptors[::stride],
         translations=ref_map.translations[::stride],
         quaternions=ref_map.quaternions[::stride],
-        origins=ref_map.origins[::stride],
     )
     dropped = np.flatnonzero(np.arange(len(ref_map)) % stride)
     left = np.minimum(dropped // stride, max(len(anchors) - 2, 0))
@@ -455,7 +459,7 @@ def densify_map(
     nearest sparse entries per target. ``nonlin_reg`` feeds the single
     nearest sparse entry and the relative pose through ``model``. The
     input map is never mutated; regressed entries are appended in plan
-    order with origin ``REGRESSED``.
+    order under their target ids.
     """
     if method not in METHODS:
         raise InvalidConfig(f"unknown densification method {method!r}")
@@ -491,10 +495,4 @@ def densify_map(
         )
         regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows)
 
-    return sparse.extended(
-        tuple(t.id for t in plan.targets),
-        regressed,
-        target_t,
-        plan.quaternions,
-        (Origin.REGRESSED,) * len(plan.targets),
-    )
+    return sparse.extended(tuple(t.id for t in plan.targets), regressed, target_t, plan.quaternions)

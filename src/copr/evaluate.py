@@ -31,11 +31,11 @@ from .densify import (
     subsample_trajectory,
 )
 from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
-from .geometry import angular_error_deg_many, relative_pose, row_dots
+from .geometry import angular_error_deg_many, relative_pose_rows, row_dots
 from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
 from .neural.training import TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
-from .vpr_map import Origin, ReferenceMap, oracle_retrieve, retrieve, retrieve_many
+from .vpr_map import ReferenceMap, oracle_retrieve, origin_of, retrieve, retrieve_many
 
 METHOD_LABELS = {
     METHOD_LIN_INTERP: "LinInterp",
@@ -86,7 +86,7 @@ def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
             translation_error=te,
             rotation_error=re,
             matched_id=ref_map.ids[i],
-            matched_origin=ref_map.origins[i].value,
+            matched_origin=origin_of(ref_map.ids[i]).value,
         )
         for te, re, i in zip(t_errs.tolist(), r_errs.tolist(), matched.tolist())
     )
@@ -102,7 +102,7 @@ def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
                 translation_error=match.translation_error,
                 rotation_error=match.rotation_error,
                 matched_id=match.ref_id,
-                matched_origin=ref_map.origins[match.ref_index].value,
+                matched_origin=origin_of(match.ref_id).value,
             )
         )
     return ErrorSummary(
@@ -158,9 +158,6 @@ class ExperimentRow:
     t_match_ms: float = 0.0
     t_retr_ms: float = 0.0
     seed: int = 0
-
-
-CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 @dataclass(frozen=True)
@@ -468,7 +465,6 @@ def exp_encoders(
             descriptors=ref_desc,
             translations=scene.gt_dense.translations,
             quaternions=scene.gt_dense.quaternions,
-            origins=scene.gt_dense.origins,
         )
         q_t = np.asarray([pose.t for _, pose in scene.queries])
         q_q = np.asarray([pose.q for _, pose in scene.queries])
@@ -486,7 +482,6 @@ def exp_encoders(
             descriptors=train_desc,
             translations=scene.train_refs.translations,
             quaternions=scene.train_refs.quaternions,
-            origins=scene.train_refs.origins,
         )
         h_start = time.perf_counter()
         pairs = build_training_pairs(train_e, max_translation, max_pairs, seed)
@@ -535,18 +530,16 @@ def exp_stray(cases, model: MlpModel) -> StrayReport:
     for case in cases:
         if model.output_dim != case.refs.dim:
             raise DimMismatch("regressor output dim does not match the stray-case descriptor dim")
-        before = case.refs.extended(
-            (case.stray_id,), case.stray_descriptor[None], case.stray_pose.t, case.stray_pose.q, (Origin.ANCHOR,)
-        )
+        stray = case.stray_pose
+        before = case.refs.extended((case.stray_id,), case.stray_descriptor[None], stray.t, stray.q)
         matches = retrieve(case.query_descriptor, before, k=len(before))
         rank_before = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)
 
         i = oracle_retrieve(case.query_pose, case.refs).ref_index
-        dp = relative_pose(case.refs.pose(i), case.query_pose)
-        regressed = regress_nonlinear_batch(model, case.refs.descriptors[i : i + 1], dp.as_vector()[None])[0]
-        after = before.extended(
-            ("regressed#q",), regressed[None], case.query_pose.t, case.query_pose.q, (Origin.REGRESSED,)
-        )
+        anchor = case.refs.pose(i)
+        dp = relative_pose_rows(anchor.t, anchor.q, case.query_pose.t, case.query_pose.q)
+        regressed = regress_nonlinear_batch(model, case.refs.descriptors[i : i + 1], dp)
+        after = before.extended(("regressed#q",), regressed, case.query_pose.t, case.query_pose.q)
         matches = retrieve(case.query_descriptor, after, k=len(after))
         rank_after = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)
         rows.append(

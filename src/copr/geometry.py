@@ -84,23 +84,9 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_conjugate(q) -> np.ndarray:
-    """Conjugate (inverse for unit quaternions)."""
-    q = np.asarray(q, dtype=np.float64)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_from_yaw(yaw: float) -> np.ndarray:
     """Unit quaternion for a rotation of ``yaw`` radians about +z."""
     return normalize_quat([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
-
-
-def rotate_vector(q, v) -> np.ndarray:
-    """Rotate 3-vector ``v`` by unit quaternion ``q``."""
-    w, x, y, z = q
-    u = np.array([x, y, z], dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
 
 
 def quat_slerp(qa, qb, s: float) -> np.ndarray:
@@ -246,21 +232,14 @@ def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
     return out
 
 
-def relative_poses(t_a, q_a, t_b, q_b) -> list[RelativePose]:
-    """:func:`relative_pose_rows` as :class:`RelativePose` values.
-
-    Each value holds its row exactly; normalizing the unit quaternion a
-    second time could move its last bits.
-    """
-    out = []
-    for row in relative_pose_rows(t_a, q_a, t_b, q_b):
-        rp = object.__new__(RelativePose)
-        object.__setattr__(rp, "dt", _readonly(row[:3].copy()))
-        object.__setattr__(rp, "dq", _readonly(row[3:].copy()))
-        out.append(rp)
-    return out
-
-
 def relative_pose(anchor: Pose, target: Pose) -> RelativePose:
-    """Relative pose from ``anchor`` to ``target``; see :func:`relative_pose_rows`."""
-    return relative_poses(anchor.t, anchor.q, target.t, target.q)[0]
+    """Relative pose from ``anchor`` to ``target``; one row of :func:`relative_pose_rows`.
+
+    The value holds the row exactly: normalizing its unit quaternion a
+    second time could move the last bits.
+    """
+    row = relative_pose_rows(anchor.t, anchor.q, target.t, target.q)[0]
+    rp = object.__new__(RelativePose)
+    object.__setattr__(rp, "dt", _readonly(row[:3].copy()))
+    object.__setattr__(rp, "dq", _readonly(row[3:].copy()))
+    return rp

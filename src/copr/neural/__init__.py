@@ -5,7 +5,6 @@ from .core import (
     Layer,
     MlpModel,
     forward_batch,
-    gelu,
     init_mlp,
     regress_nonlinear_batch,
     splitmix64,
@@ -18,6 +17,7 @@ from .training import (
     REGRESSOR_DEFAULT_LR,
     EncoderDataset,
     TrainConfig,
+    TrainingPairs,
     TrainResult,
     build_training_pairs,
     default_encoder_config,
@@ -32,35 +32,3 @@ from .training import (
     train_regressor,
     train_regressor_full,
 )
-
-__all__ = [
-    "Activation",
-    "Layer",
-    "MlpModel",
-    "forward_batch",
-    "gelu",
-    "init_mlp",
-    "regress_nonlinear_batch",
-    "splitmix64",
-    "load_model",
-    "save_model",
-    "DEFAULT_TRIPLET_MARGIN",
-    "ENCODER_DEFAULT_LR",
-    "ENCODER_VARIANTS",
-    "REGRESSOR_DEFAULT_LR",
-    "EncoderDataset",
-    "TrainConfig",
-    "TrainResult",
-    "build_training_pairs",
-    "default_encoder_config",
-    "encoder_widths",
-    "init_encoder",
-    "init_regressor",
-    "init_rpe_head",
-    "mse_over",
-    "regressor_widths",
-    "train_encoder",
-    "train_encoder_full",
-    "train_regressor",
-    "train_regressor_full",
-]

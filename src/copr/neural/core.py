@@ -78,6 +78,8 @@ class Layer:
         b = np.asarray(self.bias, dtype=np.float64).reshape(-1)
         if w.ndim != 2 or w.shape[0] != b.shape[0]:
             raise ShapeMismatch(f"layer weights {w.shape} incompatible with bias {b.shape}")
+        if 0 in w.shape:
+            raise ShapeMismatch(f"layer weights {w.shape} have a zero dimension")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise RefusedNonFinite("layer parameters must be finite")
         w.setflags(write=False)
@@ -353,14 +355,21 @@ class RawAdam:
         np.subtract(net.flat, u, out=net.flat)
 
 
+def regressor_input(f_anchors: np.ndarray, dp_rows: np.ndarray) -> np.ndarray:
+    """The regressor's input rows ``[f_anchor | dp]``: each anchor descriptor
+    followed by its 7-component relative pose."""
+    return np.hstack([f_anchors, dp_rows])
+
+
 def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: np.ndarray) -> np.ndarray:
     """Regress descriptors at target poses, one row per (anchor, target).
 
-    Row i stacks anchor descriptor ``f_anchors[i]`` with the 7-component
-    relative pose ``dp_vectors[i]`` and runs the regressor on it; the model
-    input dim must equal descriptor dim + 7, its output dim the descriptor dim.
+    Row i runs the regressor on :func:`regressor_input` of anchor descriptor
+    ``f_anchors[i]`` and the 7-component relative pose ``dp_vectors[i]``; the
+    model input dim must equal descriptor dim + 7, its output dim the
+    descriptor dim.
     """
-    x = np.hstack([f_anchors, dp_vectors])
+    x = regressor_input(f_anchors, dp_vectors)
     if x.shape[1] != model.input_dim:
         raise DimMismatch(
             f"stacked input length {x.shape[1]} does not match regressor input dim {model.input_dim}"

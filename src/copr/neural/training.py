@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidConfig, RefusedNonFinite
-from ..geometry import RelativePose, relative_pose_rows, relative_poses
+from ..geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.neural.training.RelativePose)
+from ..geometry import relative_pose_rows
 from .core import (
     Activation,
     MlpModel,
@@ -23,6 +24,7 @@ from .core import (
     forward_batch,
     init_mlp,
     mse_batch_grad,
+    regressor_input,
     splitmix64,
 )
 from .losses import distance_grads, relative_grads, triplet_grads
@@ -131,26 +133,43 @@ def _fit(net: MlpModel, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
     return TrainResult(net.on_buffer(best_params), initial_val, best_val, epochs_run, stop_reason)
 
 
-def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainResult:
+@dataclass(frozen=True)
+class TrainingPairs:
+    """Regressor training pairs as row-aligned blocks: pair i regresses
+    ``f_target[i]`` (n, dim) from ``f_anchor[i]`` (n, dim) and the relative
+    pose ``dp[i]`` (n, 7) from the anchor to the target, in the (dt, dq)
+    layout of :func:`copr.geometry.relative_pose_rows`."""
+
+    f_anchor: np.ndarray
+    dp: np.ndarray
+    f_target: np.ndarray
+
+    def __post_init__(self):
+        f_anchor, dp, f_target = (np.asarray(a, dtype=np.float64) for a in (self.f_anchor, self.dp, self.f_target))
+        if f_anchor.ndim != 2 or f_target.shape != f_anchor.shape or dp.shape != (len(f_anchor), 7):
+            shapes = f"{f_anchor.shape}, {dp.shape}, {f_target.shape}"
+            raise DimMismatch(f"training pair blocks {shapes} are not (n, dim), (n, 7), (n, dim)")
+        object.__setattr__(self, "f_anchor", f_anchor)
+        object.__setattr__(self, "dp", dp)
+        object.__setattr__(self, "f_target", f_target)
+
+    def __len__(self) -> int:
+        return len(self.f_anchor)
+
+
+def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> TrainResult:
     """Train the non-linear descriptor regressor on (anchor, dp, target) pairs.
 
     Uses mean-squared error with Adam, a validation split for early
     stopping, and keeps the snapshot with the best validation MSE (which
     is the untrained init if training never improves on it).
     """
-    pairs = list(pairs)
-    if not pairs:
+    if len(pairs) == 0:
         raise EmptyTrainingSet("no regressor training pairs")
-    x_rows, y_rows = [], []
-    for f_anchor, dp, f_target in pairs:
-        f_anchor = np.asarray(f_anchor, dtype=np.float64).reshape(-1)
-        f_target = np.asarray(f_target, dtype=np.float64).reshape(-1)
-        if f_anchor.shape[0] != descriptor_dim or f_target.shape[0] != descriptor_dim:
-            raise DimMismatch("training pair descriptor dims are inconsistent")
-        x_rows.append(np.concatenate([f_anchor, dp.as_vector()]))
-        y_rows.append(f_target)
-    x = np.asarray(x_rows)
-    y = np.asarray(y_rows)
+    if pairs.f_anchor.shape[1] != descriptor_dim:
+        raise DimMismatch(f"training pair descriptor dim {pairs.f_anchor.shape[1]} is not {descriptor_dim}")
+    x = regressor_input(pairs.f_anchor, pairs.dp)
+    y = pairs.f_target
 
     init_seed, rng_seed = splitmix64(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
@@ -178,14 +197,12 @@ def train_regressor_full(pairs, cfg: TrainConfig, descriptor_dim: int) -> TrainR
     return _fit(net, cfg, run_epoch, lambda: mse_over(net, x_va, y_va, work))
 
 
-def train_regressor(pairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
+def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
     """Best-validation regressor snapshot; see :func:`train_regressor_full`."""
     return train_regressor_full(pairs, cfg, descriptor_dim).model
 
 
-def build_training_pairs(
-    ref_map, max_translation: float, max_pairs: int, seed: int
-) -> list[tuple[np.ndarray, RelativePose, np.ndarray]]:
+def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: int) -> TrainingPairs:
     """Ordered (f_anchor, dp, f_target) pairs from one trajectory map.
 
     Keeps all ordered pairs whose relative translation stays at or below
@@ -207,8 +224,8 @@ def build_training_pairs(
         keep.sort()
         ii, jj = ii[keep], jj[keep]
     q = ref_map.quaternions
-    dps = relative_poses(t[ii], q[ii], t[jj], q[jj])
-    return [(ref_map.descriptors[a], dp, ref_map.descriptors[b]) for a, b, dp in zip(ii, jj, dps)]
+    dp = relative_pose_rows(t[ii], q[ii], t[jj], q[jj])
+    return TrainingPairs(ref_map.descriptors[ii], dp, ref_map.descriptors[jj])
 
 
 @dataclass(frozen=True)

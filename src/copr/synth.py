@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, IoError
 from .geometry import Pose, poses, quat_from_yaw
 from .neural.training import EncoderDataset
-from .vpr_map import Origin, ReferenceMap, load_map, save_map
+from .vpr_map import ReferenceMap, load_map, save_map
 
 LAYOUTS = ("loop", "parallel_lanes", "multi_scene")
 
@@ -137,20 +137,6 @@ def make_field(cfg: FieldConfig):
     return RandomFourierField(amps, omegas, phases, orient_vecs, cfg.orientation_weight, cfg.noise_sigma)
 
 
-def eval_field(field, pose: Pose, with_noise: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Evaluate the field at one pose, optionally adding Gaussian noise.
-
-    The noiseless value is a pure function of the pose; noise draws come
-    from the caller's named stream so reproducibility stays explicit.
-    """
-    value = field.eval_one(pose)
-    if with_noise and field.noise_sigma > 0.0:
-        if rng is None:
-            raise InvalidConfig("with_noise=True requires an rng stream")
-        value = value + rng.normal(0.0, field.noise_sigma, size=field.dim)
-    return value
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Trajectory layout parameters.
@@ -226,7 +212,7 @@ def _loop_poses(n: int, radius: float, wiggle: float, phase: float, rng: np.rand
     return poses
 
 
-def _map_from(field, poses, labels, prefix: str, rng: np.random.Generator) -> ReferenceMap:
+def _map_from(field, poses, prefix: str, rng: np.random.Generator) -> ReferenceMap:
     t = np.asarray([p.t for p in poses])
     q = np.asarray([p.q for p in poses])
     desc = field.eval_many(t, q)
@@ -238,7 +224,6 @@ def _map_from(field, poses, labels, prefix: str, rng: np.random.Generator) -> Re
         descriptors=desc,
         translations=t.reshape(len(poses), 3),
         quaternions=q.reshape(len(poses), 4),
-        origins=tuple(Origin.ANCHOR for _ in poses),
     )
 
 
@@ -301,8 +286,8 @@ def gen_scene(scene_cfg: SceneConfig, field_cfg: FieldConfig) -> SyntheticScene:
         query_labels = tuple(query_labels_l)
         train_labels = tuple(train_labels_l)
 
-    gt_dense = _map_from(field, ref_poses, ref_labels, "r", noise_rng)
-    train_refs = _map_from(field, train_poses, train_labels, "t", noise_rng)
+    gt_dense = _map_from(field, ref_poses, "r", noise_rng)
+    train_refs = _map_from(field, train_poses, "t", noise_rng)
     q_t = np.asarray([p.t for p in query_poses])
     q_q = np.asarray([p.q for p in query_poses])
     q_desc = field.eval_many(q_t, q_q)
@@ -392,7 +377,7 @@ def make_stray_case(
             [center_a[0] + MULTI_SCENE_RADIUS * math.cos(ang), MULTI_SCENE_RADIUS * math.sin(ang), 0.0]
         )
         pose = Pose(t=t, q=quat_from_yaw(ang + math.pi / 2.0))
-        entries.append((f"local{k}", field.eval_one(pose), pose, Origin.ANCHOR))
+        entries.append((f"local{k}", field.eval_one(pose), pose))
     refs = ReferenceMap.from_entries(entries)
 
     theta_b = rng.uniform(0.0, 2.0 * math.pi)
@@ -469,7 +454,7 @@ def save_scene(scene: SyntheticScene, directory) -> None:
     save_map(scene.gt_dense, directory / _FILES["refs"][0], directory / _FILES["refs"][1])
     save_map(scene.train_refs, directory / _FILES["train"][0], directory / _FILES["train"][1])
     query_map = ReferenceMap.from_entries(
-        (f"q{i:05d}", desc, pose, Origin.ANCHOR) for i, (desc, pose) in enumerate(scene.queries)
+        (f"q{i:05d}", desc, pose) for i, (desc, pose) in enumerate(scene.queries)
     )
     save_map(query_map, directory / _FILES["queries"][0], directory / _FILES["queries"][1])
     sidecar = {

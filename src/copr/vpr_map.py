@@ -1,15 +1,17 @@
 """Reference-map storage, nearest-neighbor retrieval, and file formats.
 
-A reference map is an ordered collection of (id, descriptor, pose) entries
-with a provenance flag telling whether the entry came from an original
-anchor or was regressed during densification. Descriptors are held in one
-contiguous float64 matrix so retrieval is a single vectorized scan.
+A reference map is an ordered collection of (id, descriptor, pose) entries.
+An entry's provenance is its id: densification gives every regressed entry
+an id holding a ``#`` marker, and original anchors have none (see
+:func:`origin_of`). Descriptors are held in one contiguous float64 matrix so
+retrieval is a single vectorized scan.
 
 File formats
 ------------
 Pose CSV: UTF-8, LF line endings, header ``id,tx,ty,tz,qw,qx,qy,qz``,
 decimal floats (written with shortest round-trip repr). Ids are written
-unquoted, so an id may not hold a comma, a double quote, CR or LF.
+unquoted, so an id may not hold a comma, a double quote, CR or LF. The
+``#`` marker in an id is the entry's provenance; no other column records it.
 
 Descriptor binary: magic bytes ``CPRD``, u32 little-endian version (=1),
 u32 LE count, u32 LE dim N, then count*N f32 LE values row-major, rows in
@@ -57,6 +59,12 @@ class Origin(enum.Enum):
 
     ANCHOR = "anchor"
     REGRESSED = "regressed"
+
+
+def origin_of(entry_id: str) -> Origin:
+    """Provenance of the entry with this id: regressed ids hold a ``#``
+    marker, anchor ids hold none."""
+    return Origin.REGRESSED if "#" in entry_id else Origin.ANCHOR
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,8 @@ def _as_matrix(rows, dim=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceMap:
-    """Ordered (id, descriptor, pose, origin) collection with a shared dim.
+    """Ordered (id, descriptor, pose) collection with a shared dim; each
+    entry's provenance is :func:`origin_of` its id.
 
     Immutable after construction; retrieval over it is pure and can run in
     parallel across queries.
@@ -119,7 +128,6 @@ class ReferenceMap:
     descriptors: np.ndarray  # (n, dim) float64, C-contiguous
     translations: np.ndarray  # (n, 3) float64
     quaternions: np.ndarray  # (n, 4) float64, unit, canonical sign
-    origins: tuple[Origin, ...]
     _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -135,8 +143,6 @@ class ReferenceMap:
             raise RefusedNonFinite("descriptors must be finite")
         t = np.ascontiguousarray(np.asarray(self.translations, dtype=np.float64).reshape(n, 3))
         q = np.ascontiguousarray(np.asarray(self.quaternions, dtype=np.float64).reshape(n, 4))
-        if len(self.origins) != n:
-            raise CountMismatch(f"{n} ids but {len(self.origins)} origin flags")
         _check_poses(self.ids, t, q)
         index = dict(zip(self.ids, range(n)))
         if len(index) != n:
@@ -154,12 +160,11 @@ class ReferenceMap:
         object.__setattr__(self, "translations", t)
         object.__setattr__(self, "quaternions", q)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "origins", tuple(self.origins))
         object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_entries(cls, entries) -> "ReferenceMap":
-        """Build a map from an iterable of (id, descriptor, Pose, Origin)."""
+        """Build a map from an iterable of (id, descriptor, Pose)."""
         entries = list(entries)
         if entries:
             desc = _as_matrix([np.asarray(e[1], dtype=np.float64) for e in entries])
@@ -170,7 +175,6 @@ class ReferenceMap:
             descriptors=desc,
             translations=np.array([e[2].t for e in entries], dtype=np.float64).reshape(len(entries), 3),
             quaternions=np.array([e[2].q for e in entries], dtype=np.float64).reshape(len(entries), 4),
-            origins=tuple(e[3] for e in entries),
         )
 
     def __len__(self) -> int:
@@ -186,7 +190,7 @@ class ReferenceMap:
     def pose(self, i: int) -> Pose:
         return Pose(t=self.translations[i], q=self.quaternions[i])
 
-    def extended(self, ids, descriptors, translations, quaternions, origins) -> "ReferenceMap":
+    def extended(self, ids, descriptors, translations, quaternions) -> "ReferenceMap":
         """A new map with the given column blocks appended; this map is left untouched."""
         ids = tuple(ids)
         if not ids:
@@ -197,7 +201,6 @@ class ReferenceMap:
             descriptors=np.vstack([self.descriptors, extra]) if len(self) else extra,
             translations=np.vstack([self.translations, np.reshape(translations, (-1, 3))]),
             quaternions=np.vstack([self.quaternions, np.reshape(quaternions, (-1, 4))]),
-            origins=self.origins + tuple(origins),
         )
 
 
@@ -349,11 +352,6 @@ def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:
     )
 
 
-def _origin_from_id(entry_id: str) -> Origin:
-    # Regressed ids carry a '#' provenance marker by construction.
-    return Origin.REGRESSED if "#" in entry_id else Origin.ANCHOR
-
-
 def load_descriptor_block(descriptor_path) -> np.ndarray:
     """Read one descriptor binary into a (count, dim) float64 matrix."""
     try:
@@ -444,7 +442,6 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
             descriptors=desc,
             translations=values[:, :3],
             quaternions=values[:, 3:],
-            origins=tuple(map(_origin_from_id, ids)),
         )
     except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):

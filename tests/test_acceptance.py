@@ -61,7 +61,7 @@ def test_criterion_1_retrieval_exactness():
 def test_criterion_1_retrieval_exactness_through_api():
     # Same oracle driven through the public retrieve() op on smaller draws.
     from copr.geometry import Pose
-    from copr.vpr_map import Origin, ReferenceMap
+    from copr.vpr_map import ReferenceMap
 
     rng = np.random.default_rng(1002)
     ok = True
@@ -74,7 +74,6 @@ def test_criterion_1_retrieval_exactness_through_api():
             descriptors=desc,
             translations=np.zeros((n, 3)),
             quaternions=np.tile([1.0, 0, 0, 0], (n, 1)),
-            origins=tuple(Origin.ANCHOR for _ in range(n)),
         )
         q = rng.standard_normal(dim)
         best = min(range(n), key=lambda i: (float(np.linalg.norm(desc[i] - q)), i))

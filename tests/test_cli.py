@@ -147,6 +147,18 @@ class TestRetrieveEval:
         doc = json.loads(out.read_text())
         assert set(doc) == {"mte_m", "mre_deg", "queries", "map_size"}
 
+    def test_flags_a_command_does_not_read_are_refused(self, scene_dir, tmp_path):
+        # eval and retrieve read no config and write no report; the other
+        # commands that write no report take no --format.
+        out = str(tmp_path / "never")
+        assert dispatch(["eval", "--scene", str(scene_dir), "--format", "json"]) == 1
+        for flag in (["--config", "c.json"], ["--seed", "1"], ["--set", "a=1"], ["--format", "csv"]):
+            assert dispatch(["eval", "--scene", str(scene_dir), *flag]) == 1
+            assert dispatch(["retrieve", "--map", str(scene_dir), "--query", "q.bin", *flag]) == 1
+        assert dispatch(["synth", "--benchmark", "loop", "--format", "json", "--out", out]) == 1
+        assert dispatch(["train-h", "--scene", str(scene_dir), "--format", "json", "--out", out]) == 1
+        assert not (tmp_path / "never").exists()
+
 
 class TestExp:
     def test_exp_extrap_end_to_end(self, scene_dir, tmp_path):

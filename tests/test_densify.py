@@ -13,6 +13,7 @@ from copr.densify import (
     EXTRAPOLATION,
     INTERPOLATION,
     DensifyConfig,
+    Target,
     TargetPlan,
     densify_map,
     gen_extrap_grid,
@@ -32,17 +33,24 @@ from copr.errors import (
 )
 from copr.geometry import Pose, quat_from_yaw, relative_pose
 from copr.neural.core import regress_nonlinear_batch
-from copr.neural.training import TrainConfig, train_regressor
-from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors
+from copr.neural.training import TrainConfig, TrainingPairs, train_regressor
+from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors, origin_of
 
 
 def _line_map(n, spacing=1.0, dim=2):
     rng = np.random.default_rng(5)
     entries = [
-        (f"a{i}", rng.standard_normal(dim), Pose(t=[i * spacing, 0, 0], q=[1, 0, 0, 0]), Origin.ANCHOR)
+        (f"a{i}", rng.standard_normal(dim), Pose(t=[i * spacing, 0, 0], q=[1, 0, 0, 0]))
         for i in range(n)
     ]
     return ReferenceMap.from_entries(entries)
+
+
+def _pairs_of(m, index_pairs):
+    """Training pairs over (anchor, target) entry indices of ``m``."""
+    a, b = np.array(index_pairs).T
+    dp = np.array([relative_pose(m.pose(i), m.pose(j)).as_vector() for i, j in index_pairs])
+    return TrainingPairs(m.descriptors[a], dp, m.descriptors[b])
 
 
 class TestSubsample:
@@ -74,7 +82,6 @@ class TestSubsample:
             descriptors=np.zeros((23, 1)),
             translations=rng.standard_normal((23, 3)),
             quaternions=q,
-            origins=(Origin.ANCHOR,) * 23,
         )
         _, dropped = subsample_trajectory(m, 5)
         kept = [i for i in range(23) if i % 5]
@@ -136,7 +143,7 @@ class TestInterpTargets:
         a = Pose(t=[0, 0, 0], q=quat_from_yaw(0.0))
         b = Pose(t=[1, 0, 0], q=quat_from_yaw(math.pi / 2))
         m = ReferenceMap.from_entries(
-            [("a0", np.zeros(2), a, Origin.ANCHOR), ("a1", np.zeros(2), b, Origin.ANCHOR)]
+            [("a0", np.zeros(2), a), ("a1", np.zeros(2), b)]
         )
         plan = gen_interp_targets(m, subdivisions=1)
         np.testing.assert_allclose(plan.targets[0].pose.q, quat_from_yaw(math.pi / 4), atol=1e-12)
@@ -181,7 +188,7 @@ class TestExtrapGrid:
 
     def test_orientation_and_z_copied(self):
         pose = Pose(t=[1, 2, 3], q=quat_from_yaw(0.7))
-        m = ReferenceMap.from_entries([("a0", np.zeros(2), pose, Origin.ANCHOR)])
+        m = ReferenceMap.from_entries([("a0", np.zeros(2), pose)])
         cfg = DensifyConfig(stride=2, grid_step=0.1, grid_span=0.1, dedupe_radius=0.0)
         plan = gen_extrap_grid(m, cfg)
         for t in plan.targets:
@@ -247,7 +254,7 @@ def _reference_extrap_grid(anchors, cfg):
 
 def _anchor_map(translations, yaws):
     return ReferenceMap.from_entries(
-        (f"a{i}", np.zeros(1), Pose(t=t, q=quat_from_yaw(yaw)), Origin.ANCHOR)
+        (f"a{i}", np.zeros(1), Pose(t=t, q=quat_from_yaw(yaw)))
         for i, (t, yaw) in enumerate(zip(translations, yaws))
     )
 
@@ -497,7 +504,7 @@ def _affine_line_map(n, a, b, spacing=0.5):
     rng = np.random.default_rng(23)
     for i in range(n):
         t = np.array([i * spacing, 0.3 * math.sin(i), 0.1 * i])
-        entries.append((f"a{i}", a @ t + b, Pose(t=t, q=[1, 0, 0, 0]), Origin.ANCHOR))
+        entries.append((f"a{i}", a @ t + b, Pose(t=t, q=[1, 0, 0, 0])))
     return ReferenceMap.from_entries(entries)
 
 
@@ -526,8 +533,7 @@ class TestDensifyMap:
         dense = densify_map(m, plan, "lin_interp")
         assert len(dense) == 5 + 8
         assert dense.ids[:5] == m.ids
-        assert all(o is Origin.REGRESSED for o in dense.origins[5:])
-        assert all("#" in i for i in dense.ids[5:])
+        assert all(origin_of(i) is Origin.REGRESSED for i in dense.ids[5:])
 
     def test_lin_interp_matches_per_target_blend_bitwise(self):
         rng = np.random.default_rng(41)
@@ -570,17 +576,11 @@ class TestDensifyMap:
         # descriptors must then be near-constant too.
         const = np.array([0.5, -1.5])
         entries = [
-            (f"a{i}", const, Pose(t=[i * 0.2, 0, 0], q=[1, 0, 0, 0]), Origin.ANCHOR)
+            (f"a{i}", const, Pose(t=[i * 0.2, 0, 0], q=[1, 0, 0, 0]))
             for i in range(10)
         ]
         m = ReferenceMap.from_entries(entries)
-        pairs = []
-        from copr.geometry import relative_pose
-
-        for i in range(10):
-            for j in range(10):
-                if i != j:
-                    pairs.append((const, relative_pose(m.pose(i), m.pose(j)), const))
+        pairs = _pairs_of(m, [(i, j) for i in range(10) for j in range(10) if i != j])
         cfg = TrainConfig(lr=1e-2, epochs=400, batch_size=16, seed=3, validation_fraction=0.4, early_stop_patience=400)
         model = train_regressor(pairs, cfg, 2)
         plan = gen_interp_targets(m, subdivisions=1)
@@ -592,12 +592,8 @@ class TestDensifyMap:
         # Reference: nearest sparse entry by stable argsort, relative_pose,
         # one one-row regress_nonlinear_batch call per target.
         m = _affine_line_map(9, np.eye(3)[:2], np.zeros(2))
-        m = m.extended(("dup",), m.descriptors[3:4], m.translations[3], m.quaternions[3], (Origin.ANCHOR,))
-        pairs = [
-            (m.descriptors[i], relative_pose(m.pose(i), m.pose(j)), m.descriptors[j])
-            for i in range(9)
-            for j in range(9)
-        ]
+        m = m.extended(("dup",), m.descriptors[3:4], m.translations[3], m.quaternions[3])
+        pairs = _pairs_of(m, [(i, j) for i in range(9) for j in range(9)])
         model = train_regressor(pairs, TrainConfig(epochs=2, seed=1), 2)
         cfg = DensifyConfig(stride=2, grid_step=0.25, grid_span=0.5, dedupe_radius=0.0)
         plan = gen_extrap_grid(m, cfg)
@@ -620,13 +616,20 @@ class TestDensifyMap:
             np.testing.assert_allclose(a.pose.q, b.pose.q, atol=0)
 
     def test_interpolation_plan_invariant(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="two anchor ids"):
             TargetPlan(
                 scheme=INTERPOLATION,
-                targets=(
-                    __import__("copr.densify", fromlist=["Target"]).Target(
-                        id="x", pose=Pose(t=[0, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a",)
-                    ),
-                ),
+                targets=(Target(id="x#k1", pose=Pose(t=[0, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a",)),),
             )
         assert EXTRAPOLATION == "extrapolation"
+
+    def test_target_id_without_marker_refused(self):
+        # A '#'-less id would read back as an anchor once the map is saved.
+        good = Target(id="a0#gx1y0", pose=Pose(t=[0, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a0",))
+        bad = Target(id="a0gx1y0", pose=good.pose, anchor_ids=("a0",))
+        assert len(TargetPlan(scheme=EXTRAPOLATION, targets=(good,)).targets) == 1
+        with pytest.raises(InvalidConfig, match="'#'"):
+            TargetPlan(scheme=EXTRAPOLATION, targets=(good, bad))
+        text = TargetPlan(scheme=EXTRAPOLATION, targets=(good,)).to_json().replace("a0#gx1y0", "a0gx1y0")
+        with pytest.raises(InvalidConfig):
+            TargetPlan.from_json(text)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from copr.densify import DensifyConfig
 from copr.errors import EmptyMap, InvalidConfig
 from copr.evaluate import (
-    CSV_COLUMNS,
     ExperimentReport,
     ExperimentRow,
     StrayReport,
@@ -25,7 +25,10 @@ from copr.evaluate import (
 from copr.geometry import Pose
 from copr.neural.training import TrainConfig
 from copr.synth import FieldConfig, SceneConfig, gen_scene, make_stray_case
-from copr.vpr_map import Origin, ReferenceMap, retrieve
+from copr.vpr_map import ReferenceMap, retrieve
+
+
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 def _pose(x=0.0, y=0.0):
@@ -34,7 +37,7 @@ def _pose(x=0.0, y=0.0):
 
 def _map_line(values, xs):
     entries = [
-        (f"r{i}", np.atleast_1d(np.asarray(v, dtype=float)), _pose(x), Origin.ANCHOR)
+        (f"r{i}", np.atleast_1d(np.asarray(v, dtype=float)), _pose(x))
         for i, (v, x) in enumerate(zip(values, xs))
     ]
     return ReferenceMap.from_entries(entries)
@@ -54,6 +57,18 @@ class TestLocalize:
         s = localize_and_summarize(queries, m)
         assert s.mte_m == 0.0 and s.mre_deg == 0.0
         assert all(p.matched_origin == "anchor" for p in s.per_query)
+
+    def test_matched_origin_is_read_from_the_matched_id(self):
+        base = _map_line([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        m = ReferenceMap(
+            ids=("r0", "r0#gx1y0", "r1~r2#k1"),
+            descriptors=base.descriptors,
+            translations=base.translations,
+            quaternions=base.quaternions,
+        )
+        queries = [(m.descriptors[i], m.pose(i)) for i in (2, 0, 1)]
+        s = localize_and_summarize(queries, m)
+        assert [p.matched_origin for p in s.per_query] == ["regressed", "anchor", "regressed"]
 
     def test_odd_median(self):
         m = _map_line([0.0, 10.0, 20.0], [0.0, 10.0, 20.0])

@@ -23,12 +23,11 @@ from copr.errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from copr.geometry import RelativePose
+from copr.geometry import Pose, RelativePose, relative_pose
 from copr.neural import (
     Activation,
     MlpModel,
     TrainConfig,
-    gelu,
     init_mlp,
     load_model,
     save_model,
@@ -39,13 +38,16 @@ from copr.neural.core import (
     Workspace,
     backward_batch,
     forward_batch,
+    gelu,
     mse_batch_grad,
     regress_nonlinear_batch,
+    regressor_input,
     splitmix64,
 )
 from copr.neural.losses import distance_grads, relative_grads, triplet_grads
 from copr.neural.training import (
     EncoderDataset,
+    TrainingPairs,
     build_training_pairs,
     init_regressor,
     mse_over,
@@ -55,8 +57,19 @@ from copr.neural.training import (
     train_regressor,
     train_regressor_full,
 )
-from copr.vpr_map import Origin, ReferenceMap
-from copr.geometry import Pose
+from copr.vpr_map import ReferenceMap
+
+
+def _with_identity_dq(dt) -> np.ndarray:
+    """(n, 7) relative-pose rows of translations ``dt`` with no rotation."""
+    dt = np.asarray(dt, dtype=np.float64).reshape(-1, 3)
+    return np.hstack([dt, np.tile([1.0, 0.0, 0.0, 0.0], (len(dt), 1))])
+
+
+def _translation_pairs(rows) -> TrainingPairs:
+    """Training pairs from (f_anchor, dt, f_target) rows with no rotation."""
+    f_anchor, dt, f_target = map(np.array, zip(*rows))
+    return TrainingPairs(f_anchor, _with_identity_dq(dt), f_target)
 
 
 def _gelu_reference(x: float) -> float:
@@ -269,10 +282,9 @@ class TestFlatModel:
 
     def test_trained_model_is_read_only(self):
         rng = np.random.default_rng(31)
-        pairs = [
-            (rng.standard_normal(3), RelativePose(dt=rng.standard_normal(3), dq=[1, 0, 0, 0]), rng.standard_normal(3))
-            for _ in range(20)
-        ]
+        pairs = _translation_pairs(
+            [(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3)) for _ in range(20)]
+        )
         model = train_regressor(pairs, TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=0), 3)
         assert not model.flat.flags.writeable
         with pytest.raises(ValueError):
@@ -466,9 +478,11 @@ class TestRegressor:
         assert model.layers[-1].activation is Activation.IDENTITY
 
     def test_stacked_input_length(self):
-        f = np.zeros(512)
+        f = np.zeros((1, 512))
         dp = RelativePose(dt=[0, 0, 0], dq=[1, 0, 0, 0])
-        assert np.concatenate([f, dp.as_vector()]).shape == (519,)
+        x = regressor_input(f, dp.as_vector()[None])
+        assert x.shape == (1, 519)
+        np.testing.assert_array_equal(x[0, 512:], dp.as_vector())
 
     def test_zero_weight_model_regresses_zero(self):
         widths = regressor_widths(4)
@@ -495,8 +509,9 @@ class TestRegressor:
             regress_nonlinear_batch(wide, np.ones((1, 4)), dp.as_vector()[None])
 
     def test_empty_training_set(self):
+        empty = TrainingPairs(np.zeros((0, 4)), np.zeros((0, 7)), np.zeros((0, 4)))
         with pytest.raises(EmptyTrainingSet):
-            train_regressor([], TrainConfig(seed=0), 4)
+            train_regressor(empty, TrainConfig(seed=0), 4)
 
     def test_validation_improves_and_affine_learnable(self):
         rng = np.random.default_rng(55)
@@ -507,12 +522,12 @@ class TestRegressor:
         def field(t):
             return a @ t + b
 
-        pairs = []
+        rows = []
         for _ in range(600):
             t1 = rng.uniform(-1, 1, 3)
             t2 = t1 + rng.uniform(-0.5, 0.5, 3)
-            dp = RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0])
-            pairs.append((field(t1), dp, field(t2)))
+            rows.append((field(t1), t2 - t1, field(t2)))
+        pairs = _translation_pairs(rows)
         cfg = TrainConfig(lr=5e-3, epochs=300, batch_size=32, seed=9, validation_fraction=0.4, early_stop_patience=50)
         res = train_regressor_full(pairs, cfg, n)
         assert res.best_val_loss < res.initial_val_loss
@@ -520,18 +535,17 @@ class TestRegressor:
         for _ in range(100):
             t1 = rng.uniform(-1, 1, 3)
             t2 = t1 + rng.uniform(-0.5, 0.5, 3)
-            dp = RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0])
-            pred = regress_nonlinear_batch(res.model, field(t1)[None], dp.as_vector()[None])[0]
+            pred = regress_nonlinear_batch(res.model, field(t1)[None], _with_identity_dq(t2 - t1))[0]
             held.append(np.mean((pred - field(t2)) ** 2))
         assert float(np.mean(held)) <= 1e-3
 
     def test_training_is_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
-        pairs = []
+        rows = []
         for _ in range(50):
             t1, t2 = rng.standard_normal((2, 3))
-            dp = RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0])
-            pairs.append((rng.standard_normal(3), dp, rng.standard_normal(3)))
+            rows.append((rng.standard_normal(3), t2 - t1, rng.standard_normal(3)))
+        pairs = _translation_pairs(rows)
         cfg = TrainConfig(lr=1e-3, epochs=5, batch_size=8, seed=42, validation_fraction=0.4, early_stop_patience=5)
         m1 = train_regressor(pairs, cfg, 3)
         m2 = train_regressor(pairs, cfg, 3)
@@ -541,10 +555,11 @@ class TestRegressor:
 
     def test_result_records_epochs_and_stop_reason(self):
         rng = np.random.default_rng(6)
-        pairs = []
+        rows = []
         for _ in range(60):
             t1, t2 = rng.standard_normal((2, 3))
-            pairs.append((rng.standard_normal(3), RelativePose(dt=t2 - t1, dq=[1, 0, 0, 0]), rng.standard_normal(3)))
+            rows.append((rng.standard_normal(3), t2 - t1, rng.standard_normal(3)))
+        pairs = _translation_pairs(rows)
         full = train_regressor_full(pairs, TrainConfig(lr=1e-3, epochs=3, batch_size=8, seed=1, early_stop_patience=5), 3)
         assert (full.epochs_run, full.stop_reason) == (3, "max_epochs")
         # Unlearnable noise at a huge step size: validation stops improving.
@@ -557,30 +572,68 @@ class TestRegressor:
 class TestBuildTrainingPairs:
     def test_cap_and_count(self):
         entries = [
-            (f"a{i}", np.array([float(i)]), Pose(t=[i * 1.0, 0, 0], q=[1, 0, 0, 0]), Origin.ANCHOR)
+            (f"a{i}", np.array([float(i)]), Pose(t=[i * 1.0, 0, 0], q=[1, 0, 0, 0]))
             for i in range(5)
         ]
         m = ReferenceMap.from_entries(entries)
         pairs = build_training_pairs(m, max_translation=1.5, max_pairs=100, seed=0)
         # Ordered pairs at distance 1.0 only: (i, i+1) and (i+1, i).
         assert len(pairs) == 8
-        for f_a, dp, f_t in pairs:
-            assert np.linalg.norm(dp.dt) <= 1.5
+        assert np.all(np.linalg.norm(pairs.dp[:, :3], axis=1) <= 1.5)
 
     def test_subsampling_deterministic(self):
         rng = np.random.default_rng(8)
         entries = [
-            (f"a{i}", rng.standard_normal(2), Pose(t=rng.standard_normal(3), q=[1, 0, 0, 0]), Origin.ANCHOR)
+            (f"a{i}", rng.standard_normal(2), Pose(t=rng.standard_normal(3), q=[1, 0, 0, 0]))
             for i in range(30)
         ]
         m = ReferenceMap.from_entries(entries)
         p1 = build_training_pairs(m, 10.0, 50, seed=4)
         p2 = build_training_pairs(m, 10.0, 50, seed=4)
         assert len(p1) == 50
-        for (a1, d1, t1), (a2, d2, t2) in zip(p1, p2):
-            np.testing.assert_array_equal(a1, a2)
-            np.testing.assert_array_equal(t1, t2)
-            np.testing.assert_array_equal(d1.as_vector(), d2.as_vector())
+        for block in ("f_anchor", "dp", "f_target"):
+            assert getattr(p1, block).tobytes() == getattr(p2, block).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 25), st.integers(1, 400))
+    def test_rows_equal_the_per_pair_construction_bitwise(self, seed, n, max_pairs):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 6))
+        poses = [Pose(t=rng.standard_normal(3), q=rng.standard_normal(4)) for _ in range(n)]
+        m = ReferenceMap.from_entries((f"a{i}", rng.standard_normal(dim), p) for i, p in enumerate(poses))
+        cap = float(rng.uniform(0.5, 3.0))
+        # The per-pair construction the blocks replaced: every ordered pair
+        # within the cap, a seeded subsample of them, and one
+        # concatenate(f_anchor, relative_pose(...).as_vector()) row each.
+        dist = [[np.linalg.norm(t_a - t_b) for t_b in m.translations] for t_a in m.translations]
+        kept = [(a, b) for a in range(n) for b in range(n) if a != b and dist[a][b] <= cap]
+        if not kept:
+            with pytest.raises(EmptyTrainingSet):
+                build_training_pairs(m, cap, max_pairs, seed=seed)
+            return
+        pairs = build_training_pairs(m, cap, max_pairs, seed=seed)
+        if len(kept) > max_pairs:
+            keep = np.sort(np.random.default_rng(seed).choice(len(kept), size=max_pairs, replace=False))
+            kept = [kept[k] for k in keep]
+        x = [np.concatenate([m.descriptors[a], relative_pose(poses[a], poses[b]).as_vector()]) for a, b in kept]
+        y = [m.descriptors[b] for _, b in kept]
+        assert len(pairs) == len(kept)
+        assert regressor_input(pairs.f_anchor, pairs.dp).tobytes() == np.array(x).tobytes()
+        assert pairs.f_target.tobytes() == np.array(y).tobytes()
+
+    def test_blocks_must_align(self):
+        ok = TrainingPairs(np.zeros((3, 2)), np.zeros((3, 7)), np.zeros((3, 2)))
+        assert len(ok) == 3 and ok
+        for f_anchor, dp, f_target in (
+            (np.zeros((3, 2)), np.zeros((3, 6)), np.zeros((3, 2))),
+            (np.zeros((3, 2)), np.zeros((2, 7)), np.zeros((3, 2))),
+            (np.zeros((3, 2)), np.zeros((3, 7)), np.zeros((3, 3))),
+            (np.zeros(3), np.zeros((3, 7)), np.zeros(3)),
+        ):
+            with pytest.raises(DimMismatch):
+                TrainingPairs(f_anchor, dp, f_target)
+        with pytest.raises(DimMismatch):
+            train_regressor(ok, TrainConfig(epochs=1), 3)
 
 
 def _central_differences(loss, arrays, h=1e-6):
@@ -844,6 +897,59 @@ class TestModelIo:
         with pytest.raises(RefusedNonFinite) as caught:
             load_model(path)
         assert isinstance(caught.value, CoprError)
+
+    @pytest.mark.parametrize("in_dim, out_dim", [(5, 0), (0, 5), (0, 0)])
+    def test_zero_width_layer_is_typed(self, tmp_path, in_dim, out_dim):
+        path = tmp_path / "h.bin"
+        header = struct.pack("<4sII", b"CPRM", 1, 1) + struct.pack("<III", in_dim, out_dim, 1)
+        path.write_bytes(header + bytes(4 * (in_dim * out_dim + out_dim)))
+        with pytest.raises(ShapeMismatch):
+            load_model(path)
+        with pytest.raises(ShapeMismatch):
+            Layer(weights=np.zeros((out_dim, in_dim)), bias=np.zeros(out_dim), activation=Activation.IDENTITY)
+
+
+_FUZZ_MODEL = init_mlp([3, 4, 2], [Activation.GELU, Activation.IDENTITY], seed=7)
+
+
+class TestCorruptedModelFuzz:
+    """A corrupted model file loads as a valid model or raises a CoprError."""
+
+    def _load(self, path):
+        try:
+            model = load_model(path)
+        except CoprError:
+            return
+        widths = model.layer_widths()
+        assert all(w > 0 for w in widths)
+        for layer, (w_in, w_out) in zip(model.layers, zip(widths, widths[1:])):
+            assert layer.weights.shape == (w_out, w_in) and layer.bias.shape == (w_out,)
+            assert np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=6), st.integers(-12, 12))
+    def test_corrupted_bytes(self, tmp_path_factory, edits, resize):
+        path = tmp_path_factory.mktemp("model") / "h.bin"
+        save_model(_FUZZ_MODEL, path)
+        blob = bytearray(path.read_bytes())
+        for offset, value in edits:
+            blob[offset % len(blob)] = value
+        blob = blob[: len(blob) + resize] if resize < 0 else blob + bytes(resize)
+        path.write_bytes(bytes(blob))
+        self._load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 4, 5, 7, 2**31, 2**32 - 1]), st.integers(0, 40))
+    def test_corrupted_header_fields(self, tmp_path_factory, field, value, keep):
+        # Fields: layer count, then the first layer's in dim, out dim and
+        # activation code; the file may also lose its tail.
+        path = tmp_path_factory.mktemp("model") / "h.bin"
+        save_model(_FUZZ_MODEL, path)
+        blob = bytearray(path.read_bytes())
+        offset = (8, 12, 16, 20)[field]
+        blob[offset : offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(blob[: len(blob) - keep]))
+        self._load(path)
 
 
 class TestInit:

@@ -32,6 +32,7 @@ from copr.vpr_map import (
     ReferenceMap,
     load_map,
     oracle_retrieve,
+    origin_of,
     retrieve,
     retrieve_many,
     save_map,
@@ -52,7 +53,6 @@ def _map_of(descriptors, translations=None, ids=None):
             ids[i] if ids else f"r{i}",
             descriptors[i],
             _pose(*translations[i]),
-            Origin.ANCHOR,
         )
         for i in range(n)
     ]
@@ -255,17 +255,21 @@ class TestMapType:
                     descriptors=m.descriptors,
                     translations=[m.translations[0], t],
                     quaternions=[m.quaternions[0], q],
-                    origins=m.origins,
                 )
 
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
         before = m.descriptors.copy()
         pose = _pose(9.0)
-        bigger = m.extended(("x#1",), [[2.0]], pose.t, pose.q, (Origin.REGRESSED,))
+        bigger = m.extended(("x#1",), [[2.0]], pose.t, pose.q)
         assert len(m) == 2 and len(bigger) == 3
         np.testing.assert_array_equal(m.descriptors, before)
-        assert bigger.origins[-1] is Origin.REGRESSED
+        assert origin_of(bigger.ids[-1]) is Origin.REGRESSED
+
+
+# Characters a pose-file id can hold: not the field separator, the quote
+# character, a line terminator or a lone surrogate (not UTF-8).
+_WRITABLE_ID_CHARS = st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",))
 
 
 class TestMapIo:
@@ -403,15 +407,19 @@ class TestMapIo:
 
     def test_origin_inferred_from_id_marker(self, tmp_path):
         m = _map_of([[0.0], [1.0]], ids=["a0", "a0#gx1y0"])
-        m = ReferenceMap(
-            ids=m.ids,
-            descriptors=m.descriptors,
-            translations=m.translations,
-            quaternions=m.quaternions,
-            origins=(Origin.ANCHOR, Origin.REGRESSED),
-        )
         loaded = self._roundtrip(m, tmp_path)
-        assert loaded.origins == (Origin.ANCHOR, Origin.REGRESSED)
+        assert tuple(map(origin_of, loaded.ids)) == (Origin.ANCHOR, Origin.REGRESSED)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(st.just("#") | _WRITABLE_ID_CHARS, max_size=8), max_size=12, unique=True))
+    def test_origin_round_trips_through_files(self, tmp_path_factory, ids):
+        # Ids with and without the '#' marker; load keeps every id, so the
+        # reloaded map's provenance is the saved map's.
+        tmp = tmp_path_factory.mktemp("origin")
+        m = _map_of(np.arange(float(len(ids))).reshape(-1, 1), ids=ids)
+        loaded = self._roundtrip(m, tmp)
+        assert loaded.ids == m.ids
+        assert list(map(origin_of, loaded.ids)) == list(map(origin_of, m.ids))
 
 
 def _reference_pose_csv(ref_map) -> bytes:
@@ -433,7 +441,6 @@ def _random_map(rng, n, dim=3):
         descriptors=rng.standard_normal((n, dim)),
         translations=rng.standard_normal((n, 3)) * scale,
         quaternions=q,
-        origins=(Origin.ANCHOR,) * n,
     )
 
 
