@@ -40,6 +40,7 @@ from .errors import (
     RefusedNonFinite,
     TooFewAnchors,
     TooFewNeighbors,
+    UnknownAnchor,
 )
 from .geometry import Pose, poses, quat_slerp, relative_pose_rows, row_dots
 from .geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.densify.RelativePose)
@@ -479,7 +480,13 @@ def densify_map(
 
     target_t = plan.translations
     if method == METHOD_LIN_INTERP:
-        i1, i2 = np.array([[sparse.index_of(a) for a in t.anchor_ids] for t in plan.targets]).T
+        anchor_rows = []
+        for t in plan.targets:
+            try:
+                anchor_rows.append([sparse.index_of(a) for a in t.anchor_ids])
+            except KeyError as exc:
+                raise UnknownAnchor(f"target {t.id!r} names anchor {exc.args[0]!r}, which the map does not hold") from None
+        i1, i2 = np.array(anchor_rows).T
         regressed = lin_interp_many(
             sparse.descriptors[i1], sparse.descriptors[i2], sparse.translations[i1], sparse.translations[i2], target_t
         )

@@ -96,6 +96,10 @@ class MethodPlanMismatch(CoprError, ValueError):
     """Densification method incompatible with the target plan's scheme."""
 
 
+class UnknownAnchor(CoprError, ValueError):
+    """A target plan names an anchor id the map does not hold."""
+
+
 class EmptyTrainingSet(CoprError, ValueError):
     """Training requires at least one example."""
 

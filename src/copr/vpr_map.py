@@ -214,13 +214,18 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 # Query rows per block in nearest_neighbors are chosen so that a block's
 # (rows, reference count) distance matrix holds about this many elements.
 _BLOCK_ELEMENTS = 1 << 18
+# Searches of at most this dimension are slab-pruned, in blocks of this
+# many queries, each bounded from a probe of this many refs.
+_SLAB_MAX_DIM = 3
+_SLAB_BLOCK = 128
+_PROBE_REFS = 32
 
 
 def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest reference rows of each query row, ties by index.
 
-    ``queries`` is (m, dim) and ``refs`` is (n, dim) with n >= 1; k >= 1.
-    Returns (indices, d2), both (m, min(k, n)): row i is
+    ``queries`` is (m, dim) and ``refs`` is (n, dim), both finite, with
+    n >= 1; k >= 1. Returns (indices, d2), both (m, min(k, n)): row i is
     ``np.argsort(d2_i, kind="stable")[:k]`` and its values, for the squared
     Euclidean distances d2_i from query i in difference form,
     ``einsum("ij,ij->i", refs - q, refs - q)``.
@@ -237,34 +242,110 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     form, and any entry tied with the k-th, lie within
     4 gamma (||q|| + max ||r||)^2 of the k-th approximate value; ``tol``
     is twice that.
+
+    For k = 1 the cut comes from ``argmin``; a row whose shortlist holds
+    only that entry needs no re-rank, since the nearest entry and any entry
+    tied with it are on the shortlist. Only rows with a near-tie are
+    re-ranked.
+
+    When 0 < dim <= 3 and k < n, refs and queries are sorted along the
+    refs' widest axis a, and each block of queries runs only against the
+    slab of refs within R_i of some query's coordinate q_a. P_i, the k-th
+    smallest squared distance from query i to a probe of
+    max(k, ``_PROBE_REFS``) refs near the block, bounds the k-th smallest
+    over all refs. Summed in any order, a squared distance is within a
+    factor 1 +- gamma of the exact one, up to an absolute
+    eta = (dim + 2) 2^-1074 where products underflow. So any ref ranked
+    within the first k, or tied with the k-th, has
+    (r_a - q_a)^2 <= (P_i + 3 eta) (1 + gamma) / (1 - gamma)^2. R_i, the
+    square root of (P_i + (dim + 2) 2^-1022) (1 + 4 (dim + 2) eps)
+    (eps = 2u), exceeds that bound also after rounding the product and the
+    root, and the slab ends are rounded outward by one ulp.
     """
     n, dim = refs.shape
+    m = len(queries)
     k = min(int(k), n)
     ref_sq = np.einsum("ij,ij->i", refs, refs)
     scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + math.sqrt(float(ref_sq.max()))
     tol = 4.0 * (dim + 2) * np.finfo(np.float64).eps * scale * scale
-    indices = np.empty((len(queries), k), dtype=np.intp)
-    d2 = np.empty((len(queries), k))
-    # Scaling by -2 is exact, so one GEMM with -2 R gives -2 q.r.
-    refs_m2 = np.ascontiguousarray(-2.0 * refs.T)
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, len(queries), block):
-        qb = queries[lo : lo + block]
-        approx = np.matmul(qb, refs_m2)
-        approx += ref_sq
-        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + tol[lo : lo + block]
-        shortlist = approx <= cut[:, None]
-        # Non-finite magnitudes void the bound: re-rank the whole row.
-        shortlist[~np.isfinite(cut)] = True
-        rows, cols = np.nonzero(shortlist)
-        diff = refs[cols] - qb[rows]
-        exact = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((cols, exact, rows))
-        counts = np.bincount(rows, minlength=len(qb))
-        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        indices[lo : lo + block] = cols[pick]
-        d2[lo : lo + block] = exact[pick]
+    indices = np.empty((m, k), dtype=np.intp)
+    d2 = np.empty((m, k))
+    if not (0 < dim <= _SLAB_MAX_DIM and k < n):
+        # Scaling by -2 is exact, so one GEMM with -2 R gives -2 q.r.
+        refs_m2 = np.ascontiguousarray(-2.0 * refs.T)
+        block = max(1, _BLOCK_ELEMENTS // n)
+        for lo in range(0, m, block):
+            qb = queries[lo : lo + block]
+            indices[lo : lo + block], d2[lo : lo + block] = _block_knn(
+                qb, refs, refs_m2, ref_sq, tol[lo : lo + block], k, None
+            )
+        return indices, d2
+
+    axis = int(np.argmax(np.ptp(refs, axis=0)))
+    ref_order = np.argsort(refs[:, axis], kind="stable")
+    sorted_refs = refs[ref_order]
+    xs = np.ascontiguousarray(sorted_refs[:, axis])
+    sorted_sq = ref_sq[ref_order]
+    refs_m2 = np.ascontiguousarray(-2.0 * sorted_refs.T)
+    query_order = np.argsort(queries[:, axis], kind="stable")
+    widen = 1.0 + 4.0 * (dim + 2) * np.finfo(np.float64).eps
+    floor = (dim + 2) * np.finfo(np.float64).tiny
+    probe_size = max(_PROBE_REFS, k)
+    for lo in range(0, m, _SLAB_BLOCK):
+        rows = query_order[lo : lo + _SLAB_BLOCK]
+        qb = queries[rows]
+        qa = qb[:, axis]
+        mid = int(np.searchsorted(xs, qa[len(qa) // 2]))
+        p0 = max(0, min(mid - probe_size // 2, n - probe_size))
+        probe = sorted_refs[p0 : p0 + probe_size]
+        probe_d2 = np.zeros((len(qb), len(probe)))
+        for j in range(dim):
+            gap = probe[:, j] - qb[:, j, None]
+            probe_d2 += gap * gap
+        bound = probe_d2.min(axis=1) if k == 1 else np.partition(probe_d2, k - 1, axis=1)[:, k - 1]
+        reach = np.sqrt((bound + floor) * widen)
+        s0 = int(np.searchsorted(xs, np.nextafter(np.min(qa - reach), -np.inf), side="left"))
+        s1 = int(np.searchsorted(xs, np.nextafter(np.max(qa + reach), np.inf), side="right"))
+        indices[rows], d2[rows] = _block_knn(
+            qb, sorted_refs[s0:s1], refs_m2[:, s0:s1], sorted_sq[s0:s1], tol[rows], k, ref_order[s0:s1]
+        )
     return indices, d2
+
+
+def _block_knn(qb, refs, refs_m2, ref_sq, tol, k, ref_ids):
+    """:func:`nearest_neighbors` of one query block over ``refs``; indices
+    are positions in ``refs`` or, when given, ``ref_ids`` at them."""
+    approx = np.matmul(qb, refs_m2)
+    approx += ref_sq
+    if k == 1:
+        best = approx.argmin(axis=1)
+        cut = approx[np.arange(len(qb)), best] + tol
+    else:
+        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + tol
+    shortlist = approx <= cut[:, None]
+    # Non-finite magnitudes void the bound: re-rank the whole row.
+    shortlist[~np.isfinite(cut)] = True
+    if k > 1:
+        return _rerank(qb, refs, shortlist, k, ref_ids)
+    diff = refs[best] - qb
+    found = (best if ref_ids is None else ref_ids[best])[:, None]
+    d2 = np.einsum("ij,ij->i", diff, diff)[:, None]
+    tied = np.flatnonzero(np.count_nonzero(shortlist, axis=1) > 1)
+    if len(tied):
+        found[tied], d2[tied] = _rerank(qb[tied], refs, shortlist[tied], 1, ref_ids)
+    return found, d2
+
+
+def _rerank(qb, refs, shortlist, k, ref_ids):
+    """The k shortlisted refs of each row ranked first in difference form, ties by id."""
+    rows, cols = np.nonzero(shortlist)
+    diff = refs[cols] - qb[rows]
+    exact = np.einsum("ij,ij->i", diff, diff)
+    ids = cols if ref_ids is None else ref_ids[cols]
+    order = np.lexsort((ids, exact, rows))
+    counts = np.bincount(rows, minlength=len(qb))
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return ids[pick], exact[pick]
 
 
 def retrieve_many(queries, ref_map: ReferenceMap, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,15 +466,21 @@ def _pose_fields(text: str) -> list[tuple[int, list[str]]]:
     return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
 
 
-def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
-    """(n, 7) pose values of the rows, parsed as ``float()`` parses them.
+def _pose_values(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) translations and (n, 4) quaternions of the rows, parsed as
+    ``float()`` parses them.
 
-    One numpy conversion parses well-formed rows; otherwise the rows are
+    Well-formed rows are parsed by numpy, each distinct quaternion text once
+    (text keys keep ``-0.0`` apart from ``0.0``); otherwise the rows are
     parsed one by one and the first malformed row raises ParseError.
     """
     try:
         if all(len(row) == 8 for _, row in rows):
-            return np.array([row[1:] for _, row in rows], dtype=np.float64).reshape(len(rows), 7)
+            quat_slot = {}
+            slots = [quat_slot.setdefault(tuple(row[4:]), len(quat_slot)) for _, row in rows]
+            t = np.array([row[1:4] for _, row in rows], dtype=np.float64).reshape(len(rows), 3)
+            q = np.array(list(quat_slot), dtype=np.float64).reshape(len(quat_slot), 4)
+            return t, q[slots]
     except ValueError:
         pass
     values = []
@@ -404,7 +491,8 @@ def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
             values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise ParseError(f"bad float in pose row: {exc}", line=lineno) from exc
-    return np.array(values, dtype=np.float64).reshape(len(rows), 7)
+    values = np.array(values, dtype=np.float64).reshape(len(rows), 7)
+    return values[:, :3], values[:, 3:]
 
 
 def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> ReferenceMap:
@@ -424,7 +512,7 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
     except UnicodeDecodeError as exc:
         raise ParseError(f"pose file is not UTF-8: {exc.reason}", line=raw.count(b"\n", 0, exc.start) + 1) from exc
     rows = _pose_fields(text)
-    values = _pose_values(rows)
+    translations, quaternions = _pose_values(rows)
     ids = tuple(row[0] for _, row in rows)
 
     desc = load_descriptor_block(descriptor_path)
@@ -440,8 +528,8 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
         return ReferenceMap(
             ids=ids,
             descriptors=desc,
-            translations=values[:, :3],
-            quaternions=values[:, 3:],
+            translations=translations,
+            quaternions=quaternions,
         )
     except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):
@@ -471,10 +559,17 @@ def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
         raise UnwritableId(f"map id {bad!r} holds a comma, double quote, CR or LF")
     payload = np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
     header = struct.pack("<4sIII", DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
-    row = "%s" + ",%r" * 7
-    values = np.hstack([ref_map.translations, ref_map.quaternions]).tolist()
+    # Each distinct orientation is formatted once, keyed on its bits so
+    # that -0.0 and 0.0 keep their own text.
+    quat_keys = ref_map.quaternions.view(np.dtype((np.void, 32))).ravel().tolist()
+    distinct = dict.fromkeys(quat_keys)
+    quats = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(-1, 4).tolist()
+    quat_text = dict(zip(distinct, [",%r,%r,%r,%r" % tuple(q) for q in quats]))
     lines = [",".join(POSE_CSV_HEADER)]
-    lines += [row % (entry_id, *vals) for entry_id, vals in zip(ref_map.ids, values)]
+    lines += [
+        "%s,%r,%r,%r%s" % (entry_id, *t, quat_text[key])
+        for entry_id, t, key in zip(ref_map.ids, ref_map.translations.tolist(), quat_keys)
+    ]
     try:
         with open(pose_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -25,11 +25,13 @@ from copr.densify import (
 )
 from copr.errors import (
     CoincidentAnchors,
+    CoprError,
     InvalidConfig,
     MethodPlanMismatch,
     RefusedNonFinite,
     TooFewAnchors,
     TooFewNeighbors,
+    UnknownAnchor,
 )
 from copr.geometry import Pose, quat_from_yaw, relative_pose
 from copr.neural.core import regress_nonlinear_batch
@@ -520,6 +522,14 @@ class TestDensifyMap:
         plan = gen_extrap_grid(m, cfg)
         with pytest.raises(MethodPlanMismatch):
             densify_map(m, plan, "lin_interp")
+
+    def test_lin_interp_unknown_anchor_is_typed(self):
+        m = _line_map(3)
+        target = Target(id="x~y#k1", pose=Pose(t=[0.5, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a0", "y"))
+        plan = TargetPlan(scheme=INTERPOLATION, targets=(target,))
+        with pytest.raises(UnknownAnchor, match=r"'x~y#k1' names anchor 'y'"):
+            densify_map(m, plan, "lin_interp")
+        assert issubclass(UnknownAnchor, CoprError)
 
     def test_nonlin_needs_model(self):
         m = _line_map(3)

@@ -31,6 +31,7 @@ from copr.vpr_map import (
     Origin,
     ReferenceMap,
     load_map,
+    nearest_neighbors,
     oracle_retrieve,
     origin_of,
     retrieve,
@@ -194,6 +195,108 @@ class TestRetrieveMany:
         m = _map_of([[0.0]])
         with pytest.raises(InvalidConfig):
             retrieve([0.0], m, k=0)
+
+
+def _assert_matches_stable_argsort(queries, refs, k):
+    indices, d2 = nearest_neighbors(queries, refs, k)
+    assert indices.shape == d2.shape == (len(queries), min(k, len(refs)))
+    for q, idx, dist in zip(queries, indices, d2):
+        diff = refs - q
+        want = np.einsum("ij,ij->i", diff, diff)
+        order = np.argsort(want, kind="stable")[:k]
+        np.testing.assert_array_equal(idx, order)
+        assert dist.tobytes() == want[order].tobytes()
+
+
+@st.composite
+def _low_dim_searches(draw):
+    """Searches of dimension <= 3: integer-lattice refs with ties and
+    duplicates (every ref at one point when the span is 0), an offset up to
+    1e9, half-lattice queries inside the refs' range and, optionally, far
+    outside it."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 100))
+    span = draw(st.sampled_from([0, 1, 3]))
+    offset = draw(st.sampled_from([0.0, 0.5, -1e9, 1e9]))
+    m = draw(st.sampled_from([1, 5, 127, 128, 129, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refs = rng.integers(-span, span + 1, size=(n, dim)) + offset
+    queries = rng.integers(-2 * span - 4, 2 * span + 5, size=(m, dim)) / 2.0 + offset
+    if draw(st.booleans()):
+        queries[::3, 0] += draw(st.sampled_from([-1e6, 1e6]))
+    k = draw(st.sampled_from([1, 2, 4, max(1, n - 1), n, n + 3]))
+    return queries, refs, k
+
+
+def _far_refs(count=60, dim=3):
+    """Refs at x in [20, 40]: they make x the widest axis and the probe smaller than the map."""
+    far = np.zeros((count, dim))
+    far[:, 0] = np.linspace(20.0, 40.0, count)
+    return far
+
+
+class TestNearestNeighborsKernel:
+    """The slab-pruned and k = 1 paths against a per-row stable argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_low_dim_searches())
+    def test_low_dim_matches_stable_argsort(self, case):
+        _assert_matches_stable_argsort(*case)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tied_ref_exactly_at_the_slab_bound(self, k):
+        # Four refs tie at distance 1 from the origin; the lowest index sits
+        # at x = +1, on the slab bound of the sorted axis.
+        near = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0]]
+        refs = np.vstack([near, _far_refs()])
+        _assert_matches_stable_argsort(np.zeros((1, 3)), refs, k)
+        assert nearest_neighbors(np.zeros((1, 3)), refs, 1)[0][0, 0] == 0
+
+    def test_underflowing_distances_keep_their_ties(self):
+        # (2e-170)^2 underflows to 0, so index 0 ties with the ref at the
+        # query and wins; a slab bound without its absolute margin drops it.
+        refs = np.vstack([[[2e-170, 0.0, 0.0], [0.0, 0.0, 0.0]], _far_refs()])
+        _assert_matches_stable_argsort(np.zeros((2, 3)), refs, 1)
+        assert nearest_neighbors(np.zeros((1, 3)), refs, 1)[0][0, 0] == 0
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_k1_tied_minima_break_by_index(self, dim):
+        # Both near refs have the same approximate value; the lower index is
+        # sorted after the other, so only the tie check finds it.
+        near = np.zeros((2, dim))
+        near[:, 0] = [1.0, -1.0]
+        _assert_matches_stable_argsort(np.zeros((3, dim)), np.vstack([near, _far_refs(dim=dim)]), 1)
+
+    def test_k1_ulp_ties_under_a_large_offset(self):
+        # Refs one ulp apart near 1e8: ||r||^2 - 2 q.r cancels, so its
+        # argmin is not the exact nearest.
+        base = 1e8
+        col = [np.nextafter(base, math.inf), base, np.nextafter(base, -math.inf), base + 0.5, base - 0.5]
+        refs = np.zeros((len(col), 3))
+        refs[:, 0] = col
+        refs = np.vstack([refs, _far_refs() + [base, 0.0, 0.0]])
+        queries = np.array([[base, 0.0, 0.0], [np.nextafter(base, math.inf), 0.0, 0.0], [base + 0.25, 0.0, 0.0]])
+        _assert_matches_stable_argsort(queries, refs, 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_k1_with_non_finite_approximate_values(self, dim):
+        # ||r||^2 overflows for the 1e200 rows, so the GEMM values are inf
+        # or nan there and the whole row is re-ranked.
+        rng = np.random.default_rng(dim)
+        refs = rng.integers(-2, 3, size=(80, dim)).astype(float)
+        refs[::7, 0] = 1e200
+        queries = np.vstack([rng.integers(-2, 3, size=(5, dim)).astype(float), np.full((1, dim), 1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_matches_stable_argsort(queries, refs, 1)
+            _assert_matches_stable_argsort(queries, refs, 4)
+
+    @pytest.mark.parametrize("m", [127, 128, 129, 257])
+    def test_query_counts_across_block_boundaries(self, m):
+        rng = np.random.default_rng(m)
+        refs = rng.integers(-5, 6, size=(400, 3)).astype(float)
+        queries = rng.integers(-12, 13, size=(m, 3)) / 2.0
+        for k in (1, 4):
+            _assert_matches_stable_argsort(queries, refs, k)
 
 
 class TestOracleRetrieve:
@@ -456,6 +559,28 @@ class TestPoseCsv:
         assert back.ids == m.ids
         assert back.translations.tobytes() == m.translations.tobytes()
         assert back.quaternions.tobytes() == m.quaternions.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 4))
+    def test_repeated_orientations_write_as_the_per_field_writer(self, tmp_path_factory, seed, n, distinct):
+        tmp = tmp_path_factory.mktemp("csv")
+        rng = np.random.default_rng(seed)
+        m = _random_map(rng, n)
+        pool = _random_map(rng, distinct).quaternions
+        m = ReferenceMap(m.ids, m.descriptors, m.translations, pool[rng.integers(0, distinct, size=n)])
+        save_map(m, tmp / "p.csv", tmp / "d.bin")
+        assert (tmp / "p.csv").read_bytes() == _reference_pose_csv(m)
+        assert load_map(tmp / "p.csv", tmp / "d.bin").quaternions.tobytes() == m.quaternions.tobytes()
+
+    def test_signed_zero_orientations_keep_their_sign(self, tmp_path):
+        # Rows equal as floats but not as bits are written and read apart.
+        quats = [(1, 0, 0, 0), (1, -0.0, 0, 0), (1, 0, -0.0, 0), (1, 0, 0, -0.0), (1, 0, 0, 0), (-0.0, 1, 0, 0)]
+        m = ReferenceMap(tuple(f"r{i}" for i in range(6)), np.zeros((6, 1)), np.zeros((6, 3)), np.array(quats, dtype=float))
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        written = (tmp_path / "p.csv").read_bytes()
+        assert written == _reference_pose_csv(m)
+        assert b"\nr1,0.0,0.0,0.0,1.0,-0.0,0.0,0.0\n" in written
+        assert load_map(tmp_path / "p.csv", tmp_path / "d.bin").quaternions.tobytes() == m.quaternions.tobytes()
 
     @pytest.mark.parametrize("bad_id", ["a,b", 'say "hi"', "cr\r", "lf\n", ","])
     def test_unwritable_id_refused_before_writing(self, tmp_path, bad_id):
