@@ -111,15 +111,15 @@ def _train_config(section: dict, seed_override: int | None) -> TrainConfig:
 
 def _densify_config(section: dict, args) -> DensifyConfig:
     kwargs = dict(section)
-    if getattr(args, "stride", None) is not None:
+    if args.stride is not None:
         kwargs["stride"] = args.stride
-    if getattr(args, "e_step", None) is not None:
+    if args.e_step is not None:
         kwargs["grid_step"] = args.e_step
-    if getattr(args, "e_span", None) is not None:
+    if args.e_span is not None:
         kwargs["grid_span"] = args.e_span
-    if getattr(args, "neighbors", None) is not None:
+    if args.neighbors is not None:
         kwargs["neighbors"] = args.neighbors
-    if getattr(args, "dedupe_radius", None) is not None:
+    if args.dedupe_radius is not None:
         kwargs["dedupe_radius"] = args.dedupe_radius
     kwargs.setdefault("grid_span", max(kwargs.get("grid_step", 0.05), 0.05))
     return DensifyConfig(**kwargs)
@@ -433,16 +433,10 @@ def dispatch(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except IoError as exc:
+    except OSError as exc:  # IoError included
         _log(f"io error: {exc}")
         return 2
-    except OSError as exc:
-        _log(f"io error: {exc}")
-        return 2
-    except CoprError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (CoprError, ValueError, KeyError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -1,8 +1,9 @@
 """Target-pose generation and descriptor regression for map densification.
 
-Two target schemes are supported: interpolation targets sit between
-consecutive trajectory anchors, extrapolation targets form an x/y grid
-around each anchor with orientation and z copied from it. Descriptors at
+Two target schemes are supported: interpolation targets are the poses a
+trajectory subsampling dropped, each between its two bracketing anchors;
+extrapolation targets form an x/y grid around each anchor with orientation
+and z copied from it. A plan holds its targets as columns. Descriptors at
 targets come from one of three regressors: a two-anchor linear blend, a
 local least-squares plane fit per feature dimension, or the non-linear
 network regressor.
@@ -27,12 +28,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CoincidentAnchors,
+    CountMismatch,
     DimMismatch,
     EmptyMap,
     InvalidConfig,
@@ -42,7 +44,7 @@ from .errors import (
     TooFewNeighbors,
     UnknownAnchor,
 )
-from .geometry import Pose, poses, quat_slerp, relative_pose_rows, row_dots
+from .geometry import pose_blocks, relative_pose_rows, row_dots
 from .geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.densify.RelativePose)
 from .neural.core import MlpModel, regress_nonlinear_batch
 from .vpr_map import ReferenceMap, nearest_neighbors
@@ -85,91 +87,72 @@ class DensifyConfig:
             raise InvalidConfig("dedupe_radius must be non-negative")
 
 
-@dataclass(frozen=True)
-class Target:
-    id: str
-    pose: Pose
-    anchor_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetPlan:
-    """Poses to regress plus the anchors assigned to each.
+    """Poses to regress plus the anchors assigned to each, as columns in plan order.
 
-    ``translations`` (n, 3) and ``quaternions`` (n, 4) stack the targets'
-    poses in plan order, read-only. Every target id holds the ``#``
-    provenance marker of a regressed entry.
+    ``targets`` holds the target ids, ``translations`` (n, 3) and
+    ``quaternions`` (n, 4) their poses, read-only, and ``anchor_ids`` one
+    tuple per target: the two bracketing anchors of an interpolation
+    target, or the grid anchor of an extrapolation target. Every target id
+    holds the ``#`` provenance marker of a regressed entry. Translations
+    must be finite; quaternions are normalized here, once.
     """
 
     scheme: str
-    targets: tuple[Target, ...]
-    translations: np.ndarray = field(init=False, repr=False, compare=False)
-    quaternions: np.ndarray = field(init=False, repr=False, compare=False)
+    targets: tuple[str, ...]
+    translations: np.ndarray
+    quaternions: np.ndarray
+    anchor_ids: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         if self.scheme not in (INTERPOLATION, EXTRAPOLATION):
             raise InvalidConfig(f"unknown plan scheme {self.scheme!r}")
-        targets = tuple(self.targets)
-        ts, qs = [], []
-        for t in targets:
-            if "#" not in t.id:
-                raise InvalidConfig(f"target id {t.id!r} lacks the '#' marker of a regressed entry")
-            if self.scheme == INTERPOLATION and len(t.anchor_ids) != 2:
-                raise InvalidConfig("interpolation targets carry exactly two anchor ids")
-            if self.scheme == EXTRAPOLATION and len(t.anchor_ids) < 1:
-                raise InvalidConfig("extrapolation targets carry at least one anchor id")
-            ts.append(t.pose.t)
-            qs.append(t.pose.q)
-        translations = np.array(ts, dtype=np.float64).reshape(-1, 3)
-        quaternions = np.array(qs, dtype=np.float64).reshape(-1, 4)
-        translations.setflags(write=False)
-        quaternions.setflags(write=False)
+        targets, anchor_ids = tuple(self.targets), tuple(map(tuple, self.anchor_ids))
+        unmarked = [target for target in targets if "#" not in target]
+        if unmarked:
+            raise InvalidConfig(f"target id {unmarked[0]!r} lacks the '#' marker of a regressed entry")
+        counts = set(map(len, anchor_ids))
+        if self.scheme == INTERPOLATION and counts - {2}:
+            raise InvalidConfig("interpolation targets carry exactly two anchor ids")
+        if self.scheme == EXTRAPOLATION and 0 in counts:
+            raise InvalidConfig("extrapolation targets carry at least one anchor id")
+        translations, quaternions = pose_blocks(self.translations, self.quaternions)
+        if not len(targets) == len(anchor_ids) == len(translations):
+            raise CountMismatch(f"{len(targets)} target ids, {len(anchor_ids)} anchor tuples, {len(translations)} poses")
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "anchor_ids", anchor_ids)
         object.__setattr__(self, "translations", translations)
         object.__setattr__(self, "quaternions", quaternions)
 
     def to_json(self) -> str:
+        rows = zip(self.targets, self.translations.tolist(), self.quaternions.tolist(), self.anchor_ids)
         doc = {
             "scheme": self.scheme,
             "targets": [
-                {
-                    "id": t.id,
-                    "pose": {"t": [float(v) for v in t.pose.t], "q": [float(v) for v in t.pose.q]},
-                    "anchor_ids": list(t.anchor_ids),
-                }
-                for t in self.targets
+                {"id": target, "pose": {"t": t, "q": q}, "anchor_ids": list(anchors)}
+                for target, t, q, anchors in rows
             ],
         }
         return json.dumps(doc, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TargetPlan":
-        doc = json.loads(text)
-        targets = tuple(
-            Target(
-                id=t["id"],
-                pose=Pose(t=np.asarray(t["pose"]["t"]), q=np.asarray(t["pose"]["q"])),
-                anchor_ids=tuple(t["anchor_ids"]),
-            )
-            for t in doc["targets"]
-        )
-        return cls(scheme=doc["scheme"], targets=targets)
-
 
 @dataclass(frozen=True)
-class DroppedPose:
-    """A trajectory pose removed by subsampling, with its bracketing segment.
+class DroppedPoses:
+    """The trajectory poses removed by subsampling, in original order.
 
-    ``left_anchor`` indexes into the subsampled anchor map and names the
-    anchor immediately before this pose along the original trajectory
-    (clamped to the second-to-last anchor for poses past the final one).
+    ``left_anchors[i]`` indexes into the subsampled anchor map and names the
+    anchor immediately before pose i along the original trajectory (clamped
+    to the second-to-last anchor for poses past the final one);
+    ``translations`` (n, 3) and ``quaternions`` (n, 4) are the poses.
     """
 
-    left_anchor: int
-    pose: Pose
+    left_anchors: np.ndarray
+    translations: np.ndarray
+    quaternions: np.ndarray
 
 
-def subsample_trajectory(ref_map: ReferenceMap, stride: int) -> tuple[ReferenceMap, list[DroppedPose]]:
+def subsample_trajectory(ref_map: ReferenceMap, stride: int) -> tuple[ReferenceMap, DroppedPoses]:
     """Keep every ``stride``-th entry as an anchor, return the rest as targets.
 
     Anchors sit at indices 0, stride, 2*stride, ...; all other poses are
@@ -187,46 +170,32 @@ def subsample_trajectory(ref_map: ReferenceMap, stride: int) -> tuple[ReferenceM
     )
     dropped = np.flatnonzero(np.arange(len(ref_map)) % stride)
     left = np.minimum(dropped // stride, max(len(anchors) - 2, 0))
-    dropped_poses = poses(ref_map.translations[dropped], ref_map.quaternions[dropped])
-    return anchors, list(map(DroppedPose, left.tolist(), dropped_poses))
+    return anchors, DroppedPoses(left, ref_map.translations[dropped], ref_map.quaternions[dropped])
 
 
-def gen_interp_targets(
-    anchors: ReferenceMap,
-    dropped: list[DroppedPose] | None = None,
-    subdivisions: int | None = None,
-) -> TargetPlan:
-    """Interpolation targets between consecutive anchors.
+def gen_interp_targets(anchors: ReferenceMap, dropped: DroppedPoses) -> TargetPlan:
+    """Interpolation targets at the subsampled trajectory's dropped poses.
 
-    Exactly one mode must be given: ``dropped`` replays subsampled
-    trajectory poses into their original segments; ``subdivisions=n``
-    places n equally spaced targets per segment with slerped orientation.
+    Each dropped pose is replayed into its original segment: target id
+    ``<a1>~<a2>#k<n>`` for the n-th dropped pose between anchors a1 and a2.
     """
     if len(anchors) < 2:
         raise TooFewAnchors("interpolation needs at least two anchors")
-    if (dropped is None) == (subdivisions is None):
-        raise InvalidConfig("pass exactly one of dropped or subdivisions")
-    targets = []
-    if dropped is not None:
-        per_segment: dict[int, int] = {}
-        for item in dropped:
-            slot = min(max(item.left_anchor, 0), len(anchors) - 2)
-            k = per_segment.get(slot, 0) + 1
-            per_segment[slot] = k
-            a1, a2 = anchors.ids[slot], anchors.ids[slot + 1]
-            targets.append(Target(id=f"{a1}~{a2}#k{k}", pose=item.pose, anchor_ids=(a1, a2)))
-    else:
-        if subdivisions < 1:
-            raise InvalidConfig("subdivisions must be at least 1")
-        for slot in range(len(anchors) - 1):
-            a1, a2 = anchors.ids[slot], anchors.ids[slot + 1]
-            t1, t2 = anchors.translations[slot], anchors.translations[slot + 1]
-            q1, q2 = anchors.quaternions[slot], anchors.quaternions[slot + 1]
-            for k in range(1, subdivisions + 1):
-                s = k / (subdivisions + 1)
-                pose = Pose(t=(1.0 - s) * t1 + s * t2, q=quat_slerp(q1, q2, s))
-                targets.append(Target(id=f"{a1}~{a2}#k{k}", pose=pose, anchor_ids=(a1, a2)))
-    return TargetPlan(scheme=INTERPOLATION, targets=tuple(targets))
+    slots = np.clip(dropped.left_anchors, 0, len(anchors) - 2)
+    # k counts the targets of each segment in plan order, from 1.
+    order = np.argsort(slots, kind="stable")
+    k = np.empty(len(slots), dtype=np.intp)
+    k[order] = np.arange(len(slots)) - np.searchsorted(slots[order], slots[order]) + 1
+    pairs = list(zip(anchors.ids, anchors.ids[1:]))
+    prefixes = [f"{a1}~{a2}#k" for a1, a2 in pairs]
+    slots_l = slots.tolist()
+    return TargetPlan(
+        scheme=INTERPOLATION,
+        targets=[prefixes[slot] + str(n) for slot, n in zip(slots_l, k.tolist())],
+        translations=dropped.translations,
+        quaternions=dropped.quaternions,
+        anchor_ids=[pairs[slot] for slot in slots_l],
+    )
 
 
 # Odd multipliers that fold a dedupe cell's integer keys into one uint64 code.
@@ -369,13 +338,13 @@ def gen_extrap_grid(anchors: ReferenceMap, cfg: DensifyConfig) -> TargetPlan:
     suffixes = [f"#gx{i}y{j}" for i, j in steps]
     anchor_ids = [(aid,) for aid in anchors.ids]
     owner_l = owner.tolist()
-    targets = map(
-        Target,
-        [anchors.ids[a] + suffixes[k] for a, k in zip(owner_l, slot.tolist())],
-        poses(candidates[kept], anchors.quaternions[owner]),
-        [anchor_ids[a] for a in owner_l],
+    return TargetPlan(
+        scheme=EXTRAPOLATION,
+        targets=[anchors.ids[a] + suffixes[k] for a, k in zip(owner_l, slot.tolist())],
+        translations=candidates[kept],
+        quaternions=anchors.quaternions[owner],
+        anchor_ids=[anchor_ids[a] for a in owner_l],
     )
-    return TargetPlan(scheme=EXTRAPOLATION, targets=tuple(targets))
 
 
 def lin_interp(f_a1, f_a2, t_a1, t_a2, t_new) -> np.ndarray:
@@ -480,13 +449,16 @@ def densify_map(
 
     target_t = plan.translations
     if method == METHOD_LIN_INTERP:
-        anchor_rows = []
-        for t in plan.targets:
-            try:
-                anchor_rows.append([sparse.index_of(a) for a in t.anchor_ids])
-            except KeyError as exc:
-                raise UnknownAnchor(f"target {t.id!r} names anchor {exc.args[0]!r}, which the map does not hold") from None
-        i1, i2 = np.array(anchor_rows).T
+        pairs = np.array(plan.anchor_ids)
+        names, inverse = np.unique(pairs, return_inverse=True)
+        try:
+            rows = np.array([sparse.index_of(name) for name in names.tolist()], dtype=np.intp)
+        except KeyError as exc:
+            r = int(np.argmax((pairs == exc.args[0]).any(axis=1)))
+            raise UnknownAnchor(
+                f"target {plan.targets[r]!r} names anchor {exc.args[0]!r}, which the map does not hold"
+            ) from None
+        i1, i2 = rows[inverse].reshape(-1, 2).T
         regressed = lin_interp_many(
             sparse.descriptors[i1], sparse.descriptors[i2], sparse.translations[i1], sparse.translations[i2], target_t
         )
@@ -502,4 +474,4 @@ def densify_map(
         )
         regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows)
 
-    return sparse.extended(tuple(t.id for t in plan.targets), regressed, target_t, plan.quaternions)
+    return sparse.extended(plan.targets, regressed, target_t, plan.quaternions)

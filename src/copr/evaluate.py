@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .densify import (
+    INTERPOLATION,
     METHOD_LIN_INTERP,
     METHOD_LIN_REG,
     METHOD_NONLIN_REG,
@@ -358,7 +359,7 @@ def exp_interpolation(
     if len(anchors) >= 2:
         plan = gen_interp_targets(anchors, dropped=dropped)
     else:
-        plan = TargetPlan(scheme="interpolation", targets=())
+        plan = TargetPlan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), ())
     t_enc = _time_encoding(scene)
     rows = _method_rows(
         "interp", scene.queries, anchors, plan, methods, model, neighbors, seed, t_enc, t_train_s, gt=gt

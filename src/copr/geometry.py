@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RefusedNonFinite, ZeroQuaternion
+from .errors import CountMismatch, DimMismatch, RefusedNonFinite, ZeroQuaternion
 
 _ZERO_NORM = 1e-12
 
@@ -30,6 +30,30 @@ _ZERO_NORM = 1e-12
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _vector(values, size: int, what: str) -> np.ndarray:
+    """``values`` as a float64 ``size``-vector.
+
+    Raises:
+        DimMismatch: if ``values`` does not hold exactly ``size`` components.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size != size:
+        raise DimMismatch(f"{what} needs {size} components, got {v.size}")
+    return v.reshape(size)
+
+
+def row_block(values, width: int, what: str) -> np.ndarray:
+    """``values`` as a float64 (n, ``width``) block; a single vector is one row.
+
+    Raises:
+        DimMismatch: if the rows do not hold ``width`` components.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.size and a.shape[-1:] != (width,):
+        raise DimMismatch(f"{what} rows need {width} components, got shape {a.shape}")
+    return a.reshape(-1, width)
 
 
 def canonical_sign(q: np.ndarray) -> np.ndarray:
@@ -44,9 +68,10 @@ def normalize_quat(q) -> np.ndarray:
     """Scale a 4-vector to unit norm and canonical sign.
 
     Raises:
+        DimMismatch: if the input does not hold 4 components.
         ZeroQuaternion: if the input norm is at or below 1e-12.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(4)
+    q = _vector(q, 4, "quaternion")
     n = math.sqrt(float(np.dot(q, q)))
     if n <= _ZERO_NORM:
         raise ZeroQuaternion(f"quaternion norm {n:.3e} too small to normalize")
@@ -57,9 +82,10 @@ def normalize_quat_rows(q) -> np.ndarray:
     """Row-wise :func:`normalize_quat` of an (n, 4) array, each row bit-equal to it.
 
     Raises:
+        DimMismatch: if the rows do not hold 4 components.
         ZeroQuaternion: if a row's norm is at or below 1e-12.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    q = row_block(q, 4, "quaternion")
     norms = np.sqrt(row_dots(q, q))
     if np.any(norms <= _ZERO_NORM):
         raise ZeroQuaternion(f"quaternion norm {float(norms.min()):.3e} too small to normalize")
@@ -87,24 +113,6 @@ def quat_multiply(a, b) -> np.ndarray:
 def quat_from_yaw(yaw: float) -> np.ndarray:
     """Unit quaternion for a rotation of ``yaw`` radians about +z."""
     return normalize_quat([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
-
-
-def quat_slerp(qa, qb, s: float) -> np.ndarray:
-    """Spherical interpolation between two unit quaternions, s in [0, 1]."""
-    qa = np.asarray(qa, dtype=np.float64)
-    qb = np.asarray(qb, dtype=np.float64)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        # Nearly parallel, fall back to normalized lerp.
-        return normalize_quat(qa + s * (qb - qa))
-    theta = math.acos(min(1.0, dot))
-    sin_theta = math.sin(theta)
-    wa = math.sin((1.0 - s) * theta) / sin_theta
-    wb = math.sin(s * theta) / sin_theta
-    return normalize_quat(wa * qa + wb * qb)
 
 
 def angular_error_deg(q_a, q_b) -> float:
@@ -146,7 +154,7 @@ class Pose:
     q: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
+        t = _vector(self.t, 3, "pose translation").copy()
         if not np.all(np.isfinite(t)):
             raise RefusedNonFinite("pose translation must be finite")
         q = normalize_quat(self.q)
@@ -154,23 +162,33 @@ class Pose:
         object.__setattr__(self, "q", _readonly(q))
 
 
-def poses(t, q) -> list[Pose]:
-    """:class:`Pose` values over the rows of (n, 3) translations and (n, 4)
-    quaternions, each bit-equal to ``Pose(t=t[i], q=q[i])``.
-
-    The blocks are validated and normalized once; each pose holds read-only
-    row views of them.
+def pose_blocks(t, q) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of (n, 3) translations and (n, 4) quaternions, the
+    quaternions normalized once, each row bit-equal to :func:`normalize_quat`.
 
     Raises:
+        DimMismatch: if the rows do not hold 3 and 4 components.
+        CountMismatch: if the blocks differ in row count.
         RefusedNonFinite: if a translation is not finite.
         ZeroQuaternion: if a quaternion's norm is at or below 1e-12.
     """
-    t = np.array(t, dtype=np.float64).reshape(-1, 3)
+    t = row_block(t, 3, "translation").copy()
     if not np.all(np.isfinite(t)):
         raise RefusedNonFinite("pose translation must be finite")
     q = normalize_quat_rows(q)
+    if len(t) != len(q):
+        raise CountMismatch(f"{len(t)} translation rows but {len(q)} quaternion rows")
+    return _readonly(t), _readonly(q)
+
+
+def poses(t, q) -> list[Pose]:
+    """:class:`Pose` values over the rows of (n, 3) translations and (n, 4)
+    quaternions, each bit-equal to ``Pose(t=t[i], q=q[i])``; each pose holds
+    read-only row views of :func:`pose_blocks`.
+    """
+    t, q = pose_blocks(t, q)
     out = []
-    for t_row, q_row in zip(_readonly(t), _readonly(q)):
+    for t_row, q_row in zip(t, q):
         pose = object.__new__(Pose)
         object.__setattr__(pose, "t", t_row)
         object.__setattr__(pose, "q", q_row)
@@ -189,7 +207,7 @@ class RelativePose:
     dq: np.ndarray
 
     def __post_init__(self):
-        dt = np.asarray(self.dt, dtype=np.float64).reshape(3).copy()
+        dt = _vector(self.dt, 3, "relative translation").copy()
         if not np.all(np.isfinite(dt)):
             raise RefusedNonFinite("relative translation must be finite")
         dq = normalize_quat(self.dq)

@@ -45,7 +45,7 @@ from .errors import (
     ZeroQuaternion,
     ZeroVector,
 )
-from .geometry import Pose, angular_error_deg
+from .geometry import Pose, angular_error_deg, row_block
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 DESCRIPTOR_MAGIC = b"CPRD"
@@ -115,6 +115,14 @@ def _as_matrix(rows, dim=None) -> np.ndarray:
     return m
 
 
+def _pose_block(values, n: int, width: int, what: str) -> np.ndarray:
+    """A contiguous (n, width) pose block for a map of n ids."""
+    block = row_block(values, width, what)
+    if len(block) != n:
+        raise CountMismatch(f"{n} ids but {len(block)} {what} rows")
+    return np.ascontiguousarray(block)
+
+
 @dataclass(frozen=True)
 class ReferenceMap:
     """Ordered (id, descriptor, pose) collection with a shared dim; each
@@ -141,8 +149,8 @@ class ReferenceMap:
             raise CountMismatch(f"{n} ids but {desc.shape[0]} descriptor rows")
         if not np.all(np.isfinite(desc)):
             raise RefusedNonFinite("descriptors must be finite")
-        t = np.ascontiguousarray(np.asarray(self.translations, dtype=np.float64).reshape(n, 3))
-        q = np.ascontiguousarray(np.asarray(self.quaternions, dtype=np.float64).reshape(n, 4))
+        t = _pose_block(self.translations, n, 3, "translation")
+        q = _pose_block(self.quaternions, n, 4, "quaternion")
         _check_poses(self.ids, t, q)
         index = dict(zip(self.ids, range(n)))
         if len(index) != n:
@@ -199,8 +207,8 @@ class ReferenceMap:
         return ReferenceMap(
             ids=self.ids + ids,
             descriptors=np.vstack([self.descriptors, extra]) if len(self) else extra,
-            translations=np.vstack([self.translations, np.reshape(translations, (-1, 3))]),
-            quaternions=np.vstack([self.quaternions, np.reshape(quaternions, (-1, 4))]),
+            translations=np.vstack([self.translations, _pose_block(translations, len(ids), 3, "translation")]),
+            quaternions=np.vstack([self.quaternions, _pose_block(quaternions, len(ids), 4, "quaternion")]),
         )
 
 

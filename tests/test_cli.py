@@ -1,12 +1,15 @@
 """End-to-end CLI tests with a small scene and tiny training budgets."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from copr.cli import dispatch
+from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
 from copr.evaluate import ExperimentReport
+from copr.geometry import Pose
 from copr.synth import load_scene
 from copr.vpr_map import load_map
 
@@ -110,6 +113,87 @@ class TestTrainAndDensify:
         assert rc == 0 and model_path.exists()
 
 
+def _reference_targets(refs, scheme, stride, step):
+    """(id, Pose, anchor ids) per target, built one target at a time: the
+    dropped trajectory poses for interp, and for extrap the grid around each
+    anchor with a candidate dropped only where it repeats a point exactly
+    (dedupe radius 0)."""
+    n = len(refs)
+    anchors = list(range(0, n, stride))
+    if scheme == "interp":
+        counts, out = {}, []
+        for i in range(n):
+            if i % stride == 0:
+                continue
+            slot = min(i // stride, len(anchors) - 2)
+            counts[slot] = counts.get(slot, 0) + 1
+            a1, a2 = refs.ids[anchors[slot]], refs.ids[anchors[slot + 1]]
+            pose = Pose(t=refs.translations[i], q=refs.quaternions[i])
+            out.append((f"{a1}~{a2}#k{counts[slot]}", pose, (a1, a2)))
+        return out
+    seen = {tuple(refs.translations[a]) for a in anchors}
+    out = []
+    for a in anchors:
+        x, y, z = refs.translations[a]
+        for i in (-1, 0, 1):  # grid span = step
+            for j in (-1, 0, 1):
+                p = (x + i * step, y + j * step, z)
+                if (i, j) == (0, 0) or p in seen:
+                    continue
+                seen.add(p)
+                out.append((f"{refs.ids[a]}#gx{i}y{j}", Pose(t=p, q=refs.quaternions[a]), (refs.ids[a],)))
+    return out
+
+
+def _reference_files(base, targets, scheme, descriptors):
+    """plan.json, dense_poses.csv and dense_descriptors.bin as written one
+    target (and one map entry) at a time."""
+    plan = {
+        "scheme": {"interp": "interpolation", "extrap": "extrapolation"}[scheme],
+        "targets": [
+            {"id": i, "pose": {"t": [float(v) for v in p.t], "q": [float(v) for v in p.q]}, "anchor_ids": list(a)}
+            for i, p, a in targets
+        ],
+    }
+    entries = [(base.ids[r], base.translations[r], base.quaternions[r]) for r in range(len(base))]
+    entries += [(i, p.t, p.q) for i, p, _ in targets]
+    lines = ["id,tx,ty,tz,qw,qx,qy,qz"] + [
+        ",".join([entry_id] + [repr(float(v)) for v in (*t, *q)]) for entry_id, t, q in entries
+    ]
+    blob = struct.pack("<4sIII", b"CPRD", 1, len(entries), descriptors.shape[1])
+    blob += b"".join(np.asarray(row, dtype="<f4").tobytes() for row in descriptors)
+    return json.dumps(plan, indent=2) + "\n", "\n".join(lines) + "\n", blob
+
+
+class TestDensifyFiles:
+    @pytest.mark.parametrize(
+        "scheme, method, flags",
+        [
+            ("interp", "lin-interp", ["--stride", "5"]),
+            ("extrap", "lin-reg", ["--stride", "6", "--e-step", "0.1", "--e-span", "0.1", "--dedupe-radius", "0"]),
+        ],
+    )
+    def test_files_match_a_per_target_writer(self, scene_dir, tmp_path, scheme, method, flags):
+        out = tmp_path / "dense"
+        cmd = ["densify", "--scene", str(scene_dir), "--method", method, "--scheme", scheme, *flags]
+        assert dispatch([*cmd, "--out", str(out)]) == 0
+        refs = load_scene(scene_dir).gt_dense
+        stride = int(flags[1])
+        anchors, dropped = subsample_trajectory(refs, stride)
+        if scheme == "interp":
+            base, plan = anchors, gen_interp_targets(anchors, dropped=dropped)
+        else:
+            cfg = DensifyConfig(stride=stride, grid_step=0.1, grid_span=0.1, dedupe_radius=0.0)
+            base, plan = refs, gen_extrap_grid(anchors, cfg)
+        dense = densify_map(base, plan, method.replace("-", "_"))
+        targets = _reference_targets(refs, scheme, stride, 0.1)
+        assert len(targets) == len(plan.targets) > 0
+        plan_text, pose_text, blob = _reference_files(base, targets, scheme, dense.descriptors)
+        assert (out / "plan.json").read_text(encoding="utf-8") == plan_text
+        assert (out / "dense_poses.csv").read_text(encoding="utf-8") == pose_text
+        assert (out / "dense_descriptors.bin").read_bytes() == blob
+
+
 class TestRetrieveEval:
     def test_retrieve_json_lines(self, scene_dir, capsys):
         rc = dispatch(
@@ -139,6 +223,10 @@ class TestRetrieveEval:
         first = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert len(first["matches"]) == 5
         assert first["matches"][0]["translation_error"] is None
+
+    def test_missing_scene_is_io_error(self, tmp_path, capsys):
+        assert dispatch(["eval", "--scene", str(tmp_path / "absent")]) == 2
+        assert "io error" in capsys.readouterr().err
 
     def test_eval_summary(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "summary.json"

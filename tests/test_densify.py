@@ -1,5 +1,6 @@
 """Densification tests: target plans, linear regressors, map assembly."""
 
+import json
 import math
 from unittest import mock
 
@@ -13,7 +14,6 @@ from copr.densify import (
     EXTRAPOLATION,
     INTERPOLATION,
     DensifyConfig,
-    Target,
     TargetPlan,
     densify_map,
     gen_extrap_grid,
@@ -26,14 +26,17 @@ from copr.densify import (
 from copr.errors import (
     CoincidentAnchors,
     CoprError,
+    CountMismatch,
+    DimMismatch,
     InvalidConfig,
     MethodPlanMismatch,
     RefusedNonFinite,
     TooFewAnchors,
     TooFewNeighbors,
     UnknownAnchor,
+    ZeroQuaternion,
 )
-from copr.geometry import Pose, quat_from_yaw, relative_pose
+from copr.geometry import Pose, normalize_quat_rows, quat_from_yaw, relative_pose
 from copr.neural.core import regress_nonlinear_batch
 from copr.neural.training import TrainConfig, TrainingPairs, train_regressor
 from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors, origin_of
@@ -48,6 +51,16 @@ def _line_map(n, spacing=1.0, dim=2):
     return ReferenceMap.from_entries(entries)
 
 
+def _interp_plan(m, stride):
+    """The anchors of ``m`` at ``stride`` and the plan of its dropped poses."""
+    anchors, dropped = subsample_trajectory(m, stride)
+    return anchors, gen_interp_targets(anchors, dropped=dropped)
+
+
+def _plan(scheme, ids, t, q, anchor_ids):
+    return TargetPlan(scheme, ids, np.asarray(t, dtype=np.float64), np.asarray(q, dtype=np.float64), anchor_ids)
+
+
 def _pairs_of(m, index_pairs):
     """Training pairs over (anchor, target) entry indices of ``m``."""
     a, b = np.array(index_pairs).T
@@ -60,20 +73,20 @@ class TestSubsample:
         m = _line_map(1000, 0.01)
         anchors, dropped = subsample_trajectory(m, 50)
         assert len(anchors) == 20
-        assert len(dropped) == 980
+        assert len(dropped.left_anchors) == 980
 
     def test_stride_larger_than_map(self):
         m = _line_map(5)
         anchors, dropped = subsample_trajectory(m, 10)
         assert len(anchors) == 1
         assert anchors.ids == ("a0",)
-        assert len(dropped) == 4
+        assert len(dropped.left_anchors) == 4
 
     def test_stride_two_on_four(self):
         m = _line_map(4)
         anchors, dropped = subsample_trajectory(m, 2)
         assert anchors.ids == ("a0", "a2")
-        np.testing.assert_array_equal([d.pose.t[0] for d in dropped], [1.0, 3.0])
+        np.testing.assert_array_equal(dropped.translations[:, 0], [1.0, 3.0])
 
     def test_dropped_poses_match_per_entry_poses(self):
         rng = np.random.default_rng(3)
@@ -85,12 +98,15 @@ class TestSubsample:
             translations=rng.standard_normal((23, 3)),
             quaternions=q,
         )
-        _, dropped = subsample_trajectory(m, 5)
+        anchors, dropped = subsample_trajectory(m, 5)
         kept = [i for i in range(23) if i % 5]
-        assert [d.left_anchor for d in dropped] == [min(i // 5, 3) for i in kept]
-        for d, i in zip(dropped, kept):
-            assert d.pose.t.tobytes() == m.pose(i).t.tobytes()
-            assert d.pose.q.tobytes() == m.pose(i).q.tobytes()
+        assert dropped.left_anchors.tolist() == [min(i // 5, 3) for i in kept]
+        assert dropped.translations.tobytes() == m.translations[kept].tobytes()
+        assert dropped.quaternions.tobytes() == m.quaternions[kept].tobytes()
+        plan = gen_interp_targets(anchors, dropped=dropped)
+        for r, i in enumerate(kept):
+            assert plan.translations[r].tobytes() == m.pose(i).t.tobytes()
+            assert plan.quaternions[r].tobytes() == m.pose(i).q.tobytes()
 
     def test_config_invariants(self):
         with pytest.raises(InvalidConfig):
@@ -107,29 +123,27 @@ class TestSubsample:
 
 class TestInterpTargets:
     def test_midpoint_subdivision(self):
-        m = _line_map(2)
-        plan = gen_interp_targets(m, subdivisions=1)
-        assert len(plan.targets) == 1
-        np.testing.assert_allclose(plan.targets[0].pose.t, [0.5, 0, 0], atol=1e-15)
-        assert plan.targets[0].anchor_ids == ("a0", "a1")
+        _, plan = _interp_plan(_line_map(3), 2)
+        assert plan.targets == ("a0~a2#k1",)
+        np.testing.assert_array_equal(plan.translations, [[1.0, 0, 0]])
+        assert plan.anchor_ids == (("a0", "a2"),)
 
     def test_equal_spacing_three(self):
-        m = _line_map(2)
-        plan = gen_interp_targets(m, subdivisions=3)
-        xs = [t.pose.t[0] for t in plan.targets]
-        np.testing.assert_allclose(xs, [0.25, 0.5, 0.75], atol=1e-15)
+        _, plan = _interp_plan(_line_map(5), 4)
+        assert plan.targets == ("a0~a4#k1", "a0~a4#k2", "a0~a4#k3")
+        np.testing.assert_array_equal(plan.translations[:, 0], [1.0, 2.0, 3.0])
 
     def test_dropped_round_trip_count(self):
         m = _line_map(101)
         anchors, dropped = subsample_trajectory(m, 10)
         plan = gen_interp_targets(anchors, dropped=dropped)
-        assert len(plan.targets) == len(dropped)
+        assert len(plan.targets) == len(dropped.left_anchors) == len(dropped.translations)
 
     def test_bracketing_by_original_index(self):
         m = _line_map(7)
         anchors, dropped = subsample_trajectory(m, 3)  # anchors a0, a3, a6
         plan = gen_interp_targets(anchors, dropped=dropped)
-        by_x = {t.pose.t[0]: t.anchor_ids for t in plan.targets}
+        by_x = dict(zip(plan.translations[:, 0].tolist(), plan.anchor_ids))
         assert by_x[1.0] == ("a0", "a3")
         assert by_x[2.0] == ("a0", "a3")
         assert by_x[4.0] == ("a3", "a6")
@@ -138,28 +152,38 @@ class TestInterpTargets:
         m = _line_map(8)
         anchors, dropped = subsample_trajectory(m, 3)  # anchors a0, a3, a6; a7 trails
         plan = gen_interp_targets(anchors, dropped=dropped)
-        trailing = [t for t in plan.targets if t.pose.t[0] == 7.0]
-        assert trailing and trailing[0].anchor_ids == ("a3", "a6")
+        assert plan.translations[-1, 0] == 7.0
+        assert plan.targets[-1] == "a3~a6#k3" and plan.anchor_ids[-1] == ("a3", "a6")
 
-    def test_orientation_slerped(self):
-        a = Pose(t=[0, 0, 0], q=quat_from_yaw(0.0))
-        b = Pose(t=[1, 0, 0], q=quat_from_yaw(math.pi / 2))
-        m = ReferenceMap.from_entries(
-            [("a0", np.zeros(2), a), ("a1", np.zeros(2), b)]
+    def test_orientation_normalized_once(self):
+        # Map quaternions may sit up to 1e-6 off unit; a plan normalizes each
+        # dropped pose's own orientation exactly once.
+        rng = np.random.default_rng(12)
+        q = rng.standard_normal((9, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q *= 1.0 + rng.uniform(-5e-7, 5e-7, (9, 1))
+        m = ReferenceMap(
+            ids=tuple(f"a{i}" for i in range(9)),
+            descriptors=np.zeros((9, 1)),
+            translations=np.c_[np.arange(9.0), np.zeros((9, 2))],
+            quaternions=q,
         )
-        plan = gen_interp_targets(m, subdivisions=1)
-        np.testing.assert_allclose(plan.targets[0].pose.q, quat_from_yaw(math.pi / 4), atol=1e-12)
+        _, plan = _interp_plan(m, 4)
+        dropped = [i for i in range(9) if i % 4]
+        assert plan.quaternions.tobytes() == normalize_quat_rows(q[dropped]).tobytes()
 
     def test_needs_two_anchors(self):
+        anchors, dropped = subsample_trajectory(_line_map(5), 10)
         with pytest.raises(TooFewAnchors):
-            gen_interp_targets(_line_map(1), subdivisions=1)
+            gen_interp_targets(anchors, dropped=dropped)
 
     def test_exactly_one_mode(self):
+        # Dropped poses are the only source of interpolation targets.
         m = _line_map(3)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(TypeError):
             gen_interp_targets(m)
-        with pytest.raises(InvalidConfig):
-            gen_interp_targets(m, dropped=[], subdivisions=1)
+        with pytest.raises(TypeError):
+            gen_interp_targets(m, subdivisions=1)
 
 
 class TestExtrapGrid:
@@ -193,15 +217,14 @@ class TestExtrapGrid:
         m = ReferenceMap.from_entries([("a0", np.zeros(2), pose)])
         cfg = DensifyConfig(stride=2, grid_step=0.1, grid_span=0.1, dedupe_radius=0.0)
         plan = gen_extrap_grid(m, cfg)
-        for t in plan.targets:
-            assert t.pose.t[2] == 3.0
-            np.testing.assert_array_equal(t.pose.q, pose.q)
-            assert t.anchor_ids == ("a0",)
+        assert np.all(plan.translations[:, 2] == 3.0)
+        np.testing.assert_array_equal(plan.quaternions, np.tile(pose.q, (len(plan.targets), 1)))
+        assert plan.anchor_ids == (("a0",),) * len(plan.targets)
 
     def test_grid_ids_deterministic(self):
         m = _line_map(1)
         cfg = DensifyConfig(stride=2, grid_step=0.05, grid_span=0.05, dedupe_radius=0.0)
-        ids = [t.id for t in gen_extrap_grid(m, cfg).targets]
+        ids = gen_extrap_grid(m, cfg).targets
         assert "a0#gx-1y0" in ids and "a0#gx1y1" in ids
 
 
@@ -262,7 +285,8 @@ def _anchor_map(translations, yaws):
 
 
 def _plan_rows(plan):
-    return [(t.id, t.pose.t.tobytes(), t.pose.q.tobytes(), t.anchor_ids) for t in plan.targets]
+    rows = zip(plan.targets, plan.translations, plan.quaternions, plan.anchor_ids)
+    return [(target, t.tobytes(), q.tobytes(), anchors) for target, t, q, anchors in rows]
 
 
 _STEPS = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 1.8])
@@ -342,11 +366,13 @@ class TestExtrapGridMatchesReference:
             gen_extrap_grid(m, DensifyConfig(stride=2, grid_step=1e308, grid_span=1e308, dedupe_radius=0.0))
 
     def test_plan_blocks_stack_target_poses(self):
-        m = _line_map(4, spacing=0.07)
-        plan = gen_extrap_grid(m, DensifyConfig(stride=2, grid_step=0.05, grid_span=0.1, dedupe_radius=0.025))
-        assert plan.translations.tobytes() == b"".join(t.pose.t.tobytes() for t in plan.targets)
-        assert plan.quaternions.tobytes() == b"".join(t.pose.q.tobytes() for t in plan.targets)
-        assert not plan.translations.flags.writeable and not plan.targets[0].pose.t.flags.writeable
+        m = _anchor_map(np.c_[np.arange(4) * 0.07, np.zeros((4, 2))], [0.0, 0.5, 1.0, 1.5])
+        cfg = DensifyConfig(stride=2, grid_step=0.05, grid_span=0.1, dedupe_radius=0.025)
+        plan = gen_extrap_grid(m, cfg)
+        want = _reference_extrap_grid(m, cfg)
+        assert plan.translations.tobytes() == b"".join(row[1] for row in want)
+        assert plan.quaternions.tobytes() == b"".join(row[2] for row in want)
+        assert not plan.translations.flags.writeable and not plan.quaternions.flags.writeable
 
 
 class TestLinInterp:
@@ -513,7 +539,7 @@ def _affine_line_map(n, a, b, spacing=0.5):
 class TestDensifyMap:
     def test_empty_plan_identity(self):
         m = _line_map(3)
-        plan = TargetPlan(scheme=INTERPOLATION, targets=())
+        plan = _plan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), ())
         assert densify_map(m, plan, "lin_interp") is m
 
     def test_lin_interp_requires_interpolation_plan(self):
@@ -525,21 +551,18 @@ class TestDensifyMap:
 
     def test_lin_interp_unknown_anchor_is_typed(self):
         m = _line_map(3)
-        target = Target(id="x~y#k1", pose=Pose(t=[0.5, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a0", "y"))
-        plan = TargetPlan(scheme=INTERPOLATION, targets=(target,))
+        plan = _plan(INTERPOLATION, ("x~y#k1",), [[0.5, 0, 0]], [[1, 0, 0, 0]], (("a0", "y"),))
         with pytest.raises(UnknownAnchor, match=r"'x~y#k1' names anchor 'y'"):
             densify_map(m, plan, "lin_interp")
         assert issubclass(UnknownAnchor, CoprError)
 
     def test_nonlin_needs_model(self):
-        m = _line_map(3)
-        plan = gen_interp_targets(m, subdivisions=1)
+        m, plan = _interp_plan(_line_map(5), 2)
         with pytest.raises(MethodPlanMismatch):
             densify_map(m, plan, "nonlin_reg")
 
     def test_counting_and_provenance(self):
-        m = _line_map(5, spacing=1.0)
-        plan = gen_interp_targets(m, subdivisions=2)
+        m, plan = _interp_plan(_line_map(13, spacing=1.0), 3)
         dense = densify_map(m, plan, "lin_interp")
         assert len(dense) == 5 + 8
         assert dense.ids[:5] == m.ids
@@ -551,18 +574,17 @@ class TestDensifyMap:
         anchors, dropped = subsample_trajectory(m, 3)
         plan = gen_interp_targets(anchors, dropped=dropped)
         dense = densify_map(anchors, plan, "lin_interp")
-        for r, target in enumerate(plan.targets):
-            i1, i2 = (anchors.index_of(a) for a in target.anchor_ids)
+        for r, (pair, t) in enumerate(zip(plan.anchor_ids, plan.translations)):
+            i1, i2 = (anchors.index_of(a) for a in pair)
             # The scalar blend the batched kernel replaced.
-            b1 = float(np.linalg.norm(target.pose.t - anchors.translations[i1]))
-            b2 = float(np.linalg.norm(target.pose.t - anchors.translations[i2]))
+            b1 = float(np.linalg.norm(t - anchors.translations[i1]))
+            b2 = float(np.linalg.norm(t - anchors.translations[i2]))
             want = (1.0 - b1 / (b1 + b2)) * anchors.descriptors[i1] + (1.0 - b2 / (b1 + b2)) * anchors.descriptors[i2]
             assert dense.descriptors[len(anchors) + r].tobytes() == want.tobytes()
 
     def test_sparse_never_mutated(self):
-        m = _line_map(6)
+        m, plan = _interp_plan(_line_map(16), 3)
         before = (m.descriptors.copy(), m.translations.copy(), m.ids)
-        plan = gen_interp_targets(m, subdivisions=3)
         dense = densify_map(m, plan, "lin_reg", neighbors=4)
         np.testing.assert_array_equal(m.descriptors, before[0])
         np.testing.assert_array_equal(m.translations, before[1])
@@ -574,8 +596,7 @@ class TestDensifyMap:
         rng = np.random.default_rng(29)
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
-        m = _affine_line_map(12, a, b)
-        plan = gen_interp_targets(m, subdivisions=2)
+        m, plan = _interp_plan(_affine_line_map(34, a, b), 3)
         dense = densify_map(m, plan, "lin_reg", neighbors=4)
         for i in range(len(m), len(dense)):
             t = dense.translations[i]
@@ -586,14 +607,13 @@ class TestDensifyMap:
         # descriptors must then be near-constant too.
         const = np.array([0.5, -1.5])
         entries = [
-            (f"a{i}", const, Pose(t=[i * 0.2, 0, 0], q=[1, 0, 0, 0]))
-            for i in range(10)
+            (f"a{i}", const, Pose(t=[i * 0.1, 0, 0], q=[1, 0, 0, 0]))
+            for i in range(19)
         ]
-        m = ReferenceMap.from_entries(entries)
+        m, plan = _interp_plan(ReferenceMap.from_entries(entries), 2)
         pairs = _pairs_of(m, [(i, j) for i in range(10) for j in range(10) if i != j])
         cfg = TrainConfig(lr=1e-2, epochs=400, batch_size=16, seed=3, validation_fraction=0.4, early_stop_patience=400)
         model = train_regressor(pairs, cfg, 2)
-        plan = gen_interp_targets(m, subdivisions=1)
         dense = densify_map(m, plan, "nonlin_reg", model=model)
         for i in range(len(m), len(dense)):
             np.testing.assert_allclose(dense.descriptors[i], const, atol=1e-3)
@@ -608,38 +628,56 @@ class TestDensifyMap:
         cfg = DensifyConfig(stride=2, grid_step=0.25, grid_span=0.5, dedupe_radius=0.0)
         plan = gen_extrap_grid(m, cfg)
         dense = densify_map(m, plan, "nonlin_reg", model=model)
-        for r, target in enumerate(plan.targets):
-            i = int(_stable_knn(m.translations, target.pose.t, 1)[0])
-            dp = relative_pose(m.pose(i), target.pose).as_vector()
+        for r, (t, q) in enumerate(zip(plan.translations, plan.quaternions)):
+            i = int(_stable_knn(m.translations, t, 1)[0])
+            dp = relative_pose(m.pose(i), Pose(t=t, q=q)).as_vector()
             want = regress_nonlinear_batch(model, m.descriptors[i : i + 1], dp[None])[0]
             np.testing.assert_allclose(dense.descriptors[len(m) + r], want, rtol=1e-12, atol=1e-12)
 
     def test_plan_json_round_trip(self):
-        m = _line_map(4)
-        plan = gen_interp_targets(m, subdivisions=2)
-        back = TargetPlan.from_json(plan.to_json())
-        assert back.scheme == plan.scheme
-        assert len(back.targets) == len(plan.targets)
-        for a, b in zip(back.targets, plan.targets):
-            assert a.id == b.id and a.anchor_ids == b.anchor_ids
-            np.testing.assert_allclose(a.pose.t, b.pose.t, atol=0)
-            np.testing.assert_allclose(a.pose.q, b.pose.q, atol=0)
+        rng = np.random.default_rng(31)
+        m = _affine_line_map(10, rng.standard_normal((2, 3)), rng.standard_normal(2))
+        _, plan = _interp_plan(m, 4)
+        doc = json.loads(plan.to_json())
+        assert doc["scheme"] == INTERPOLATION
+        assert [t["id"] for t in doc["targets"]] == list(plan.targets)
+        assert [tuple(t["anchor_ids"]) for t in doc["targets"]] == list(plan.anchor_ids)
+        # Floats are written in shortest round-trip form, so they read back bit-exact.
+        assert np.array([t["pose"]["t"] for t in doc["targets"]]).tobytes() == plan.translations.tobytes()
+        assert np.array([t["pose"]["q"] for t in doc["targets"]]).tobytes() == plan.quaternions.tobytes()
 
     def test_interpolation_plan_invariant(self):
         with pytest.raises(InvalidConfig, match="two anchor ids"):
-            TargetPlan(
-                scheme=INTERPOLATION,
-                targets=(Target(id="x#k1", pose=Pose(t=[0, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a",)),),
-            )
+            _plan(INTERPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], (("a",),))
+        with pytest.raises(InvalidConfig, match="at least one anchor id"):
+            _plan(EXTRAPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], ((),))
         assert EXTRAPOLATION == "extrapolation"
 
     def test_target_id_without_marker_refused(self):
         # A '#'-less id would read back as an anchor once the map is saved.
-        good = Target(id="a0#gx1y0", pose=Pose(t=[0, 0, 0], q=[1, 0, 0, 0]), anchor_ids=("a0",))
-        bad = Target(id="a0gx1y0", pose=good.pose, anchor_ids=("a0",))
-        assert len(TargetPlan(scheme=EXTRAPOLATION, targets=(good,)).targets) == 1
+        t, q = [[0, 0, 0], [1, 0, 0]], [[1, 0, 0, 0], [1, 0, 0, 0]]
+        assert len(_plan(EXTRAPOLATION, ("a0#gx1y0",), t[:1], q[:1], (("a0",),)).targets) == 1
         with pytest.raises(InvalidConfig, match="'#'"):
-            TargetPlan(scheme=EXTRAPOLATION, targets=(good, bad))
-        text = TargetPlan(scheme=EXTRAPOLATION, targets=(good,)).to_json().replace("a0#gx1y0", "a0gx1y0")
-        with pytest.raises(InvalidConfig):
-            TargetPlan.from_json(text)
+            _plan(EXTRAPOLATION, ("a0#gx1y0", "a0gx1y0"), t, q, (("a0",), ("a0",)))
+
+    def test_column_blocks_are_validated(self):
+        ids, anchors = ("a0#gx1y0", "a0#gx0y1"), (("a0",), ("a0",))
+        t, q = np.zeros((2, 3)), np.tile([2.0, 0, 0, 0], (2, 1))
+        plan = _plan(EXTRAPOLATION, ids, t, q, anchors)
+        np.testing.assert_array_equal(plan.quaternions, np.tile([1.0, 0, 0, 0], (2, 1)))
+        t[0, 0] = 5.0
+        assert plan.translations[0, 0] == 0.0 and not plan.translations.flags.writeable
+        for bad, error in (
+            ((ids[:1], t, q, anchors[:1]), CountMismatch),
+            ((ids, t[:1], q, anchors), CountMismatch),
+            ((ids, t, q[:1], anchors), CountMismatch),
+            ((ids, t, q, anchors[:1]), CountMismatch),
+            ((ids, t[:, :2], q, anchors), DimMismatch),
+            ((ids, t, q[:, :3], anchors), DimMismatch),
+            ((ids, np.full((2, 3), np.inf), q, anchors), RefusedNonFinite),
+            ((ids, t, np.zeros((2, 4)), anchors), ZeroQuaternion),
+        ):
+            with pytest.raises(error):
+                _plan(EXTRAPOLATION, *bad)
+        with pytest.raises(InvalidConfig, match="unknown plan scheme"):
+            _plan("grid", ids, t, q, anchors)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copr.errors import RefusedNonFinite, ZeroQuaternion
+from copr.errors import CountMismatch, DimMismatch, RefusedNonFinite, ZeroQuaternion
 from copr.geometry import (
     Pose,
     RelativePose,
@@ -19,7 +19,6 @@ from copr.geometry import (
     poses,
     quat_from_yaw,
     quat_multiply,
-    quat_slerp,
     relative_pose,
     relative_pose_rows,
 )
@@ -120,6 +119,25 @@ class TestRowKernels:
                 p.t[0] = 0.0
         t[0, 0] = 99.0
         assert values[0].t[0] != 99.0
+
+    def test_block_row_counts_must_agree(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        with pytest.raises(CountMismatch, match="2 translation rows but 3 quaternion rows"):
+            poses(np.zeros((2, 3)), q)
+        with pytest.raises(CountMismatch):
+            poses(np.zeros((4, 3)), q)
+
+    def test_wrong_widths_are_typed(self):
+        with pytest.raises(DimMismatch):
+            poses(np.zeros((2, 2)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        with pytest.raises(DimMismatch):
+            poses(np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0], (2, 1)))
+        with pytest.raises(DimMismatch):
+            Pose(t=[0.0, 0.0], q=[1, 0, 0, 0])
+        with pytest.raises(DimMismatch):
+            Pose(t=[0.0, 0.0, 0.0], q=[1, 0, 0])
+        with pytest.raises(DimMismatch):
+            RelativePose(dt=[0.0, 0.0, 0.0, 0.0], dq=[1, 0, 0, 0])
 
     def test_non_finite_translation_is_refused(self):
         with pytest.raises(RefusedNonFinite):
@@ -272,19 +290,6 @@ class TestHelpers:
         np.testing.assert_allclose(
             canonical_sign(quat_multiply(q, _conj(q))), [1, 0, 0, 0], atol=1e-12
         )
-
-    @settings(max_examples=50)
-    @given(st.floats(0, 1))
-    def test_slerp_stays_unit(self, s):
-        rng = np.random.default_rng(19)
-        qa, qb = _rand_unit_quat(rng), _rand_unit_quat(rng)
-        assert abs(np.linalg.norm(quat_slerp(qa, qb, s)) - 1.0) <= 1e-9
-
-    def test_slerp_endpoints(self):
-        rng = np.random.default_rng(23)
-        qa, qb = _rand_unit_quat(rng), _rand_unit_quat(rng)
-        np.testing.assert_allclose(quat_slerp(qa, qb, 0.0), qa, atol=1e-12)
-        assert angular_error_deg(quat_slerp(qa, qb, 1.0), qb) <= 1e-6
 
     def test_pose_is_immutable(self):
         p = Pose(t=[0, 0, 0], q=[1, 0, 0, 0])

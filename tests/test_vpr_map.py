@@ -360,6 +360,24 @@ class TestMapType:
                     quaternions=[m.quaternions[0], q],
                 )
 
+    @pytest.mark.parametrize(
+        "t, q, error",
+        [
+            (np.zeros((3, 3)), np.tile([1.0, 0, 0, 0], (2, 1)), CountMismatch),
+            (np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (1, 1)), CountMismatch),
+            (np.zeros((2, 2)), np.tile([1.0, 0, 0, 0], (2, 1)), DimMismatch),
+            (np.zeros((3, 2)), np.tile([1.0, 0, 0, 0], (2, 1)), DimMismatch),
+            (np.zeros((2, 3)), np.tile([1.0, 0, 0], (2, 1)), DimMismatch),
+        ],
+    )
+    def test_pose_block_shapes_are_typed(self, t, q, error):
+        # (3, 2) translations hold 6 values, as (2, 3) would: the width is checked, not the size.
+        m = _map_of([[0.0], [1.0]])
+        with pytest.raises(error):
+            ReferenceMap(ids=m.ids, descriptors=m.descriptors, translations=t, quaternions=q)
+        with pytest.raises(error):
+            m.extended(("x#1", "x#2"), [[2.0], [3.0]], t, q)
+
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
         before = m.descriptors.copy()
