@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: synth, train-h, train-encoder, densify, retrieve, eval, and
-exp {interp, extrap, sweep, encoders, stray}. Each command accepts only the
-flags it reads. synth, train-h, train-encoder, densify and exp take an
-optional JSON --config, a --seed override and generic --set dot.path=value
-overrides, which take precedence over config keys; only exp writes a report
-and takes --format. retrieve and eval read no config. Each run that writes
-files echoes its resolved configuration next to them.
+exp {interp, extrap, sweep, encoders, stray}. Each command, and each exp
+kind, accepts only the flags it reads; exp flags follow the kind. synth,
+train-h, train-encoder, densify and exp take an optional JSON --config, a
+--seed override and generic --set dot.path=value overrides, which take
+precedence over config keys; only exp writes a report and takes --format.
+retrieve and eval read no config. Each run that writes files echoes its
+resolved configuration next to them.
 
 Exit codes: 0 success, 1 validation error or bad usage, 2 I/O error.
 stdout carries machine-readable output only; human-facing logs go to
@@ -60,6 +61,14 @@ _METHOD_FLAGS = {
     "lin-reg": METHOD_LIN_REG,
     "nonlin-reg": METHOD_NONLIN_REG,
 }
+# The flags that override a DensifyConfig field: the field each sets, and its type.
+_GRID_FLAGS = {
+    "--stride": ("stride", int),
+    "--e-step": ("grid_step", float),
+    "--e-span": ("grid_span", float),
+    "--neighbors": ("neighbors", int),
+    "--dedupe-radius": ("dedupe_radius", float),
+}
 
 
 def _log(msg: str) -> None:
@@ -111,16 +120,7 @@ def _train_config(section: dict, seed_override: int | None) -> TrainConfig:
 
 def _densify_config(section: dict, args) -> DensifyConfig:
     kwargs = dict(section)
-    if args.stride is not None:
-        kwargs["stride"] = args.stride
-    if args.e_step is not None:
-        kwargs["grid_step"] = args.e_step
-    if args.e_span is not None:
-        kwargs["grid_span"] = args.e_span
-    if args.neighbors is not None:
-        kwargs["neighbors"] = args.neighbors
-    if args.dedupe_radius is not None:
-        kwargs["dedupe_radius"] = args.dedupe_radius
+    kwargs.update({key: getattr(args, key) for key, _ in _GRID_FLAGS.values() if getattr(args, key) is not None})
     kwargs.setdefault("grid_span", max(kwargs.get("grid_step", 0.05), 0.05))
     return DensifyConfig(**kwargs)
 
@@ -272,76 +272,68 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _exp_regressor(args, scene, cfg: dict, default_methods: tuple, default_cap: float):
+    """The methods to run, and the regressor and its training seconds when nonlin-reg is one of them."""
+    methods = tuple(_METHOD_FLAGS[m] for m in args.methods) if args.methods else default_methods
+    if METHOD_NONLIN_REG not in methods:
+        return methods, None, 0.0
+    return (methods, *_scene_model(args, scene, cfg, default_cap))
+
+
+def _exp_interp(args, cfg: dict, seed: int):
+    scene = load_scene(args.scene)
+    stride = args.stride if args.stride is not None else cfg.get("stride", 50)
+    methods, model, t_train = _exp_regressor(
+        args, scene, cfg, (METHOD_LIN_INTERP, METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=1.0
+    )
+    return exp_interpolation(scene, stride, methods=methods, model=model, seed=seed, t_train_s=t_train)
+
+
+def _exp_extrap(args, cfg: dict, seed: int):
+    scene = load_scene(args.scene)
+    dc = _densify_config(cfg.get("densify", {}), args)
+    steps = None
+    if args.kind == "sweep":
+        steps = [float(s) for s in args.steps.split(",")] if args.steps else list(benchmarks.SWEEP_STEPS)
+    methods, model, t_train = _exp_regressor(
+        args, scene, cfg, (METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=max(1.0, dc.grid_span * 2)
+    )
+    return exp_extrapolation(scene, dc, methods=methods, model=model, step_list=steps, seed=seed, t_train_s=t_train)
+
+
+def _exp_encoders(args, cfg: dict, seed: int):
+    return exp_encoders(
+        load_scene(args.scene),
+        _densify_config(cfg.get("densify", {}), args),
+        encoder_cfgs=benchmarks.ENCODER_CONFIGS,
+        regressor_cfg=benchmarks.ENCODER_REGRESSOR,
+        max_translation=cfg.get("pair_cap", benchmarks.MULTI_PAIR_CAP),
+        max_pairs=cfg.get("max_pairs", benchmarks.ENCODER_PAIR_MAX),
+        nuisance_sigma=cfg.get("nuisance_sigma", benchmarks.MULTI_NUISANCE_SIGMA),
+        seed=seed,
+    )
+
+
+def _exp_stray(args, cfg: dict, seed: int):
+    if args.scene:
+        scene = load_scene(args.scene)
+    elif cfg.get("scene") and cfg.get("field"):
+        scene = gen_scene(SceneConfig(**cfg["scene"]), FieldConfig(**cfg["field"]))
+    else:
+        scene = gen_scene(benchmarks.MULTI_SCENE, benchmarks.MULTI_FIELD)
+    cases = [
+        make_stray_case(scene.scene_cfg, scene.field_cfg, args.similarity, case_seed=i) for i in range(args.cases)
+    ]
+    model, _ = _scene_model(args, scene, cfg, default_cap=benchmarks.MULTI_PAIR_CAP)
+    return exp_stray(cases, model)
+
+
 def _cmd_exp(args) -> int:
     cfg = _apply_set_overrides(_load_config(args.config), args.set)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    if args.kind == "stray":
-        scene_section = cfg.get("scene")
-        field_section = cfg.get("field")
-        if args.scene:
-            scene = load_scene(args.scene)
-            scene_cfg, field_cfg = scene.scene_cfg, scene.field_cfg
-        elif scene_section and field_section:
-            scene_cfg = SceneConfig(**scene_section)
-            field_cfg = FieldConfig(**field_section)
-            scene = gen_scene(scene_cfg, field_cfg)
-        else:
-            scene_cfg, field_cfg = benchmarks.MULTI_SCENE, benchmarks.MULTI_FIELD
-            scene = gen_scene(scene_cfg, field_cfg)
-        cases = [
-            make_stray_case(scene_cfg, field_cfg, args.similarity, case_seed=i)
-            for i in range(args.cases)
-        ]
-        model, _ = _scene_model(args, scene, cfg, default_cap=benchmarks.MULTI_PAIR_CAP)
-        report = exp_stray(cases, model)
-    else:
-        scene = load_scene(args.scene)
-        if args.kind == "interp":
-            stride = args.stride if args.stride is not None else cfg.get("stride", 50)
-            methods = tuple(_METHOD_FLAGS[m] for m in args.methods) if args.methods else (
-                METHOD_LIN_INTERP,
-                METHOD_LIN_REG,
-                METHOD_NONLIN_REG,
-            )
-            model = t_train = None
-            if METHOD_NONLIN_REG in methods:
-                model, t_train = _scene_model(args, scene, cfg, default_cap=1.0)
-            report = exp_interpolation(
-                scene, stride, methods=methods, model=model, seed=seed, t_train_s=t_train or 0.0
-            )
-        elif args.kind in ("extrap", "sweep"):
-            dc = _densify_config(cfg.get("densify", {}), args)
-            methods = tuple(_METHOD_FLAGS[m] for m in args.methods) if args.methods else (
-                METHOD_LIN_REG,
-                METHOD_NONLIN_REG,
-            )
-            steps = None
-            if args.kind == "sweep":
-                steps = (
-                    [float(s) for s in args.steps.split(",")] if args.steps else list(benchmarks.SWEEP_STEPS)
-                )
-            model = t_train = None
-            if METHOD_NONLIN_REG in methods:
-                model, t_train = _scene_model(args, scene, cfg, default_cap=max(1.0, dc.grid_span * 2))
-            report = exp_extrapolation(
-                scene, dc, methods=methods, model=model, step_list=steps, seed=seed, t_train_s=t_train or 0.0
-            )
-        else:  # encoders
-            dc = _densify_config(cfg.get("densify", {}), args)
-            report = exp_encoders(
-                scene,
-                dc,
-                encoder_cfgs=benchmarks.ENCODER_CONFIGS,
-                regressor_cfg=benchmarks.ENCODER_REGRESSOR,
-                max_translation=cfg.get("pair_cap", benchmarks.MULTI_PAIR_CAP),
-                max_pairs=cfg.get("max_pairs", benchmarks.ENCODER_PAIR_MAX),
-                nuisance_sigma=cfg.get("nuisance_sigma", benchmarks.MULTI_NUISANCE_SIGMA),
-                seed=seed,
-            )
-
+    report = args.run(args, cfg, seed)
     emit_report(report, args.format, out)
     _echo_config({"command": f"exp {args.kind}", "config": cfg, "seed": seed}, out)
     _log(f"report written to {out} ({len(report.rows)} rows)")
@@ -356,6 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--set", action="append", metavar="PATH=VALUE", help="override a config key (dot path)")
+
+    def grid_flags(p):
+        for flag, (key, kind) in _GRID_FLAGS.items():
+            p.add_argument(flag, type=kind, dest=key)
 
     p = sub.add_parser("synth", help="generate and export a synthetic scene")
     configurable(p)
@@ -382,11 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), required=True)
     p.add_argument("--scheme", choices=("interp", "extrap"), required=True)
     p.add_argument("--model", help="pre-trained regressor for nonlin-reg")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--e-step", type=float, dest="e_step")
-    p.add_argument("--e-span", type=float, dest="e_span")
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--dedupe-radius", type=float, dest="dedupe_radius")
+    grid_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_densify)
 
@@ -404,22 +396,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("exp", help="run an experiment protocol")
-    configurable(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("kind", choices=("interp", "extrap", "sweep", "encoders", "stray"))
-    p.add_argument("--scene", help="scene directory (required except for stray with a config)")
-    p.add_argument("--model", help="pre-trained regressor to reuse")
-    p.add_argument("--methods", nargs="*", choices=sorted(_METHOD_FLAGS))
-    p.add_argument("--stride", type=int)
-    p.add_argument("--e-step", type=float, dest="e_step")
-    p.add_argument("--e-span", type=float, dest="e_span")
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--dedupe-radius", type=float, dest="dedupe_radius")
-    p.add_argument("--steps", help="comma-separated grid steps for sweep")
-    p.add_argument("--similarity", type=float, default=benchmarks.STRAY_SIMILARITY)
-    p.add_argument("--cases", type=int, default=benchmarks.STRAY_CASES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_exp)
+    kinds = p.add_subparsers(dest="kind", required=True)
+
+    def exp_kind(kind, run, help, scene_help="scene directory"):
+        k = kinds.add_parser(kind, help=help)
+        configurable(k)
+        k.add_argument("--format", choices=("csv", "json"), default="csv")
+        k.add_argument("--out", required=True)
+        k.add_argument("--scene", required=kind != "stray", help=scene_help)
+        k.set_defaults(func=_cmd_exp, run=run)
+        return k
+
+    def regressor_flags(k):
+        k.add_argument("--model", help="pre-trained regressor to reuse")
+        k.add_argument("--methods", nargs="*", choices=sorted(_METHOD_FLAGS))
+
+    k = exp_kind("interp", _exp_interp, "regress the poses a subsampled trajectory dropped")
+    regressor_flags(k)
+    k.add_argument("--stride", type=int)
+    k = exp_kind("extrap", _exp_extrap, "grid-extrapolate around trajectory anchors")
+    regressor_flags(k)
+    grid_flags(k)
+    k = exp_kind("sweep", _exp_extrap, "extrap once per grid step")
+    regressor_flags(k)
+    grid_flags(k)
+    k.add_argument("--steps", help="comma-separated grid steps")
+    k = exp_kind("encoders", _exp_encoders, "extrap in each encoder variant's descriptor space")
+    grid_flags(k)
+    k = exp_kind(
+        "stray", _exp_stray, "demote a stray reference by regressing one at the query pose",
+        scene_help="multi_scene scene directory (default: the config's scene, else the multiscene benchmark)",
+    )
+    k.add_argument("--model", help="pre-trained regressor to reuse")
+    k.add_argument("--similarity", type=float, default=benchmarks.STRAY_SIMILARITY)
+    k.add_argument("--cases", type=int, default=benchmarks.STRAY_CASES)
 
     return parser
 

@@ -34,15 +34,18 @@ from .densify import (
 from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
 from .geometry import angular_error_deg_many, relative_pose_rows, row_dots
 from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
-from .neural.training import TrainConfig, build_training_pairs, train_regressor
+from .neural.training import ENCODER_VARIANTS, TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
-from .vpr_map import ReferenceMap, oracle_retrieve, origin_of, retrieve, retrieve_many
+from .vpr_map import ReferenceMap, nearest_neighbors, oracle_retrieve, origin_of, retrieve, retrieve_many
 
 METHOD_LABELS = {
     METHOD_LIN_INTERP: "LinInterp",
     METHOD_LIN_REG: "LinReg",
     METHOD_NONLIN_REG: "NonLinReg",
 }
+# Anchors of each plane fit in the interpolation protocol.
+_INTERP_NEIGHBORS = 4
+
 
 @dataclass(frozen=True)
 class PerQuery:
@@ -80,8 +83,24 @@ def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
     matched = retrieve_many(np.asarray(descriptors), ref_map, k=1)[0][:, 0]
     # Each error is bit-equal to np.linalg.norm / angular_error_deg of one query.
     diff = ref_map.translations[matched] - np.asarray([pose.t for _, pose in queries])
-    t_errs = np.sqrt(row_dots(diff, diff))
-    r_errs = angular_error_deg_many(ref_map.quaternions[matched], np.asarray([pose.q for _, pose in queries]))
+    return _summary(queries, ref_map, matched, np.sqrt(row_dots(diff, diff)))
+
+
+def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
+    """The summary of :func:`oracle_retrieve` over all queries: each query
+    matched to the physically closest reference, ties by index."""
+    if len(ref_map) == 0:
+        raise EmptyMap("cannot retrieve from an empty map")
+    query_t = np.asarray([pose.t for _, pose in queries]).reshape(-1, 3)
+    matched, d2 = nearest_neighbors(query_t, ref_map.translations, 1)
+    return _summary(queries, ref_map, matched[:, 0], np.sqrt(d2[:, 0]))
+
+
+def _summary(queries, ref_map: ReferenceMap, matched: np.ndarray, t_errs: np.ndarray) -> ErrorSummary:
+    """Per-query results and medians for queries matched to the map rows
+    ``matched`` with translation errors ``t_errs``."""
+    query_q = np.asarray([pose.q for _, pose in queries]).reshape(-1, 4)
+    r_errs = angular_error_deg_many(ref_map.quaternions[matched], query_q)
     results = tuple(
         PerQuery(
             translation_error=te,
@@ -92,25 +111,6 @@ def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
         for te, re, i in zip(t_errs.tolist(), r_errs.tolist(), matched.tolist())
     )
     return ErrorSummary(mte_m=float(np.median(t_errs)), mre_deg=float(np.median(r_errs)), per_query=results)
-
-
-def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
-    results = []
-    for _, pose in queries:
-        match = oracle_retrieve(pose, ref_map)
-        results.append(
-            PerQuery(
-                translation_error=match.translation_error,
-                rotation_error=match.rotation_error,
-                matched_id=match.ref_id,
-                matched_origin=origin_of(match.ref_id).value,
-            )
-        )
-    return ErrorSummary(
-        mte_m=float(np.median([r.translation_error for r in results])),
-        mre_deg=float(np.median([r.rotation_error for r in results])),
-        per_query=tuple(results),
-    )
 
 
 class _Table:
@@ -345,7 +345,6 @@ def exp_interpolation(
     stride: int,
     methods=(METHOD_LIN_INTERP, METHOD_LIN_REG, METHOD_NONLIN_REG),
     model: MlpModel | None = None,
-    neighbors: int = 4,
     seed: int = 0,
     t_train_s: float = 0.0,
 ) -> ExperimentReport:
@@ -362,13 +361,13 @@ def exp_interpolation(
         plan = TargetPlan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), ())
     t_enc = _time_encoding(scene)
     rows = _method_rows(
-        "interp", scene.queries, anchors, plan, methods, model, neighbors, seed, t_enc, t_train_s, gt=gt
+        "interp", scene.queries, anchors, plan, methods, model, _INTERP_NEIGHBORS, seed, t_enc, t_train_s, gt=gt
     )
     config = {
         "experiment": "interp",
         "stride": stride,
         "methods": list(methods),
-        "neighbors": neighbors,
+        "neighbors": _INTERP_NEIGHBORS,
         "seed": seed,
         "scene_config": asdict(scene.scene_cfg),
         "field_config": asdict(scene.field_cfg),
@@ -425,17 +424,17 @@ def exp_extrapolation(
 def exp_encoders(
     scene: SyntheticScene,
     densify_cfg: DensifyConfig,
-    variants=("triplet", "relative", "distance"),
-    encoder_cfgs: dict | None = None,
-    regressor_cfg: TrainConfig | None = None,
-    max_translation: float = 1.2,
-    max_pairs: int = 4000,
-    nuisance_sigma: float = 1.0,
+    encoder_cfgs: dict,
+    regressor_cfg: TrainConfig,
+    max_translation: float,
+    max_pairs: int,
+    nuisance_sigma: float,
     seed: int = 0,
 ) -> ExperimentReport:
     """Sparse-vs-dense localization for each encoder training objective.
 
-    For every variant an encoder is trained on the scene's observation
+    For every variant in ``ENCODER_VARIANTS`` an encoder, configured by
+    ``encoder_cfgs[variant]``, is trained on the scene's observation
     dataset, all maps are re-encoded through it, a regressor is trained in
     that descriptor space, and the extrapolation protocol runs on the
     encoded maps. Emits a {sparse, dense} row pair (plus an oracle row)
@@ -450,10 +449,9 @@ def exp_encoders(
     query_rng = np.random.default_rng(seeds[1])
     rows = []
     encoder_seconds = {}
-    for variant in variants:
-        cfg = (encoder_cfgs or {}).get(variant)
+    for variant in ENCODER_VARIANTS:
         start = time.perf_counter()
-        encoder = train_encoder(dataset, variant, cfg)
+        encoder = train_encoder(dataset, variant, encoder_cfgs[variant])
         encoder_seconds[variant] = time.perf_counter() - start
 
         ref_obs = make_observations(
@@ -486,7 +484,7 @@ def exp_encoders(
         )
         h_start = time.perf_counter()
         pairs = build_training_pairs(train_e, max_translation, max_pairs, seed)
-        h_model = train_regressor(pairs, regressor_cfg or TrainConfig(seed=seed), n)
+        h_model = train_regressor(pairs, regressor_cfg, n)
         t_train = time.perf_counter() - h_start
 
         anchors, _ = subsample_trajectory(sparse_e, densify_cfg.stride)
@@ -508,7 +506,7 @@ def exp_encoders(
         )
     config = {
         "experiment": "encoders",
-        "variants": list(variants),
+        "variants": list(ENCODER_VARIANTS),
         "densify_config": asdict(densify_cfg),
         "max_translation": max_translation,
         "max_pairs": max_pairs,

@@ -228,13 +228,17 @@ def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
     product: same operation order, same dot product for the norm.
 
     Raises:
+        DimMismatch: if the rows do not hold 3 and 4 components.
+        CountMismatch: if the four blocks differ in row count.
         RefusedNonFinite: if a translation difference is not finite.
         ZeroQuaternion: if a product's norm is at or below 1e-12.
     """
-    t_a = np.asarray(t_a, dtype=np.float64).reshape(-1, 3)
-    t_b = np.asarray(t_b, dtype=np.float64).reshape(-1, 3)
-    q_a = np.asarray(q_a, dtype=np.float64).reshape(-1, 4)
-    q_b = np.asarray(q_b, dtype=np.float64).reshape(-1, 4)
+    t_a = row_block(t_a, 3, "anchor translation")
+    q_a = row_block(q_a, 4, "anchor quaternion")
+    t_b = row_block(t_b, 3, "target translation")
+    q_b = row_block(q_b, 4, "target quaternion")
+    if not len(t_a) == len(q_a) == len(t_b) == len(q_b):
+        raise CountMismatch(f"relative pose blocks hold {len(t_a)}, {len(q_a)}, {len(t_b)} and {len(q_b)} rows")
     out = np.empty((len(t_a), 7))
     np.subtract(t_b, t_a, out=out[:, :3])
     if not np.all(np.isfinite(out[:, :3])):

@@ -20,7 +20,6 @@ from .training import (
     TrainingPairs,
     TrainResult,
     build_training_pairs,
-    default_encoder_config,
     encoder_widths,
     init_encoder,
     init_regressor,

@@ -34,6 +34,8 @@ ENCODER_VARIANTS = ("triplet", "relative", "distance")
 ENCODER_DEFAULT_LR = {"triplet": 1e-5, "relative": 1e-4, "distance": 5e-5}
 REGRESSOR_DEFAULT_LR = 5e-4
 DEFAULT_TRIPLET_MARGIN = 0.3
+# Triplets (or same-scene pairs) sampled for one encoder training run.
+_ENCODER_POOL = 3000
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,6 @@ def init_rpe_head(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, [Activation.GELU, Activation.IDENTITY], seed)
 
 
-def default_encoder_config(variant: str, seed: int = 0) -> TrainConfig:
-    return TrainConfig(lr=ENCODER_DEFAULT_LR[variant], epochs=200, batch_size=32, seed=seed)
-
-
 def _sample_triplets(dataset: EncoderDataset, count: int, rng: np.random.Generator):
     labels = np.asarray(dataset.labels)
     by_label = {lab: np.nonzero(labels == lab)[0] for lab in sorted(set(dataset.labels))}
@@ -315,8 +313,6 @@ def train_encoder_full(
     dataset: EncoderDataset,
     variant: str,
     cfg: TrainConfig | None = None,
-    margin: float = DEFAULT_TRIPLET_MARGIN,
-    pool_size: int = 3000,
 ) -> TrainResult:
     """Train a synthetic feature encoder with one of three objectives.
 
@@ -324,14 +320,17 @@ def train_encoder_full(
     negatives (needs at least two scenes); ``relative`` trains the encoder
     jointly with a relative-pose head that is discarded afterwards;
     ``distance`` matches descriptor distances to physical distances on
-    same-scene pairs. Returns the best-validation encoder snapshot.
+    same-scene pairs. Each samples ``_ENCODER_POOL`` triplets or pairs
+    once; without ``cfg`` it runs the default :class:`TrainConfig` at the
+    variant's ``ENCODER_DEFAULT_LR``. Returns the best-validation encoder
+    snapshot.
     """
     if variant not in ENCODER_VARIANTS:
         raise InvalidConfig(f"unknown encoder variant {variant!r}")
     if len(dataset) == 0:
         raise EmptyTrainingSet("empty encoder dataset")
     if cfg is None:
-        cfg = default_encoder_config(variant)
+        cfg = TrainConfig(lr=ENCODER_DEFAULT_LR[variant])
 
     seed_a, state = splitmix64(cfg.seed)
     seed_b, state = splitmix64(state)
@@ -345,9 +344,9 @@ def train_encoder_full(
         head_opt = RawAdam(head, cfg.lr)
 
     if variant == "triplet":
-        samples = _sample_triplets(dataset, pool_size, rng)
+        samples = _sample_triplets(dataset, _ENCODER_POOL, rng)
     else:
-        samples = _sample_same_scene_pairs(dataset, pool_size, rng)
+        samples = _sample_same_scene_pairs(dataset, _ENCODER_POOL, rng)
     train_idx, val_idx = _split_indices(len(samples), cfg.validation_fraction, rng)
     if len(val_idx) == 0:
         val_idx = train_idx
@@ -372,7 +371,7 @@ def train_encoder_full(
             fq, cq = forward_batch(encoder, xq, keep_cache=with_grads)
             fp, cp = forward_batch(encoder, xp, keep_cache=with_grads)
             fn, cn = forward_batch(encoder, xn, keep_cache=with_grads)
-            loss, gq, gp, gn = triplet_grads(fq, fp, fn, margin)
+            loss, gq, gp, gn = triplet_grads(fq, fp, fn, DEFAULT_TRIPLET_MARGIN)
             if with_grads:
                 backward_sum(((cq, gq), (cp, gp), (cn, gn)))
             return loss
@@ -412,8 +411,6 @@ def train_encoder(
     dataset: EncoderDataset,
     variant: str,
     cfg: TrainConfig | None = None,
-    margin: float = DEFAULT_TRIPLET_MARGIN,
-    pool_size: int = 3000,
 ) -> MlpModel:
     """Best-validation encoder snapshot; see :func:`train_encoder_full`."""
-    return train_encoder_full(dataset, variant, cfg, margin=margin, pool_size=pool_size).model
+    return train_encoder_full(dataset, variant, cfg).model

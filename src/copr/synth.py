@@ -33,6 +33,7 @@ LANE_SPACING = 0.25
 LOOP_WIGGLE_FRACTION = 0.008  # radial jitter of loop trajectories, vs extent
 TRAIN_STRIDE = 5  # lane layouts keep every 5th pose of both lanes for training
 MULTI_SCENE_RADIUS = 1.0
+STRAY_LOCAL_SPACING = 0.5  # arc spacing of a stray case's four honest references
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,11 @@ class AffineField:
         self.noise_sigma = noise_sigma
         self.dim = matrix.shape[0]
 
-    def eval_many(self, translations: np.ndarray, quaternions: np.ndarray | None = None) -> np.ndarray:
+    def eval_many(self, translations: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
         return np.asarray(translations, dtype=np.float64) @ self.matrix.T + self.offset
 
     def eval_one(self, pose: Pose) -> np.ndarray:
-        return self.eval_many(pose.t.reshape(1, 3))[0]
+        return self.eval_many(pose.t.reshape(1, 3), pose.q.reshape(1, 4))[0]
 
 
 class RandomFourierField:
@@ -96,11 +97,11 @@ class RandomFourierField:
         self.noise_sigma = noise_sigma
         self.dim = amps.shape[0]
 
-    def eval_many(self, translations: np.ndarray, quaternions: np.ndarray | None = None) -> np.ndarray:
+    def eval_many(self, translations: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
         t = np.asarray(translations, dtype=np.float64)
         args = np.einsum("nk,dwk->ndw", t, self.omegas) + self.phases
         values = np.einsum("ndw,dw->nd", np.sin(args), self.amps)
-        if quaternions is not None and self.orientation_weight != 0.0:
+        if self.orientation_weight != 0.0:
             headings = _headings(np.asarray(quaternions, dtype=np.float64))
             values = values + self.orientation_weight * (headings @ self.orient_vecs.T)
         return values
@@ -342,12 +343,11 @@ def make_stray_case(
     field_cfg: FieldConfig,
     similarity: float,
     case_seed: int = 0,
-    local_spacing: float = 0.5,
 ) -> StrayCase:
     """Construct one perceptual-aliasing failure case.
 
     Four references are sparsely sampled from the scene's reference ring
-    around a query (spaced ``local_spacing`` meters along the arc, with a
+    around a query (spaced ``STRAY_LOCAL_SPACING`` meters along the arc, with a
     seeded jitter); a fifth stray reference from a different scene gets
     its descriptor blended toward the query descriptor by ``similarity``,
     so at high similarity the stray outranks every honest local reference.
@@ -369,7 +369,7 @@ def make_stray_case(
     q_pose = Pose(t=q_t, q=quat_from_yaw(theta + math.pi / 2.0))
     f_query = field.eval_one(q_pose)
 
-    dtheta = local_spacing / MULTI_SCENE_RADIUS
+    dtheta = STRAY_LOCAL_SPACING / MULTI_SCENE_RADIUS
     entries = []
     for k, step in enumerate((-1.5, -0.5, 0.5, 1.5)):
         ang = theta + step * dtheta * rng.uniform(0.85, 1.15)

@@ -43,7 +43,6 @@ from .errors import (
     UnwritableId,
     VersionUnsupported,
     ZeroQuaternion,
-    ZeroVector,
 )
 from .geometry import Pose, angular_error_deg, row_block
 
@@ -210,13 +209,6 @@ class ReferenceMap:
             translations=np.vstack([self.translations, _pose_block(translations, len(ids), 3, "translation")]),
             quaternions=np.vstack([self.quaternions, _pose_block(quaternions, len(ids), 4, "quaternion")]),
         )
-
-
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms <= 0.0):
-        raise ZeroVector("cannot L2-normalize a zero descriptor row")
-    return m / norms
 
 
 # Query rows per block in nearest_neighbors are chosen so that a block's
@@ -503,12 +495,11 @@ def _pose_values(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndar
     return values[:, :3], values[:, 3:]
 
 
-def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> ReferenceMap:
+def load_map(pose_path, descriptor_path) -> ReferenceMap:
     """Load a reference map from a pose CSV plus a descriptor binary.
 
     Row i of the descriptor file pairs with row i of the pose file; entry
-    order is file order. ``l2_normalize`` rescales every descriptor row to
-    unit norm at load time (off by default; plain Euclidean matching).
+    order is file order.
     """
     try:
         with open(pose_path, "rb") as fh:
@@ -528,9 +519,6 @@ def load_map(pose_path, descriptor_path, l2_normalize: bool = False) -> Referenc
 
     if len(ids) != count:
         raise CountMismatch(f"pose file has {len(ids)} rows but descriptor file declares {count}")
-
-    if l2_normalize and count:
-        desc = l2_normalize_rows(desc)
 
     try:
         return ReferenceMap(

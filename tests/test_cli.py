@@ -301,3 +301,48 @@ class TestExp:
         )
         assert rc == 1
         assert not out.exists()
+
+
+# Flags some exp kind reads, with a valid value each.
+_EXP_FLAG_VALUES = {
+    "--model": ["m.bin"],
+    "--methods": ["lin-reg"],
+    "--stride": ["6"],
+    "--e-step": ["0.1"],
+    "--e-span": ["0.2"],
+    "--neighbors": ["4"],
+    "--dedupe-radius": ["0.05"],
+    "--steps": ["0.2,0.1"],
+    "--similarity": ["0.5"],
+    "--cases": ["1"],
+}
+_GRID_FLAGS = {"--stride", "--e-step", "--e-span", "--neighbors", "--dedupe-radius"}
+_EXP_FLAGS_READ = {
+    "interp": {"--model", "--methods", "--stride"},
+    "extrap": {"--model", "--methods"} | _GRID_FLAGS,
+    "sweep": {"--model", "--methods", "--steps"} | _GRID_FLAGS,
+    "encoders": _GRID_FLAGS,
+    "stray": {"--model", "--similarity", "--cases"},
+}
+_UNREAD = [(kind, flag) for kind, read in _EXP_FLAGS_READ.items() for flag in _EXP_FLAG_VALUES if flag not in read]
+
+
+class TestExpFlags:
+    @pytest.mark.parametrize("kind, flag", _UNREAD)
+    def test_each_kind_refuses_the_flags_it_does_not_read(self, scene_dir, tmp_path, kind, flag):
+        out = tmp_path / "reports" / "r.csv"
+        cmd = ["exp", kind, "--scene", str(scene_dir), flag, *_EXP_FLAG_VALUES[flag], "--out", str(out)]
+        assert dispatch(cmd) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["interp", "extrap", "sweep", "encoders"])
+    def test_scene_is_required(self, tmp_path, kind):
+        assert dispatch(["exp", kind, "--out", str(tmp_path / "reports" / "r.csv")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_runs_each_step(self, scene_dir, tmp_path):
+        out = tmp_path / "sweep.json"
+        cmd = ["exp", "sweep", "--scene", str(scene_dir), "--methods", "lin-reg", "--stride", "6", "--e-span", "0.2"]
+        assert dispatch([*cmd, "--steps", "0.2,0.1", "--format", "json", "--out", str(out)]) == 0
+        report = ExperimentReport.from_json(out.read_text())
+        assert [r.experiment for r in report.rows] == ["extrap[step=0.2]"] * 3 + ["extrap[step=0.1]"] * 3

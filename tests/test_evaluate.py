@@ -7,7 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from copr.densify import DensifyConfig
+from copr import benchmarks as B
+from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, subsample_trajectory
 from copr.errors import EmptyMap, InvalidConfig
 from copr.evaluate import (
     ExperimentReport,
@@ -25,7 +26,7 @@ from copr.evaluate import (
 from copr.geometry import Pose
 from copr.neural.training import TrainConfig
 from copr.synth import FieldConfig, SceneConfig, gen_scene, make_stray_case
-from copr.vpr_map import ReferenceMap, retrieve
+from copr.vpr_map import ReferenceMap, oracle_retrieve, retrieve
 
 
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
@@ -237,6 +238,25 @@ class TestExperimentShapes:
         r1 = exp_extrapolation(scene, cfg, methods=("lin_reg",), seed=1)
         r2 = exp_extrapolation(_small_scene(), cfg, methods=("lin_reg",), seed=1)
         assert report_signature(r1) == report_signature(r2)
+
+    @pytest.mark.parametrize("name", ["small", "loop"])
+    def test_oracle_row_equals_per_query_oracle_retrieve(self, name):
+        if name == "small":
+            scene, cfg = _small_scene(), DensifyConfig(stride=6, grid_step=0.1, grid_span=0.2, dedupe_radius=0.05)
+        else:
+            scene, cfg = B.make_benchmark_scene("loop"), B.LOOP_DENSIFY
+        report = exp_extrapolation(scene, cfg, methods=("lin_reg",), seed=1)
+        anchors, _ = subsample_trajectory(scene.gt_dense, cfg.stride)
+        dense = densify_map(scene.gt_dense, gen_extrap_grid(anchors, cfg), "lin_reg", neighbors=cfg.neighbors)
+        matches = [oracle_retrieve(pose, dense) for _, pose in scene.queries]
+        oracle = [r for r in report.rows if r.retrieval == "Oracle"]
+        assert [(r.mte_m, r.mre_deg, r.map_size) for r in oracle] == [
+            (
+                float(np.median([m.translation_error for m in matches])),
+                float(np.median([m.rotation_error for m in matches])),
+                len(dense),
+            )
+        ]
 
     def test_affine_lin_reg_matches_gt_dense(self):
         scene = _small_scene(seed=40)

@@ -188,6 +188,19 @@ class TestRelativePoseRows:
             with pytest.raises(ValueError):
                 rp.dt[0] = 0.0
 
+    def test_block_shapes_are_validated(self):
+        q2 = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+        with pytest.raises(DimMismatch):  # a (3, 2) block is not 2 translations
+            relative_pose_rows(np.arange(6.0).reshape(3, 2), q2, np.zeros((2, 3)), q2)
+        with pytest.raises(DimMismatch):
+            relative_pose_rows(np.zeros((2, 2)), q2, np.zeros((2, 3)), q2)
+        with pytest.raises(DimMismatch):
+            relative_pose_rows(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), q2)
+        with pytest.raises(CountMismatch):
+            relative_pose_rows(np.zeros((3, 3)), q2, np.zeros((2, 3)), q2)
+        with pytest.raises(CountMismatch):
+            relative_pose_rows(np.zeros((2, 3)), q2, np.zeros((2, 3)), q2[:1])
+
     def test_rejects_non_finite_translation_and_zero_quaternion(self):
         with pytest.raises(RefusedNonFinite):
             relative_pose_rows([[0, 0, math.nan]], [[1, 0, 0, 0]], [[0, 0, 0]], [[1, 0, 0, 0]])

@@ -816,7 +816,7 @@ class TestTrainEncoder:
         ds = _toy_dataset()
         for variant, lr in (("triplet", 1e-3), ("relative", 1e-3), ("distance", 1e-3)):
             cfg = TrainConfig(lr=lr, epochs=12, batch_size=16, seed=1, validation_fraction=0.4, early_stop_patience=12)
-            res = train_encoder_full(ds, variant, cfg, pool_size=300)
+            res = train_encoder_full(ds, variant, cfg)
             assert res.best_val_loss < res.initial_val_loss, variant
             assert res.model.output_dim == ds.descriptor_dim
             assert res.model.input_dim == ds.observation_dim
@@ -824,10 +824,10 @@ class TestTrainEncoder:
     def test_result_records_epochs_and_stop_reason(self):
         ds = _toy_dataset()
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=16, seed=1, early_stop_patience=5)
-        full = train_encoder_full(ds, "distance", cfg, pool_size=100)
+        full = train_encoder_full(ds, "distance", cfg)
         assert (full.epochs_run, full.stop_reason) == (2, "max_epochs")
         cfg = TrainConfig(lr=1.0, epochs=50, batch_size=16, seed=1, early_stop_patience=2)
-        stopped = train_encoder_full(ds, "relative", cfg, pool_size=100)
+        stopped = train_encoder_full(ds, "relative", cfg)
         assert stopped.stop_reason == "early_stop"
         assert cfg.early_stop_patience <= stopped.epochs_run < cfg.epochs
 
@@ -841,8 +841,8 @@ class TestTrainEncoder:
     def test_bitwise_deterministic(self):
         ds = _toy_dataset()
         cfg = TrainConfig(lr=1e-3, epochs=3, batch_size=16, seed=11, validation_fraction=0.4, early_stop_patience=3)
-        m1 = train_encoder(ds, "distance", cfg, pool_size=200)
-        m2 = train_encoder(ds, "distance", cfg, pool_size=200)
+        m1 = train_encoder(ds, "distance", cfg)
+        m2 = train_encoder(ds, "distance", cfg)
         for l1, l2 in zip(m1.layers, m2.layers):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()

@@ -23,7 +23,6 @@ from copr.errors import (
     UnwritableId,
     VersionUnsupported,
     ZeroQuaternion,
-    ZeroVector,
 )
 from copr.geometry import Pose
 from copr.vpr_map import (
@@ -491,12 +490,6 @@ class TestMapIo:
         assert not (tmp_path / "p.csv").exists()
         assert not (tmp_path / "d.bin").exists()
 
-    def test_l2_normalize_flag(self, tmp_path):
-        m = _map_of([[3.0, 4.0], [0.0, 2.0]])
-        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
-        loaded = load_map(tmp_path / "p.csv", tmp_path / "d.bin", l2_normalize=True)
-        np.testing.assert_allclose(np.linalg.norm(loaded.descriptors, axis=1), 1.0, atol=1e-12)
-
     @pytest.mark.parametrize(
         "row, error",
         [
@@ -626,12 +619,6 @@ class TestPoseCsv:
         with pytest.raises(DuplicateId, match="line 4"):
             load_map(tmp_path / "p.csv", tmp_path / "d.bin")
 
-    def test_zero_descriptor_refused_on_l2_normalize(self, tmp_path):
-        m = _map_of([[0.0, 0.0], [1.0, 0.0]])
-        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
-        with pytest.raises(ZeroVector):
-            load_map(tmp_path / "p.csv", tmp_path / "d.bin", l2_normalize=True)
-
     def test_non_utf8_pose_file_reports_line(self, tmp_path):
         m = _map_of([[0.0], [1.0]])
         save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
@@ -694,7 +681,7 @@ class TestCorruptedFilesFuzz:
         blob = blob[: len(blob) + resize] if resize < 0 else blob + bytes(resize)
         (tmp / "d.bin").write_bytes(bytes(blob))
         try:
-            loaded = load_map(tmp / "p.csv", tmp / "d.bin", l2_normalize=True)
+            loaded = load_map(tmp / "p.csv", tmp / "d.bin")
         except CoprError:
             return
         assert np.all(np.isfinite(loaded.descriptors))
