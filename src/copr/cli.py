@@ -281,8 +281,10 @@ def _exp_regressor(args, scene, cfg: dict, default_methods: tuple, default_cap: 
 
 
 def _exp_interp(args, cfg: dict, seed: int):
+    if "stride" in cfg:
+        raise InvalidConfig("exp interp reads its stride from densify.stride, not a top-level stride key")
     scene = load_scene(args.scene)
-    stride = args.stride if args.stride is not None else cfg.get("stride", 50)
+    stride = args.stride if args.stride is not None else cfg.get("densify", {}).get("stride", 50)
     methods, model, t_train = _exp_regressor(
         args, scene, cfg, (METHOD_LIN_INTERP, METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=1.0
     )

@@ -91,6 +91,8 @@ def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
     matched to the physically closest reference, ties by index."""
     if len(ref_map) == 0:
         raise EmptyMap("cannot retrieve from an empty map")
+    if not queries:
+        return ErrorSummary(mte_m=float("nan"), mre_deg=float("nan"), per_query=())
     query_t = np.asarray([pose.t for _, pose in queries]).reshape(-1, 3)
     matched, d2 = nearest_neighbors(query_t, ref_map.translations, 1)
     return _summary(queries, ref_map, matched[:, 0], np.sqrt(d2[:, 0]))

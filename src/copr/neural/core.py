@@ -13,12 +13,13 @@ model over a writable copy of that buffer (:meth:`MlpModel.on_buffer`), and
 :class:`RawAdam`, the one optimizer, updates it in place from a flat
 gradient buffer of the same layout.
 
-Buffer ownership: :func:`forward_batch` and :func:`backward_batch` allocate
+Buffer ownership: :func:`forward_batch` and :func:`backward_batch` return
 fresh arrays unless given a :class:`Workspace`. Only the caller that owns
 every array those calls return may pass one (the regressor trainer does,
-for its own batches), because the next call reuses the arrays. An array
-handed to anyone else, such as densified descriptors or encoder outputs,
-always comes from a call without a workspace and is never overwritten.
+for its batches and its validation set), because the next call reuses the
+arrays. An array handed to anyone else, such as densified descriptors or
+encoder outputs, always comes from a call without a workspace and is never
+overwritten.
 """
 
 from __future__ import annotations
@@ -227,25 +228,27 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work
     Returns (output, cache); cache holds per-layer inputs,
     pre-activations, and the GeLU tanh terms so the backward pass never
     recomputes a tanh. Every array is fresh unless ``work`` is given.
+    Without a cache, all layers share one set of buffers: a layer's
+    pre-activation is computed before its activation overwrites the
+    previous layer's output.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
-    take = _fresh if work is None else work
+    take = Workspace() if work is None else work
     cache = ([x], [], []) if keep_cache else None
     a = x
     for li, layer in enumerate(model.layers):
+        slot = li if keep_cache else 0
         shape = (x.shape[0], layer.weights.shape[0])
-        z = np.matmul(a, layer.weights.T, out=take(("z", li), shape))
+        z = np.matmul(a, layer.weights.T, out=take(("z", slot), shape))
         z += layer.bias
         th = None
         if layer.activation is Activation.GELU:
-            th = take(("th", li), shape)
-            a = _gelu_into(z, th, take(("a", li), shape), take("scratch", shape))
+            th = take(("th", slot), shape)
+            a = _gelu_into(z, th, take(("a", slot), shape), take("scratch", shape))
         else:
             a = z
-        # Without a cache, this layer's arrays are dropped once the next
-        # layer has consumed ``a``.
         if cache is not None:
             cache[0].append(a)
             cache[1].append(z)

@@ -12,6 +12,14 @@ Pose CSV: UTF-8, LF line endings, header ``id,tx,ty,tz,qw,qx,qy,qz``,
 decimal floats (written with shortest round-trip repr). Ids are written
 unquoted, so an id may not hold a comma, a double quote, CR or LF. The
 ``#`` marker in an id is the entry's provenance; no other column records it.
+A plain file is the exact header, then rows of 8 unquoted fields, each
+line ending in LF, with no blank line and no CR, double quote or U+001C to
+U+001F character; save_map writes one unless an id holds U+001C to U+001F.
+A plain file is read by numpy's C reader; any other file, or one holding a
+value numpy refuses (such as ``1_0`` or a full-width digit), by the csv
+module one row at a time. The accepted files and the values read are the
+same either way: each value as ``float()`` parses it, and errors name the
+file's line.
 
 Descriptor binary: magic bytes ``CPRD``, u32 little-endian version (=1),
 u32 LE count, u32 LE dim N, then count*N f32 LE values row-major, rows in
@@ -47,6 +55,7 @@ from .errors import (
 from .geometry import Pose, angular_error_deg, row_block
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
+_POSE_CSV_HEADER_LINE = ",".join(POSE_CSV_HEADER)
 DESCRIPTOR_MAGIC = b"CPRD"
 DESCRIPTOR_VERSION = 1
 # Largest accepted distance of a map quaternion's norm from 1.
@@ -462,27 +471,13 @@ def _pose_fields(text: str) -> list[tuple[int, list[str]]]:
     except csv.Error as exc:
         raise ParseError(f"malformed pose file: {exc}", line=reader.line_num) from exc
     if not rows or rows[0] != POSE_CSV_HEADER:
-        raise ParseError(f"pose file must start with header {','.join(POSE_CSV_HEADER)}", line=1)
+        raise ParseError(f"pose file must start with header {_POSE_CSV_HEADER_LINE}", line=1)
     return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
 
 
-def _pose_values(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 3) translations and (n, 4) quaternions of the rows, parsed as
-    ``float()`` parses them.
-
-    Well-formed rows are parsed by numpy, each distinct quaternion text once
-    (text keys keep ``-0.0`` apart from ``0.0``); otherwise the rows are
-    parsed one by one and the first malformed row raises ParseError.
-    """
-    try:
-        if all(len(row) == 8 for _, row in rows):
-            quat_slot = {}
-            slots = [quat_slot.setdefault(tuple(row[4:]), len(quat_slot)) for _, row in rows]
-            t = np.array([row[1:4] for _, row in rows], dtype=np.float64).reshape(len(rows), 3)
-            q = np.array(list(quat_slot), dtype=np.float64).reshape(len(quat_slot), 4)
-            return t, q[slots]
-    except ValueError:
-        pass
+def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """(n, 7) pose values of the rows, each parsed by ``float()``; the first
+    malformed row raises ParseError."""
     values = []
     for lineno, row in rows:
         if len(row) != 8:
@@ -491,8 +486,37 @@ def _pose_values(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndar
             values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise ParseError(f"bad float in pose row: {exc}", line=lineno) from exc
-    values = np.array(values, dtype=np.float64).reshape(len(rows), 7)
-    return values[:, :3], values[:, 3:]
+    return np.array(values, dtype=np.float64).reshape(len(rows), 7)
+
+
+# Characters that send a pose file to the csv reader: the quote and CR,
+# which csv reads differently from a split on commas and LF, and U+001C to
+# U+001F, which numpy strips around a number as whitespace and float()
+# refuses.
+_CSV_ONLY_CHARS = '"\r\x1c\x1d\x1e\x1f'
+
+
+def _plain_pose_rows(text: str):
+    """(ids, (n, 7) pose values) of a plain pose file with at least one
+    row, read by numpy's C reader; None for any other file, for a line
+    longer than the csv field size limit and for a value numpy refuses."""
+    header, _, body = text.partition("\n")
+    if header != _POSE_CSV_HEADER_LINE or not body.endswith("\n") or any(c in body for c in _CSV_ONLY_CHARS):
+        return None
+    lines = body[:-1].split("\n")
+    if body.count(",") != 7 * len(lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        # comments=None: regressed ids hold '#'.
+        values = np.loadtxt(lines, delimiter=",", usecols=range(1, 8), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # numpy raises for a row of fewer than 8 fields and skips blank lines.
+    # So with 7 commas per line in all and one row per line, every line
+    # holds exactly 8 fields.
+    if len(values) != len(lines):
+        return None
+    return tuple([line.partition(",")[0] for line in lines]), values
 
 
 def load_map(pose_path, descriptor_path) -> ReferenceMap:
@@ -510,9 +534,15 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"pose file is not UTF-8: {exc.reason}", line=raw.count(b"\n", 0, exc.start) + 1) from exc
-    rows = _pose_fields(text)
-    translations, quaternions = _pose_values(rows)
-    ids = tuple(row[0] for _, row in rows)
+    plain = _plain_pose_rows(text)
+    if plain is None:
+        rows = _pose_fields(text)
+        values = _pose_values(rows)
+        ids = tuple(row[0] for _, row in rows)
+        line_numbers = [lineno for lineno, _ in rows]
+    else:
+        ids, values = plain
+        line_numbers = range(2, len(ids) + 2)
 
     desc = load_descriptor_block(descriptor_path)
     count = desc.shape[0]
@@ -524,13 +554,13 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
         return ReferenceMap(
             ids=ids,
             descriptors=desc,
-            translations=translations,
-            quaternions=quaternions,
+            translations=values[:, :3],
+            quaternions=values[:, 3:],
         )
     except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):
             raise
-        raise type(exc)(f"{pose_path} line {rows[exc.entry][0]}: {exc}") from exc
+        raise type(exc)(f"{pose_path} line {line_numbers[exc.entry]}: {exc}") from exc
 
 
 # Characters a pose-file id cannot hold: the field separator, the csv
@@ -555,20 +585,21 @@ def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
         raise UnwritableId(f"map id {bad!r} holds a comma, double quote, CR or LF")
     payload = np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
     header = struct.pack("<4sIII", DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
-    # Each distinct orientation is formatted once, keyed on its bits so
-    # that -0.0 and 0.0 keep their own text.
+    # Each distinct orientation and each distinct translation component is
+    # formatted once (grid targets share their coordinates), keyed on its
+    # bits so that -0.0 and 0.0 keep their own text.
     quat_keys = ref_map.quaternions.view(np.dtype((np.void, 32))).ravel().tolist()
     distinct = dict.fromkeys(quat_keys)
     quats = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(-1, 4).tolist()
-    quat_text = dict(zip(distinct, [",%r,%r,%r,%r" % tuple(q) for q in quats]))
-    lines = [",".join(POSE_CSV_HEADER)]
-    lines += [
-        "%s,%r,%r,%r%s" % (entry_id, *t, quat_text[key])
-        for entry_id, t, key in zip(ref_map.ids, ref_map.translations.tolist(), quat_keys)
-    ]
+    quat_text = dict(zip(distinct, [",".join(map(float.__repr__, q)) for q in quats]))
+    t_bits, t_slot = np.unique(ref_map.translations.view(np.int64), return_inverse=True)
+    t_text = np.array(list(map(float.__repr__, t_bits.view(np.float64).tolist())), dtype=object)
+    t_columns = t_text[t_slot.reshape(-1, 3)].T.tolist()
+    rows = zip(ref_map.ids, *t_columns, map(quat_text.__getitem__, quat_keys))
+    text = "\n".join([_POSE_CSV_HEADER_LINE, *map(",".join, rows)]) + "\n"
     try:
         with open(pose_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
         with open(descriptor_path, "wb") as fh:
             fh.write(header)
             fh.write(payload)

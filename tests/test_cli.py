@@ -278,6 +278,29 @@ class TestExp:
         report = ExperimentReport.from_json(out.read_text())
         assert len(report.rows) == 5
 
+    def test_exp_interp_reads_densify_stride(self, scene_dir, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"densify": {"stride": 6}}))
+        out = tmp_path / "report.json"
+        rc = dispatch(
+            ["exp", "interp", "--scene", str(scene_dir), "--methods", "lin-interp",
+             "--config", str(cfg), "--format", "json", "--out", str(out)]
+        )
+        assert rc == 0
+        assert ExperimentReport.from_json(out.read_text()).config["stride"] == 6
+
+    def test_exp_interp_refuses_a_top_level_stride(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"stride": 6}))
+        out = tmp_path / "report.json"
+        rc = dispatch(
+            ["exp", "interp", "--scene", str(scene_dir), "--methods", "lin-interp",
+             "--config", str(cfg), "--out", str(out)]
+        )
+        assert rc == 1
+        assert "densify.stride" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_exp_reports_identical_across_runs(self, scene_dir, tmp_path):
         from copr.evaluate import report_signature
 

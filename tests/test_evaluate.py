@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from copr.evaluate import (
     ExperimentReport,
     ExperimentRow,
     StrayReport,
+    _oracle_summary,
     emit_report,
     exp_extrapolation,
     exp_interpolation,
@@ -107,6 +109,15 @@ class TestLocalize:
     def test_empty_map(self):
         with pytest.raises(EmptyMap):
             localize_and_summarize([(np.array([0.0]), _pose())], ReferenceMap.from_entries([]))
+
+    @pytest.mark.parametrize("summarize", [localize_and_summarize, _oracle_summary])
+    def test_no_queries_give_nan_without_a_warning(self, summarize):
+        m = _map_line([0.0, 1.0], [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize([], m)
+        assert math.isnan(s.mte_m) and math.isnan(s.mre_deg)
+        assert s.per_query == ()
 
     def test_matched_metadata(self):
         m = _map_line([0.0, 5.0], [0.0, 5.0])

@@ -232,6 +232,17 @@ class TestForward:
         np.testing.assert_array_equal(out, cached)
         assert peak <= 10 * x.nbytes
 
+    def test_buffers_shared_across_layers_keep_the_bits(self):
+        # Consecutive identity layers of one width make a layer's input and
+        # output the same shared buffer.
+        acts = [Activation.GELU, Activation.IDENTITY, Activation.IDENTITY, Activation.GELU, Activation.IDENTITY]
+        model = init_mlp([6, 6, 6, 6, 6, 3], acts, 7)
+        x = np.random.default_rng(5).standard_normal((50, 6))
+        cached, _ = forward_batch(model, x, keep_cache=True)
+        work = Workspace()
+        for out in (forward_batch(model, x)[0], forward_batch(model, x, work=work)[0]):
+            assert out.tobytes() == cached.tobytes()
+
 
 class TestFlatModel:
     """One model type: every parameter in one flat buffer, layers as views."""

@@ -1,8 +1,10 @@
 """Reference-map tests: retrieval exactness, tie-breaking, file round trips."""
 
+import csv
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from copr.vpr_map import (
     POSE_CSV_HEADER,
     Origin,
     ReferenceMap,
+    _pose_fields,
+    _pose_values,
+    load_descriptor_block,
     load_map,
     nearest_neighbors,
     oracle_retrieve,
@@ -685,3 +690,139 @@ class TestCorruptedFilesFuzz:
         except CoprError:
             return
         assert np.all(np.isfinite(loaded.descriptors))
+
+
+def _per_row_map(text: str, descriptors) -> ReferenceMap:
+    """The map of the per-row reader: csv fields, then ``float()`` per value."""
+    rows = _pose_fields(text)
+    values = _pose_values(rows)
+    return ReferenceMap(tuple(row[0] for _, row in rows), descriptors, values[:, :3], values[:, 3:])
+
+
+def _assert_loads_as_per_row(tmp, text: str) -> None:
+    """load_map of ``text`` gives the per-row reader's map, or its error
+    type and ParseError line."""
+    (tmp / "c.csv").write_bytes(text.encode("utf-8"))
+    try:
+        want = _per_row_map(text, load_descriptor_block(tmp / "d.bin"))
+    except CoprError as exc:
+        with pytest.raises(type(exc)) as info:
+            load_map(tmp / "c.csv", tmp / "d.bin")
+        if isinstance(exc, ParseError):
+            assert info.value.line == exc.line
+        return
+    got = load_map(tmp / "c.csv", tmp / "d.bin")
+    assert got.ids == want.ids
+    assert got.translations.tobytes() == want.translations.tobytes()
+    assert got.quaternions.tobytes() == want.quaternions.tobytes()
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, 1e300, -1.7976931348623157e308]
+_EDGE_QUATS = [(1.0, 0.0, 0.0, 0.0), (1.0, -0.0, 5e-324, 0.0), (-0.0, 1.0, 0.0, -1e-300), (0.5, -0.5, 0.5, -0.5)]
+def _replace(old, new):
+    return lambda text: text.replace(old, new)
+
+
+# Edits of the saved _FUZZ_MAP pose file, each with the error and line the
+# per-row reader gives (None: the file loads).
+_POSE_FILE_EDITS = {
+    "quoted id": (_replace("\na1,", '\n"a1",'), None, None),
+    "quoted float": (_replace("a1,1.0,", 'a1,"1.0",'), None, None),
+    "CRLF": (_replace("\n", "\r\n"), None, None),
+    "blank line": (_replace("\na1#", "\n\na1#"), None, None),
+    "missing final LF": (lambda text: text[:-1], None, None),
+    "7 fields": (_replace("a1,1.0,0.0,", "a1,1.0,"), ParseError, 3),
+    "9 fields": (_replace("a1,1.0,", "a1,1.0,0.0,"), ParseError, 3),
+    "empty field": (_replace("a1,1.0,", "a1,,"), ParseError, 3),
+    "9 fields, then 7": (
+        lambda text: text.replace("a1,1.0,", "a1,1.0,0.0,").replace("a2,3.0,0.0,", "a2,3.0,"),
+        ParseError,
+        3,
+    ),
+    "blank line, then 15 fields": (
+        lambda text: text.replace("\na1#", "\n\na1#").replace("a2,3.0,", "a2,3.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,"),
+        ParseError,
+        6,
+    ),
+    "underscore": (_replace("a2,3.0,", "a2,1_0,"), None, None),
+    "full-width digit": (_replace("a2,3.0,", "a2,\uff13.0,"), None, None),
+    "space": (_replace("a2,3.0,", "a2, 3.0,"), None, None),
+    "no-break space": (_replace("a2,3.0,", "a2,\xa03.0,"), None, None),
+    "unit separator": (_replace("a2,3.0,", "a2,\x1c3.0,"), ParseError, 5),
+    "NUL": (_replace("a2,3.0,", "a2,3.0\x00,"), ParseError, 5),
+    "nan": (_replace("a2,3.0,", "a2,nan,"), RefusedNonFinite, 5),
+    "nan after a blank line": (
+        lambda text: text.replace("a2,3.0,", "a2,nan,").replace("\na1#", "\n\na1#"),
+        RefusedNonFinite,
+        6,
+    ),
+    "zero quaternion": (_replace("a1#gx1y0,2.0,0.0,0.0,1.0,", "a1#gx1y0,2.0,0.0,0.0,0.0,"), ZeroQuaternion, 4),
+    "duplicate id": (_replace("\na2,", "\na0,"), DuplicateId, 5),
+    "odd id characters": (_replace("\na1,", "\na1 \x1c\x85\u2028\x0b\xe9#,"), None, None),
+    "id over the csv field limit": (
+        lambda text: text.replace("\na1,", "\n" + "x" * (csv.field_size_limit() + 1) + ","),
+        ParseError,
+        3,
+    ),
+}
+
+# Characters float() or numpy's reader may accept in a number: digits
+# (ASCII, full-width, Arabic-Indic), signs, exponent, nan/inf letters,
+# underscores and the whitespace each strips.
+_NUMBER_TEXT_CHARS = "0123456789.eE+-_nNaAiIfF \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\uff11\u0661\x00"
+
+
+class TestPoseReader:
+    """Plain pose files take numpy's reader, any other the per-row reader;
+    either gives the per-row reader's map, error and line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(st.sampled_from("# ") | _WRITABLE_ID_CHARS, max_size=8), min_size=1, max_size=10, unique=True),
+        st.data(),
+    )
+    def test_round_trip_keeps_ids_and_bits(self, tmp_path_factory, ids, data):
+        tmp = tmp_path_factory.mktemp("reader")
+        n = len(ids)
+        value = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+        t = np.array(data.draw(st.lists(st.tuples(value, value, value), min_size=n, max_size=n)))
+        q = np.array(data.draw(st.lists(st.sampled_from(_EDGE_QUATS), min_size=n, max_size=n)))
+        m = ReferenceMap(tuple(ids), np.zeros((n, 1)), t.reshape(n, 3), q)
+        save_map(m, tmp / "p.csv", tmp / "d.bin")
+        back = load_map(tmp / "p.csv", tmp / "d.bin")
+        assert back.ids == m.ids
+        assert back.translations.tobytes() == m.translations.tobytes()
+        assert back.quaternions.tobytes() == m.quaternions.tobytes()
+        _assert_loads_as_per_row(tmp, (tmp / "p.csv").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("edit", list(_POSE_FILE_EDITS))
+    def test_unusual_files_load_as_the_per_row_reader(self, tmp_path, edit):
+        apply, error, line = _POSE_FILE_EDITS[edit]
+        save_map(_FUZZ_MAP, tmp_path / "p.csv", tmp_path / "d.bin")
+        text = apply((tmp_path / "p.csv").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_loads_as_per_row(tmp_path, text)
+            if error is None:
+                load_map(tmp_path / "c.csv", tmp_path / "d.bin")
+                return
+            with pytest.raises(error) as info:
+                load_map(tmp_path / "c.csv", tmp_path / "d.bin")
+        assert (info.value.line if error is ParseError else int(re.search(r"line (\d+):", str(info.value))[1])) == line
+
+    def test_header_only_file_loads_without_a_warning(self, tmp_path):
+        save_map(ReferenceMap.from_entries([]), tmp_path / "p.csv", tmp_path / "d.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_map(tmp_path / "p.csv", tmp_path / "d.bin")) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 7), st.text(st.sampled_from(_NUMBER_TEXT_CHARS) | _WRITABLE_ID_CHARS, max_size=6))
+    def test_any_value_text_loads_as_the_per_row_reader(self, tmp_path_factory, line, field, text):
+        tmp = tmp_path_factory.mktemp("reader")
+        save_map(_FUZZ_MAP, tmp / "p.csv", tmp / "d.bin")
+        lines = (tmp / "p.csv").read_text().split("\n")
+        fields = lines[line - 1].split(",")
+        fields[field] = text
+        lines[line - 1] = ",".join(fields)
+        _assert_loads_as_per_row(tmp, "\n".join(lines))
