@@ -6,8 +6,9 @@ kind, accepts only the flags it reads; exp flags follow the kind. synth,
 train-h, train-encoder, densify and exp take an optional JSON --config, a
 --seed override and generic --set dot.path=value overrides, which take
 precedence over config keys; only exp writes a report and takes --format.
-retrieve and eval read no config. Each run that writes files echoes its
-resolved configuration next to them.
+Each command accepts only the config keys it reads and refuses any other,
+naming its dotted path; retrieve and eval read no config. Each run that
+writes files echoes its resolved configuration next to them.
 
 Exit codes: 0 success, 1 validation error or bad usage, 2 I/O error.
 stdout carries machine-readable output only; human-facing logs go to
@@ -19,8 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import benchmarks
 from .densify import (
@@ -43,6 +46,7 @@ from .evaluate import (
     localize_and_summarize,
     train_scene_regressor,
 )
+from .geometry import angular_error_deg_many, pose_blocks, row_dots
 from .neural.model_io import load_model, save_model
 from .neural.training import TrainConfig, train_encoder
 from .synth import (
@@ -54,7 +58,7 @@ from .synth import (
     make_stray_case,
     save_scene,
 )
-from .vpr_map import load_descriptor_block, load_map, retrieve_many, save_map, to_matches
+from .vpr_map import load_descriptor_block, load_map, retrieve_many, save_map
 
 _METHOD_FLAGS = {
     "lin-interp": METHOD_LIN_INTERP,
@@ -105,6 +109,42 @@ def _apply_set_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
+def _fields(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+# The config keys each command reads: a section maps to the fields it may
+# hold, a scalar key to None.
+_SCENE_KEYS = {"scene": _fields(SceneConfig), "field": _fields(FieldConfig)}
+_DENSIFY_KEYS = {"densify": _fields(DensifyConfig)}
+_MODEL_KEYS = {"train": _fields(TrainConfig), "pair_cap": None, "max_pairs": None}
+
+
+def _config(args) -> dict:
+    """The --config file with the --set overrides applied.
+
+    Raises:
+        InvalidConfig: a key, or a field of a section, that the command
+            does not read; the message names its dotted path.
+    """
+    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    keys = args.config_keys
+    command = f"exp {args.kind}" if args.command == "exp" else args.command
+    unread = [key for key in cfg if key not in keys]
+    for key, section in keys.items():
+        if section is None or key not in cfg:
+            continue
+        if not isinstance(cfg[key], dict):
+            raise InvalidConfig(f"config key {key!r} of {command} must be an object")
+        unread += [f"{key}.{name}" for name in cfg[key] if name not in section]
+    if unread:
+        readable = []
+        for key, section in keys.items():
+            readable += [key] if section is None else [f"{key}.{name}" for name in sorted(section)]
+        raise InvalidConfig(f"{command} reads no config key {unread[0]!r}; it reads {', '.join(readable)}")
+    return cfg
+
+
 def _echo_config(resolved: dict, out_path: Path) -> None:
     echo_path = out_path.parent / (out_path.name + ".config.json")
     echo_path.parent.mkdir(parents=True, exist_ok=True)
@@ -137,7 +177,7 @@ def _scene_model(args, scene, cfg: dict, default_cap: float):
 
 
 def _cmd_synth(args) -> int:
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    cfg = _config(args)
     if args.benchmark:
         scene_cfg, field_cfg = benchmarks.NAMED_SCENES[args.benchmark]
         if args.seed is not None:
@@ -157,12 +197,12 @@ def _cmd_synth(args) -> int:
         {"command": "synth", "scene_config": asdict(scene_cfg), "field_config": asdict(field_cfg)},
         out / "scene.json",
     )
-    _log(f"scene written to {out} ({len(scene.gt_dense)} refs, {len(scene.queries)} queries)")
+    _log(f"scene written to {out} ({len(scene.gt_dense)} refs, {len(scene.query_map)} queries)")
     return 0
 
 
 def _cmd_train_h(args) -> int:
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    cfg = _config(args)
     scene = load_scene(args.scene)
     model, seconds = _scene_model(args, scene, cfg, default_cap=1.0)
     out = Path(args.out)
@@ -174,7 +214,7 @@ def _cmd_train_h(args) -> int:
 
 
 def _cmd_train_encoder(args) -> int:
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    cfg = _config(args)
     scene = load_scene(args.scene)
     dataset = make_encoder_dataset(scene, nuisance_sigma=cfg.get("nuisance_sigma", 1.0))
     tc = _train_config(cfg.get("train", {}), args.seed) if cfg.get("train") or args.seed is not None else None
@@ -188,7 +228,7 @@ def _cmd_train_encoder(args) -> int:
 
 
 def _cmd_densify(args) -> int:
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    cfg = _config(args)
     scene = load_scene(args.scene)
     dc = _densify_config(cfg.get("densify", {}), args)
     method = _METHOD_FLAGS[args.method]
@@ -221,33 +261,26 @@ def _cmd_retrieve(args) -> int:
     ref_map = load_map(Path(args.map) / "refs_poses.csv", Path(args.map) / "refs_descriptors.bin")
     if args.query_poses:
         queries = load_map(args.query_poses, args.query)
-        ids = queries.ids
-        descriptors = queries.descriptors
-        poses = [queries.pose(i) for i in range(len(queries))]
+        ids, descriptors = queries.ids, queries.descriptors
     else:
         descriptors = load_descriptor_block(args.query)
         ids = [f"q{i:05d}" for i in range(descriptors.shape[0])]
-        poses = [None] * descriptors.shape[0]
-
-    def _num(v):
-        return None if v != v else v  # NaN when the query pose is unknown
-
     indices, distances = retrieve_many(descriptors, ref_map, args.k)
-    for i, query_id in enumerate(ids):
-        matches = to_matches(ref_map, indices[i], distances[i], query_pose=poses[i])
-        line = {
-            "query_id": query_id,
-            "matches": [
-                {
-                    "ref_id": m.ref_id,
-                    "feature_distance": m.feature_distance,
-                    "translation_error": _num(m.translation_error),
-                    "rotation_error": _num(m.rotation_error),
-                }
-                for m in matches
-            ],
-        }
-        print(json.dumps(line))
+    m, k = indices.shape
+    t_err = r_err = [[None] * k] * m  # null when the query poses are unknown
+    if args.query_poses:
+        # Each error is bit-equal to np.linalg.norm / angular_error_deg against Pose(t, q) of its query.
+        query_t, query_q = pose_blocks(queries.translations, queries.quaternions)
+        diff = (ref_map.translations[indices] - query_t[:, None]).reshape(-1, 3)
+        t_err = np.sqrt(row_dots(diff, diff)).reshape(m, k).tolist()
+        ref_q = ref_map.quaternions[indices].reshape(-1, 4)
+        r_err = angular_error_deg_many(ref_q, np.repeat(query_q, k, axis=0)).reshape(m, k).tolist()
+    for query_id, row, dists, ts, rs in zip(ids, indices.tolist(), distances.tolist(), t_err, r_err):
+        matches = [
+            {"ref_id": ref_map.ids[i], "feature_distance": d, "translation_error": te, "rotation_error": re}
+            for i, d, te, re in zip(row, dists, ts, rs)
+        ]
+        print(json.dumps({"query_id": query_id, "matches": matches}))
     return 0
 
 
@@ -281,8 +314,6 @@ def _exp_regressor(args, scene, cfg: dict, default_methods: tuple, default_cap: 
 
 
 def _exp_interp(args, cfg: dict, seed: int):
-    if "stride" in cfg:
-        raise InvalidConfig("exp interp reads its stride from densify.stride, not a top-level stride key")
     scene = load_scene(args.scene)
     stride = args.stride if args.stride is not None else cfg.get("densify", {}).get("stride", 50)
     methods, model, t_train = _exp_regressor(
@@ -331,7 +362,7 @@ def _exp_stray(args, cfg: dict, seed: int):
 
 
 def _cmd_exp(args) -> int:
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
+    cfg = _config(args)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -346,36 +377,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="copr", description="Descriptor-map densification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def configurable(p):
+    def configurable(p, config_keys):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--set", action="append", metavar="PATH=VALUE", help="override a config key (dot path)")
+        p.set_defaults(config_keys=config_keys)
 
     def grid_flags(p):
         for flag, (key, kind) in _GRID_FLAGS.items():
             p.add_argument(flag, type=kind, dest=key)
 
     p = sub.add_parser("synth", help="generate and export a synthetic scene")
-    configurable(p)
+    configurable(p, _SCENE_KEYS)
     p.add_argument("--out", required=True)
     p.add_argument("--benchmark", choices=sorted(benchmarks.NAMED_SCENES))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-h", help="train the descriptor regressor on a scene")
-    configurable(p)
+    configurable(p, _MODEL_KEYS)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_h)
 
     p = sub.add_parser("train-encoder", help="train a synthetic feature encoder")
-    configurable(p)
+    configurable(p, {"train": _MODEL_KEYS["train"], "nuisance_sigma": None})
     p.add_argument("--scene", required=True)
     p.add_argument("--variant", choices=("triplet", "relative", "distance"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_encoder)
 
     p = sub.add_parser("densify", help="densify a scene's reference map")
-    configurable(p)
+    configurable(p, {**_DENSIFY_KEYS, **_MODEL_KEYS})
     p.add_argument("--scene", required=True)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), required=True)
     p.add_argument("--scheme", choices=("interp", "extrap"), required=True)
@@ -400,9 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="run an experiment protocol")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    def exp_kind(kind, run, help, scene_help="scene directory"):
+    def exp_kind(kind, run, help, config_keys, scene_help="scene directory"):
         k = kinds.add_parser(kind, help=help)
-        configurable(k)
+        configurable(k, {"seed": None, **config_keys})
         k.add_argument("--format", choices=("csv", "json"), default="csv")
         k.add_argument("--out", required=True)
         k.add_argument("--scene", required=kind != "stray", help=scene_help)
@@ -413,20 +445,27 @@ def _build_parser() -> argparse.ArgumentParser:
         k.add_argument("--model", help="pre-trained regressor to reuse")
         k.add_argument("--methods", nargs="*", choices=sorted(_METHOD_FLAGS))
 
-    k = exp_kind("interp", _exp_interp, "regress the poses a subsampled trajectory dropped")
+    k = exp_kind(
+        "interp", _exp_interp, "regress the poses a subsampled trajectory dropped",
+        {"densify": frozenset({"stride"}), **_MODEL_KEYS},
+    )
     regressor_flags(k)
     k.add_argument("--stride", type=int)
-    k = exp_kind("extrap", _exp_extrap, "grid-extrapolate around trajectory anchors")
+    k = exp_kind("extrap", _exp_extrap, "grid-extrapolate around trajectory anchors", {**_DENSIFY_KEYS, **_MODEL_KEYS})
     regressor_flags(k)
     grid_flags(k)
-    k = exp_kind("sweep", _exp_extrap, "extrap once per grid step")
+    k = exp_kind("sweep", _exp_extrap, "extrap once per grid step", {**_DENSIFY_KEYS, **_MODEL_KEYS})
     regressor_flags(k)
     grid_flags(k)
     k.add_argument("--steps", help="comma-separated grid steps")
-    k = exp_kind("encoders", _exp_encoders, "extrap in each encoder variant's descriptor space")
+    k = exp_kind(
+        "encoders", _exp_encoders, "extrap in each encoder variant's descriptor space",
+        {**_DENSIFY_KEYS, "pair_cap": None, "max_pairs": None, "nuisance_sigma": None},
+    )
     grid_flags(k)
     k = exp_kind(
         "stray", _exp_stray, "demote a stray reference by regressing one at the query pose",
+        {**_SCENE_KEYS, **_MODEL_KEYS},
         scene_help="multi_scene scene directory (default: the config's scene, else the multiscene benchmark)",
     )
     k.add_argument("--model", help="pre-trained regressor to reuse")

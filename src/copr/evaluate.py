@@ -241,11 +241,10 @@ def _timed_localize(queries, ref_map: ReferenceMap):
 
 def _time_encoding(scene: SyntheticScene) -> float:
     """Per-query field-evaluation time in ms (the synthetic 'encoder')."""
-    t = np.asarray([pose.t for _, pose in scene.queries])
-    q = np.asarray([pose.q for _, pose in scene.queries])
+    queries = scene.query_map
     start = time.perf_counter()
-    scene.field.eval_many(t, q)
-    return (time.perf_counter() - start) * 1e3 / max(len(scene.queries), 1)
+    scene.field.eval_many(queries.translations, queries.quaternions)
+    return (time.perf_counter() - start) * 1e3 / max(len(queries), 1)
 
 
 def train_scene_regressor(
@@ -449,6 +448,8 @@ def exp_encoders(
     seeds = np.random.SeedSequence([scene.scene_cfg.seed, 613, seed]).spawn(3)
     ref_rng = np.random.default_rng(seeds[0])
     query_rng = np.random.default_rng(seeds[1])
+    queries = scene.query_map
+    query_poses = [pose for _, pose in scene.queries]
     rows = []
     encoder_seconds = {}
     for variant in ENCODER_VARIANTS:
@@ -460,30 +461,17 @@ def exp_encoders(
             scene.field, scene.gt_dense.translations, scene.gt_dense.quaternions,
             np.random.default_rng(ref_rng.integers(2**63)), nuisance_sigma,
         )
-        ref_desc, _ = forward_batch(encoder, ref_obs)
-        sparse_e = ReferenceMap(
-            ids=scene.gt_dense.ids,
-            descriptors=ref_desc,
-            translations=scene.gt_dense.translations,
-            quaternions=scene.gt_dense.quaternions,
-        )
-        q_t = np.asarray([pose.t for _, pose in scene.queries])
-        q_q = np.asarray([pose.q for _, pose in scene.queries])
+        sparse_e = replace(scene.gt_dense, descriptors=forward_batch(encoder, ref_obs)[0])
         enc_start = time.perf_counter()
         q_obs = make_observations(
-            scene.field, q_t, q_q, np.random.default_rng(query_rng.integers(2**63)), nuisance_sigma
+            scene.field, queries.translations, queries.quaternions,
+            np.random.default_rng(query_rng.integers(2**63)), nuisance_sigma,
         )
         q_desc, _ = forward_batch(encoder, q_obs)
-        t_enc = (time.perf_counter() - enc_start) * 1e3 / max(len(scene.queries), 1)
-        queries_e = [(q_desc[i], pose) for i, (_, pose) in enumerate(scene.queries)]
+        t_enc = (time.perf_counter() - enc_start) * 1e3 / max(len(queries), 1)
+        queries_e = list(zip(q_desc, query_poses))
 
-        train_desc, _ = forward_batch(encoder, dataset.observations)
-        train_e = ReferenceMap(
-            ids=scene.train_refs.ids,
-            descriptors=train_desc,
-            translations=scene.train_refs.translations,
-            quaternions=scene.train_refs.quaternions,
-        )
+        train_e = replace(scene.train_refs, descriptors=forward_batch(encoder, dataset.observations)[0])
         h_start = time.perf_counter()
         pairs = build_training_pairs(train_e, max_translation, max_pairs, seed)
         h_model = train_regressor(pairs, regressor_cfg, n)

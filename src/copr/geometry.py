@@ -110,11 +110,6 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_from_yaw(yaw: float) -> np.ndarray:
-    """Unit quaternion for a rotation of ``yaw`` radians about +z."""
-    return normalize_quat([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
-
-
 def angular_error_deg(q_a, q_b) -> float:
     """Rotation angle in degrees between two unit quaternions.
 

@@ -3,13 +3,17 @@
 A descriptor field is a smooth deterministic function from pose to an
 N-dimensional descriptor; it stands in for a learned image encoder, which
 makes ground-truth descriptors available at arbitrary target poses by
-construction. Scenes pair a reference trajectory (the ground-truth dense
-map) with an offset query trajectory and a viewpoint-varied training
-traverse, mirroring the reference/query/training splits of indoor
-relocalization benchmarks.
+construction. A scene is three maps: a reference trajectory (the
+ground-truth dense map), an offset query trajectory and a viewpoint-varied
+training traverse, mirroring the reference/query/training splits of indoor
+relocalization benchmarks. Trajectories are built as (n, 3) translation and
+(n, 4) quaternion blocks.
 
 Everything is a pure function of its seeds; generating a scene twice with
-the same configs yields bitwise-identical arrays.
+the same configs yields bitwise-identical arrays. Each map's descriptors
+come from one ``eval_many`` call over all its rows: the rows ``eval_many``
+returns depend on the batch size, so evaluating the same poses in other
+batches can move their last bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, IoError
-from .geometry import Pose, poses, quat_from_yaw
+from .geometry import Pose, normalize_quat_rows, pose_blocks, poses
 from .neural.training import EncoderDataset
 from .vpr_map import ReferenceMap, load_map, save_map
 
@@ -76,9 +80,6 @@ class AffineField:
     def eval_many(self, translations: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
         return np.asarray(translations, dtype=np.float64) @ self.matrix.T + self.offset
 
-    def eval_one(self, pose: Pose) -> np.ndarray:
-        return self.eval_many(pose.t.reshape(1, 3), pose.q.reshape(1, 4))[0]
-
 
 class RandomFourierField:
     """Superposed sine waves of translation plus an orientation term.
@@ -105,9 +106,6 @@ class RandomFourierField:
             headings = _headings(np.asarray(quaternions, dtype=np.float64))
             values = values + self.orientation_weight * (headings @ self.orient_vecs.T)
         return values
-
-    def eval_one(self, pose: Pose) -> np.ndarray:
-        return self.eval_many(pose.t.reshape(1, 3), pose.q.reshape(1, 4))[0]
 
     def gradient_bound(self) -> float:
         """Upper bound on any |df_d/dt| component: sum_w |a| * ||omega||."""
@@ -186,10 +184,14 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """A generated world: reference map, queries, training traverse, field."""
+    """A generated world: three maps (references, queries, training
+    traverse), their scene labels, and the field they were evaluated on.
+
+    The query map's ids are ``q%05d``, as :func:`save_scene` writes them.
+    """
 
     gt_dense: ReferenceMap
-    queries: list  # list of (descriptor ndarray, Pose)
+    query_map: ReferenceMap
     train_refs: ReferenceMap
     field: object
     ref_labels: tuple[int, ...]
@@ -202,126 +204,117 @@ class SyntheticScene:
     def dim(self) -> int:
         return self.gt_dense.dim
 
-
-def _loop_poses(n: int, radius: float, wiggle: float, phase: float, rng: np.random.Generator | None, center=(0.0, 0.0)):
-    poses = []
-    for i in range(n):
-        theta = 2.0 * math.pi * i / n + phase
-        r = radius + (rng.uniform(-wiggle, wiggle) if rng is not None and wiggle > 0 else 0.0)
-        t = np.array([center[0] + r * math.cos(theta), center[1] + r * math.sin(theta), 0.0])
-        poses.append(Pose(t=t, q=quat_from_yaw(theta + math.pi / 2.0)))
-    return poses
+    @property
+    def queries(self) -> list:
+        """The query map as (descriptor, Pose) pairs, derived on each call:
+        :func:`~copr.evaluate.localize_and_summarize` and the benchmark
+        take the queries in that form."""
+        m = self.query_map
+        return list(zip(m.descriptors, poses(m.translations, m.quaternions)))
 
 
-def _map_from(field, poses, prefix: str, rng: np.random.Generator) -> ReferenceMap:
-    t = np.asarray([p.t for p in poses])
-    q = np.asarray([p.q for p in poses])
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each element by libm; numpy's vectorized trig can differ in the last bit."""
+    return np.fromiter(map(f, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _ring(angles: np.ndarray, radii, center, yaw_jitter=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Poses at ``angles`` on a ring about ``center``, heading along it.
+
+    Returns (n, 3) translations ``center + radii (cos a, sin a, 0)`` and
+    (n, 4) quaternions of yaw ``a + pi/2 + yaw_jitter`` about +z, normalized
+    once. ``center`` is one (x, y) point or one per angle.
+    """
+    center = np.asarray(center, dtype=np.float64)
+    t = np.zeros((len(angles), 3))
+    t[:, 0] = center[..., 0] + radii * _libm(math.cos, angles)
+    t[:, 1] = center[..., 1] + radii * _libm(math.sin, angles)
+    half = (angles + math.pi / 2.0 + yaw_jitter) / 2.0
+    q = np.zeros((len(angles), 4))
+    q[:, 0] = _libm(math.cos, half)
+    q[:, 3] = _libm(math.sin, half)
+    return t, normalize_quat_rows(q)
+
+
+def _angles(n: int, phase: float = 0.0) -> np.ndarray:
+    """``n`` evenly spaced ring angles starting at ``phase``."""
+    return 2.0 * math.pi * np.arange(n) / n + phase
+
+
+def _lane(x, y: np.ndarray):
+    """Poses at (x, y, 0) heading along +y."""
+    return _ring(np.zeros(len(y)), 0.0, np.column_stack(np.broadcast_arrays(x, y)))
+
+
+def _loop(n, n_queries, radius, wiggle, query_offset, center, ref_rng, train_rng):
+    """Reference, query and training pose blocks of one loop.
+
+    ``n`` references wiggle radially by up to ``wiggle``; ``n_queries``
+    queries run on a ring ``query_offset`` further out, phased half a
+    reference step; the training traverse re-runs the loop at ``n // 2``
+    poses with seeded angle, radius and heading variation.
+    """
+    refs = _ring(_angles(n), radius + ref_rng.uniform(-wiggle, wiggle, n), center)
+    queries = _ring(_angles(n_queries, math.pi / n), radius + query_offset, center)
+    m = max(n // 2, 2)
+    # Three Generator.uniform(lo, hi) = lo + (hi - lo) * u draws per pose, in pose order.
+    lo, hi = np.array([-0.5, -1.25 * query_offset, -0.3]), np.array([0.5, 1.25 * query_offset, 0.3])
+    step, dr, dyaw = (lo + (hi - lo) * train_rng.random((m, 3))).T
+    train = _ring(_angles(m) + step * (2.0 * math.pi / m), radius + dr, center, dyaw)
+    return refs, queries, train
+
+
+def _map_from(field, t: np.ndarray, q: np.ndarray, prefix: str, rng: np.random.Generator) -> ReferenceMap:
+    t, q = pose_blocks(t, q)
     desc = field.eval_many(t, q)
     if field.noise_sigma > 0.0:
         desc = desc + rng.normal(0.0, field.noise_sigma, size=desc.shape)
-    ids = tuple(f"{prefix}{i:05d}" for i in range(len(poses)))
-    return ReferenceMap(
-        ids=ids,
-        descriptors=desc,
-        translations=t.reshape(len(poses), 3),
-        quaternions=q.reshape(len(poses), 4),
-    )
+    ids = tuple(f"{prefix}{i:05d}" for i in range(len(t)))
+    return ReferenceMap(ids=ids, descriptors=desc, translations=t, quaternions=q)
 
 
 def gen_scene(scene_cfg: SceneConfig, field_cfg: FieldConfig) -> SyntheticScene:
     """Generate references, queries, and a training traverse from a field."""
     field = make_field(field_cfg)
-    seeds = np.random.SeedSequence(scene_cfg.seed).spawn(4)
-    ref_rng = np.random.default_rng(seeds[0])
-    query_rng = np.random.default_rng(seeds[1])
-    train_rng = np.random.default_rng(seeds[2])
-    noise_rng = np.random.default_rng(seeds[3])
+    # The second stream once drew for the queries; it stays spawned so the others keep their seeds.
+    ref_seed, _, train_seed, noise_seed = np.random.SeedSequence(scene_cfg.seed).spawn(4)
+    ref_rng = np.random.default_rng(ref_seed)
+    train_rng = np.random.default_rng(train_seed)
 
     if scene_cfg.layout == "loop":
+        n = scene_cfg.n_refs
         radius = scene_cfg.extent_m / 2.0
         wiggle = scene_cfg.extent_m * LOOP_WIGGLE_FRACTION
-        ref_poses = _loop_poses(scene_cfg.n_refs, radius, wiggle, 0.0, ref_rng)
-        ref_labels = tuple(0 for _ in ref_poses)
-        n_q = min(200, scene_cfg.n_refs)
-        half_step = math.pi / scene_cfg.n_refs
-        query_poses = _loop_poses(n_q, radius + scene_cfg.query_offset_m, 0.0, half_step, None)
-        query_labels = tuple(0 for _ in query_poses)
-        train_poses = _viewpoint_varied_loop(
-            scene_cfg.n_refs // 2, radius, 1.25 * scene_cfg.query_offset_m, train_rng
-        )
-        train_labels = tuple(0 for _ in train_poses)
+        parts = [_loop(n, min(200, n), radius, wiggle, scene_cfg.query_offset_m, (0.0, 0.0), ref_rng, train_rng)]
     elif scene_cfg.layout == "parallel_lanes":
         n = scene_cfg.n_per_lane
         off = scene_cfg.lane_offset_m
-        ref_poses = [_lane_pose(0.0, i * LANE_SPACING) for i in range(n)]
-        ref_labels = tuple(0 for _ in ref_poses)
-        query_poses = [_lane_pose(off, (i + 0.5) * LANE_SPACING) for i in range(n)]
-        query_labels = tuple(0 for _ in query_poses)
-        train_poses = []
-        shift = 0.4 * LANE_SPACING
-        for i in range(0, n, TRAIN_STRIDE):
-            train_poses.append(_lane_pose(0.0, i * LANE_SPACING + shift))
-            train_poses.append(_lane_pose(off, i * LANE_SPACING + shift))
-        train_labels = tuple(0 for _ in train_poses)
+        ys = np.arange(0, n, TRAIN_STRIDE) * LANE_SPACING + 0.4 * LANE_SPACING
+        # Training poses pair up across the two lanes at each kept station.
+        train = _lane(np.tile([0.0, off], len(ys)), np.repeat(ys, 2))
+        parts = [(_lane(0.0, np.arange(n) * LANE_SPACING), _lane(off, (np.arange(n) + 0.5) * LANE_SPACING), train)]
     else:
-        ref_poses, query_poses, train_poses = [], [], []
-        ref_labels_l, query_labels_l, train_labels_l = [], [], []
-        for s in range(scene_cfg.n_scenes):
-            center = (s * scene_cfg.scene_spacing_m, 0.0)
-            n = scene_cfg.refs_per_scene
-            refs_s = _loop_poses(n, MULTI_SCENE_RADIUS, 0.02, 0.0, ref_rng, center)
-            n_q = max(1, n // 5)
-            queries_s = _loop_poses(
-                n_q, MULTI_SCENE_RADIUS + scene_cfg.query_offset_m, 0.0, math.pi / n, None, center
-            )
-            train_s = _viewpoint_varied_loop(
-                n // 2, MULTI_SCENE_RADIUS, 1.25 * scene_cfg.query_offset_m, train_rng, center
-            )
-            ref_poses += refs_s
-            query_poses += queries_s
-            train_poses += train_s
-            ref_labels_l += [s] * len(refs_s)
-            query_labels_l += [s] * len(queries_s)
-            train_labels_l += [s] * len(train_s)
-        ref_labels = tuple(ref_labels_l)
-        query_labels = tuple(query_labels_l)
-        train_labels = tuple(train_labels_l)
+        n, off = scene_cfg.refs_per_scene, scene_cfg.query_offset_m
+        centers = [(s * scene_cfg.scene_spacing_m, 0.0) for s in range(scene_cfg.n_scenes)]
+        parts = [_loop(n, max(1, n // 5), MULTI_SCENE_RADIUS, 0.02, off, c, ref_rng, train_rng) for c in centers]
 
-    gt_dense = _map_from(field, ref_poses, "r", noise_rng)
-    train_refs = _map_from(field, train_poses, "t", noise_rng)
-    q_t = np.asarray([p.t for p in query_poses])
-    q_q = np.asarray([p.q for p in query_poses])
-    q_desc = field.eval_many(q_t, q_q)
-    if field.noise_sigma > 0.0:
-        q_desc = q_desc + noise_rng.normal(0.0, field.noise_sigma, size=q_desc.shape)
-    queries = [(q_desc[i], query_poses[i]) for i in range(len(query_poses))]
+    # parts[s][j][k]: scene s, split j (refs, queries, train), block k (t, q). Scenes stack in order.
+    blocks = [[np.concatenate([part[j][k] for part in parts]) for k in (0, 1)] for j in range(3)]
+    labels = [tuple(s for s, part in enumerate(parts) for _ in part[j][0]) for j in range(3)]
+    # Noise is drawn in the order refs, train, queries.
+    noise_rng = np.random.default_rng(noise_seed)
+    gt_dense = _map_from(field, *blocks[0], "r", noise_rng)
+    train_refs = _map_from(field, *blocks[2], "t", noise_rng)
+    query_map = _map_from(field, *blocks[1], "q", noise_rng)
     return SyntheticScene(
         gt_dense=gt_dense,
-        queries=queries,
+        query_map=query_map,
         train_refs=train_refs,
         field=field,
-        ref_labels=ref_labels,
-        query_labels=query_labels,
-        train_labels=train_labels,
+        ref_labels=labels[0], query_labels=labels[1], train_labels=labels[2],
         scene_cfg=scene_cfg,
         field_cfg=field_cfg,
     )
-
-
-def _lane_pose(x: float, y: float) -> Pose:
-    return Pose(t=np.array([x, y, 0.0]), q=quat_from_yaw(math.pi / 2.0))
-
-
-def _viewpoint_varied_loop(n: int, radius: float, radial_span: float, rng: np.random.Generator, center=(0.0, 0.0)):
-    """A re-traversal of a loop with seeded radial and heading variation."""
-    poses = []
-    for i in range(max(n, 2)):
-        theta = 2.0 * math.pi * i / max(n, 2) + rng.uniform(-0.5, 0.5) * (2.0 * math.pi / max(n, 2))
-        r = radius + rng.uniform(-radial_span, radial_span)
-        t = np.array([center[0] + r * math.cos(theta), center[1] + r * math.sin(theta), 0.0])
-        yaw = theta + math.pi / 2.0 + rng.uniform(-0.3, 0.3)
-        poses.append(Pose(t=t, q=quat_from_yaw(yaw)))
-    return poses
 
 
 @dataclass(frozen=True)
@@ -361,31 +354,26 @@ def make_stray_case(
     scene_a = case_seed % scene_cfg.n_scenes
     scene_b = (scene_a + 1) % scene_cfg.n_scenes
     center_a = (scene_a * scene_cfg.scene_spacing_m, 0.0)
-    center_b = np.array([scene_b * scene_cfg.scene_spacing_m, 0.0, 0.0])
+    center_b = (scene_b * scene_cfg.scene_spacing_m, 0.0)
 
     theta = rng.uniform(0.0, 2.0 * math.pi)
-    r_q = MULTI_SCENE_RADIUS + scene_cfg.query_offset_m
-    q_t = np.array([center_a[0] + r_q * math.cos(theta), r_q * math.sin(theta), 0.0])
-    q_pose = Pose(t=q_t, q=quat_from_yaw(theta + math.pi / 2.0))
-    f_query = field.eval_one(q_pose)
-
-    dtheta = STRAY_LOCAL_SPACING / MULTI_SCENE_RADIUS
-    entries = []
-    for k, step in enumerate((-1.5, -0.5, 0.5, 1.5)):
-        ang = theta + step * dtheta * rng.uniform(0.85, 1.15)
-        t = np.array(
-            [center_a[0] + MULTI_SCENE_RADIUS * math.cos(ang), MULTI_SCENE_RADIUS * math.sin(ang), 0.0]
-        )
-        pose = Pose(t=t, q=quat_from_yaw(ang + math.pi / 2.0))
-        entries.append((f"local{k}", field.eval_one(pose), pose))
-    refs = ReferenceMap.from_entries(entries)
-
+    steps = np.array([-1.5, -0.5, 0.5, 1.5]) * (STRAY_LOCAL_SPACING / MULTI_SCENE_RADIUS)
+    local_t, local_q = pose_blocks(*_ring(theta + steps * rng.uniform(0.85, 1.15, 4), MULTI_SCENE_RADIUS, center_a))
     theta_b = rng.uniform(0.0, 2.0 * math.pi)
-    s_t = center_b + np.array(
-        [MULTI_SCENE_RADIUS * math.cos(theta_b), MULTI_SCENE_RADIUS * math.sin(theta_b), 0.0]
+    (q_pose,) = poses(*_ring(np.array([theta]), MULTI_SCENE_RADIUS + scene_cfg.query_offset_m, center_a))
+    (s_pose,) = poses(*_ring(np.array([theta_b]), MULTI_SCENE_RADIUS, center_b))
+
+    def value(t, q):  # one pose per field evaluation
+        return field.eval_many(t.reshape(1, 3), q.reshape(1, 4))[0]
+
+    f_query = value(q_pose.t, q_pose.q)
+    refs = ReferenceMap(
+        ids=tuple(f"local{k}" for k in range(4)),
+        descriptors=[value(t, q) for t, q in zip(local_t, local_q)],
+        translations=local_t,
+        quaternions=local_q,
     )
-    s_pose = Pose(t=s_t, q=quat_from_yaw(theta_b + math.pi / 2.0))
-    f_stray = (1.0 - similarity) * field.eval_one(s_pose) + similarity * f_query
+    f_stray = (1.0 - similarity) * value(s_pose.t, s_pose.q) + similarity * f_query
     return StrayCase(
         query_descriptor=f_query,
         query_pose=q_pose,
@@ -438,6 +426,12 @@ _FILES = {
     "queries": ("query_poses.csv", "query_descriptors.bin"),
     "train": ("train_poses.csv", "train_descriptors.bin"),
 }
+# The scene fields holding each key's map and labels.
+_MAPS = {
+    "refs": ("gt_dense", "ref_labels"),
+    "queries": ("query_map", "query_labels"),
+    "train": ("train_refs", "train_labels"),
+}
 
 
 def save_scene(scene: SyntheticScene, directory) -> None:
@@ -451,21 +445,13 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create scene directory: {exc}") from exc
-    save_map(scene.gt_dense, directory / _FILES["refs"][0], directory / _FILES["refs"][1])
-    save_map(scene.train_refs, directory / _FILES["train"][0], directory / _FILES["train"][1])
-    query_map = ReferenceMap.from_entries(
-        (f"q{i:05d}", desc, pose) for i, (desc, pose) in enumerate(scene.queries)
-    )
-    save_map(query_map, directory / _FILES["queries"][0], directory / _FILES["queries"][1])
+    for key, (pose_name, descriptor_name) in _FILES.items():
+        save_map(getattr(scene, _MAPS[key][0]), directory / pose_name, directory / descriptor_name)
     sidecar = {
         "format_version": 1,
         "field_config": asdict(scene.field_cfg),
         "scene_config": asdict(scene.scene_cfg),
-        "labels": {
-            "refs": list(scene.ref_labels),
-            "queries": list(scene.query_labels),
-            "train": list(scene.train_labels),
-        },
+        "labels": {key: list(getattr(scene, labels)) for key, (_, labels) in _MAPS.items()},
         "files": {k: list(v) for k, v in _FILES.items()},
     }
     try:
@@ -488,19 +474,9 @@ def load_scene(directory) -> SyntheticScene:
         raise IoError(f"cannot read scene sidecar: {exc}") from exc
     field_cfg = FieldConfig(**sidecar["field_config"])
     scene_cfg = SceneConfig(**sidecar["scene_config"])
-    gt_dense = load_map(directory / _FILES["refs"][0], directory / _FILES["refs"][1])
-    train_refs = load_map(directory / _FILES["train"][0], directory / _FILES["train"][1])
-    query_map = load_map(directory / _FILES["queries"][0], directory / _FILES["queries"][1])
-    queries = list(zip(query_map.descriptors, poses(query_map.translations, query_map.quaternions)))
-    labels = sidecar["labels"]
-    return SyntheticScene(
-        gt_dense=gt_dense,
-        queries=queries,
-        train_refs=train_refs,
-        field=make_field(field_cfg),
-        ref_labels=tuple(labels["refs"]),
-        query_labels=tuple(labels["queries"]),
-        train_labels=tuple(labels["train"]),
-        scene_cfg=scene_cfg,
-        field_cfg=field_cfg,
-    )
+    parts = {}
+    for key, (map_name, labels_name) in _MAPS.items():
+        pose_name, descriptor_name = _FILES[key]
+        parts[map_name] = load_map(directory / pose_name, directory / descriptor_name)
+        parts[labels_name] = tuple(sidecar["labels"][key])
+    return SyntheticScene(**parts, field=make_field(field_cfg), scene_cfg=scene_cfg, field_cfg=field_cfg)

@@ -178,21 +178,6 @@ class ReferenceMap:
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "_index", index)
 
-    @classmethod
-    def from_entries(cls, entries) -> "ReferenceMap":
-        """Build a map from an iterable of (id, descriptor, Pose)."""
-        entries = list(entries)
-        if entries:
-            desc = _as_matrix([np.asarray(e[1], dtype=np.float64) for e in entries])
-        else:
-            desc = np.zeros((0, 0))
-        return cls(
-            ids=tuple(e[0] for e in entries),
-            descriptors=desc,
-            translations=np.array([e[2].t for e in entries], dtype=np.float64).reshape(len(entries), 3),
-            quaternions=np.array([e[2].q for e in entries], dtype=np.float64).reshape(len(entries), 4),
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -383,43 +368,26 @@ def retrieve_many(queries, ref_map: ReferenceMap, k: int) -> tuple[np.ndarray, n
     return indices, np.sqrt(d2)
 
 
-def to_matches(ref_map: ReferenceMap, indices, distances, query_pose: Pose | None = None) -> list[Match]:
-    """One query's :func:`retrieve_many` row as :class:`Match` values.
-
-    When ``query_pose`` is given, translation and rotation errors against
-    it are filled in; otherwise they are NaN.
-    """
-    out = []
-    for i, dist in zip(indices.tolist(), distances.tolist()):
-        if query_pose is not None:
-            te = float(np.linalg.norm(ref_map.translations[i] - query_pose.t))
-            re = angular_error_deg(ref_map.quaternions[i], query_pose.q)
-        else:
-            te = math.nan
-            re = math.nan
-        out.append(
-            Match(
-                ref_id=ref_map.ids[i],
-                ref_index=i,
-                feature_distance=dist,
-                translation_error=te,
-                rotation_error=re,
-            )
-        )
-    return out
-
-
 def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = None) -> list[Match]:
     """Exact nearest neighbors of one ``query``; one row of :func:`retrieve_many`.
 
     Returns min(k, len(map)) matches sorted by ascending Euclidean
     distance; equal distances are broken by ascending entry index. When
     ``query_pose`` is given, translation and rotation errors against it are
-    filled in.
+    filled in; otherwise they are NaN.
     """
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     indices, distances = retrieve_many(q, ref_map, k)
-    return to_matches(ref_map, indices[0], distances[0], query_pose)
+    out = []
+    for i, dist in zip(indices[0].tolist(), distances[0].tolist()):
+        te = re = math.nan
+        if query_pose is not None:
+            te = float(np.linalg.norm(ref_map.translations[i] - query_pose.t))
+            re = angular_error_deg(ref_map.quaternions[i], query_pose.q)
+        out.append(
+            Match(ref_id=ref_map.ids[i], ref_index=i, feature_distance=dist, translation_error=te, rotation_error=re)
+        )
+    return out
 
 
 def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:

@@ -9,7 +9,7 @@ import pytest
 from copr.cli import dispatch
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
 from copr.evaluate import ExperimentReport
-from copr.geometry import Pose
+from copr.geometry import Pose, angular_error_deg
 from copr.synth import load_scene
 from copr.vpr_map import load_map
 
@@ -213,6 +213,24 @@ class TestRetrieveEval:
         d = [m["feature_distance"] for m in first["matches"]]
         assert d == sorted(d)
 
+    def test_retrieve_errors_equal_each_match_scalar_errors(self, scene_dir, capsys):
+        # Every printed error is exactly np.linalg.norm / angular_error_deg
+        # of its match against the query's Pose.
+        args = ["retrieve", "--map", str(scene_dir), "--query", str(scene_dir / "query_descriptors.bin"),
+                "--query-poses", str(scene_dir / "query_poses.csv"), "--k", "7"]
+        assert dispatch(args) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        refs = load_map(scene_dir / "refs_poses.csv", scene_dir / "refs_descriptors.bin")
+        queries = load_map(scene_dir / "query_poses.csv", scene_dir / "query_descriptors.bin")
+        assert [line["query_id"] for line in lines] == list(queries.ids)
+        for i, line in enumerate(lines):
+            pose = queries.pose(i)
+            assert len(line["matches"]) == 7
+            for match in line["matches"]:
+                j = refs.index_of(match["ref_id"])
+                assert match["translation_error"] == float(np.linalg.norm(refs.translations[j] - pose.t))
+                assert match["rotation_error"] == angular_error_deg(refs.quaternions[j], pose.q)
+
     def test_retrieve_descriptors_only(self, scene_dir, capsys):
         # The spec's smoke shape: a bare descriptor binary, no pose CSV.
         rc = dispatch(
@@ -369,3 +387,62 @@ class TestExpFlags:
         assert dispatch([*cmd, "--steps", "0.2,0.1", "--format", "json", "--out", str(out)]) == 0
         report = ExperimentReport.from_json(out.read_text())
         assert [r.experiment for r in report.rows] == ["extrap[step=0.2]"] * 3 + ["extrap[step=0.1]"] * 3
+
+
+# Each command's arguments, with an output under "out" in a fresh directory.
+def _configurable_commands(scene_dir):
+    scene = ["--scene", str(scene_dir)]
+    return {
+        "synth": ["synth"],
+        "train-h": ["train-h", *scene],
+        "train-encoder": ["train-encoder", *scene, "--variant", "distance"],
+        "densify": ["densify", *scene, "--method", "lin-reg", "--scheme", "extrap"],
+        "exp interp": ["exp", "interp", *scene],
+        "exp extrap": ["exp", "extrap", *scene],
+        "exp sweep": ["exp", "sweep", *scene],
+        "exp encoders": ["exp", "encoders", *scene],
+        "exp stray": ["exp", "stray"],
+    }
+
+
+class TestConfigKeys:
+    def _refused(self, tmp_path, capsys, args, cfg=None, sets=()):
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg_args = []
+        if cfg is not None:
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            cfg_args = ["--config", str(tmp_path / "c.json")]
+        flags = [flag for key in sets for flag in ("--set", key)]
+        assert dispatch([*args, *cfg_args, *flags, "--out", str(work / "out")]) == 1
+        assert list(work.iterdir()) == []
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "train-h", "train-encoder", "densify", "exp interp", "exp extrap", "exp sweep",
+                    "exp encoders", "exp stray"]
+    )
+    def test_each_command_refuses_an_unknown_top_level_key(self, scene_dir, tmp_path, capsys, command):
+        args = _configurable_commands(scene_dir)[command]
+        err = self._refused(tmp_path, capsys, args, {"no_such_key": 1})
+        assert f"{command} reads no config key 'no_such_key'" in err
+
+    def test_a_section_field_typo_is_refused_not_a_traceback(self, scene_dir, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], {"densify": {"strde": 6}})
+        assert "'densify.strde'" in err
+
+    def test_a_set_override_of_an_unread_field_is_refused(self, scene_dir, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], sets=["densify.strde=3"])
+        assert "'densify.strde'" in err
+
+    def test_a_top_level_typo_is_refused_not_ignored(self, scene_dir, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, ["exp", "interp", "--scene", str(scene_dir)], {"sed": 3})
+        assert "'sed'" in err
+
+    def test_interp_reads_only_the_stride_of_the_densify_section(self, scene_dir, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, ["exp", "interp", "--scene", str(scene_dir)], {"densify": {"grid_step": 0.1}})
+        assert "'densify.grid_step'" in err
+
+    def test_a_section_must_be_an_object(self, scene_dir, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], {"densify": 6})
+        assert "'densify'" in err

@@ -36,7 +36,7 @@ from copr.errors import (
     UnknownAnchor,
     ZeroQuaternion,
 )
-from copr.geometry import Pose, normalize_quat_rows, quat_from_yaw, relative_pose
+from copr.geometry import Pose, normalize_quat_rows, pose_blocks, relative_pose
 from copr.neural.core import regress_nonlinear_batch
 from copr.neural.training import TrainConfig, TrainingPairs, train_regressor
 from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors, origin_of
@@ -44,11 +44,17 @@ from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors, origin_of
 
 def _line_map(n, spacing=1.0, dim=2):
     rng = np.random.default_rng(5)
-    entries = [
-        (f"a{i}", rng.standard_normal(dim), Pose(t=[i * spacing, 0, 0], q=[1, 0, 0, 0]))
-        for i in range(n)
-    ]
-    return ReferenceMap.from_entries(entries)
+    return _blocks_map(rng.standard_normal((n, dim)), np.c_[np.arange(n) * spacing, np.zeros((n, 2))])
+
+
+def _blocks_map(descriptors, translations, yaws=None):
+    """Map ``a0, a1, ...`` of the given rows, each heading at its yaw about +z (default 0)."""
+    half = np.zeros(len(translations)) if yaws is None else np.asarray(yaws, dtype=float) / 2.0
+    q = np.zeros((len(half), 4))
+    q[:, 0], q[:, 3] = np.cos(half), np.sin(half)
+    t, q = pose_blocks(translations, q)
+    ids = tuple(f"a{i}" for i in range(len(t)))
+    return ReferenceMap(ids=ids, descriptors=descriptors, translations=t, quaternions=q)
 
 
 def _interp_plan(m, stride):
@@ -213,12 +219,11 @@ class TestExtrapGrid:
         assert len(plan.targets) < 2 * 24
 
     def test_orientation_and_z_copied(self):
-        pose = Pose(t=[1, 2, 3], q=quat_from_yaw(0.7))
-        m = ReferenceMap.from_entries([("a0", np.zeros(2), pose)])
+        m = _blocks_map(np.zeros((1, 2)), [[1, 2, 3]], [0.7])
         cfg = DensifyConfig(stride=2, grid_step=0.1, grid_span=0.1, dedupe_radius=0.0)
         plan = gen_extrap_grid(m, cfg)
         assert np.all(plan.translations[:, 2] == 3.0)
-        np.testing.assert_array_equal(plan.quaternions, np.tile(pose.q, (len(plan.targets), 1)))
+        np.testing.assert_array_equal(plan.quaternions, np.tile(m.quaternions[0], (len(plan.targets), 1)))
         assert plan.anchor_ids == (("a0",),) * len(plan.targets)
 
     def test_grid_ids_deterministic(self):
@@ -278,10 +283,7 @@ def _reference_extrap_grid(anchors, cfg):
 
 
 def _anchor_map(translations, yaws):
-    return ReferenceMap.from_entries(
-        (f"a{i}", np.zeros(1), Pose(t=t, q=quat_from_yaw(yaw)))
-        for i, (t, yaw) in enumerate(zip(translations, yaws))
-    )
+    return _blocks_map(np.zeros((len(yaws), 1)), translations, yaws)
 
 
 def _plan_rows(plan):
@@ -528,12 +530,8 @@ class TestPlaneFitMany:
 
 
 def _affine_line_map(n, a, b, spacing=0.5):
-    entries = []
-    rng = np.random.default_rng(23)
-    for i in range(n):
-        t = np.array([i * spacing, 0.3 * math.sin(i), 0.1 * i])
-        entries.append((f"a{i}", a @ t + b, Pose(t=t, q=[1, 0, 0, 0])))
-    return ReferenceMap.from_entries(entries)
+    t = np.array([[i * spacing, 0.3 * math.sin(i), 0.1 * i] for i in range(n)])
+    return _blocks_map(np.array([a @ row + b for row in t]), t)
 
 
 class TestDensifyMap:
@@ -606,11 +604,7 @@ class TestDensifyMap:
         # A constant field is learnable in a few epochs; the regressed
         # descriptors must then be near-constant too.
         const = np.array([0.5, -1.5])
-        entries = [
-            (f"a{i}", const, Pose(t=[i * 0.1, 0, 0], q=[1, 0, 0, 0]))
-            for i in range(19)
-        ]
-        m, plan = _interp_plan(ReferenceMap.from_entries(entries), 2)
+        m, plan = _interp_plan(_blocks_map(np.tile(const, (19, 1)), np.c_[np.arange(19) * 0.1, np.zeros((19, 2))]), 2)
         pairs = _pairs_of(m, [(i, j) for i in range(10) for j in range(10) if i != j])
         cfg = TrainConfig(lr=1e-2, epochs=400, batch_size=16, seed=3, validation_fraction=0.4, early_stop_patience=400)
         model = train_regressor(pairs, cfg, 2)

@@ -39,11 +39,13 @@ def _pose(x=0.0, y=0.0):
 
 
 def _map_line(values, xs):
-    entries = [
-        (f"r{i}", np.atleast_1d(np.asarray(v, dtype=float)), _pose(x))
-        for i, (v, x) in enumerate(zip(values, xs))
-    ]
-    return ReferenceMap.from_entries(entries)
+    n = len(xs)
+    return ReferenceMap(
+        ids=tuple(f"r{i}" for i in range(n)),
+        descriptors=np.asarray(values, dtype=float).reshape(n, -1),
+        translations=np.c_[np.asarray(xs, dtype=float), np.zeros((n, 2))],
+        quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+    )
 
 
 def _small_scene(seed=30, n=48):
@@ -108,7 +110,8 @@ class TestLocalize:
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):
-            localize_and_summarize([(np.array([0.0]), _pose())], ReferenceMap.from_entries([]))
+            empty = ReferenceMap((), np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 4)))
+            localize_and_summarize([(np.array([0.0]), _pose())], empty)
 
     @pytest.mark.parametrize("summarize", [localize_and_summarize, _oracle_summary])
     def test_no_queries_give_nan_without_a_warning(self, summarize):

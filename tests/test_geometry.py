@@ -17,7 +17,6 @@ from copr.geometry import (
     normalize_quat,
     normalize_quat_rows,
     poses,
-    quat_from_yaw,
     quat_multiply,
     relative_pose,
     relative_pose_rows,
@@ -228,7 +227,7 @@ class TestRelativePose:
 
     def test_translation_plus_yaw(self):
         anchor = Pose(t=[0, 0, 0], q=[1, 0, 0, 0])
-        target = Pose(t=[1, 0, 0], q=quat_from_yaw(math.pi / 2))
+        target = Pose(t=[1, 0, 0], q=[math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)])
         rp = relative_pose(anchor, target)
         np.testing.assert_allclose(rp.dt, [1, 0, 0], atol=0)
         s = math.sqrt(2) / 2

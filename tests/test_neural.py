@@ -580,13 +580,14 @@ class TestRegressor:
         assert cfg.early_stop_patience <= stopped.epochs_run < cfg.epochs
 
 
+def _map(descriptors, translations, quaternions) -> ReferenceMap:
+    n = len(translations)
+    return ReferenceMap(tuple(f"a{i}" for i in range(n)), np.asarray(descriptors), translations, quaternions)
+
+
 class TestBuildTrainingPairs:
     def test_cap_and_count(self):
-        entries = [
-            (f"a{i}", np.array([float(i)]), Pose(t=[i * 1.0, 0, 0], q=[1, 0, 0, 0]))
-            for i in range(5)
-        ]
-        m = ReferenceMap.from_entries(entries)
+        m = _map(np.arange(5.0)[:, None], np.c_[np.arange(5.0), np.zeros((5, 2))], np.tile([1.0, 0, 0, 0], (5, 1)))
         pairs = build_training_pairs(m, max_translation=1.5, max_pairs=100, seed=0)
         # Ordered pairs at distance 1.0 only: (i, i+1) and (i+1, i).
         assert len(pairs) == 8
@@ -594,11 +595,8 @@ class TestBuildTrainingPairs:
 
     def test_subsampling_deterministic(self):
         rng = np.random.default_rng(8)
-        entries = [
-            (f"a{i}", rng.standard_normal(2), Pose(t=rng.standard_normal(3), q=[1, 0, 0, 0]))
-            for i in range(30)
-        ]
-        m = ReferenceMap.from_entries(entries)
+        draws = [(rng.standard_normal(2), rng.standard_normal(3)) for _ in range(30)]
+        m = _map([d for d, _ in draws], [t for _, t in draws], np.tile([1.0, 0, 0, 0], (30, 1)))
         p1 = build_training_pairs(m, 10.0, 50, seed=4)
         p2 = build_training_pairs(m, 10.0, 50, seed=4)
         assert len(p1) == 50
@@ -611,7 +609,7 @@ class TestBuildTrainingPairs:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 6))
         poses = [Pose(t=rng.standard_normal(3), q=rng.standard_normal(4)) for _ in range(n)]
-        m = ReferenceMap.from_entries((f"a{i}", rng.standard_normal(dim), p) for i, p in enumerate(poses))
+        m = _map([rng.standard_normal(dim) for _ in poses], [p.t for p in poses], [p.q for p in poses])
         cap = float(rng.uniform(0.5, 3.0))
         # The per-pair construction the blocks replaced: every ordered pair
         # within the cap, a seeded subsample of them, and one

@@ -7,8 +7,10 @@ import pytest
 
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
 from copr.errors import ConfigConflict, InsufficientScenes, InvalidConfig
-from copr.geometry import Pose
+from copr.geometry import Pose, normalize_quat
+from copr.benchmarks import NAMED_SCENES
 from copr.synth import (
+    LAYOUTS,
     AffineField,
     FieldConfig,
     SceneConfig,
@@ -20,7 +22,12 @@ from copr.synth import (
     make_stray_case,
     save_scene,
 )
-from copr.vpr_map import retrieve
+from copr.vpr_map import ReferenceMap, retrieve, save_map
+
+
+def _value(field, t, q=(1.0, 0.0, 0.0, 0.0)):
+    """The field at one pose, evaluated alone."""
+    return field.eval_many(np.asarray(t, dtype=float).reshape(1, 3), np.asarray(q, dtype=float).reshape(1, 4))[0]
 
 
 def _loop_cfg(**kw):
@@ -33,7 +40,7 @@ class TestFields:
     def test_zero_matrix_affine_is_constant(self):
         field = AffineField(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]), 0.0)
         for t in ([0, 0, 0], [5, -2, 1]):
-            np.testing.assert_array_equal(field.eval_one(Pose(t=t, q=[1, 0, 0, 0])), [1, 2, 3])
+            np.testing.assert_array_equal(_value(field, t), [1, 2, 3])
 
     def test_same_seed_bitwise_identical(self):
         cfg = FieldConfig(dim=6, kind="random_fourier", seed=99)
@@ -45,9 +52,7 @@ class TestFields:
     def test_fourier_lipschitz_example(self):
         cfg = FieldConfig(dim=8, kind="random_fourier", seed=3)  # default freq_scale
         field = make_field(cfg)
-        p1 = Pose(t=[0.2, 0.1, 0.0], q=[1, 0, 0, 0])
-        p2 = Pose(t=[0.2 + 1e-6, 0.1, 0.0], q=[1, 0, 0, 0])
-        diff = np.abs(field.eval_one(p1) - field.eval_one(p2))
+        diff = np.abs(_value(field, [0.2, 0.1, 0.0]) - _value(field, [0.2 + 1e-6, 0.1, 0.0]))
         bound = field.gradient_bound() * 1e-6
         assert np.all(diff <= bound + 1e-15)
         assert bound < 1e-3
@@ -55,8 +60,8 @@ class TestFields:
     def test_affine_linearity(self):
         field = make_field(FieldConfig(dim=5, kind="affine", seed=7))
         t = np.array([0.3, -0.7, 0.2])
-        f1 = field.eval_one(Pose(t=t, q=[1, 0, 0, 0])) - field.offset
-        f2 = field.eval_one(Pose(t=2 * t, q=[1, 0, 0, 0])) - field.offset
+        f1 = _value(field, t) - field.offset
+        f2 = _value(field, 2 * t) - field.offset
         np.testing.assert_allclose(f2, 2 * f1, atol=1e-12)
 
     def test_zero_sigma_noise_equals_noiseless(self):
@@ -71,8 +76,8 @@ class TestFields:
     def test_orientation_term_matters(self):
         field = make_field(FieldConfig(dim=4, kind="random_fourier", orientation_weight=0.5, seed=4))
         t = [1.0, 0.5, 0.0]
-        a = field.eval_one(Pose(t=t, q=[1, 0, 0, 0]))
-        b = field.eval_one(Pose(t=t, q=[0.0, 0.0, 0.0, 1.0]))  # yaw pi
+        a = _value(field, t)
+        b = _value(field, t, [0.0, 0.0, 0.0, 1.0])  # yaw pi
         assert np.max(np.abs(a - b)) > 0.0
 
     def test_config_validation(self):
@@ -138,8 +143,7 @@ class TestAffineEndToEnd:
         for method in ("lin_reg",):
             dense = densify_map(anchors, plan, method, neighbors=4)
             for i in range(len(anchors), len(dense)):
-                pose = dense.pose(i)
-                truth = scene.field.eval_one(pose)
+                truth = _value(scene.field, dense.translations[i], dense.quaternions[i])
                 np.testing.assert_allclose(dense.descriptors[i], truth, atol=1e-9)
 
     def test_extrap_plane_fit_recovers_field(self):
@@ -149,7 +153,7 @@ class TestAffineEndToEnd:
         plan = gen_extrap_grid(anchors, cfg)
         dense = densify_map(scene.gt_dense, plan, "lin_reg", neighbors=4)
         for i in range(len(scene.gt_dense), len(dense)):
-            truth = scene.field.eval_one(dense.pose(i))
+            truth = _value(scene.field, dense.translations[i], dense.quaternions[i])
             np.testing.assert_allclose(dense.descriptors[i], truth, atol=1e-9)
 
 
@@ -164,7 +168,8 @@ class TestStrayCase:
         scene_cfg, field_cfg = self._cfgs()
         case = make_stray_case(scene_cfg, field_cfg, similarity=0.0, case_seed=1)
         field = make_field(field_cfg)
-        np.testing.assert_allclose(case.stray_descriptor, field.eval_one(case.stray_pose), atol=1e-12)
+        expected = _value(field, case.stray_pose.t, case.stray_pose.q)
+        np.testing.assert_allclose(case.stray_descriptor, expected, atol=1e-12)
 
     def test_full_similarity_forces_rank_one(self):
         scene_cfg, field_cfg = self._cfgs()
@@ -256,7 +261,7 @@ class TestSceneIo:
         assert len(loaded.queries) == len(scene.queries)
         # The rebuilt field handle evaluates identically.
         pose = scene.queries[0][1]
-        np.testing.assert_array_equal(loaded.field.eval_one(pose), scene.field.eval_one(pose))
+        np.testing.assert_array_equal(_value(loaded.field, pose.t, pose.q), _value(scene.field, pose.t, pose.q))
 
     def test_save_twice_identical_bytes(self, tmp_path):
         scene = gen_scene(_loop_cfg(), FieldConfig(dim=3, kind="affine", seed=14))
@@ -264,3 +269,254 @@ class TestSceneIo:
         save_scene(scene, tmp_path / "b")
         for name in ("refs_descriptors.bin", "query_descriptors.bin", "train_descriptors.bin", "refs_poses.csv", "scene.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# The per-pose scene generator that gen_scene and make_stray_case replaced,
+# kept as their reference: one Pose per trajectory pose, holding a scalar
+# yaw quaternion that Pose normalizes a second time, and each split's rows
+# stacked for one field evaluation.
+
+
+def _yaw_quat(yaw):
+    return normalize_quat([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
+
+
+def _loop_poses(n, radius, wiggle, phase, rng, center=(0.0, 0.0)):
+    poses = []
+    for i in range(n):
+        theta = 2.0 * math.pi * i / n + phase
+        r = radius + (rng.uniform(-wiggle, wiggle) if rng is not None and wiggle > 0 else 0.0)
+        t = np.array([center[0] + r * math.cos(theta), center[1] + r * math.sin(theta), 0.0])
+        poses.append(Pose(t=t, q=_yaw_quat(theta + math.pi / 2.0)))
+    return poses
+
+
+def _viewpoint_varied_loop(n, radius, radial_span, rng, center=(0.0, 0.0)):
+    poses = []
+    for i in range(max(n, 2)):
+        theta = 2.0 * math.pi * i / max(n, 2) + rng.uniform(-0.5, 0.5) * (2.0 * math.pi / max(n, 2))
+        r = radius + rng.uniform(-radial_span, radial_span)
+        t = np.array([center[0] + r * math.cos(theta), center[1] + r * math.sin(theta), 0.0])
+        yaw = theta + math.pi / 2.0 + rng.uniform(-0.3, 0.3)
+        poses.append(Pose(t=t, q=_yaw_quat(yaw)))
+    return poses
+
+
+def _lane_pose(x, y):
+    return Pose(t=np.array([x, y, 0.0]), q=_yaw_quat(math.pi / 2.0))
+
+
+def _reference_split(field, poses, rng):
+    """(descriptors, translations, quaternions) of one split: one field call over all its rows."""
+    t = np.asarray([p.t for p in poses])
+    q = np.asarray([p.q for p in poses])
+    desc = field.eval_many(t, q)
+    if field.noise_sigma > 0.0:
+        desc = desc + rng.normal(0.0, field.noise_sigma, size=desc.shape)
+    return desc, t, q
+
+
+def _reference_scene(scene_cfg, field_cfg):
+    """{split: (ids, descriptors, translations, quaternions, labels)} and the query (descriptor, Pose) pairs."""
+    from copr.synth import LANE_SPACING, LOOP_WIGGLE_FRACTION, MULTI_SCENE_RADIUS, TRAIN_STRIDE
+
+    field = make_field(field_cfg)
+    seeds = np.random.SeedSequence(scene_cfg.seed).spawn(4)
+    ref_rng, train_rng, noise_rng = (np.random.default_rng(seeds[i]) for i in (0, 2, 3))
+    offset = scene_cfg.query_offset_m
+    if scene_cfg.layout == "loop":
+        radius = scene_cfg.extent_m / 2.0
+        wiggle = scene_cfg.extent_m * LOOP_WIGGLE_FRACTION
+        refs = _loop_poses(scene_cfg.n_refs, radius, wiggle, 0.0, ref_rng)
+        queries = _loop_poses(min(200, scene_cfg.n_refs), radius + offset, 0.0, math.pi / scene_cfg.n_refs, None)
+        train = _viewpoint_varied_loop(scene_cfg.n_refs // 2, radius, 1.25 * offset, train_rng)
+        labels = [[0] * len(refs), [0] * len(queries), [0] * len(train)]
+    elif scene_cfg.layout == "parallel_lanes":
+        n, off = scene_cfg.n_per_lane, scene_cfg.lane_offset_m
+        refs = [_lane_pose(0.0, i * LANE_SPACING) for i in range(n)]
+        queries = [_lane_pose(off, (i + 0.5) * LANE_SPACING) for i in range(n)]
+        train = []
+        for i in range(0, n, TRAIN_STRIDE):
+            train.append(_lane_pose(0.0, i * LANE_SPACING + 0.4 * LANE_SPACING))
+            train.append(_lane_pose(off, i * LANE_SPACING + 0.4 * LANE_SPACING))
+        labels = [[0] * len(refs), [0] * len(queries), [0] * len(train)]
+    else:
+        refs, queries, train, labels = [], [], [], [[], [], []]
+        n = scene_cfg.refs_per_scene
+        for s in range(scene_cfg.n_scenes):
+            center = (s * scene_cfg.scene_spacing_m, 0.0)
+            parts = (
+                _loop_poses(n, MULTI_SCENE_RADIUS, 0.02, 0.0, ref_rng, center),
+                _loop_poses(max(1, n // 5), MULTI_SCENE_RADIUS + offset, 0.0, math.pi / n, None, center),
+                _viewpoint_varied_loop(n // 2, MULTI_SCENE_RADIUS, 1.25 * offset, train_rng, center),
+            )
+            for split, part, split_labels in zip((refs, queries, train), parts, labels):
+                split += part
+                split_labels += [s] * len(part)
+    out = {}
+    for name, prefix, poses, split_labels in (
+        ("refs", "r", refs, labels[0]), ("train", "t", train, labels[2]), ("queries", "q", queries, labels[1])
+    ):
+        ids = tuple(f"{prefix}{i:05d}" for i in range(len(poses)))
+        out[name] = (ids, *_reference_split(field, poses, noise_rng), tuple(split_labels))
+    pairs = [(out["queries"][1][i], pose) for i, pose in enumerate(queries)]
+    return out, pairs
+
+
+def _reference_stray_case(scene_cfg, field_cfg, similarity, case_seed):
+    """(query descriptor, query Pose, local map blocks (ids, descriptors,
+    translations, quaternions), stray descriptor, stray Pose)."""
+    from copr.synth import MULTI_SCENE_RADIUS, STRAY_LOCAL_SPACING
+
+    field = make_field(field_cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([scene_cfg.seed, 977, case_seed]))
+    scene_a = case_seed % scene_cfg.n_scenes
+    scene_b = (scene_a + 1) % scene_cfg.n_scenes
+    center_a = (scene_a * scene_cfg.scene_spacing_m, 0.0)
+    center_b = np.array([scene_b * scene_cfg.scene_spacing_m, 0.0, 0.0])
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    r_q = MULTI_SCENE_RADIUS + scene_cfg.query_offset_m
+    q_t = [center_a[0] + r_q * math.cos(theta), r_q * math.sin(theta), 0.0]
+    q_pose = Pose(t=q_t, q=_yaw_quat(theta + math.pi / 2.0))
+    f_query = _value(field, q_pose.t, q_pose.q)
+    dtheta = STRAY_LOCAL_SPACING / MULTI_SCENE_RADIUS
+    local = []
+    for step in (-1.5, -0.5, 0.5, 1.5):
+        ang = theta + step * dtheta * rng.uniform(0.85, 1.15)
+        t = [center_a[0] + MULTI_SCENE_RADIUS * math.cos(ang), MULTI_SCENE_RADIUS * math.sin(ang), 0.0]
+        local.append(Pose(t=t, q=_yaw_quat(ang + math.pi / 2.0)))
+    refs = (
+        tuple(f"local{k}" for k in range(4)),
+        np.array([_value(field, p.t, p.q) for p in local]),
+        np.array([p.t for p in local]),
+        np.array([p.q for p in local]),
+    )
+    theta_b = rng.uniform(0.0, 2.0 * math.pi)
+    s_t = center_b + np.array([MULTI_SCENE_RADIUS * math.cos(theta_b), MULTI_SCENE_RADIUS * math.sin(theta_b), 0.0])
+    s_pose = Pose(t=s_t, q=_yaw_quat(theta_b + math.pi / 2.0))
+    f_stray = (1.0 - similarity) * _value(field, s_pose.t, s_pose.q) + similarity * f_query
+    return f_query, q_pose, refs, f_stray, s_pose
+
+
+def _bytes(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _pair_bytes(pairs):
+    return [_bytes(d, p.t, p.q) for d, p in pairs]
+
+
+def _random_scene_cfgs():
+    """Seeded configs over every layout, with noise on and off, plus the smallest sizes."""
+    rng = np.random.default_rng(1515)
+    cfgs = [
+        (
+            SceneConfig(layout="loop", n_refs=2, extent_m=3.0, query_offset_m=0.4, seed=1),
+            FieldConfig(dim=3, noise_sigma=0.1, seed=2),
+        ),
+        (
+            SceneConfig(layout="multi_scene", n_scenes=1, refs_per_scene=2, query_offset_m=0.1, seed=3),
+            FieldConfig(dim=2, kind="affine", noise_sigma=0.05, seed=4),
+        ),
+        (SceneConfig(layout="parallel_lanes", n_per_lane=2, seed=5), FieldConfig(dim=1, noise_sigma=0.2, seed=6)),
+    ]
+    for i in range(18):
+        layout = LAYOUTS[i % 3]
+        scene_cfg = SceneConfig(
+            layout=layout,
+            n_refs=int(rng.integers(2, 260)),
+            extent_m=float(rng.uniform(1.0, 20.0)),
+            n_per_lane=int(rng.integers(2, 90)),
+            lane_offset_m=float(rng.uniform(0.2, 3.0)),
+            n_scenes=int(rng.integers(1, 5)),
+            scene_spacing_m=float(rng.uniform(8.0, 60.0)),
+            refs_per_scene=int(rng.integers(2, 70)),
+            query_offset_m=float(rng.uniform(0.01, 0.45)),
+            seed=int(rng.integers(2**31)),
+        )
+        field_cfg = FieldConfig(
+            dim=int(rng.integers(1, 12)),
+            kind=("affine", "random_fourier")[(i // 3) % 2],
+            orientation_weight=float(rng.uniform(0.0, 0.5)),
+            noise_sigma=(0.0, 0.03)[(i // 6) % 2],
+            seed=int(rng.integers(2**31)),
+        )
+        cfgs.append((scene_cfg, field_cfg))
+    return cfgs
+
+
+_REFERENCE_CFGS = [
+    *[pytest.param(*NAMED_SCENES[name], id=name) for name in NAMED_SCENES],
+    *[pytest.param(*cfg, id=f"random{i}") for i, cfg in enumerate(_random_scene_cfgs())],
+]
+
+
+class TestPerPoseReference:
+    @pytest.mark.parametrize("scene_cfg,field_cfg", _REFERENCE_CFGS)
+    def test_scene_maps_labels_and_queries_are_bit_identical(self, scene_cfg, field_cfg):
+        scene = gen_scene(scene_cfg, field_cfg)
+        splits, pairs = _reference_scene(scene_cfg, field_cfg)
+        for name, m, labels in (
+            ("refs", scene.gt_dense, scene.ref_labels),
+            ("queries", scene.query_map, scene.query_labels),
+            ("train", scene.train_refs, scene.train_labels),
+        ):
+            ids, desc, t, q, ref_labels = splits[name]
+            assert m.ids == ids and labels == ref_labels
+            assert _bytes(m.descriptors, m.translations, m.quaternions) == _bytes(desc, t, q)
+        assert _pair_bytes(scene.queries) == _pair_bytes(pairs)
+
+    @pytest.mark.parametrize("scene_cfg,field_cfg", _REFERENCE_CFGS)
+    def test_scene_files_and_reloaded_queries_are_bit_identical(self, scene_cfg, field_cfg, tmp_path):
+        import json
+        from dataclasses import asdict
+
+        splits, pairs = _reference_scene(scene_cfg, field_cfg)
+        # The files the per-pose generator's save_scene wrote.
+        files = {
+            "refs": ("refs_poses.csv", "refs_descriptors.bin"),
+            "queries": ("query_poses.csv", "query_descriptors.bin"),
+            "train": ("train_poses.csv", "train_descriptors.bin"),
+        }
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for name, (pose_name, descriptor_name) in files.items():
+            ids, desc, t, q, _ = splits[name]
+            save_map(ReferenceMap(ids, desc, t, q), expected / pose_name, expected / descriptor_name)
+        sidecar = {
+            "format_version": 1,
+            "field_config": asdict(field_cfg),
+            "scene_config": asdict(scene_cfg),
+            "labels": {name: list(splits[name][4]) for name in ("refs", "queries", "train")},
+            "files": {k: list(v) for k, v in files.items()},
+        }
+        (expected / "scene.json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
+
+        save_scene(gen_scene(scene_cfg, field_cfg), tmp_path / "scene")
+        written = sorted(p.name for p in (tmp_path / "scene").iterdir())
+        assert written == sorted(p.name for p in expected.iterdir())
+        for name in written:
+            assert (tmp_path / "scene" / name).read_bytes() == (expected / name).read_bytes(), name
+        # Descriptors reload as their f32 values; poses reload exactly.
+        loaded = [(d, p) for d, p in load_scene(tmp_path / "scene").queries]
+        f32_pairs = [(d.astype(np.float32).astype(np.float64), p) for d, p in pairs]
+        assert _pair_bytes(loaded) == _pair_bytes(f32_pairs)
+
+    @pytest.mark.parametrize(
+        "scene_cfg,field_cfg",
+        [
+            cfg
+            for cfg in [NAMED_SCENES["multiscene"], *_random_scene_cfgs()]
+            if cfg[0].layout == "multi_scene" and cfg[0].n_scenes >= 2
+        ],
+    )
+    def test_stray_cases_are_bit_identical(self, scene_cfg, field_cfg):
+        for case_seed in range(12):
+            similarity = (0.0, 0.35, 0.9, 1.0)[case_seed % 4]
+            case = make_stray_case(scene_cfg, field_cfg, similarity, case_seed=case_seed)
+            f_query, q_pose, refs, f_stray, s_pose = _reference_stray_case(scene_cfg, field_cfg, similarity, case_seed)
+            assert case.refs.ids == refs[0]
+            assert _bytes(case.refs.descriptors, case.refs.translations, case.refs.quaternions) == _bytes(*refs[1:])
+            query, stray = case.query_pose, case.stray_pose
+            assert _bytes(case.query_descriptor, query.t, query.q) == _bytes(f_query, q_pose.t, q_pose.q)
+            assert _bytes(case.stray_descriptor, stray.t, stray.q) == _bytes(f_stray, s_pose.t, s_pose.q)

@@ -53,15 +53,15 @@ def _map_of(descriptors, translations=None, ids=None):
     n = descriptors.shape[0]
     if translations is None:
         translations = [(float(i), 0.0, 0.0) for i in range(n)]
-    entries = [
-        (
-            ids[i] if ids else f"r{i}",
-            descriptors[i],
-            _pose(*translations[i]),
-        )
-        for i in range(n)
-    ]
-    return ReferenceMap.from_entries(entries)
+    return ReferenceMap(
+        ids=tuple(ids) if ids else tuple(f"r{i}" for i in range(n)),
+        descriptors=descriptors,
+        translations=np.asarray(translations, dtype=np.float64).reshape(n, 3),
+        quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+    )
+
+
+_EMPTY_MAP = ReferenceMap((), np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 4)))
 
 
 class TestRetrieve:
@@ -96,7 +96,7 @@ class TestRetrieve:
             retrieve([1.0, 2.0, 3.0], _map_of([[0.0, 0.0]]), k=1)
 
     def test_empty_map(self):
-        empty = ReferenceMap.from_entries([])
+        empty = _EMPTY_MAP
         with pytest.raises(EmptyMap):
             retrieve([1.0], empty, k=1)
 
@@ -322,7 +322,7 @@ class TestOracleRetrieve:
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):
-            oracle_retrieve(_pose(), ReferenceMap.from_entries([]))
+            oracle_retrieve(_pose(), _EMPTY_MAP)
 
     def test_lower_bounds_vpr_translation_error(self):
         rng = np.random.default_rng(77)
@@ -403,7 +403,7 @@ class TestMapIo:
         return load_map(tmp_path / "p.csv", tmp_path / "d.bin")
 
     def test_empty_map_roundtrip(self, tmp_path):
-        m = ReferenceMap.from_entries([])
+        m = _EMPTY_MAP
         save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
         assert (tmp_path / "d.bin").stat().st_size == 16
         assert (tmp_path / "p.csv").read_text() == "id,tx,ty,tz,qw,qx,qy,qz\n"
@@ -811,7 +811,7 @@ class TestPoseReader:
         assert (info.value.line if error is ParseError else int(re.search(r"line (\d+):", str(info.value))[1])) == line
 
     def test_header_only_file_loads_without_a_warning(self, tmp_path):
-        save_map(ReferenceMap.from_entries([]), tmp_path / "p.csv", tmp_path / "d.bin")
+        save_map(_EMPTY_MAP, tmp_path / "p.csv", tmp_path / "d.bin")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(load_map(tmp_path / "p.csv", tmp_path / "d.bin")) == 0
