@@ -6,9 +6,12 @@ kind, accepts only the flags it reads; exp flags follow the kind. synth,
 train-h, train-encoder, densify and exp take an optional JSON --config, a
 --seed override and generic --set dot.path=value overrides, which take
 precedence over config keys; only exp writes a report and takes --format.
-Each command accepts only the config keys it reads and refuses any other,
-naming its dotted path; retrieve and eval read no config. Each run that
-writes files echoes its resolved configuration next to them.
+A config key is typed by its config dataclass field. Before anything is
+built or written, each command refuses a key it does not read or a value
+of the wrong type, naming its dotted path; retrieve and eval read no
+config. Each run that writes files, eval aside, echoes every config value
+it resolved to <output>.config.json, a config the same command accepts
+back: it replays the run given the same other flags.
 
 Exit codes: 0 success, 1 validation error or bad usage, 2 I/O error.
 stdout carries machine-readable output only; human-facing logs go to
@@ -20,8 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from .evaluate import (
 )
 from .geometry import angular_error_deg_many, pose_blocks, row_dots
 from .neural.model_io import load_model, save_model
-from .neural.training import TrainConfig, train_encoder
+from .neural.training import ENCODER_DEFAULT_LR, TrainConfig, train_encoder
 from .synth import (
     FieldConfig,
     SceneConfig,
@@ -65,13 +69,13 @@ _METHOD_FLAGS = {
     "lin-reg": METHOD_LIN_REG,
     "nonlin-reg": METHOD_NONLIN_REG,
 }
-# The flags that override a DensifyConfig field: the field each sets, and its type.
+# The flags that override a DensifyConfig field, and the field each sets.
 _GRID_FLAGS = {
-    "--stride": ("stride", int),
-    "--e-step": ("grid_step", float),
-    "--e-span": ("grid_span", float),
-    "--neighbors": ("neighbors", int),
-    "--dedupe-radius": ("dedupe_radius", float),
+    "--stride": "stride",
+    "--e-step": "grid_step",
+    "--e-span": "grid_span",
+    "--neighbors": "neighbors",
+    "--dedupe-radius": "dedupe_radius",
 }
 
 
@@ -109,128 +113,143 @@ def _apply_set_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def _fields(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
+def _schema(cls, names=None) -> dict:
+    """The fields of a config dataclass, or the named ones, mapped to their types."""
+    hints = get_type_hints(cls)
+    return {name: hints[name] for name in names or hints}
 
 
 # The config keys each command reads: a section maps to the fields it may
-# hold, a scalar key to None.
-_SCENE_KEYS = {"scene": _fields(SceneConfig), "field": _fields(FieldConfig)}
-_DENSIFY_KEYS = {"densify": _fields(DensifyConfig)}
-_MODEL_KEYS = {"train": _fields(TrainConfig), "pair_cap": None, "max_pairs": None}
+# hold and their types, a scalar key to its type.
+_SCENE_KEYS = {"scene": _schema(SceneConfig), "field": _schema(FieldConfig)}
+_DENSIFY_KEYS = {"densify": _schema(DensifyConfig)}
+_MODEL_KEYS = {"train": _schema(TrainConfig), "pair_cap": float, "max_pairs": int}
 
 
-def _config(args) -> dict:
-    """The --config file with the --set overrides applied.
+class _Config:
+    """A command's --config with the --set overrides applied, checked up front.
+
+    ``keys`` maps each config key the command reads to its type, or a
+    section to its fields' types. ``echo`` records each value resolved
+    through :meth:`value` and :meth:`build`; it is a config the same
+    command accepts back.
 
     Raises:
-        InvalidConfig: a key, or a field of a section, that the command
-            does not read; the message names its dotted path.
+        InvalidConfig: a key the command does not read, or a value of the
+            wrong type (an int fits a float; a bool fits no number); the
+            message names its dotted path.
     """
-    cfg = _apply_set_overrides(_load_config(args.config), args.set)
-    keys = args.config_keys
-    command = f"exp {args.kind}" if args.command == "exp" else args.command
-    unread = [key for key in cfg if key not in keys]
-    for key, section in keys.items():
-        if section is None or key not in cfg:
-            continue
-        if not isinstance(cfg[key], dict):
-            raise InvalidConfig(f"config key {key!r} of {command} must be an object")
-        unread += [f"{key}.{name}" for name in cfg[key] if name not in section]
-    if unread:
-        readable = []
-        for key, section in keys.items():
-            readable += [key] if section is None else [f"{key}.{name}" for name in sorted(section)]
-        raise InvalidConfig(f"{command} reads no config key {unread[0]!r}; it reads {', '.join(readable)}")
-    return cfg
+
+    def __init__(self, args, keys: dict):
+        self.command = f"exp {args.kind}" if args.command == "exp" else args.command
+        self.command += " --benchmark" if getattr(args, "benchmark", None) else ""
+        self.given = _apply_set_overrides(_load_config(args.config), args.set)
+        self.keys = keys
+        self.echo = {}
+        entries = []
+        for key, value in self.given.items():
+            section = keys.get(key)
+            if not isinstance(section, dict):
+                entries.append((key, section, value))
+            elif not isinstance(value, dict):
+                raise InvalidConfig(f"config key {key!r} of {self.command} must be an object")
+            else:
+                entries += [(f"{key}.{name}", section.get(name), v) for name, v in value.items()]
+        for path, kind, value in entries:
+            if kind is None:
+                readable = []
+                for k, s in keys.items():
+                    readable += [f"{k}.{n}" for n in sorted(s)] if isinstance(s, dict) else [k]
+                raise InvalidConfig(
+                    f"{self.command} reads no config key {path!r}; it reads {', '.join(readable) or 'none'}"
+                )
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise InvalidConfig(f"config key {path!r} of {self.command} must be {kind.__name__}, got {value!r}")
+
+    def value(self, key: str, default, flag=None):
+        """The flag if set, else the config key, else ``default``."""
+        self.echo[key] = flag if flag is not None else self.given.get(key, default)
+        return self.echo[key]
+
+    def build(self, cls, key: str, base=None, **flags):
+        """``cls`` from config section ``key`` laid over ``base`` (default:
+        the class defaults), with each flag that is not None on top."""
+        kwargs = {**(asdict(base) if base else {}), **self.given.get(key, {})}
+        kwargs.update((name, v) for name, v in flags.items() if v is not None)
+        missing = [f.name for f in fields(cls) if f.name not in kwargs and f.default is MISSING]
+        if missing:
+            raise InvalidConfig(f"{self.command} needs config key '{key}.{missing[0]}'")
+        built = cls(**kwargs)
+        resolved = asdict(built)
+        self.echo[key] = {name: resolved[name] for name in self.keys.get(key, resolved)}
+        return built
+
+    def write_echo(self, out_path: Path) -> None:
+        echo_path = out_path.parent / (out_path.name + ".config.json")
+        echo_path.write_text(json.dumps(self.echo, indent=2) + "\n", encoding="utf-8")
 
 
-def _echo_config(resolved: dict, out_path: Path) -> None:
-    echo_path = out_path.parent / (out_path.name + ".config.json")
-    echo_path.parent.mkdir(parents=True, exist_ok=True)
-    echo_path.write_text(json.dumps(resolved, indent=2, default=str) + "\n", encoding="utf-8")
+def _densify(read: _Config, args) -> DensifyConfig:
+    """The densify section and grid flags over the defaults; an unset
+    grid_span covers at least one grid step, and at least 0.05 m."""
+    flags = {key: getattr(args, key) for key in _GRID_FLAGS.values()}
+    step = flags["grid_step"] or read.given.get("densify", {}).get("grid_step", 0.05)
+    return read.build(DensifyConfig, "densify", DensifyConfig(grid_step=step, grid_span=max(step, 0.05)), **flags)
 
 
-def _train_config(section: dict, seed_override: int | None) -> TrainConfig:
-    kwargs = dict(section)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return TrainConfig(**kwargs)
-
-
-def _densify_config(section: dict, args) -> DensifyConfig:
-    kwargs = dict(section)
-    kwargs.update({key: getattr(args, key) for key, _ in _GRID_FLAGS.values() if getattr(args, key) is not None})
-    kwargs.setdefault("grid_span", max(kwargs.get("grid_step", 0.05), 0.05))
-    return DensifyConfig(**kwargs)
-
-
-def _scene_model(args, scene, cfg: dict, default_cap: float):
+def _scene_model(args, scene, read: _Config, default_cap: float):
     if getattr(args, "model", None):
         return load_model(args.model), 0.0
-    train_section = cfg.get("train", {})
-    tc = _train_config(train_section, getattr(args, "seed", None))
-    cap = cfg.get("pair_cap", default_cap)
-    max_pairs = cfg.get("max_pairs", 6000)
+    tc = read.build(TrainConfig, "train", seed=args.seed)
+    cap = read.value("pair_cap", default_cap)
+    max_pairs = read.value("max_pairs", 6000)
     _log(f"training regressor (cap={cap} m, max_pairs={max_pairs}, seed={tc.seed})")
-    return train_scene_regressor(scene, tc, cap, max_pairs, pair_seed=tc.seed)
+    return train_scene_regressor(scene, tc, cap, max_pairs)
 
 
 def _cmd_synth(args) -> int:
-    cfg = _config(args)
-    if args.benchmark:
-        scene_cfg, field_cfg = benchmarks.NAMED_SCENES[args.benchmark]
-        if args.seed is not None:
-            scene_cfg = SceneConfig(**{**asdict(scene_cfg), "seed": args.seed})
-    else:
-        if "scene" not in cfg or "field" not in cfg:
-            raise InvalidConfig("synth needs --benchmark or a config with 'scene' and 'field' sections")
-        scene_kwargs = dict(cfg["scene"])
-        if args.seed is not None:
-            scene_kwargs["seed"] = args.seed
-        scene_cfg = SceneConfig(**scene_kwargs)
-        field_cfg = FieldConfig(**cfg["field"])
-    scene = gen_scene(scene_cfg, field_cfg)
+    read = _Config(args, {} if args.benchmark else args.config_keys)
+    # Without --benchmark, the required scene.layout and field.dim make both sections required.
+    scene_base, field_base = benchmarks.NAMED_SCENES[args.benchmark] if args.benchmark else (None, None)
+    scene_cfg = read.build(SceneConfig, "scene", scene_base, seed=args.seed)
+    scene = gen_scene(scene_cfg, read.build(FieldConfig, "field", field_base))
     out = Path(args.out)
     save_scene(scene, out)
-    _echo_config(
-        {"command": "synth", "scene_config": asdict(scene_cfg), "field_config": asdict(field_cfg)},
-        out / "scene.json",
-    )
+    read.write_echo(out / "scene.json")
     _log(f"scene written to {out} ({len(scene.gt_dense)} refs, {len(scene.query_map)} queries)")
     return 0
 
 
 def _cmd_train_h(args) -> int:
-    cfg = _config(args)
+    read = _Config(args, args.config_keys)
     scene = load_scene(args.scene)
-    model, seconds = _scene_model(args, scene, cfg, default_cap=1.0)
+    model, seconds = _scene_model(args, scene, read, default_cap=1.0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    _echo_config({"command": "train-h", "scene": str(args.scene), "config": cfg, "seconds": seconds}, out)
+    read.write_echo(out)
     _log(f"regressor written to {out} ({seconds:.1f}s)")
     return 0
 
 
 def _cmd_train_encoder(args) -> int:
-    cfg = _config(args)
+    read = _Config(args, args.config_keys)
     scene = load_scene(args.scene)
-    dataset = make_encoder_dataset(scene, nuisance_sigma=cfg.get("nuisance_sigma", 1.0))
-    tc = _train_config(cfg.get("train", {}), args.seed) if cfg.get("train") or args.seed is not None else None
+    dataset = make_encoder_dataset(scene, nuisance_sigma=read.value("nuisance_sigma", 1.0))
+    tc = read.build(TrainConfig, "train", TrainConfig(lr=ENCODER_DEFAULT_LR[args.variant]), seed=args.seed)
     encoder = train_encoder(dataset, args.variant, tc)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(encoder, out)
-    _echo_config({"command": "train-encoder", "variant": args.variant, "config": cfg}, out)
+    read.write_echo(out)
     _log(f"{args.variant} encoder written to {out}")
     return 0
 
 
 def _cmd_densify(args) -> int:
-    cfg = _config(args)
+    read = _Config(args, args.config_keys)
     scene = load_scene(args.scene)
-    dc = _densify_config(cfg.get("densify", {}), args)
+    dc = _densify(read, args)
     method = _METHOD_FLAGS[args.method]
     sparse = scene.gt_dense
     if args.scheme == "interp":
@@ -243,16 +262,13 @@ def _cmd_densify(args) -> int:
         base = sparse
     model = None
     if method == METHOD_NONLIN_REG:
-        model, _ = _scene_model(args, scene, cfg, default_cap=max(1.0, dc.grid_span * 2))
+        model, _ = _scene_model(args, scene, read, default_cap=max(1.0, dc.grid_span * 2))
     dense = densify_map(base, plan, method, model=model, neighbors=dc.neighbors)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_map(dense, out / "dense_poses.csv", out / "dense_descriptors.bin")
     (out / "plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")
-    _echo_config(
-        {"command": "densify", "method": args.method, "scheme": args.scheme, "densify_config": asdict(dc)},
-        out / "dense_poses.csv",
-    )
+    read.write_echo(out / "dense_poses.csv")
     _log(f"dense map written to {out} ({len(dense)} entries, {len(plan.targets)} regressed)")
     return 0
 
@@ -299,76 +315,77 @@ def _cmd_eval(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        _echo_config({"command": "eval", "scene": str(args.scene), "map": str(args.map)}, Path(args.out))
     else:
         print(json.dumps(doc))
     return 0
 
 
-def _exp_regressor(args, scene, cfg: dict, default_methods: tuple, default_cap: float):
+def _exp_regressor(args, scene, read: _Config, default_methods: tuple, default_cap: float):
     """The methods to run, and the regressor and its training seconds when nonlin-reg is one of them."""
     methods = tuple(_METHOD_FLAGS[m] for m in args.methods) if args.methods else default_methods
     if METHOD_NONLIN_REG not in methods:
         return methods, None, 0.0
-    return (methods, *_scene_model(args, scene, cfg, default_cap))
+    return (methods, *_scene_model(args, scene, read, default_cap))
 
 
-def _exp_interp(args, cfg: dict, seed: int):
+def _exp_interp(args, read: _Config, seed: int):
     scene = load_scene(args.scene)
-    stride = args.stride if args.stride is not None else cfg.get("densify", {}).get("stride", 50)
+    stride = read.build(DensifyConfig, "densify", stride=args.stride).stride
     methods, model, t_train = _exp_regressor(
-        args, scene, cfg, (METHOD_LIN_INTERP, METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=1.0
+        args, scene, read, (METHOD_LIN_INTERP, METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=1.0
     )
     return exp_interpolation(scene, stride, methods=methods, model=model, seed=seed, t_train_s=t_train)
 
 
-def _exp_extrap(args, cfg: dict, seed: int):
+def _exp_extrap(args, read: _Config, seed: int):
     scene = load_scene(args.scene)
-    dc = _densify_config(cfg.get("densify", {}), args)
+    dc = _densify(read, args)
     steps = None
     if args.kind == "sweep":
         steps = [float(s) for s in args.steps.split(",")] if args.steps else list(benchmarks.SWEEP_STEPS)
     methods, model, t_train = _exp_regressor(
-        args, scene, cfg, (METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=max(1.0, dc.grid_span * 2)
+        args, scene, read, (METHOD_LIN_REG, METHOD_NONLIN_REG), default_cap=max(1.0, dc.grid_span * 2)
     )
     return exp_extrapolation(scene, dc, methods=methods, model=model, step_list=steps, seed=seed, t_train_s=t_train)
 
 
-def _exp_encoders(args, cfg: dict, seed: int):
+def _exp_encoders(args, read: _Config, seed: int):
     return exp_encoders(
         load_scene(args.scene),
-        _densify_config(cfg.get("densify", {}), args),
+        _densify(read, args),
         encoder_cfgs=benchmarks.ENCODER_CONFIGS,
         regressor_cfg=benchmarks.ENCODER_REGRESSOR,
-        max_translation=cfg.get("pair_cap", benchmarks.MULTI_PAIR_CAP),
-        max_pairs=cfg.get("max_pairs", benchmarks.ENCODER_PAIR_MAX),
-        nuisance_sigma=cfg.get("nuisance_sigma", benchmarks.MULTI_NUISANCE_SIGMA),
+        max_translation=read.value("pair_cap", benchmarks.MULTI_PAIR_CAP),
+        max_pairs=read.value("max_pairs", benchmarks.ENCODER_PAIR_MAX),
+        nuisance_sigma=read.value("nuisance_sigma", benchmarks.MULTI_NUISANCE_SIGMA),
         seed=seed,
     )
 
 
-def _exp_stray(args, cfg: dict, seed: int):
+def _exp_stray(args, read: _Config, seed: int):
     if args.scene:
         scene = load_scene(args.scene)
-    elif cfg.get("scene") and cfg.get("field"):
-        scene = gen_scene(SceneConfig(**cfg["scene"]), FieldConfig(**cfg["field"]))
-    else:
-        scene = gen_scene(benchmarks.MULTI_SCENE, benchmarks.MULTI_FIELD)
+    else:  # a given section is laid over the class defaults, a missing one is the multiscene benchmark's
+        scene = gen_scene(
+            read.build(SceneConfig, "scene", None if "scene" in read.given else benchmarks.MULTI_SCENE),
+            read.build(FieldConfig, "field", None if "field" in read.given else benchmarks.MULTI_FIELD),
+        )
     cases = [
         make_stray_case(scene.scene_cfg, scene.field_cfg, args.similarity, case_seed=i) for i in range(args.cases)
     ]
-    model, _ = _scene_model(args, scene, cfg, default_cap=benchmarks.MULTI_PAIR_CAP)
+    model, _ = _scene_model(args, scene, read, default_cap=benchmarks.MULTI_PAIR_CAP)
     return exp_stray(cases, model)
 
 
 def _cmd_exp(args) -> int:
-    cfg = _config(args)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    # A --scene directory stands in for the scene and field sections of exp stray.
+    read = _Config(args, {"seed": int, **_MODEL_KEYS} if args.kind == "stray" and args.scene else args.config_keys)
+    seed = read.value("seed", 0, args.seed)
+    report = args.run(args, read, seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    report = args.run(args, cfg, seed)
     emit_report(report, args.format, out)
-    _echo_config({"command": f"exp {args.kind}", "config": cfg, "seed": seed}, out)
+    read.write_echo(out)
     _log(f"report written to {out} ({len(report.rows)} rows)")
     return 0
 
@@ -384,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(config_keys=config_keys)
 
     def grid_flags(p):
-        for flag, (key, kind) in _GRID_FLAGS.items():
-            p.add_argument(flag, type=kind, dest=key)
+        for flag, key in _GRID_FLAGS.items():
+            p.add_argument(flag, type=_DENSIFY_KEYS["densify"][key], dest=key)
 
     p = sub.add_parser("synth", help="generate and export a synthetic scene")
     configurable(p, _SCENE_KEYS)
@@ -400,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_h)
 
     p = sub.add_parser("train-encoder", help="train a synthetic feature encoder")
-    configurable(p, {"train": _MODEL_KEYS["train"], "nuisance_sigma": None})
+    configurable(p, {"train": _MODEL_KEYS["train"], "nuisance_sigma": float})
     p.add_argument("--scene", required=True)
     p.add_argument("--variant", choices=("triplet", "relative", "distance"), required=True)
     p.add_argument("--out", required=True)
@@ -434,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def exp_kind(kind, run, help, config_keys, scene_help="scene directory"):
         k = kinds.add_parser(kind, help=help)
-        configurable(k, {"seed": None, **config_keys})
+        configurable(k, {"seed": int, **config_keys})
         k.add_argument("--format", choices=("csv", "json"), default="csv")
         k.add_argument("--out", required=True)
         k.add_argument("--scene", required=kind != "stray", help=scene_help)
@@ -447,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = exp_kind(
         "interp", _exp_interp, "regress the poses a subsampled trajectory dropped",
-        {"densify": frozenset({"stride"}), **_MODEL_KEYS},
+        {"densify": _schema(DensifyConfig, ["stride"]), **_MODEL_KEYS},
     )
     regressor_flags(k)
     k.add_argument("--stride", type=int)
@@ -460,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--steps", help="comma-separated grid steps")
     k = exp_kind(
         "encoders", _exp_encoders, "extrap in each encoder variant's descriptor space",
-        {**_DENSIFY_KEYS, "pair_cap": None, "max_pairs": None, "nuisance_sigma": None},
+        {**_DENSIFY_KEYS, "pair_cap": float, "max_pairs": int, "nuisance_sigma": float},
     )
     grid_flags(k)
     k = exp_kind(

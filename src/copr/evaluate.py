@@ -251,15 +251,17 @@ def train_scene_regressor(
     scene: SyntheticScene,
     cfg: TrainConfig,
     max_translation: float,
-    max_pairs: int = 6000,
-    pair_seed: int = 0,
+    max_pairs: int,
+    pair_seed: int | None = None,
 ) -> tuple[MlpModel, float]:
     """Train the descriptor regressor on the scene's training traverse.
 
     Returns (model, wall seconds). Pairs are ordered traverse pairs with
-    relative translation capped at ``max_translation``.
+    relative translation capped at ``max_translation``, drawn with
+    ``pair_seed``, which defaults to ``cfg.seed``.
     """
     start = time.perf_counter()
+    pair_seed = cfg.seed if pair_seed is None else pair_seed
     pairs = build_training_pairs(scene.train_refs, max_translation, max_pairs, pair_seed)
     model = train_regressor(pairs, cfg, scene.dim)
     return model, time.perf_counter() - start

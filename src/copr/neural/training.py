@@ -30,7 +30,7 @@ from .core import (
 from .losses import distance_grads, relative_grads, triplet_grads
 
 ENCODER_VARIANTS = ("triplet", "relative", "distance")
-# Per-variant Adam learning rates used when no explicit config is given.
+# Each variant's Adam learning rate when a config leaves ``lr`` unset.
 ENCODER_DEFAULT_LR = {"triplet": 1e-5, "relative": 1e-4, "distance": 5e-5}
 REGRESSOR_DEFAULT_LR = 5e-4
 DEFAULT_TRIPLET_MARGIN = 0.3
@@ -309,11 +309,7 @@ def _sample_same_scene_pairs(dataset: EncoderDataset, count: int, rng: np.random
     return out
 
 
-def train_encoder_full(
-    dataset: EncoderDataset,
-    variant: str,
-    cfg: TrainConfig | None = None,
-) -> TrainResult:
+def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) -> TrainResult:
     """Train a synthetic feature encoder with one of three objectives.
 
     ``triplet`` pulls same-scene observations together against other-scene
@@ -321,16 +317,12 @@ def train_encoder_full(
     jointly with a relative-pose head that is discarded afterwards;
     ``distance`` matches descriptor distances to physical distances on
     same-scene pairs. Each samples ``_ENCODER_POOL`` triplets or pairs
-    once; without ``cfg`` it runs the default :class:`TrainConfig` at the
-    variant's ``ENCODER_DEFAULT_LR``. Returns the best-validation encoder
-    snapshot.
+    once. Returns the best-validation encoder snapshot.
     """
     if variant not in ENCODER_VARIANTS:
         raise InvalidConfig(f"unknown encoder variant {variant!r}")
     if len(dataset) == 0:
         raise EmptyTrainingSet("empty encoder dataset")
-    if cfg is None:
-        cfg = TrainConfig(lr=ENCODER_DEFAULT_LR[variant])
 
     seed_a, state = splitmix64(cfg.seed)
     seed_b, state = splitmix64(state)
@@ -407,10 +399,6 @@ def train_encoder_full(
     return _fit(encoder, cfg, run_epoch, lambda: batch_loss(samples[val_idx], with_grads=False))
 
 
-def train_encoder(
-    dataset: EncoderDataset,
-    variant: str,
-    cfg: TrainConfig | None = None,
-) -> MlpModel:
+def train_encoder(dataset: EncoderDataset, variant: str, cfg: TrainConfig) -> MlpModel:
     """Best-validation encoder snapshot; see :func:`train_encoder_full`."""
     return train_encoder_full(dataset, variant, cfg).model

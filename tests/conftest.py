@@ -41,9 +41,7 @@ def _build_bundle(name, train_cfg=None, cap=None, max_pairs=None) -> SceneBundle
     model = None
     train_seconds = 0.0
     if train_cfg is not None:
-        model, train_seconds = train_scene_regressor(
-            scene, train_cfg, cap, max_pairs, pair_seed=train_cfg.seed
-        )
+        model, train_seconds = train_scene_regressor(scene, train_cfg, cap, max_pairs)
     return SceneBundle(scene, model, train_seconds, time.perf_counter() - start)
 
 

@@ -2,15 +2,18 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from copr import benchmarks
 from copr.cli import dispatch
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
-from copr.evaluate import ExperimentReport
+from copr.evaluate import ExperimentReport, report_signature
 from copr.geometry import Pose, angular_error_deg
-from copr.synth import load_scene
+from copr.neural.training import ENCODER_DEFAULT_LR, init_encoder
+from copr.synth import FieldConfig, SceneConfig, load_scene
 from copr.vpr_map import load_map
 
 
@@ -335,13 +338,19 @@ class TestExp:
         assert report_signature(outs[0]) == report_signature(outs[1])
 
     def test_validation_precedes_output(self, scene_dir, tmp_path):
-        out = tmp_path / "never.csv"
-        rc = dispatch(
-            ["exp", "extrap", "--scene", str(scene_dir), "--methods", "lin-reg",
-             "--stride", "1", "--out", str(out)]  # stride 1 violates config
-        )
-        assert rc == 1
-        assert not out.exists()
+        (tmp_path / "c.json").write_text(json.dumps({"densify": {"stride": 1}}))  # stride 1 violates config
+        work = tmp_path / "work"
+        work.mkdir()
+        scene = ["--scene", str(scene_dir)]
+        for args, rc in [
+            (["extrap", *scene, "--methods", "lin-reg", "--stride", "1"], 1),
+            (["extrap", *scene, "--methods", "lin-reg", "--config", str(tmp_path / "c.json")], 1),
+            (["interp", *scene, "--methods", "lin-interp", "--stride", "1"], 1),
+            (["interp", "--scene", str(tmp_path / "absent"), "--methods", "lin-interp"], 2),
+        ]:
+            for out in (work / "never.csv", work / "nested" / "never.csv"):
+                assert dispatch(["exp", *args, "--out", str(out)]) == rc
+        assert list(work.iterdir()) == []
 
 
 # Flags some exp kind reads, with a valid value each.
@@ -446,3 +455,136 @@ class TestConfigKeys:
     def test_a_section_must_be_an_object(self, scene_dir, tmp_path, capsys):
         err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], {"densify": 6})
         assert "'densify'" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, path",
+        [
+            ("exp extrap", {"densify": {"stride": "x"}}, "densify.stride"),
+            ("exp extrap", {"train": {"epochs": "3"}}, "train.epochs"),
+            ("exp extrap", {"pair_cap": "big"}, "pair_cap"),
+            ("exp extrap", {"seed": "a"}, "seed"),
+            ("exp extrap", {"densify": {"stride": True}}, "densify.stride"),
+            ("train-h", {"train": {"epochs": 2.5}}, "train.epochs"),
+            ("synth", {"scene": {"layout": "loop", "n_refs": 48.0}, "field": {"dim": 4}}, "scene.n_refs"),
+            ("synth", {"scene": {"n_refs": 48}, "field": {"dim": 4}}, "scene.layout"),
+            ("train-encoder", {"nuisance_sigma": "x"}, "nuisance_sigma"),
+            ("synth --benchmark", {"scene": {"layout": "loop", "n_refs": 10}}, "scene"),
+            ("exp stray --scene", {"scene": {"layout": "loop"}}, "scene"),
+            ("exp stray --scene", {"field": {"dim": 4}}, "field"),
+        ],
+    )
+    def test_a_wrong_value_is_refused_up_front(self, scene_dir, tmp_path, capsys, command, cfg, path):
+        commands = {
+            **_configurable_commands(scene_dir),
+            "synth --benchmark": ["synth", "--benchmark", "affine-loop"],
+            "exp stray --scene": ["exp", "stray", "--scene", str(scene_dir)],
+        }
+        err = self._refused(tmp_path, capsys, commands[command], cfg)
+        assert f"'{path}'" in err and "Traceback" not in err
+
+
+class TestEncoderLearningRate:
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--set", "train.epochs=2"]])
+    def test_an_unset_lr_is_the_variant_default(self, scene_dir, tmp_path, monkeypatch, flags):
+        seen = []
+
+        def capture(dataset, variant, cfg):
+            seen.append(cfg)
+            return init_encoder(dataset.observation_dim, dataset.descriptor_dim, 0)
+
+        monkeypatch.setattr("copr.cli.train_encoder", capture)
+        cmd = ["train-encoder", "--scene", str(scene_dir), "--variant", "triplet", *flags]
+        assert dispatch([*cmd, "--out", str(tmp_path / "e.bin")]) == 0
+        assert seen[0].lr == ENCODER_DEFAULT_LR["triplet"]
+
+
+_SMALL_TRAIN = {"lr": 1e-3, "epochs": 6, "batch_size": 32, "seed": 73, "validation_fraction": 0.4,
+                "early_stop_patience": 6}
+_SMALL_MULTI = {"layout": "multi_scene", "n_scenes": 2, "scene_spacing_m": 25.0, "refs_per_scene": 24,
+                "query_offset_m": 0.2, "seed": 61}
+
+
+class TestStraySections:
+    @pytest.mark.parametrize(
+        "cfg, scene, field",
+        [
+            ({"scene": _SMALL_MULTI}, SceneConfig(**_SMALL_MULTI), benchmarks.MULTI_FIELD),
+            ({"field": {"dim": 4, "seed": 62}}, benchmarks.MULTI_SCENE, FieldConfig(dim=4, seed=62)),
+        ],
+    )
+    def test_a_lone_section_is_read_over_its_defaults(self, tmp_path, cfg, scene, field):
+        # The missing section is the multiscene benchmark's.
+        (tmp_path / "c.json").write_text(json.dumps({**cfg, "train": _SMALL_TRAIN, "max_pairs": 300}))
+        out = tmp_path / "stray.json"
+        assert dispatch(["exp", "stray", "--cases", "1", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        echo = json.loads((tmp_path / "stray.json.config.json").read_text())
+        assert (echo["scene"], echo["field"]) == (asdict(scene), asdict(field))
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if not p.name.endswith(".config.json")}
+
+
+class TestEchoReplaysTheRun:
+    """A first run sets values by config, --set, --seed and grid flags; a rerun
+    with --config <echo> and only the other flags reproduces its output."""
+
+    def _replay(self, tmp_path, command, cfg, config_flags, out_name, echo_name=None):
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        first, second = tmp_path / "first", tmp_path / "second"
+        config = ["--config", str(tmp_path / "c.json"), *config_flags]
+        assert dispatch([*command, *config, "--out", str(first / out_name)]) == 0
+        echo = first / ((echo_name or out_name) + ".config.json")
+        assert dispatch([*command, "--config", str(echo), "--out", str(second / out_name)]) == 0
+        return first / out_name, second / out_name
+
+    def test_synth(self, tmp_path):
+        cfg = {"scene": {"layout": "loop", "n_refs": 40, "extent_m": 6, "query_offset_m": 0.2},
+               "field": {"dim": 4, "kind": "affine"}}
+        a, b = self._replay(tmp_path, ["synth"], cfg, ["--set", "field.seed=9", "--seed", "4"], "scene",
+                            echo_name="scene/scene.json")
+        assert _files(a) == _files(b) and len(_files(a)) == 7
+
+    def test_train_h(self, scene_dir, tmp_path):
+        cfg = {"train": _SMALL_TRAIN, "max_pairs": 400}
+        flags = ["--set", "pair_cap=2", "--seed", "8"]
+        a, b = self._replay(tmp_path, ["train-h", "--scene", str(scene_dir)], cfg, flags, "h.bin")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_train_encoder(self, scene_dir, tmp_path):
+        cfg = {"train": {"epochs": 3, "batch_size": 16}, "nuisance_sigma": 0.5}
+        cmd = ["train-encoder", "--scene", str(scene_dir), "--variant", "distance"]
+        a, b = self._replay(tmp_path, cmd, cfg, ["--set", "train.early_stop_patience=3", "--seed", "6"], "e.bin")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_densify(self, scene_dir, tmp_path):
+        cfg = {"train": _SMALL_TRAIN, "densify": {"stride": 6}, "max_pairs": 400}
+        cmd = ["densify", "--scene", str(scene_dir), "--method", "nonlin-reg", "--scheme", "extrap"]
+        flags = ["--set", "pair_cap=1.5", "--seed", "5", "--e-step", "0.1", "--e-span", "0.2"]
+        a, b = self._replay(tmp_path, cmd, cfg, flags, "dense", echo_name="dense/dense_poses.csv")
+        assert _files(a) == _files(b) and len(_files(a)) == 3
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("interp", ["--stride", "6"]),
+            ("extrap", ["--stride", "6", "--e-step", "0.1", "--e-span", "0.2"]),
+            ("sweep", ["--stride", "6", "--e-span", "0.2", "--dedupe-radius", "0.05"]),
+        ],
+    )
+    def test_exp(self, scene_dir, tmp_path, kind, flags):
+        cmd = ["exp", kind, "--scene", str(scene_dir), "--methods", "lin-reg", "nonlin-reg", "--format", "json"]
+        if kind == "sweep":
+            cmd += ["--steps", "0.2,0.1"]
+        cfg = {"train": _SMALL_TRAIN, "seed": 2, "max_pairs": 400}
+        a, b = self._replay(tmp_path, cmd, cfg, ["--set", "pair_cap=1.5", "--seed", "7", *flags], "r.json")
+        a, b = (report_signature(ExperimentReport.from_json(r.read_text())) for r in (a, b))
+        assert a == b
+        if kind == "interp":
+            assert json.loads((tmp_path / "first" / "r.json.config.json").read_text())["densify"] == {"stride": 6}
+
+    def test_exp_stray(self, tmp_path):
+        cfg = {"scene": _SMALL_MULTI, "field": {"dim": 4, "seed": 62}, "train": _SMALL_TRAIN}
+        cmd = ["exp", "stray", "--cases", "2", "--format", "json"]
+        a, b = self._replay(tmp_path, cmd, cfg, ["--set", "max_pairs=300", "--seed", "3"], "r.json")
+        assert a.read_text() == b.read_text()

@@ -815,7 +815,7 @@ def _toy_dataset(n_scenes=2, per_scene=12, dim=3, seed=0):
 class TestTrainEncoder:
     def test_unknown_variant(self):
         with pytest.raises(InvalidConfig):
-            train_encoder(_toy_dataset(), "contrastive")
+            train_encoder(_toy_dataset(), "contrastive", TrainConfig(lr=1e-3, epochs=2, seed=0))
 
     def test_triplet_needs_two_scenes(self):
         with pytest.raises(InsufficientScenes):
