@@ -11,7 +11,6 @@ from .densify import (
     densify_map,
     gen_extrap_grid,
     gen_interp_targets,
-    lin_interp,
     plane_fit_regress,
     subsample_trajectory,
 )
@@ -30,7 +29,7 @@ from .evaluate import (
     report_signature,
     train_scene_regressor,
 )
-from .geometry import Pose, RelativePose, angular_error_deg, normalize_quat, relative_pose
+from .geometry import Pose, RelativePose
 from .neural import (
     Activation,
     MlpModel,

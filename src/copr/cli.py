@@ -7,9 +7,10 @@ train-h, train-encoder, densify and exp take an optional JSON --config, a
 --seed override and generic --set dot.path=value overrides, which take
 precedence over config keys; only exp writes a report and takes --format.
 A config key is typed by its config dataclass field. Before anything is
-built or written, each command refuses a key it does not read or a value
-of the wrong type, naming its dotted path; retrieve and eval read no
-config. Each run that writes files, eval aside, echoes every config value
+built or written, each run refuses a key it does not read or a value of
+the wrong type, naming its dotted path; only a run that trains a
+regressor reads train, pair_cap and max_pairs, and retrieve and eval read
+no config. Each run that writes files, eval aside, echoes every config value
 it resolved to <output>.config.json, a config the same command accepts
 back: it replays the run given the same other flags.
 
@@ -50,7 +51,7 @@ from .evaluate import (
     localize_and_summarize,
     train_scene_regressor,
 )
-from .geometry import angular_error_deg_many, pose_blocks, row_dots
+from .geometry import pose_blocks
 from .neural.model_io import load_model, save_model
 from .neural.training import ENCODER_DEFAULT_LR, TrainConfig, train_encoder
 from .synth import (
@@ -62,7 +63,7 @@ from .synth import (
     make_stray_case,
     save_scene,
 )
-from .vpr_map import load_descriptor_block, load_map, retrieve_many, save_map
+from .vpr_map import load_descriptor_block, load_map, match_errors, retrieve_many, save_map
 
 _METHOD_FLAGS = {
     "lin-interp": METHOD_LIN_INTERP,
@@ -144,11 +145,14 @@ class _Config:
         self.command = f"exp {args.kind}" if args.command == "exp" else args.command
         self.command += " --benchmark" if getattr(args, "benchmark", None) else ""
         self.given = _apply_set_overrides(_load_config(args.config), args.set)
-        self.keys = keys
+        # Only a run that trains a regressor reads its keys: no --model, and nonlin-reg in any methods it takes.
+        methods = [args.method] if hasattr(args, "method") else getattr(args, "methods", None)
+        untrained = getattr(args, "model", None) or (methods and "nonlin-reg" not in methods)
+        self.keys = {key: kind for key, kind in keys.items() if not (untrained and key in _MODEL_KEYS)}
         self.echo = {}
         entries = []
         for key, value in self.given.items():
-            section = keys.get(key)
+            section = self.keys.get(key)
             if not isinstance(section, dict):
                 entries.append((key, section, value))
             elif not isinstance(value, dict):
@@ -158,10 +162,12 @@ class _Config:
         for path, kind, value in entries:
             if kind is None:
                 readable = []
-                for k, s in keys.items():
+                for k, s in self.keys.items():
                     readable += [f"{k}.{n}" for n in sorted(s)] if isinstance(s, dict) else [k]
+                dropped = path.split(".")[0] in keys.keys() - self.keys.keys()
+                why = " (only a run that trains a regressor reads it)" if dropped else ""
                 raise InvalidConfig(
-                    f"{self.command} reads no config key {path!r}; it reads {', '.join(readable) or 'none'}"
+                    f"{self.command} reads no config key {path!r}; it reads {', '.join(readable) or 'none'}{why}"
                 )
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise InvalidConfig(f"config key {path!r} of {self.command} must be {kind.__name__}, got {value!r}")
@@ -285,12 +291,9 @@ def _cmd_retrieve(args) -> int:
     m, k = indices.shape
     t_err = r_err = [[None] * k] * m  # null when the query poses are unknown
     if args.query_poses:
-        # Each error is bit-equal to np.linalg.norm / angular_error_deg against Pose(t, q) of its query.
-        query_t, query_q = pose_blocks(queries.translations, queries.quaternions)
-        diff = (ref_map.translations[indices] - query_t[:, None]).reshape(-1, 3)
-        t_err = np.sqrt(row_dots(diff, diff)).reshape(m, k).tolist()
-        ref_q = ref_map.quaternions[indices].reshape(-1, 4)
-        r_err = angular_error_deg_many(ref_q, np.repeat(query_q, k, axis=0)).reshape(m, k).tolist()
+        # Errors against Pose(t, q) of each query: its quaternion normalized once more.
+        query_t, query_q = (np.repeat(b, k, axis=0) for b in pose_blocks(queries.translations, queries.quaternions))
+        t_err, r_err = (e.reshape(m, k).tolist() for e in match_errors(ref_map, indices.ravel(), query_t, query_q))
     for query_id, row, dists, ts, rs in zip(ids, indices.tolist(), distances.tolist(), t_err, r_err):
         matches = [
             {"ref_id": ref_map.ids[i], "feature_distance": d, "translation_error": te, "rotation_error": re}

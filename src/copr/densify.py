@@ -347,24 +347,15 @@ def gen_extrap_grid(anchors: ReferenceMap, cfg: DensifyConfig) -> TargetPlan:
     )
 
 
-def lin_interp(f_a1, f_a2, t_a1, t_a2, t_new) -> np.ndarray:
-    """Distance-weighted linear blend of two anchor descriptors.
-
-    With b1 = ||t_new - t_a1|| and b2 = ||t_new - t_a2||, the weights are
-    (1 - b1/(b1+b2)) on the first anchor and (1 - b2/(b1+b2)) on the
-    second, so a target sitting on an anchor copies that anchor exactly.
-    One row of :func:`lin_interp_many`.
-    """
-    f_a1 = np.asarray(f_a1, dtype=np.float64)
-    f_a2 = np.asarray(f_a2, dtype=np.float64)
-    if f_a1.shape != f_a2.shape:
-        raise DimMismatch("anchor descriptors must share one dimension")
-    rows = (np.asarray(t, dtype=np.float64).reshape(1, -1) for t in (t_a1, t_a2, t_new))
-    return lin_interp_many(f_a1[None], f_a2[None], *rows)[0]
-
-
 def lin_interp_many(f_a1, f_a2, t_a1, t_a2, t_new) -> np.ndarray:
-    """Row-wise :func:`lin_interp` over (m, dim) descriptors and (m, 3) translations, bit-equal to it."""
+    """Distance-weighted blend of two anchor descriptors per row of (m, dim)
+    descriptors and (m, 3) translations: with b1 = ||t_new - t_a1|| and
+    b2 = ||t_new - t_a2||, the weights are 1 - b1/(b1+b2) on the first
+    anchor and 1 - b2/(b1+b2) on the second, so a target on an anchor copies it.
+
+    Raises:
+        CoincidentAnchors: if a row's two anchors are within 1e-12 m.
+    """
     if np.any(np.sqrt(row_dots(t_a1 - t_a2, t_a1 - t_a2)) <= 1e-12):
         raise CoincidentAnchors("interpolation anchors share one translation")
     d1, d2 = t_new - t_a1, t_new - t_a2

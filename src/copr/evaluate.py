@@ -32,11 +32,11 @@ from .densify import (
     subsample_trajectory,
 )
 from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
-from .geometry import angular_error_deg_many, relative_pose_rows, row_dots
+from .geometry import angular_error_deg_many, relative_pose_rows
 from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
 from .neural.training import ENCODER_VARIANTS, TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
-from .vpr_map import ReferenceMap, nearest_neighbors, oracle_retrieve, origin_of, retrieve, retrieve_many
+from .vpr_map import ReferenceMap, match_errors, nearest_neighbors, oracle_retrieve, origin_of, retrieve, retrieve_many
 
 METHOD_LABELS = {
     METHOD_LIN_INTERP: "LinInterp",
@@ -81,9 +81,9 @@ def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
     if any(len(desc) != ref_map.dim for desc in descriptors):
         raise DimMismatch(f"query dims do not all match map dim {ref_map.dim}")
     matched = retrieve_many(np.asarray(descriptors), ref_map, k=1)[0][:, 0]
-    # Each error is bit-equal to np.linalg.norm / angular_error_deg of one query.
-    diff = ref_map.translations[matched] - np.asarray([pose.t for _, pose in queries])
-    return _summary(queries, ref_map, matched, np.sqrt(row_dots(diff, diff)))
+    query_t = np.asarray([pose.t for _, pose in queries])
+    query_q = np.asarray([pose.q for _, pose in queries])
+    return _summary(ref_map, matched, *match_errors(ref_map, matched, query_t, query_q))
 
 
 def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
@@ -93,16 +93,14 @@ def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
         raise EmptyMap("cannot retrieve from an empty map")
     if not queries:
         return ErrorSummary(mte_m=float("nan"), mre_deg=float("nan"), per_query=())
-    query_t = np.asarray([pose.t for _, pose in queries]).reshape(-1, 3)
-    matched, d2 = nearest_neighbors(query_t, ref_map.translations, 1)
-    return _summary(queries, ref_map, matched[:, 0], np.sqrt(d2[:, 0]))
+    matched, d2 = nearest_neighbors(np.asarray([pose.t for _, pose in queries]), ref_map.translations, 1)
+    r_errs = angular_error_deg_many(ref_map.quaternions[matched[:, 0]], np.asarray([pose.q for _, pose in queries]))
+    return _summary(ref_map, matched[:, 0], np.sqrt(d2[:, 0]), r_errs)
 
 
-def _summary(queries, ref_map: ReferenceMap, matched: np.ndarray, t_errs: np.ndarray) -> ErrorSummary:
+def _summary(ref_map: ReferenceMap, matched: np.ndarray, t_errs: np.ndarray, r_errs: np.ndarray) -> ErrorSummary:
     """Per-query results and medians for queries matched to the map rows
-    ``matched`` with translation errors ``t_errs``."""
-    query_q = np.asarray([pose.q for _, pose in queries]).reshape(-1, 4)
-    r_errs = angular_error_deg_many(ref_map.quaternions[matched], query_q)
+    ``matched`` with translation errors ``t_errs`` and rotation errors ``r_errs``."""
     results = tuple(
         PerQuery(
             translation_error=te,

@@ -56,30 +56,10 @@ def row_block(values, width: int, what: str) -> np.ndarray:
     return a.reshape(-1, width)
 
 
-def canonical_sign(q: np.ndarray) -> np.ndarray:
-    """Flip the quaternion sign so its first non-zero component is positive."""
-    for c in q:
-        if c != 0.0:
-            return -q if c < 0.0 else q
-    return q
-
-
-def normalize_quat(q) -> np.ndarray:
-    """Scale a 4-vector to unit norm and canonical sign.
-
-    Raises:
-        DimMismatch: if the input does not hold 4 components.
-        ZeroQuaternion: if the input norm is at or below 1e-12.
-    """
-    q = _vector(q, 4, "quaternion")
-    n = math.sqrt(float(np.dot(q, q)))
-    if n <= _ZERO_NORM:
-        raise ZeroQuaternion(f"quaternion norm {n:.3e} too small to normalize")
-    return canonical_sign(q / n)
-
-
 def normalize_quat_rows(q) -> np.ndarray:
-    """Row-wise :func:`normalize_quat` of an (n, 4) array, each row bit-equal to it.
+    """Each row of an (n, 4) array divided by the square root of its
+    :func:`row_dots` self dot product, then negated if its first non-zero
+    component is negative.
 
     Raises:
         DimMismatch: if the rows do not hold 4 components.
@@ -110,16 +90,6 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def angular_error_deg(q_a, q_b) -> float:
-    """Rotation angle in degrees between two unit quaternions.
-
-    Computed as 2*arccos(min(1, |<q_a, q_b>|)), which is sign-invariant and
-    clamped so rounding can never produce a NaN. Result lies in [0, 180].
-    """
-    dot = abs(float(np.dot(np.asarray(q_a, dtype=np.float64), np.asarray(q_b, dtype=np.float64))))
-    return math.degrees(2.0 * math.acos(min(1.0, dot)))
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, m) arrays, each bit-equal to ``np.dot``.
 
@@ -131,11 +101,11 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def angular_error_deg_many(qs_a: np.ndarray, qs_b: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`angular_error_deg` for (n, 4) quaternion arrays, bit-equal to it.
-
-    The arccos is libm's (``math.acos``); numpy's vectorized arccos differs
-    from it in the last bit for some inputs. ``fmin`` clamps NaN to 1 as
-    the scalar ``min(1.0, dot)`` does.
+    """Rotation angle in degrees between the unit quaternions of each row pair
+    of two (n, 4) arrays: 2*arccos(min(1, |<q_a, q_b>|)) with :func:`row_dots`,
+    sign-invariant, in [0, 180] and never NaN (``fmin`` maps a NaN dot to 1).
+    The arccos is libm's (``math.acos``); numpy's differs from it in the last
+    bit for some inputs.
     """
     dots = np.fmin(1.0, np.abs(row_dots(np.asarray(qs_a, dtype=np.float64), np.asarray(qs_b, dtype=np.float64))))
     return np.degrees(2.0 * np.fromiter(map(math.acos, dots), dtype=np.float64, count=len(dots)))
@@ -149,17 +119,14 @@ class Pose:
     q: np.ndarray
 
     def __post_init__(self):
-        t = _vector(self.t, 3, "pose translation").copy()
-        if not np.all(np.isfinite(t)):
-            raise RefusedNonFinite("pose translation must be finite")
-        q = normalize_quat(self.q)
-        object.__setattr__(self, "t", _readonly(t))
-        object.__setattr__(self, "q", _readonly(q))
+        t, q = pose_blocks(_vector(self.t, 3, "pose translation"), _vector(self.q, 4, "quaternion"))
+        object.__setattr__(self, "t", t[0])
+        object.__setattr__(self, "q", q[0])
 
 
 def pose_blocks(t, q) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of (n, 3) translations and (n, 4) quaternions, the
-    quaternions normalized once, each row bit-equal to :func:`normalize_quat`.
+    quaternions normalized once by :func:`normalize_quat_rows`.
 
     Raises:
         DimMismatch: if the rows do not hold 3 and 4 components.
@@ -169,7 +136,7 @@ def pose_blocks(t, q) -> tuple[np.ndarray, np.ndarray]:
     """
     t = row_block(t, 3, "translation").copy()
     if not np.all(np.isfinite(t)):
-        raise RefusedNonFinite("pose translation must be finite")
+        raise RefusedNonFinite("translation must be finite")
     q = normalize_quat_rows(q)
     if len(t) != len(q):
         raise CountMismatch(f"{len(t)} translation rows but {len(q)} quaternion rows")
@@ -202,12 +169,9 @@ class RelativePose:
     dq: np.ndarray
 
     def __post_init__(self):
-        dt = _vector(self.dt, 3, "relative translation").copy()
-        if not np.all(np.isfinite(dt)):
-            raise RefusedNonFinite("relative translation must be finite")
-        dq = normalize_quat(self.dq)
-        object.__setattr__(self, "dt", _readonly(dt))
-        object.__setattr__(self, "dq", _readonly(dq))
+        dt, dq = pose_blocks(_vector(self.dt, 3, "relative translation"), _vector(self.dq, 4, "quaternion"))
+        object.__setattr__(self, "dt", dt[0])
+        object.__setattr__(self, "dq", dq[0])
 
     def as_vector(self) -> np.ndarray:
         """Return the stacked 7-vector (dt, dq)."""
@@ -218,9 +182,9 @@ def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
     """Relative poses from anchors ``a`` to targets ``b`` as (n, 7) rows (dt, dq).
 
     dt = t_b - t_a in the world frame; dq = conj(q_a) * q_b (Hamilton
-    product), scaled to unit norm and canonical sign. Every row is
-    bit-equal to what :class:`RelativePose` makes of the unnormalized
-    product: same operation order, same dot product for the norm.
+    product), scaled to unit norm and canonical sign by
+    :func:`normalize_quat_rows`; a row is what :class:`RelativePose` holds
+    when given (dt, the unnormalized product).
 
     Raises:
         DimMismatch: if the rows do not hold 3 and 4 components.
@@ -247,16 +211,3 @@ def relative_pose_rows(t_a, q_a, t_b, q_b) -> np.ndarray:
     dq[:, 3] = aw * bz + ax * by - ay * bx + az * bw
     out[:, 3:] = normalize_quat_rows(dq)
     return out
-
-
-def relative_pose(anchor: Pose, target: Pose) -> RelativePose:
-    """Relative pose from ``anchor`` to ``target``; one row of :func:`relative_pose_rows`.
-
-    The value holds the row exactly: normalizing its unit quaternion a
-    second time could move the last bits.
-    """
-    row = relative_pose_rows(anchor.t, anchor.q, target.t, target.q)[0]
-    rp = object.__new__(RelativePose)
-    object.__setattr__(rp, "dt", _readonly(row[:3].copy()))
-    object.__setattr__(rp, "dq", _readonly(row[3:].copy()))
-    return rp

@@ -219,7 +219,8 @@ def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: 
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     ii, jj = np.nonzero((dist <= max_translation) & ~np.eye(n, dtype=bool))
     if len(ii) == 0:
-        raise EmptyTrainingSet(f"no pairs within {max_translation} m")
+        closest = dist[~np.eye(n, dtype=bool)].min()
+        raise EmptyTrainingSet(f"no pairs within {max_translation} m; the closest pair is {closest:.3g} m apart")
     if len(ii) > max_pairs:
         rng = np.random.default_rng(seed)
         keep = rng.choice(len(ii), size=max_pairs, replace=False)

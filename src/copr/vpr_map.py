@@ -4,7 +4,8 @@ A reference map is an ordered collection of (id, descriptor, pose) entries.
 An entry's provenance is its id: densification gives every regressed entry
 an id holding a ``#`` marker, and original anchors have none (see
 :func:`origin_of`). Descriptors are held in one contiguous float64 matrix so
-retrieval is a single vectorized scan.
+retrieval is a single vectorized scan. The pose errors of feature-space
+matches come from :func:`match_errors`.
 
 File formats
 ------------
@@ -52,7 +53,7 @@ from .errors import (
     VersionUnsupported,
     ZeroQuaternion,
 )
-from .geometry import Pose, angular_error_deg, row_block
+from .geometry import Pose, angular_error_deg_many, row_block, row_dots
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 _POSE_CSV_HEADER_LINE = ",".join(POSE_CSV_HEADER)
@@ -368,6 +369,15 @@ def retrieve_many(queries, ref_map: ReferenceMap, k: int) -> tuple[np.ndarray, n
     return indices, np.sqrt(d2)
 
 
+def match_errors(ref_map: ReferenceMap, rows, query_t, query_q) -> tuple[np.ndarray, np.ndarray]:
+    """Translation (m) and rotation (deg) errors of the matches of map rows
+    ``rows`` (m,) to the query poses in (m, 3) and (m, 4) blocks, or one query
+    row for all: the norm of each translation gap by :func:`row_dots`
+    (bit-equal to ``np.linalg.norm``), and :func:`angular_error_deg_many`."""
+    diff = ref_map.translations[rows] - query_t
+    return np.sqrt(row_dots(diff, diff)), angular_error_deg_many(ref_map.quaternions[rows], query_q)
+
+
 def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = None) -> list[Match]:
     """Exact nearest neighbors of one ``query``; one row of :func:`retrieve_many`.
 
@@ -378,16 +388,13 @@ def retrieve(query, ref_map: ReferenceMap, k: int, query_pose: Pose | None = Non
     """
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     indices, distances = retrieve_many(q, ref_map, k)
-    out = []
-    for i, dist in zip(indices[0].tolist(), distances[0].tolist()):
-        te = re = math.nan
-        if query_pose is not None:
-            te = float(np.linalg.norm(ref_map.translations[i] - query_pose.t))
-            re = angular_error_deg(ref_map.quaternions[i], query_pose.q)
-        out.append(
-            Match(ref_id=ref_map.ids[i], ref_index=i, feature_distance=dist, translation_error=te, rotation_error=re)
-        )
-    return out
+    t_err = r_err = [math.nan] * indices.shape[1]
+    if query_pose is not None:
+        t_err, r_err = (e.tolist() for e in match_errors(ref_map, indices[0], query_pose.t[None], query_pose.q[None]))
+    return [
+        Match(ref_id=ref_map.ids[i], ref_index=i, feature_distance=d, translation_error=te, rotation_error=re)
+        for i, d, te, re in zip(indices[0].tolist(), distances[0].tolist(), t_err, r_err)
+    ]
 
 
 def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:
@@ -406,7 +413,7 @@ def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:
         ref_index=i,
         feature_distance=0.0,
         translation_error=float(math.sqrt(d2[i])),
-        rotation_error=angular_error_deg(ref_map.quaternions[i], query_pose.q),
+        rotation_error=float(angular_error_deg_many(ref_map.quaternions[i : i + 1], query_pose.q[None])[0]),
     )
 
 

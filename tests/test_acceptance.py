@@ -30,6 +30,8 @@ def check(criterion: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_retrieval_exactness():
+    from copr.vpr_map import ReferenceMap, retrieve_many
+
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
     mismatches = 0
@@ -44,9 +46,13 @@ def test_criterion_1_retrieval_exactness():
             d = float(np.linalg.norm(descriptors[i] - query))
             if d < best_d:
                 best, best_d = i, d
-        diff = descriptors - query
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        got = int(np.argsort(d2, kind="stable")[0])
+        ref_map = ReferenceMap(
+            ids=tuple(map(str, range(n))),
+            descriptors=descriptors,
+            translations=np.zeros((n, 3)),
+            quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        )
+        got = int(retrieve_many(query[None], ref_map, 1)[0][0, 0])
         if got != best:
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -84,25 +90,24 @@ def test_criterion_1_retrieval_exactness_through_api():
 
 
 def test_criterion_2_linear_interpolation():
-    from copr.densify import lin_interp
+    from copr.densify import lin_interp_many
 
-    f1, f2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    ok_anchor = np.max(np.abs(lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [0, 0, 0]) - f1)) <= 1e-12
-    ok_mid = np.max(np.abs(lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [0.5, 0, 0]) - [0.5, 0.5])) <= 1e-12
-    ok_quarter = (
-        np.max(np.abs(lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [0.25, 0, 0]) - [0.75, 0.25])) <= 1e-12
-    )
+    # Rows: a target on the first anchor, the midpoint, the quarter point.
+    f1, f2 = np.tile([1.0, 0.0], (3, 1)), np.tile([0.0, 1.0], (3, 1))
+    t1, t2 = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0], (3, 1))
+    t_new = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.25, 0, 0]])
+    got = lin_interp_many(f1, f2, t1, t2, t_new)
+    ok_anchor, ok_mid, ok_quarter = np.max(np.abs(got - [[1.0, 0.0], [0.5, 0.5], [0.75, 0.25]]), axis=1) <= 1e-12
+    # With unit anchor descriptors each output row is the two blend weights.
     rng = np.random.default_rng(1003)
-    worst = 0.0
-    trials = 0
-    while trials < 10_000:
-        t1, t2, tn = rng.standard_normal((3, 3))
-        if np.linalg.norm(t1 - t2) <= 1e-12:
-            continue
-        trials += 1
-        b1, b2 = np.linalg.norm(tn - t1), np.linalg.norm(tn - t2)
-        w_sum = (1.0 - b1 / (b1 + b2)) + (1.0 - b2 / (b1 + b2))
-        worst = max(worst, abs(w_sum - 1.0))
+    draws = []
+    while len(draws) < 10_000:
+        t_a, t_b, t_n = rng.standard_normal((3, 3))
+        if np.linalg.norm(t_a - t_b) > 1e-12:
+            draws.append((t_a, t_b, t_n))
+    t_a, t_b, t_n = np.array(draws).transpose(1, 0, 2)
+    weights = lin_interp_many(np.tile([1.0, 0.0], (10_000, 1)), np.tile([0.0, 1.0], (10_000, 1)), t_a, t_b, t_n)
+    worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
     check(
         2,
         "two-anchor blend: identity, midpoint, quarter point, weight sum",

@@ -1,6 +1,7 @@
 """End-to-end CLI tests with a small scene and tiny training budgets."""
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -11,7 +12,8 @@ from copr import benchmarks
 from copr.cli import dispatch
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
 from copr.evaluate import ExperimentReport, report_signature
-from copr.geometry import Pose, angular_error_deg
+from copr.geometry import Pose
+from copr.neural.model_io import save_model
 from copr.neural.training import ENCODER_DEFAULT_LR, init_encoder
 from copr.synth import FieldConfig, SceneConfig, load_scene
 from copr.vpr_map import load_map
@@ -115,6 +117,14 @@ class TestTrainAndDensify:
         )
         assert rc == 0 and model_path.exists()
 
+    def test_no_pairs_names_the_closest_pair(self, tmp_path, capsys):
+        # The lanes traverse is 1.25 m apart, beyond the default 1.0 m pair cap.
+        assert dispatch(["synth", "--benchmark", "lanes", "--out", str(tmp_path / "lanes")]) == 0
+        out = tmp_path / "h.bin"
+        assert dispatch(["train-h", "--scene", str(tmp_path / "lanes"), "--out", str(out)]) == 1
+        assert "no pairs within 1.0 m; the closest pair is 1.25 m apart" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _reference_targets(refs, scheme, stride, step):
     """(id, Pose, anchor ids) per target, built one target at a time: the
@@ -217,8 +227,8 @@ class TestRetrieveEval:
         assert d == sorted(d)
 
     def test_retrieve_errors_equal_each_match_scalar_errors(self, scene_dir, capsys):
-        # Every printed error is exactly np.linalg.norm / angular_error_deg
-        # of its match against the query's Pose.
+        # Every printed error is exactly np.linalg.norm and the scalar
+        # 2 acos(min(1, |q_ref . q|)) angle of its match against the query's Pose.
         args = ["retrieve", "--map", str(scene_dir), "--query", str(scene_dir / "query_descriptors.bin"),
                 "--query-poses", str(scene_dir / "query_poses.csv"), "--k", "7"]
         assert dispatch(args) == 0
@@ -232,7 +242,8 @@ class TestRetrieveEval:
             for match in line["matches"]:
                 j = refs.index_of(match["ref_id"])
                 assert match["translation_error"] == float(np.linalg.norm(refs.translations[j] - pose.t))
-                assert match["rotation_error"] == angular_error_deg(refs.quaternions[j], pose.q)
+                dot = min(1.0, abs(float(np.dot(refs.quaternions[j], pose.q))))
+                assert match["rotation_error"] == math.degrees(2.0 * math.acos(dot))
 
     def test_retrieve_descriptors_only(self, scene_dir, capsys):
         # The spec's smoke shape: a bare descriptor binary, no pose CSV.
@@ -455,6 +466,27 @@ class TestConfigKeys:
     def test_a_section_must_be_an_object(self, scene_dir, tmp_path, capsys):
         err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], {"densify": 6})
         assert "'densify'" in err
+
+    @pytest.mark.parametrize(
+        "args, cfg, key",
+        [
+            (["densify", "--method", "lin-reg", "--scheme", "interp"], {"train": {"epochs": 1, "lr": 9.0}}, "train"),
+            (["densify", "--method", "lin-interp", "--scheme", "interp"], {"pair_cap": 2.0}, "pair_cap"),
+            (["densify", "--method", "nonlin-reg", "--scheme", "extrap", "--model"], {"max_pairs": 10}, "max_pairs"),
+            (["exp", "interp", "--methods", "lin-interp", "lin-reg"], {"train": {"epochs": 1}}, "train"),
+            (["exp", "extrap", "--methods", "lin-reg"], {"pair_cap": 1.0}, "pair_cap"),
+            (["exp", "sweep", "--model"], {"max_pairs": 10}, "max_pairs"),
+            (["exp", "extrap", "--methods", "nonlin-reg", "--model"], {"train": {"epochs": 1}}, "train"),
+            (["exp", "stray", "--model"], {"train": {"epochs": 1}}, "train"),
+        ],
+    )
+    def test_a_run_that_trains_no_regressor_refuses_its_keys(self, scene_dir, tmp_path, capsys, args, cfg, key):
+        model = tmp_path / "h.bin"
+        save_model(init_encoder(4, 4, 0), model)
+        args = [*args, str(model)] if args[-1] == "--model" else args
+        args = args if args[1] == "stray" else [*args, "--scene", str(scene_dir)]
+        err = self._refused(tmp_path, capsys, args, cfg)
+        assert f"reads no config key '{key}'" in err and "only a run that trains a regressor" in err
 
     @pytest.mark.parametrize(
         "command, cfg, path",

@@ -18,7 +18,7 @@ from copr.densify import (
     densify_map,
     gen_extrap_grid,
     gen_interp_targets,
-    lin_interp,
+    lin_interp_many,
     plane_fit_many,
     plane_fit_regress,
     subsample_trajectory,
@@ -36,7 +36,7 @@ from copr.errors import (
     UnknownAnchor,
     ZeroQuaternion,
 )
-from copr.geometry import Pose, normalize_quat_rows, pose_blocks, relative_pose
+from copr.geometry import Pose, normalize_quat_rows, pose_blocks, relative_pose_rows
 from copr.neural.core import regress_nonlinear_batch
 from copr.neural.training import TrainConfig, TrainingPairs, train_regressor
 from copr.vpr_map import Origin, ReferenceMap, nearest_neighbors, origin_of
@@ -70,7 +70,8 @@ def _plan(scheme, ids, t, q, anchor_ids):
 def _pairs_of(m, index_pairs):
     """Training pairs over (anchor, target) entry indices of ``m``."""
     a, b = np.array(index_pairs).T
-    dp = np.array([relative_pose(m.pose(i), m.pose(j)).as_vector() for i, j in index_pairs])
+    pa, pb = [m.pose(i) for i in a], [m.pose(j) for j in b]
+    dp = relative_pose_rows([p.t for p in pa], [p.q for p in pa], [p.t for p in pb], [p.q for p in pb])
     return TrainingPairs(m.descriptors[a], dp, m.descriptors[b])
 
 
@@ -377,43 +378,47 @@ class TestExtrapGridMatchesReference:
         assert not plan.translations.flags.writeable and not plan.quaternions.flags.writeable
 
 
+def _blend(f1, f2, t1, t2, t_new):
+    """One two-anchor blend through the row kernel."""
+    return lin_interp_many(*(np.asarray(v, dtype=np.float64).reshape(1, -1) for v in (f1, f2, t1, t2, t_new)))[0]
+
+
 class TestLinInterp:
     def test_anchor_coincidence_identity(self):
         f1, f2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        out = lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [0, 0, 0])
+        out = _blend(f1, f2, [0, 0, 0], [1, 0, 0], [0, 0, 0])
         np.testing.assert_array_equal(out, f1)
 
     def test_midpoint_symmetry(self):
         f1, f2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        out = lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [0.5, 0, 0])
+        out = _blend(f1, f2, [0, 0, 0], [1, 0, 0], [0.5, 0, 0])
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_quarter_point_hand_example(self):
-        out = lin_interp([1.0, 0.0], [0.0, 1.0], [0, 0, 0], [1, 0, 0], [0.25, 0, 0])
+        out = _blend([1.0, 0.0], [0.0, 1.0], [0, 0, 0], [1, 0, 0], [0.25, 0, 0])
         np.testing.assert_allclose(out, [0.75, 0.25], atol=1e-12)
 
     def test_coincident_anchors_raise(self):
         with pytest.raises(CoincidentAnchors):
-            lin_interp([1.0], [2.0], [0, 0, 0], [0, 0, 0], [1, 0, 0])
+            _blend([1.0], [2.0], [0, 0, 0], [0, 0, 0], [1, 0, 0])
+        with pytest.raises(CoincidentAnchors):  # one coincident row refuses the block
+            lin_interp_many(np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 3)), [[1.0, 0, 0], [0, 0, 0]], np.ones((2, 3)))
 
     def test_barycentric_weight_sum(self):
+        # Unit anchor descriptors make each output row the two weights.
         rng = np.random.default_rng(31)
-        for _ in range(10_000):
-            t1, t2, tn = rng.standard_normal((3, 3))
-            if np.linalg.norm(t1 - t2) <= 1e-12:
-                continue
-            b1 = np.linalg.norm(tn - t1)
-            b2 = np.linalg.norm(tn - t2)
-            w1 = 1.0 - b1 / (b1 + b2)
-            w2 = 1.0 - b2 / (b1 + b2)
-            assert abs(w1 + w2 - 1.0) <= 1e-12
+        t1, t2, tn = rng.standard_normal((3, 10_000, 3))
+        keep = np.linalg.norm(t1 - t2, axis=1) > 1e-12
+        n = int(keep.sum())
+        w = lin_interp_many(np.tile([1.0, 0.0], (n, 1)), np.tile([0.0, 1.0], (n, 1)), t1[keep], t2[keep], tn[keep])
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
 
     @settings(max_examples=100)
     @given(st.floats(0, 1), st.floats(-5, 5), st.floats(-5, 5))
     def test_output_within_anchor_envelope(self, s, a, b):
         f1 = np.array([a])
         f2 = np.array([b])
-        out = lin_interp(f1, f2, [0, 0, 0], [1, 0, 0], [s, 0, 0])
+        out = _blend(f1, f2, [0, 0, 0], [1, 0, 0], [s, 0, 0])
         lo, hi = min(a, b), max(a, b)
         assert lo - 1e-12 <= out[0] <= hi + 1e-12
 
@@ -613,8 +618,9 @@ class TestDensifyMap:
             np.testing.assert_allclose(dense.descriptors[i], const, atol=1e-3)
 
     def test_nonlin_reg_matches_per_target_regression(self):
-        # Reference: nearest sparse entry by stable argsort, relative_pose,
-        # one one-row regress_nonlinear_batch call per target.
+        # Reference: nearest sparse entry by stable argsort, the relative pose
+        # of its Pose to the target's, one one-row regress_nonlinear_batch
+        # call per target.
         m = _affine_line_map(9, np.eye(3)[:2], np.zeros(2))
         m = m.extended(("dup",), m.descriptors[3:4], m.translations[3], m.quaternions[3])
         pairs = _pairs_of(m, [(i, j) for i in range(9) for j in range(9)])
@@ -624,8 +630,8 @@ class TestDensifyMap:
         dense = densify_map(m, plan, "nonlin_reg", model=model)
         for r, (t, q) in enumerate(zip(plan.translations, plan.quaternions)):
             i = int(_stable_knn(m.translations, t, 1)[0])
-            dp = relative_pose(m.pose(i), Pose(t=t, q=q)).as_vector()
-            want = regress_nonlinear_batch(model, m.descriptors[i : i + 1], dp[None])[0]
+            a, b = m.pose(i), Pose(t=t, q=q)
+            want = regress_nonlinear_batch(model, m.descriptors[i : i + 1], relative_pose_rows(a.t, a.q, b.t, b.q))[0]
             np.testing.assert_allclose(dense.descriptors[len(m) + r], want, rtol=1e-12, atol=1e-12)
 
     def test_plan_json_round_trip(self):

@@ -11,20 +11,41 @@ from copr.errors import CountMismatch, DimMismatch, RefusedNonFinite, ZeroQuater
 from copr.geometry import (
     Pose,
     RelativePose,
-    angular_error_deg,
     angular_error_deg_many,
-    canonical_sign,
-    normalize_quat,
     normalize_quat_rows,
     poses,
     quat_multiply,
-    relative_pose,
     relative_pose_rows,
 )
 
 
+def _unit(q):
+    """One quaternion through the row kernel."""
+    return normalize_quat_rows(q)[0]
+
+
 def _rand_unit_quat(rng):
-    return normalize_quat(rng.standard_normal(4))
+    return _unit(rng.standard_normal(4))
+
+
+# Scalar references, one value at a time, for the row kernels.
+def _scalar_normalize(q):
+    """q / sqrt(q . q), negated when its first non-zero component is negative."""
+    q = np.asarray(q, dtype=np.float64)
+    out = q / math.sqrt(float(np.dot(q, q)))
+    first = next((c for c in out if c != 0.0), 0.0)
+    return -out if first < 0.0 else out
+
+
+def _scalar_angle(q_a, q_b):
+    """2 acos(min(1, |q_a . q_b|)) in degrees."""
+    return math.degrees(2.0 * math.acos(min(1.0, abs(float(np.dot(q_a, q_b))))))
+
+
+def _relative(a: Pose, b: Pose):
+    """(dt, dq) from pose ``a`` to pose ``b``: one row of the kernel."""
+    row = relative_pose_rows(a.t, a.q, b.t, b.q)[0]
+    return row[:3], row[3:]
 
 
 def _conj(q):
@@ -60,25 +81,27 @@ def _quat_from_rotmat(m):
         q[i + 1] = 0.25 * s
         q[j + 1] = (m[j, i] + m[i, j]) / s
         q[k + 1] = (m[k, i] + m[i, k]) / s
-    return normalize_quat(q)
+    return _unit(q)
 
 
 class TestNormalizeQuat:
     def test_scaled_identity(self):
-        np.testing.assert_array_equal(normalize_quat([2, 0, 0, 0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(_unit([2, 0, 0, 0]), [1, 0, 0, 0])
 
     def test_canonical_sign_flip(self):
-        np.testing.assert_array_equal(normalize_quat([-1, 0, 0, 0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(_unit([-1, 0, 0, 0]), [1, 0, 0, 0])
 
     def test_hand_norm(self):
-        np.testing.assert_allclose(normalize_quat([1, 1, 1, 1]), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(_unit([1, 1, 1, 1]), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroQuaternion):
-            normalize_quat([0, 0, 0, 1e-13])
+            _unit([0, 0, 0, 1e-13])
+        with pytest.raises(ZeroQuaternion):
+            Pose(t=[0, 0, 0], q=[0, 0, 0, 1e-13])
 
     def test_zero_w_canonicalizes_on_first_nonzero(self):
-        q = normalize_quat([0.0, -1.0, 0.5, 0.0])
+        q = _unit([0.0, -1.0, 0.5, 0.0])
         assert q[0] == 0.0 and q[1] > 0.0
 
     @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
@@ -86,7 +109,7 @@ class TestNormalizeQuat:
         q = np.asarray(vals)
         if math.sqrt(float(q @ q)) <= 1e-12:
             return
-        out = normalize_quat(q)
+        out = _unit(q)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
         first_nonzero = next((c for c in out if c != 0.0), 1.0)
         assert first_nonzero > 0.0
@@ -95,12 +118,13 @@ class TestNormalizeQuat:
 class TestRowKernels:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.floats(-10, 10), min_size=4, max_size=4), min_size=1, max_size=12))
-    def test_normalize_quat_rows_equals_normalize_quat_bitwise(self, rows):
+    def test_normalize_quat_rows_equals_the_scalar_reference_bitwise(self, rows):
         q = np.asarray(rows + _AXIS_QUATS, dtype=np.float64)
         q = q[np.sqrt(np.einsum("ij,ij->i", q, q)) > 1e-11]
         got = normalize_quat_rows(q)
         for row, qi in zip(got, q):
-            assert row.tobytes() == normalize_quat(qi).tobytes()
+            assert row.tobytes() == _scalar_normalize(qi).tobytes()
+            assert Pose(t=[0, 0, 0], q=qi).q.tobytes() == row.tobytes()
 
     def test_normalize_quat_rows_rejects_a_zero_row(self):
         with pytest.raises(ZeroQuaternion):
@@ -158,7 +182,7 @@ class TestRelativePoseRows:
     def test_rows_equal_scalar_relative_pose_bitwise(self, seed, n):
         rng = np.random.default_rng(seed)
         quats = [
-            _rand_unit_quat(rng) if rng.random() < 0.6 else normalize_quat(_AXIS_QUATS[rng.integers(6)])
+            _rand_unit_quat(rng) if rng.random() < 0.6 else _unit(_AXIS_QUATS[rng.integers(6)])
             for _ in range(2 * n)
         ]
         poses = [Pose(t=rng.standard_normal(3) * 10, q=q) for q in quats]
@@ -168,20 +192,16 @@ class TestRelativePoseRows:
         )
         assert rows.shape == (n, 7)
         for row, pa, pb in zip(rows, a, b):
-            np.testing.assert_array_equal(row, relative_pose(pa, pb).as_vector())
-            # The per-row construction the kernel replaced: normalize the raw
-            # Hamilton product inside RelativePose.
-            old = RelativePose(dt=pb.t - pa.t, dq=quat_multiply(_conj(pa.q), pb.q))
-            np.testing.assert_array_equal(row, old.as_vector())
+            # Scalar reference: RelativePose normalizes the raw Hamilton product.
+            scalar = RelativePose(dt=pb.t - pa.t, dq=quat_multiply(_conj(pa.q), pb.q))
+            assert row.tobytes() == scalar.as_vector().tobytes()
 
-    def test_values_hold_their_rows_read_only(self):
+    def test_relative_pose_values_are_read_only(self):
         rng = np.random.default_rng(2)
         for _ in range(4):
             pa = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
             pb = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
-            row = relative_pose_rows(pa.t, pa.q, pb.t, pb.q)[0]
-            rp = relative_pose(pa, pb)
-            assert rp.as_vector().tobytes() == row.tobytes()
+            rp = RelativePose(*_relative(pa, pb))
             with pytest.raises(ValueError):
                 rp.dq[0] = 0.0
             with pytest.raises(ValueError):
@@ -208,12 +228,12 @@ class TestRelativePoseRows:
 
     def test_angular_error_many_matches_scalar(self):
         rng = np.random.default_rng(31)
-        qa = np.array([_rand_unit_quat(rng) for _ in range(500)] + [normalize_quat(q) for q in _AXIS_QUATS])
-        qb = np.array([_rand_unit_quat(rng) for _ in range(500)] + [normalize_quat(q) for q in _AXIS_QUATS[::-1]])
+        qa = np.array([_rand_unit_quat(rng) for _ in range(500)] + [_unit(q) for q in _AXIS_QUATS])
+        qb = np.array([_rand_unit_quat(rng) for _ in range(500)] + [_unit(q) for q in _AXIS_QUATS[::-1]])
         qb[:50] = qa[:50]
         got = angular_error_deg_many(qa, qb)
-        want = [angular_error_deg(x, y) for x, y in zip(qa, qb)]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        want = np.array([_scalar_angle(x, y) for x, y in zip(qa, qb)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRelativePose:
@@ -221,41 +241,39 @@ class TestRelativePose:
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
-            rp = relative_pose(p, p)
-            np.testing.assert_allclose(rp.dt, 0.0, atol=0)
-            np.testing.assert_allclose(rp.dq, [1, 0, 0, 0], atol=1e-12)
+            dt, dq = _relative(p, p)
+            np.testing.assert_allclose(dt, 0.0, atol=0)
+            np.testing.assert_allclose(dq, [1, 0, 0, 0], atol=1e-12)
 
     def test_translation_plus_yaw(self):
         anchor = Pose(t=[0, 0, 0], q=[1, 0, 0, 0])
         target = Pose(t=[1, 0, 0], q=[math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)])
-        rp = relative_pose(anchor, target)
-        np.testing.assert_allclose(rp.dt, [1, 0, 0], atol=0)
+        dt, dq = _relative(anchor, target)
+        np.testing.assert_allclose(dt, [1, 0, 0], atol=0)
         s = math.sqrt(2) / 2
-        np.testing.assert_allclose(rp.dq, [s, 0, 0, s], atol=1e-12)
+        np.testing.assert_allclose(dq, [s, 0, 0, s], atol=1e-12)
 
     def test_pure_translation(self):
         anchor = Pose(t=[1, 2, 3], q=[1, 0, 0, 0])
         target = Pose(t=[1, 2, 4], q=[1, 0, 0, 0])
-        rp = relative_pose(anchor, target)
-        np.testing.assert_array_equal(rp.dt, [0, 0, 1])
-        np.testing.assert_array_equal(rp.dq, [1, 0, 0, 0])
+        dt, dq = _relative(anchor, target)
+        np.testing.assert_array_equal(dt, [0, 0, 1])
+        np.testing.assert_array_equal(dq, [1, 0, 0, 0])
 
     def test_matches_rotation_matrix_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
             b = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
-            rp = relative_pose(a, b)
             expected = _quat_from_rotmat(_rotmat(a.q).T @ _rotmat(b.q))
-            np.testing.assert_allclose(rp.dq, expected, atol=1e-9)
+            np.testing.assert_allclose(_relative(a, b)[1], expected, atol=1e-9)
 
     def test_composition_reproduces_target(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             a = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
             b = Pose(t=rng.standard_normal(3), q=_rand_unit_quat(rng))
-            dq = relative_pose(a, b).dq
-            recomposed = canonical_sign(quat_multiply(a.q, dq))
+            recomposed = _unit(quat_multiply(a.q, _relative(a, b)[1]))
             np.testing.assert_allclose(recomposed, b.q, atol=1e-9)
 
     def test_flat_vector_has_seven_components(self):
@@ -265,43 +283,45 @@ class TestRelativePose:
         np.testing.assert_array_equal(v, [1, 2, 3, 1, 0, 0, 0])
 
 
+def _angle(q_a, q_b) -> float:
+    """The angle between two quaternions, as a one-row block."""
+    return float(angular_error_deg_many(np.reshape(q_a, (1, 4)), np.reshape(q_b, (1, 4)))[0])
+
+
 class TestAngularError:
     def test_identity_zero(self):
-        assert angular_error_deg([1, 0, 0, 0], [1, 0, 0, 0]) == 0.0
+        assert _angle([1, 0, 0, 0], [1, 0, 0, 0]) == 0.0
 
     def test_double_cover_zero(self):
-        q = normalize_quat([0.3, 0.4, -0.2, 0.6])
-        assert angular_error_deg(q, -q) == angular_error_deg(q, q)
-        assert angular_error_deg(q, -q) <= 1e-5
+        q = _unit([0.3, 0.4, -0.2, 0.6])
+        assert _angle(q, -q) == _angle(q, q)
+        assert _angle(q, -q) <= 1e-5
 
     def test_ninety_degrees(self):
         s = math.sqrt(2) / 2
-        assert abs(angular_error_deg([1, 0, 0, 0], [s, 0, 0, s]) - 90.0) <= 1e-9
+        assert abs(_angle([1, 0, 0, 0], [s, 0, 0, s]) - 90.0) <= 1e-9
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            qa, qb = _rand_unit_quat(rng), _rand_unit_quat(rng)
-            assert angular_error_deg(qa, qb) == angular_error_deg(qb, qa)
+        qa, qb = normalize_quat_rows(rng.standard_normal((100, 4))), normalize_quat_rows(rng.standard_normal((100, 4)))
+        assert angular_error_deg_many(qa, qb).tobytes() == angular_error_deg_many(qb, qa).tobytes()
 
     def test_range(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            v = angular_error_deg(_rand_unit_quat(rng), _rand_unit_quat(rng))
-            assert 0.0 <= v <= 180.0
+        qa, qb = normalize_quat_rows(rng.standard_normal((200, 4))), normalize_quat_rows(rng.standard_normal((200, 4)))
+        v = angular_error_deg_many(qa, qb)
+        assert np.all((0.0 <= v) & (v <= 180.0))
 
     def test_clamp_prevents_nan(self):
-        q = normalize_quat([1, 1e-8, 0, 0])
-        assert math.isfinite(angular_error_deg(q, q))
+        q = _unit([1, 1e-8, 0, 0])
+        assert math.isfinite(_angle(q, q))
 
 
 class TestHelpers:
     def test_conjugate_inverts(self):
         rng = np.random.default_rng(17)
         q = _rand_unit_quat(rng)
-        np.testing.assert_allclose(
-            canonical_sign(quat_multiply(q, _conj(q))), [1, 0, 0, 0], atol=1e-12
-        )
+        np.testing.assert_allclose(_unit(quat_multiply(q, _conj(q))), [1, 0, 0, 0], atol=1e-12)
 
     def test_pose_is_immutable(self):
         p = Pose(t=[0, 0, 0], q=[1, 0, 0, 0])

@@ -23,7 +23,7 @@ from copr.errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from copr.geometry import Pose, RelativePose, relative_pose
+from copr.geometry import Pose, RelativePose, quat_multiply
 from copr.neural import (
     Activation,
     MlpModel,
@@ -613,7 +613,8 @@ class TestBuildTrainingPairs:
         cap = float(rng.uniform(0.5, 3.0))
         # The per-pair construction the blocks replaced: every ordered pair
         # within the cap, a seeded subsample of them, and one
-        # concatenate(f_anchor, relative_pose(...).as_vector()) row each.
+        # concatenate(f_anchor, dp) row each, dp the RelativePose of the
+        # translation gap and the raw Hamilton product conj(q_a) * q_b.
         dist = [[np.linalg.norm(t_a - t_b) for t_b in m.translations] for t_a in m.translations]
         kept = [(a, b) for a in range(n) for b in range(n) if a != b and dist[a][b] <= cap]
         if not kept:
@@ -624,7 +625,11 @@ class TestBuildTrainingPairs:
         if len(kept) > max_pairs:
             keep = np.sort(np.random.default_rng(seed).choice(len(kept), size=max_pairs, replace=False))
             kept = [kept[k] for k in keep]
-        x = [np.concatenate([m.descriptors[a], relative_pose(poses[a], poses[b]).as_vector()]) for a, b in kept]
+        x = []
+        for a, b in kept:
+            pa, pb = poses[a], poses[b]
+            dq = quat_multiply(pa.q * [1, -1, -1, -1], pb.q)
+            x.append(np.concatenate([m.descriptors[a], RelativePose(dt=pb.t - pa.t, dq=dq).as_vector()]))
         y = [m.descriptors[b] for _, b in kept]
         assert len(pairs) == len(kept)
         assert regressor_input(pairs.f_anchor, pairs.dp).tobytes() == np.array(x).tobytes()

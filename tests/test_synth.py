@@ -7,7 +7,7 @@ import pytest
 
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
 from copr.errors import ConfigConflict, InsufficientScenes, InvalidConfig
-from copr.geometry import Pose, normalize_quat
+from copr.geometry import Pose
 from copr.benchmarks import NAMED_SCENES
 from copr.synth import (
     LAYOUTS,
@@ -273,12 +273,13 @@ class TestSceneIo:
 
 # The per-pose scene generator that gen_scene and make_stray_case replaced,
 # kept as their reference: one Pose per trajectory pose, holding a scalar
-# yaw quaternion that Pose normalizes a second time, and each split's rows
-# stacked for one field evaluation.
+# yaw quaternion scaled to unit norm that Pose normalizes a second time,
+# and each split's rows stacked for one field evaluation.
 
 
 def _yaw_quat(yaw):
-    return normalize_quat([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
+    q = np.array([math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)])
+    return q / math.sqrt(float(np.dot(q, q)))
 
 
 def _loop_poses(n, radius, wiggle, phase, rng, center=(0.0, 0.0)):
