@@ -53,7 +53,7 @@ from .evaluate import (
 )
 from .geometry import pose_blocks
 from .neural.model_io import load_model, save_model
-from .neural.training import ENCODER_DEFAULT_LR, TrainConfig, train_encoder
+from .neural.training import ENCODER_DEFAULT_LR, ENCODER_VARIANTS, TrainConfig, train_encoder
 from .synth import (
     FieldConfig,
     SceneConfig,
@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-encoder", help="train a synthetic feature encoder")
     configurable(p, {"train": _MODEL_KEYS["train"], "nuisance_sigma": float})
     p.add_argument("--scene", required=True)
-    p.add_argument("--variant", choices=("triplet", "relative", "distance"), required=True)
+    p.add_argument("--variant", choices=ENCODER_VARIANTS, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_encoder)
 

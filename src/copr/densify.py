@@ -134,7 +134,8 @@ class TargetPlan:
                 for target, t, q, anchors in rows
             ],
         }
-        return json.dumps(doc, indent=2)
+        # One line: with an indent, json.dumps falls back to its pure-Python encoder.
+        return json.dumps(doc)
 
 
 @dataclass(frozen=True)

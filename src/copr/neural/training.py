@@ -1,4 +1,6 @@
-"""Training loops for the descriptor regressor and the synthetic encoders.
+"""Training of the descriptor regressor and the synthetic encoders, through
+one loop (:func:`_fit`) that owns the validation split, the shuffle, the
+minibatches, the Adam steps and the early stop.
 
 Everything here is deterministic given the config seed: weight init draws
 from SplitMix64-derived per-layer streams, and all sampling/shuffling uses
@@ -70,25 +72,10 @@ def init_regressor(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, acts, seed)
 
 
-def _split_indices(n: int, fraction: float, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    n_val = int(round(fraction * n))
-    if n >= 2:
-        n_val = min(max(n_val, 1), n - 1)
-    else:
-        n_val = 0
-    return perm[n_val:], perm[:n_val]
-
-
 def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray, work: Workspace | None = None) -> float:
     """Mean squared error of the model over a stacked evaluation set."""
     out, _ = forward_batch(model, x, work=work)
     return float(np.mean((out - y) ** 2))
-
-
-def _minibatches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
 
 
 @dataclass(frozen=True)
@@ -110,18 +97,31 @@ def _trainable(model: MlpModel) -> MlpModel:
     return model.on_buffer(model.flat.copy())
 
 
-def _fit(net: MlpModel, cfg: TrainConfig, run_epoch, val_loss) -> TrainResult:
-    """Run epochs until ``cfg.epochs`` or early stopping; keep the snapshot
-    with the best validation loss (the untrained init if none improves) and
-    export it as a read-only model."""
-    initial_val = val_loss()
-    best_val = initial_val
+def _fit(n: int, cfg: TrainConfig, rng: np.random.Generator, trained, batch_grads, val_loss) -> TrainResult:
+    """The one training loop. Splits ``n`` sample rows into training and
+    validation rows (validating on the training rows if the split leaves
+    none); per epoch shuffles the training rows and, per minibatch, has
+    ``batch_grads(rows)`` fill the gradient buffer of every ``(model,
+    RawAdam)`` pair in ``trained`` and steps each model. ``val_loss(rows)``
+    scores the validation rows before training and after each epoch. Runs
+    until ``cfg.epochs`` or early stopping and exports the first model's
+    best snapshot (the untrained init if none improves), read-only."""
+    perm = rng.permutation(n)
+    n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1) if n >= 2 else 0
+    train_idx = perm[n_val:]
+    val_idx = perm[:n_val] if n_val else train_idx
+    net = trained[0][0]
+    best_val = initial_val = val_loss(val_idx)
     best_params = net.flat.copy()
     stale = 0
     stop_reason = "max_epochs"
     for epochs_run in range(1, cfg.epochs + 1):
-        run_epoch()
-        val = val_loss()
+        order = train_idx[rng.permutation(len(train_idx))]
+        for start in range(0, len(order), cfg.batch_size):
+            batch_grads(order[start : start + cfg.batch_size])
+            for model, opt in trained:
+                opt.step(model, opt.grad)
+        val = val_loss(val_idx)
         if val < best_val:
             best_val = val
             best_params = net.flat.copy()
@@ -178,25 +178,16 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
     net = _trainable(init_regressor(descriptor_dim, init_seed))
     opt = RawAdam(net, cfg.lr)
 
-    train_idx, val_idx = _split_indices(len(pairs), cfg.validation_fraction, rng)
-    if len(val_idx) == 0:
-        val_idx = train_idx
-    x_tr, y_tr = x[train_idx], y[train_idx]
-    x_va, y_va = x[val_idx], y[val_idx]
-
     # This trainer owns every array its forward/backward passes return, so
     # each batch shape's arrays are allocated once and reused.
     work = Workspace()
 
-    def run_epoch():
-        order = rng.permutation(len(x_tr))
-        for batch in _minibatches(order, cfg.batch_size):
-            xb = np.take(x_tr, batch, axis=0, out=work("x", (len(batch), x_tr.shape[1])))
-            yb = np.take(y_tr, batch, axis=0, out=work("y", (len(batch), y_tr.shape[1])))
-            mse_batch_grad(net, xb, yb, grads=opt.grads, work=work)
-            opt.step(net, opt.grad)
+    def batch_grads(rows):
+        xb = np.take(x, rows, axis=0, out=work("x", (len(rows), x.shape[1])))
+        yb = np.take(y, rows, axis=0, out=work("y", (len(rows), y.shape[1])))
+        mse_batch_grad(net, xb, yb, grads=opt.grads, work=work)
 
-    return _fit(net, cfg, run_epoch, lambda: mse_over(net, x_va, y_va, work))
+    return _fit(len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda rows: mse_over(net, x[rows], y[rows], work))
 
 
 def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
@@ -273,40 +264,31 @@ def init_rpe_head(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, [Activation.GELU, Activation.IDENTITY], seed)
 
 
-def _sample_triplets(dataset: EncoderDataset, count: int, rng: np.random.Generator):
+def _sample_rows(dataset: EncoderDataset, count: int, rng: np.random.Generator, negatives: bool) -> np.ndarray:
+    """``count`` rows of observation ids drawn from one generator: two
+    distinct observations of one scene, followed with ``negatives`` by an
+    observation of another scene (a triplet), else alone (a pair)."""
     labels = np.asarray(dataset.labels)
     by_label = {lab: np.nonzero(labels == lab)[0] for lab in sorted(set(dataset.labels))}
-    if len(by_label) < 2:
+    if negatives and len(by_label) < 2:
         raise InsufficientScenes("triplet training needs at least two scenes for negatives")
-    anchor_labels = [lab for lab, idx in by_label.items() if len(idx) >= 2]
-    if not anchor_labels:
-        raise InsufficientScenes("no scene has two observations to form a positive pair")
-    all_labels = sorted(by_label)
-    out = np.empty((count, 3), dtype=np.int64)
-    for r in range(count):
-        lab = anchor_labels[rng.integers(len(anchor_labels))]
-        members = by_label[lab]
-        qi, pi = rng.choice(len(members), size=2, replace=False)
-        neg_lab = lab
-        while neg_lab == lab:
-            neg_lab = all_labels[rng.integers(len(all_labels))]
-        ni = rng.integers(len(by_label[neg_lab]))
-        out[r] = (members[qi], members[pi], by_label[neg_lab][ni])
-    return out
-
-
-def _sample_same_scene_pairs(dataset: EncoderDataset, count: int, rng: np.random.Generator):
-    labels = np.asarray(dataset.labels)
-    by_label = {lab: np.nonzero(labels == lab)[0] for lab in sorted(set(dataset.labels))}
     usable = [lab for lab, idx in by_label.items() if len(idx) >= 2]
+    if not usable and negatives:
+        raise InsufficientScenes("no scene has two observations to form a positive pair")
     if not usable:
         raise EmptyTrainingSet("no scene has two observations to pair")
-    out = np.empty((count, 2), dtype=np.int64)
+    all_labels = list(by_label)
+    out = np.empty((count, 3 if negatives else 2), dtype=np.int64)
     for r in range(count):
         lab = usable[rng.integers(len(usable))]
         members = by_label[lab]
         i, j = rng.choice(len(members), size=2, replace=False)
-        out[r] = (members[i], members[j])
+        out[r, :2] = members[i], members[j]
+        if negatives:
+            neg_lab = lab
+            while neg_lab == lab:
+                neg_lab = all_labels[rng.integers(len(all_labels))]
+            out[r, 2] = by_label[neg_lab][rng.integers(len(by_label[neg_lab]))]
     return out
 
 
@@ -331,73 +313,56 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
     rng = np.random.Generator(np.random.PCG64(seed_b))
     encoder = _trainable(init_encoder(dataset.observation_dim, dataset.descriptor_dim, seed_a))
     enc_opt = RawAdam(encoder, cfg.lr)
-    head = head_opt = None
-    if variant == "relative":
+    trained = [(encoder, enc_opt)]
+    samples = _sample_rows(dataset, _ENCODER_POOL, rng, negatives=variant == "triplet")
+    obs, t, q = dataset.observations, dataset.translations, dataset.quaternions
+
+    # Each objective maps the encoded columns of a batch's sample rows to the
+    # batch loss followed, with ``with_grads``, by one output gradient per column.
+    if variant == "triplet":
+
+        def objective(feats, rows, with_grads):
+            return triplet_grads(*feats, DEFAULT_TRIPLET_MARGIN)
+
+    elif variant == "distance":
+
+        def objective(feats, rows, with_grads):
+            return distance_grads(*feats, t[samples[rows, 0]], t[samples[rows, 1]])
+
+    else:
         head = _trainable(init_rpe_head(dataset.descriptor_dim, seed_c))
         head_opt = RawAdam(head, cfg.lr)
+        trained.append((head, head_opt))
+        a, b = samples[:, 0], samples[:, 1]
+        dp_pool = relative_pose_rows(t[a], q[a], t[b], q[b])
+        n = dataset.descriptor_dim
 
-    if variant == "triplet":
-        samples = _sample_triplets(dataset, _ENCODER_POOL, rng)
-    else:
-        samples = _sample_same_scene_pairs(dataset, _ENCODER_POOL, rng)
-    train_idx, val_idx = _split_indices(len(samples), cfg.validation_fraction, rng)
-    if len(val_idx) == 0:
-        val_idx = train_idx
-    obs = dataset.observations
-    # Gradients of the second and later backward passes of a batch, summed
-    # into enc_opt.grad.
+        def objective(feats, rows, with_grads):
+            dp_hat, cache = forward_batch(head, np.hstack(feats), keep_cache=with_grads)
+            loss, g_dp = relative_grads(dp_hat, dp_pool[rows])
+            if not with_grads:
+                return (loss,)
+            _, g_stacked = backward_batch(head, cache, g_dp, grads=head_opt.grads)
+            return loss, g_stacked[:, :n], g_stacked[:, n:]
+
+    # The first column's gradients go to enc_opt.grad; each later column's
+    # pass fills ``part``, which is then summed into it.
     part = np.empty_like(enc_opt.grad)
     part_grads = encoder.views(part)
 
-    def backward_sum(terms):
-        (cache, g), *rest = terms
-        backward_batch(encoder, cache, g, grads=enc_opt.grads)
-        for cache, g in rest:
-            backward_batch(encoder, cache, g, grads=part_grads)
-            enc_opt.grad += part
-
     def batch_loss(rows, with_grads):
-        """Batch loss; with ``with_grads`` also the gradients, in enc_opt.grad
-        (and head_opt.grad)."""
-        if variant == "triplet":
-            xq, xp, xn = obs[rows[:, 0]], obs[rows[:, 1]], obs[rows[:, 2]]
-            fq, cq = forward_batch(encoder, xq, keep_cache=with_grads)
-            fp, cp = forward_batch(encoder, xp, keep_cache=with_grads)
-            fn, cn = forward_batch(encoder, xn, keep_cache=with_grads)
-            loss, gq, gp, gn = triplet_grads(fq, fp, fn, DEFAULT_TRIPLET_MARGIN)
-            if with_grads:
-                backward_sum(((cq, gq), (cp, gp), (cn, gn)))
-            return loss
-        xa, xb = obs[rows[:, 0]], obs[rows[:, 1]]
-        fa, ca = forward_batch(encoder, xa, keep_cache=with_grads)
-        fb, cb = forward_batch(encoder, xb, keep_cache=with_grads)
-        if variant == "relative":
-            stacked = np.hstack([fa, fb])
-            dp_hat, ch = forward_batch(head, stacked, keep_cache=with_grads)
-            a, b = rows[:, 0], rows[:, 1]
-            dp_gt = relative_pose_rows(
-                dataset.translations[a], dataset.quaternions[a], dataset.translations[b], dataset.quaternions[b]
-            )
-            loss, g_dp = relative_grads(dp_hat, dp_gt)
-            if with_grads:
-                _, g_stacked = backward_batch(head, ch, g_dp, grads=head_opt.grads)
-                n = dataset.descriptor_dim
-                backward_sum(((ca, g_stacked[:, :n]), (cb, g_stacked[:, n:])))
-            return loss
-        loss, g1, g2 = distance_grads(fa, fb, dataset.translations[rows[:, 0]], dataset.translations[rows[:, 1]])
+        passes = [forward_batch(encoder, obs[col], keep_cache=with_grads) for col in samples[rows].T]
+        loss, *grads = objective([f for f, _ in passes], rows, with_grads)
         if with_grads:
-            backward_sum(((ca, g1), (cb, g2)))
+            for k, ((_, cache), g) in enumerate(zip(passes, grads)):
+                backward_batch(encoder, cache, g, grads=part_grads if k else enc_opt.grads)
+                if k:
+                    enc_opt.grad += part
         return loss
 
-    def run_epoch():
-        order = rng.permutation(len(train_idx))
-        for batch in _minibatches(order, cfg.batch_size):
-            batch_loss(samples[train_idx[batch]], with_grads=True)
-            enc_opt.step(encoder, enc_opt.grad)
-            if head is not None:
-                head_opt.step(head, head_opt.grad)
-
-    return _fit(encoder, cfg, run_epoch, lambda: batch_loss(samples[val_idx], with_grads=False))
+    return _fit(
+        len(samples), cfg, rng, trained, lambda rows: batch_loss(rows, True), lambda rows: batch_loss(rows, False)
+    )
 
 
 def train_encoder(dataset: EncoderDataset, variant: str, cfg: TrainConfig) -> MlpModel:

@@ -11,14 +11,14 @@ import numpy as np
 
 from copr import benchmarks as B
 from copr.densify import plane_fit_regress
-from copr.evaluate import oracle_violations, report_signature
+from copr.evaluate import oracle_violations
 from copr.geometry import RelativePose
 from copr.neural.core import Layer, MlpModel, Activation, RawAdam
 from copr.neural.model_io import load_model, save_model
 from copr.synth import load_scene, save_scene
 from copr.vpr_map import load_map, retrieve, save_map
 
-from conftest import build_all_reports, mte_of
+from conftest import child_rerun, mte_of, rerun_outputs
 from test_neural import gradient_check, _rand_model
 
 
@@ -274,25 +274,14 @@ def test_criterion_10_stray_cases(report_bundle):
     )
 
 
-def test_criterion_11_determinism_and_io(
-    loop_bundle, lanes_bundle, affine_bundle, multi_bundle, report_bundle, tmp_path
-):
-    from conftest import _build_bundle
-
-    # Full re-run from scratch: scenes regenerated, every model retrained.
-    loop2 = _build_bundle("loop", B.LOOP_TRAIN, B.LOOP_PAIR_CAP, B.LOOP_PAIR_MAX)
-    lanes2 = _build_bundle("lanes", B.LANES_TRAIN, B.LANES_PAIR_CAP, B.LANES_PAIR_MAX)
-    affine2 = _build_bundle("affine-loop")
-    multi2 = _build_bundle("multiscene", B.MULTI_TRAIN, B.MULTI_PAIR_CAP, B.MULTI_PAIR_MAX)
-    rerun = build_all_reports(loop2, lanes2, affine2, multi2)
-    reports_ok = (
-        report_signature(rerun.loop_extrap) == report_signature(report_bundle.loop_extrap)
-        and report_signature(rerun.loop_sweep) == report_signature(report_bundle.loop_sweep)
-        and report_signature(rerun.lanes_extrap) == report_signature(report_bundle.lanes_extrap)
-        and report_signature(rerun.affine_interp) == report_signature(report_bundle.affine_interp)
-        and report_signature(rerun.encoders) == report_signature(report_bundle.encoders)
-        and rerun.stray == report_bundle.stray
-    )
+def test_criterion_11_determinism_and_io(loop_bundle, affine_bundle, report_bundle, tmp_path):
+    # Full re-run from scratch in a child interpreter with another hash seed
+    # (started by conftest at collection): scenes regenerated, every model
+    # retrained.
+    rerun, stderr = child_rerun()
+    here = rerun_outputs(report_bundle)
+    reports_ok = rerun == here
+    differing = [name for name in here if (rerun or {}).get(name) != here[name]]
 
     # Map files round-trip bitwise.
     save_map(loop_bundle.scene.gt_dense, tmp_path / "p.csv", tmp_path / "d.bin")
@@ -313,9 +302,11 @@ def test_criterion_11_determinism_and_io(
     reloaded = load_scene(tmp_path / "scene")
     scene_ok = reloaded.scene_cfg == affine_bundle.scene.scene_cfg
 
+    ok = reports_ok and maps_ok and models_ok and scene_ok
     check(
         11,
         "suite rerun is bitwise identical (timings excluded); files round-trip bitwise",
-        reports_ok and maps_ok and models_ok and scene_ok,
-        f"reports={reports_ok}, maps={maps_ok}, models={models_ok}, scene={scene_ok}",
+        ok,
+        f"reports={reports_ok}, maps={maps_ok}, models={models_ok}, scene={scene_ok}"
+        + ("" if ok else f"; differing reports {differing}; child stderr:\n{stderr}"),
     )

@@ -175,7 +175,7 @@ def _reference_files(base, targets, scheme, descriptors):
     ]
     blob = struct.pack("<4sIII", b"CPRD", 1, len(entries), descriptors.shape[1])
     blob += b"".join(np.asarray(row, dtype="<f4").tobytes() for row in descriptors)
-    return json.dumps(plan, indent=2) + "\n", "\n".join(lines) + "\n", blob
+    return json.dumps(plan) + "\n", "\n".join(lines) + "\n", blob
 
 
 class TestDensifyFiles:

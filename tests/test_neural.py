@@ -46,6 +46,7 @@ from copr.neural.core import (
 )
 from copr.neural.losses import distance_grads, relative_grads, triplet_grads
 from copr.neural.training import (
+    ENCODER_VARIANTS,
     EncoderDataset,
     TrainingPairs,
     build_training_pairs,
@@ -852,11 +853,25 @@ class TestTrainEncoder:
         with pytest.raises(RefusedNonFinite):
             EncoderDataset(obs, ds.translations, ds.quaternions, ds.labels, ds.descriptor_dim)
 
-    def test_bitwise_deterministic(self):
+    @pytest.mark.parametrize(
+        "variant, error, message",
+        [
+            ("triplet", InsufficientScenes, "no scene has two observations to form a positive pair"),
+            ("relative", EmptyTrainingSet, "no scene has two observations to pair"),
+            ("distance", EmptyTrainingSet, "no scene has two observations to pair"),
+        ],
+    )
+    def test_scenes_of_one_observation_are_refused(self, variant, error, message):
+        ds = _toy_dataset(n_scenes=3, per_scene=1)
+        with pytest.raises(error, match=f"^{message}$"):
+            train_encoder(ds, variant, TrainConfig(lr=1e-3, epochs=2, seed=0))
+
+    @pytest.mark.parametrize("variant", ENCODER_VARIANTS)
+    def test_bitwise_deterministic(self, variant):
         ds = _toy_dataset()
         cfg = TrainConfig(lr=1e-3, epochs=3, batch_size=16, seed=11, validation_fraction=0.4, early_stop_patience=3)
-        m1 = train_encoder(ds, "distance", cfg)
-        m2 = train_encoder(ds, "distance", cfg)
+        m1 = train_encoder(ds, variant, cfg)
+        m2 = train_encoder(ds, variant, cfg)
         for l1, l2 in zip(m1.layers, m2.layers):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()
