@@ -2,6 +2,15 @@
 one loop (:func:`_fit`) that owns the validation split, the shuffle, the
 minibatches, the Adam steps and the early stop.
 
+Validation runs one epoch behind, on a second core: a child forked when a
+fit begins scores each epoch's parameter snapshot while the next epoch
+trains (:class:`_Validator`). The loop trains ahead only when the pending
+loss cannot stop the run, so it trains exactly the epochs of a sequential
+loop. Where fork is unavailable or fails, or the child dies or fails, the
+loop scores the snapshots inline; the results are bit-identical either way.
+A process with other threads should not fork, so one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``) is recommended.
+
 Everything here is deterministic given the config seed: weight init draws
 from SplitMix64-derived per-layer streams, and all sampling/shuffling uses
 one seeded generator consumed in a fixed order. Two runs with the same
@@ -10,6 +19,10 @@ config produce bitwise-identical models.
 
 from __future__ import annotations
 
+import mmap
+import os
+import struct
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +96,15 @@ class TrainResult:
     """A trained snapshot, the validation losses bracketing the run, and
     how the run ended: ``epochs_run`` epochs, then ``stop_reason``
     (``"early_stop"`` after ``early_stop_patience`` epochs without a better
-    validation loss, else ``"max_epochs"``)."""
+    validation loss, else ``"max_epochs"``). ``val_curve`` holds every
+    validation loss in order: the initial one, then one per epoch run."""
 
     model: MlpModel
     initial_val_loss: float
     best_val_loss: float
     epochs_run: int
     stop_reason: str
+    val_curve: tuple[float, ...]
 
 
 def _trainable(model: MlpModel) -> MlpModel:
@@ -97,42 +112,137 @@ def _trainable(model: MlpModel) -> MlpModel:
     return model.on_buffer(model.flat.copy())
 
 
+class _Validator:
+    """Scores snapshots of the trained models, in a forked child when it can.
+
+    :meth:`submit` copies every trained model's parameters into one shared
+    anonymous buffer, over which ``snapshot`` lays the models, and asks for
+    the loss ``val_loss(snapshot, rows)``; :meth:`result` returns it. The
+    child, forked at construction, inherits ``val_loss`` and its data and
+    scores each snapshot while the parent goes on training. Without a child
+    (``os.fork`` missing or failing, or the child dead or failed),
+    :meth:`result` calls ``val_loss`` on the same buffer itself, so a failing
+    validation raises its own error. The child leaves on end of file, so it
+    also ends when the parent dies; :meth:`close` ends and reaps it.
+    """
+
+    def __init__(self, models, val_loss, rows):
+        self._models = models
+        sizes = [m.flat.size for m in models]
+        self._slot = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        self.snapshot = [m.on_buffer(part) for m, part in zip(models, np.split(self._slot, np.cumsum(sizes)[:-1]))]
+        self._val_loss, self._rows = val_loss, rows
+        self._pid = None
+        fds = (*os.pipe(), *os.pipe())  # requests (read, write), replies (read, write)
+        pid = None
+        try:
+            pid = os.fork()
+        except (AttributeError, OSError):  # no fork on this platform, or EAGAIN/ENOMEM
+            pass
+        finally:
+            if pid is None:
+                for fd in fds:
+                    os.close(fd)
+        if pid == 0:
+            status = 1
+            try:
+                os.close(fds[1])
+                os.close(fds[2])
+                while os.read(fds[0], 1):
+                    os.write(fds[3], struct.pack("d", self._score()))
+                status = 0
+            finally:
+                os._exit(status)
+        if pid is not None:
+            os.close(fds[0])
+            os.close(fds[3])
+            self._pid, self._requests, self._replies = pid, fds[1], fds[2]
+
+    def _score(self) -> float:
+        # A method, not a lambda over ``self``: that cycle would keep the
+        # fit's data alive after it returns, until the cycle collector runs.
+        return self._val_loss(self.snapshot, self._rows)
+
+    def submit(self) -> None:
+        """Snapshot the trained models and ask for the snapshot's loss."""
+        np.concatenate([m.flat for m in self._models], out=self._slot)
+        if self._pid is not None:
+            try:
+                os.write(self._requests, b"v")
+            except BrokenPipeError:  # the child is gone
+                self.close()
+
+    def result(self) -> float:
+        """The loss of the last submitted snapshot."""
+        if self._pid is not None:
+            reply = os.read(self._replies, 8)
+            if len(reply) == 8:
+                return struct.unpack("d", reply)[0]
+            self.close()  # the child died or failed: score here from now on
+        return self._score()
+
+    def close(self) -> None:
+        """End and reap the child; later snapshots are scored inline."""
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            os.close(self._requests)
+            os.close(self._replies)
+            os.waitpid(pid, 0)
+
+
 def _fit(n: int, cfg: TrainConfig, rng: np.random.Generator, trained, batch_grads, val_loss) -> TrainResult:
     """The one training loop. Splits ``n`` sample rows into training and
     validation rows (validating on the training rows if the split leaves
     none); per epoch shuffles the training rows and, per minibatch, has
     ``batch_grads(rows)`` fill the gradient buffer of every ``(model,
-    RawAdam)`` pair in ``trained`` and steps each model. ``val_loss(rows)``
-    scores the validation rows before training and after each epoch. Runs
-    until ``cfg.epochs`` or early stopping and exports the first model's
-    best snapshot (the untrained init if none improves), read-only."""
+    RawAdam)`` pair in ``trained`` and steps each model.
+    ``val_loss(models, rows)`` scores the validation rows on ``models``, a
+    snapshot of the trained models, before training and after each epoch,
+    through a :class:`_Validator`. Runs until ``cfg.epochs`` or early
+    stopping and exports the first model's best snapshot (the untrained
+    init if none improves), read-only."""
     perm = rng.permutation(n)
     n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1) if n >= 2 else 0
     train_idx = perm[n_val:]
     val_idx = perm[:n_val] if n_val else train_idx
-    net = trained[0][0]
-    best_val = initial_val = val_loss(val_idx)
-    best_params = net.flat.copy()
-    stale = 0
-    stop_reason = "max_epochs"
-    for epochs_run in range(1, cfg.epochs + 1):
+
+    def train_epoch():
         order = train_idx[rng.permutation(len(train_idx))]
         for start in range(0, len(order), cfg.batch_size):
             batch_grads(order[start : start + cfg.batch_size])
             for model, opt in trained:
                 opt.step(model, opt.grad)
-        val = val_loss(val_idx)
-        if val < best_val:
-            best_val = val
-            best_params = net.flat.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                stop_reason = "early_stop"
+
+    curve = []
+    stale = 0
+    stop_reason = "max_epochs"
+    epochs_run = 0
+    with closing(_Validator([model for model, _ in trained], val_loss, val_idx)) as validator:
+        validator.submit()
+        while True:
+            # The loss pending is epoch ``epochs_run``'s. The next epoch trains
+            # before it is read only when it cannot stop the run.
+            ahead = epochs_run < cfg.epochs and (epochs_run == 0 or stale + 1 < cfg.early_stop_patience)
+            if ahead:
+                train_epoch()
+            val = validator.result()
+            curve.append(val)
+            if epochs_run == 0 or val < best_val:
+                best_val, best_params, stale = val, validator.snapshot[0].flat.copy(), 0
+            else:
+                stale += 1
+                if stale >= cfg.early_stop_patience:
+                    stop_reason = "early_stop"
+                    break
+            if epochs_run == cfg.epochs:
                 break
+            if not ahead:
+                train_epoch()
+            epochs_run += 1
+            validator.submit()
     best_params.setflags(write=False)
-    return TrainResult(net.on_buffer(best_params), initial_val, best_val, epochs_run, stop_reason)
+    net = trained[0][0]
+    return TrainResult(net.on_buffer(best_params), curve[0], best_val, epochs_run, stop_reason, tuple(curve))
 
 
 @dataclass(frozen=True)
@@ -187,7 +297,9 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
         yb = np.take(y, rows, axis=0, out=work("y", (len(rows), y.shape[1])))
         mse_batch_grad(net, xb, yb, grads=opt.grads, work=work)
 
-    return _fit(len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda rows: mse_over(net, x[rows], y[rows], work))
+    return _fit(
+        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x[rows], y[rows], work)
+    )
 
 
 def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
@@ -318,15 +430,16 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
     obs, t, q = dataset.observations, dataset.translations, dataset.quaternions
 
     # Each objective maps the encoded columns of a batch's sample rows to the
-    # batch loss followed, with ``with_grads``, by one output gradient per column.
+    # batch loss followed, with ``with_grads``, by one output gradient per
+    # column; ``models`` are the encoder and, for ``relative``, the head.
     if variant == "triplet":
 
-        def objective(feats, rows, with_grads):
+        def objective(models, feats, rows, with_grads):
             return triplet_grads(*feats, DEFAULT_TRIPLET_MARGIN)
 
     elif variant == "distance":
 
-        def objective(feats, rows, with_grads):
+        def objective(models, feats, rows, with_grads):
             return distance_grads(*feats, t[samples[rows, 0]], t[samples[rows, 1]])
 
     else:
@@ -337,12 +450,12 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
         dp_pool = relative_pose_rows(t[a], q[a], t[b], q[b])
         n = dataset.descriptor_dim
 
-        def objective(feats, rows, with_grads):
-            dp_hat, cache = forward_batch(head, np.hstack(feats), keep_cache=with_grads)
+        def objective(models, feats, rows, with_grads):
+            dp_hat, cache = forward_batch(models[1], np.hstack(feats), keep_cache=with_grads)
             loss, g_dp = relative_grads(dp_hat, dp_pool[rows])
             if not with_grads:
                 return (loss,)
-            _, g_stacked = backward_batch(head, cache, g_dp, grads=head_opt.grads)
+            _, g_stacked = backward_batch(models[1], cache, g_dp, grads=head_opt.grads)
             return loss, g_stacked[:, :n], g_stacked[:, n:]
 
     # The first column's gradients go to enc_opt.grad; each later column's
@@ -350,18 +463,24 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
     part = np.empty_like(enc_opt.grad)
     part_grads = encoder.views(part)
 
-    def batch_loss(rows, with_grads):
-        passes = [forward_batch(encoder, obs[col], keep_cache=with_grads) for col in samples[rows].T]
-        loss, *grads = objective([f for f, _ in passes], rows, with_grads)
+    def batch_loss(models, rows, with_grads):
+        passes = [forward_batch(models[0], obs[col], keep_cache=with_grads) for col in samples[rows].T]
+        loss, *grads = objective(models, [f for f, _ in passes], rows, with_grads)
         if with_grads:
             for k, ((_, cache), g) in enumerate(zip(passes, grads)):
-                backward_batch(encoder, cache, g, grads=part_grads if k else enc_opt.grads)
+                backward_batch(models[0], cache, g, grads=part_grads if k else enc_opt.grads)
                 if k:
                     enc_opt.grad += part
         return loss
 
+    models = [model for model, _ in trained]
     return _fit(
-        len(samples), cfg, rng, trained, lambda rows: batch_loss(rows, True), lambda rows: batch_loss(rows, False)
+        len(samples),
+        cfg,
+        rng,
+        trained,
+        lambda rows: batch_loss(models, rows, True),
+        lambda snapshot, rows: batch_loss(snapshot, rows, False),
     )
 
 

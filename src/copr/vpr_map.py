@@ -434,7 +434,10 @@ def load_descriptor_block(descriptor_path) -> np.ndarray:
     expected = 16 + count * dim * 4
     if len(blob) != expected:
         raise ParseError(f"descriptor payload is {len(blob)} bytes, expected {expected}", offset=16)
-    values = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float64)
+    # A corrupted word may be a signalling NaN, whose cast warns; the map's
+    # finite-descriptor check refuses it with a typed error.
+    with np.errstate(invalid="ignore"):
+        values = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float64)
     return values.reshape(count, dim) if count else np.zeros((0, dim))
 
 

@@ -2,7 +2,9 @@
 finite differences, Adam, the in-place training step and its reused
 buffers, the regressor architecture, encoder losses, and model files."""
 
+import gc
 import math
+import os
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -31,6 +33,7 @@ from copr.neural import (
     init_mlp,
     load_model,
     save_model,
+    training,
 )
 from copr.neural.core import (
     Layer,
@@ -71,6 +74,16 @@ def _translation_pairs(rows) -> TrainingPairs:
     """Training pairs from (f_anchor, dt, f_target) rows with no rotation."""
     f_anchor, dt, f_target = map(np.array, zip(*rows))
     return TrainingPairs(f_anchor, _with_identity_dq(dt), f_target)
+
+
+def _noise_pairs() -> TrainingPairs:
+    """60 regressor pairs of unlearnable noise (36 train, 24 validation)."""
+    rng = np.random.default_rng(6)
+    rows = []
+    for _ in range(60):
+        t1, t2 = rng.standard_normal((2, 3))
+        rows.append((rng.standard_normal(3), t2 - t1, rng.standard_normal(3)))
+    return _translation_pairs(rows)
 
 
 def _gelu_reference(x: float) -> float:
@@ -566,12 +579,7 @@ class TestRegressor:
             assert l1.bias.tobytes() == l2.bias.tobytes()
 
     def test_result_records_epochs_and_stop_reason(self):
-        rng = np.random.default_rng(6)
-        rows = []
-        for _ in range(60):
-            t1, t2 = rng.standard_normal((2, 3))
-            rows.append((rng.standard_normal(3), t2 - t1, rng.standard_normal(3)))
-        pairs = _translation_pairs(rows)
+        pairs = _noise_pairs()
         full = train_regressor_full(pairs, TrainConfig(lr=1e-3, epochs=3, batch_size=8, seed=1, early_stop_patience=5), 3)
         assert (full.epochs_run, full.stop_reason) == (3, "max_epochs")
         # Unlearnable noise at a huge step size: validation stops improving.
@@ -875,6 +883,167 @@ class TestTrainEncoder:
         for l1, l2 in zip(m1.layers, m2.layers):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()
+
+
+_fit = training._fit  # the loop itself, for tests that wrap its arguments
+
+# One config per stop reason; each of the four trainers ends by it.
+_FIT_CONFIGS = {
+    "max_epochs": TrainConfig(lr=1e-3, epochs=4, batch_size=64, seed=3, early_stop_patience=10),
+    "early_stop": TrainConfig(lr=0.3, epochs=40, batch_size=64, seed=1, early_stop_patience=3),
+}
+
+
+def _fit_counting_batches(monkeypatch, kind, cfg, batches, val_loss_wrapper=None):
+    """Train ``kind`` (the regressor or an encoder variant) under ``cfg``,
+    appending one to ``batches`` per ``batch_grads`` call."""
+
+    def fit(n, cfg, rng, trained, batch_grads, val_loss):
+        def counted(rows):
+            batches.append(1)
+            return batch_grads(rows)
+
+        return _fit(n, cfg, rng, trained, counted, val_loss_wrapper(val_loss) if val_loss_wrapper else val_loss)
+
+    monkeypatch.setattr(training, "_fit", fit)
+    if kind == "regressor":
+        return train_regressor_full(_noise_pairs(), cfg, 3)
+    return train_encoder_full(_toy_dataset(), kind, cfg)
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """Pids of the children ``os.fork`` starts while the fixture is active."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+class TestForkedValidation:
+    """Validation scored by a forked child one epoch behind gives the bits of
+    validation scored inline, trains no extra epoch and leaves no child."""
+
+    @pytest.mark.parametrize("stop", sorted(_FIT_CONFIGS))
+    @pytest.mark.parametrize("kind", ("regressor", *ENCODER_VARIANTS))
+    def test_forked_and_inline_validation_agree_bitwise(self, monkeypatch, fork_pids, kind, stop):
+        cfg = _FIT_CONFIGS[stop]
+        forked_batches, inline_batches = [], []
+        forked = _fit_counting_batches(monkeypatch, kind, cfg, forked_batches)
+        _assert_reaped(fork_pids)
+        _no_fork(monkeypatch)
+        inline = _fit_counting_batches(monkeypatch, kind, cfg, inline_batches)
+        assert forked.model.flat.tobytes() == inline.model.flat.tobytes()
+        fields = ("initial_val_loss", "best_val_loss", "epochs_run", "stop_reason", "val_curve")
+        assert [getattr(forked, f) for f in fields] == [getattr(inline, f) for f in fields]
+        assert forked.stop_reason == stop
+        assert len(forked.val_curve) == forked.epochs_run + 1
+        assert forked.initial_val_loss == forked.val_curve[0]
+        assert forked.best_val_loss == min(forked.val_curve)
+        n = len(_noise_pairs()) if kind == "regressor" else training._ENCODER_POOL
+        n_train = n - round(cfg.validation_fraction * n)
+        per_epoch = math.ceil(n_train / cfg.batch_size)
+        assert len(forked_batches) == len(inline_batches) == forked.epochs_run * per_epoch
+
+    def test_missing_fork_validates_inline(self, monkeypatch):
+        cfg = _FIT_CONFIGS["early_stop"]
+        forked = train_regressor_full(_noise_pairs(), cfg, 3)
+        monkeypatch.delattr(os, "fork")
+        inline = train_regressor_full(_noise_pairs(), cfg, 3)
+        assert forked.model.flat.tobytes() == inline.model.flat.tobytes()
+        assert forked.val_curve == inline.val_curve
+
+    def test_validator_is_freed_without_the_cycle_collector(self):
+        # A validator left to the cycle collector keeps the fit's data and
+        # buffers alive after it returns, which raises peak memory.
+        gc.collect()
+        gc.disable()
+        try:
+            train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
+            assert not [o for o in gc.get_objects() if isinstance(o, training._Validator)]
+        finally:
+            gc.enable()
+
+    def test_child_is_reaped_after_a_normal_return(self, fork_pids):
+        train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
+        _assert_reaped(fork_pids)
+
+    def test_child_is_reaped_when_training_raises(self, monkeypatch, fork_pids):
+        def fit(n, cfg, rng, trained, batch_grads, val_loss):
+            calls = []
+
+            def failing(rows):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise RuntimeError("batch failed")
+                return batch_grads(rows)
+
+            return _fit(n, cfg, rng, trained, failing, val_loss)
+
+        monkeypatch.setattr(training, "_fit", fit)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
+        _assert_reaped(fork_pids)
+
+    def test_validation_failing_in_the_child_raises_as_inline(self, monkeypatch, fork_pids):
+        def failing_after_the_first(val_loss):
+            calls = []  # per process: the child's count is its own copy
+
+            def scored(models, rows):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RefusedNonFinite("validation loss failed")
+                return val_loss(models, rows)
+
+            return scored
+
+        cfg = _FIT_CONFIGS["max_epochs"]
+        with pytest.raises(RefusedNonFinite) as forked:
+            _fit_counting_batches(monkeypatch, "regressor", cfg, [], failing_after_the_first)
+        _assert_reaped(fork_pids)
+        _no_fork(monkeypatch)
+        with pytest.raises(RefusedNonFinite) as inline:
+            _fit_counting_batches(monkeypatch, "regressor", cfg, [], failing_after_the_first)
+        assert type(forked.value) is type(inline.value)
+
+    def test_child_failure_hands_over_to_inline_scoring(self, monkeypatch, fork_pids):
+        parent = os.getpid()
+
+        def failing_in_the_child(val_loss):
+            def scored(models, rows):
+                if os.getpid() != parent:
+                    raise RefusedNonFinite("validation loss failed")
+                return val_loss(models, rows)
+
+            return scored
+
+        cfg = _FIT_CONFIGS["early_stop"]
+        handed_over = _fit_counting_batches(monkeypatch, "relative", cfg, [], failing_in_the_child)
+        _assert_reaped(fork_pids)
+        _no_fork(monkeypatch)
+        inline = _fit_counting_batches(monkeypatch, "relative", cfg, [])
+        assert handed_over.model.flat.tobytes() == inline.model.flat.tobytes()
+        assert handed_over.val_curve == inline.val_curve
 
 
 class TestModelIo:

@@ -691,6 +691,16 @@ class TestCorruptedFilesFuzz:
             return
         assert np.all(np.isfinite(loaded.descriptors))
 
+    def test_signalling_nan_descriptor_is_refused_without_a_warning(self, tmp_path):
+        save_map(_map_of([[1.0]]), tmp_path / "p.csv", tmp_path / "d.bin")
+        blob = bytearray((tmp_path / "d.bin").read_bytes())
+        blob[16:20] = struct.pack("<I", 0x7F800001)
+        (tmp_path / "d.bin").write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RefusedNonFinite, match="descriptors must be finite"):
+                load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+
 
 def _per_row_map(text: str, descriptors) -> ReferenceMap:
     """The map of the per-row reader: csv fields, then ``float()`` per value."""
