@@ -20,6 +20,15 @@ for its batches and its validation set), because the next call reuses the
 arrays. An array handed to anyone else, such as densified descriptors or
 encoder outputs, always comes from a call without a workspace and is never
 overwritten.
+
+Inference without a cache (:func:`forward_batch` with ``keep_cache=False``,
+and :func:`regress_nonlinear_batch`) runs its rows in even blocks of at
+most ``_BLOCK_ROWS`` (:func:`copr.blocks.even_blocks`, never a one-row block
+unless the batch has one row). The layers of a block share one set of
+(block, width) scratch arrays, and the last layer writes straight into the
+block's rows of the one output array, so the scratch stays cache-sized
+however many rows are regressed. Each row's output is bit-identical to an
+unblocked pass.
 """
 
 from __future__ import annotations
@@ -30,11 +39,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..blocks import even_blocks
 from ..errors import DimMismatch, InvalidConfig, RefusedNonFinite, ShapeMismatch
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _U64 = (1 << 64) - 1
+# Rows per block of an uncached forward pass: the four (rows, 39) scratch
+# arrays of the widest pinned regressor then hold 640 KiB.
+_BLOCK_ROWS = 512
 
 
 class Activation(enum.Enum):
@@ -228,32 +241,54 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work
     Returns (output, cache); cache holds per-layer inputs,
     pre-activations, and the GeLU tanh terms so the backward pass never
     recomputes a tanh. Every array is fresh unless ``work`` is given.
-    Without a cache, all layers share one set of buffers: a layer's
-    pre-activation is computed before its activation overwrites the
-    previous layer's output.
+    Without a cache (``cache`` is None) the rows run in blocks, and all
+    layers of a block share one set of buffers: a layer's pre-activation is
+    computed before its activation overwrites the previous layer's output.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
     take = Workspace() if work is None else work
-    cache = ([x], [], []) if keep_cache else None
+    if not keep_cache:
+        return _infer(model, len(x), x.__getitem__, take), None
+    cache = ([x], [], [])
+    return _layers(model, x, take, cache), cache
+
+
+def _infer(model: MlpModel, n: int, block_input, take) -> np.ndarray:
+    """Uncached forward pass over ``n`` rows in even blocks of at most
+    ``_BLOCK_ROWS``; ``block_input(rows)`` gives the input rows of the
+    block ``rows`` (a slice), and the output is ``take("out", ...)``."""
+    out = take("out", (n, model.layers[-1].weights.shape[0]))
+    for rows in even_blocks(n, _BLOCK_ROWS):
+        _layers(model, block_input(rows), take, None, out[rows])
+    return out
+
+
+def _layers(model: MlpModel, x: np.ndarray, take, cache, out: np.ndarray | None = None) -> np.ndarray:
+    """The layers of :func:`forward_batch` over the rows ``x``; the last
+    layer writes into ``out`` when given. With a cache every layer has its
+    own buffers, and the cache lists them."""
     a = x
+    last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        slot = li if keep_cache else 0
+        slot = li if cache is not None else 0
         shape = (x.shape[0], layer.weights.shape[0])
-        z = np.matmul(a, layer.weights.T, out=take(("z", slot), shape))
+        gelu_layer = layer.activation is Activation.GELU
+        target = out if li == last and out is not None else take(("a" if gelu_layer else "z", slot), shape)
+        z = np.matmul(a, layer.weights.T, out=take(("z", slot), shape) if gelu_layer else target)
         z += layer.bias
         th = None
-        if layer.activation is Activation.GELU:
+        if gelu_layer:
             th = take(("th", slot), shape)
-            a = _gelu_into(z, th, take(("a", slot), shape), take("scratch", shape))
+            a = _gelu_into(z, th, target, take("scratch", shape))
         else:
             a = z
         if cache is not None:
             cache[0].append(a)
             cache[1].append(z)
             cache[2].append(th)
-    return a, cache
+    return a
 
 
 def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, work: Workspace | None = None):
@@ -370,16 +405,25 @@ def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: 
     Row i runs the regressor on :func:`regressor_input` of anchor descriptor
     ``f_anchors[i]`` and the 7-component relative pose ``dp_vectors[i]``; the
     model input dim must equal descriptor dim + 7, its output dim the
-    descriptor dim.
+    descriptor dim. Each block of rows builds its own input rows, so no
+    (rows, input dim) matrix of the whole batch is made.
     """
-    x = regressor_input(f_anchors, dp_vectors)
-    if x.shape[1] != model.input_dim:
-        raise DimMismatch(
-            f"stacked input length {x.shape[1]} does not match regressor input dim {model.input_dim}"
-        )
-    if model.output_dim != x.shape[1] - 7:
-        raise DimMismatch(
-            f"regressor output dim {model.output_dim} does not match descriptor dim {x.shape[1] - 7}"
-        )
-    y, _ = forward_batch(model, x)
-    return y
+    f = np.asarray(f_anchors, dtype=np.float64)
+    dp = np.asarray(dp_vectors, dtype=np.float64)
+    if f.ndim != 2 or dp.ndim != 2 or len(f) != len(dp):
+        raise DimMismatch(f"anchor block {f.shape} and relative-pose block {dp.shape} do not pair row by row")
+    dim = f.shape[1]
+    width = dim + dp.shape[1]
+    if width != model.input_dim:
+        raise DimMismatch(f"stacked input length {width} does not match regressor input dim {model.input_dim}")
+    if model.output_dim != width - 7:
+        raise DimMismatch(f"regressor output dim {model.output_dim} does not match descriptor dim {width - 7}")
+    take = Workspace()
+
+    def block_input(rows):
+        x = take("x", (rows.stop - rows.start, width))
+        x[:, :dim] = f[rows]
+        x[:, dim:] = dp[rows]
+        return x
+
+    return _infer(model, len(f), block_input, take)

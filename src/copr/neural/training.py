@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..blocks import even_blocks
 from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidConfig, RefusedNonFinite
 from ..geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.neural.training.RelativePose)
 from ..geometry import relative_pose_rows
@@ -51,6 +52,9 @@ REGRESSOR_DEFAULT_LR = 5e-4
 DEFAULT_TRIPLET_MARGIN = 0.3
 # Triplets (or same-scene pairs) sampled for one encoder training run.
 _ENCODER_POOL = 3000
+# build_training_pairs holds at most about this many translation-difference
+# elements at once: a block of rows of the (n, n, 3) difference array.
+_PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -318,11 +322,21 @@ def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: 
     if n < 2:
         raise EmptyTrainingSet("need at least two map entries to form pairs")
     t = ref_map.translations
-    diff = t[:, None, :] - t[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    ii, jj = np.nonzero((dist <= max_translation) & ~np.eye(n, dtype=bool))
+    found_i, found_j, closest = [], [], np.inf
+    # Row blocks of the (n, n) distances, in row-major pair order.
+    for rows in even_blocks(n, _PAIR_BLOCK_ELEMENTS // (3 * n)):
+        diff = t[rows, None, :] - t[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        near = dist <= max_translation
+        diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+        near[diagonal] = False
+        dist[diagonal] = np.inf
+        closest = min(closest, dist.min())
+        block_i, block_j = np.nonzero(near)
+        found_i.append(block_i + rows.start)
+        found_j.append(block_j)
+    ii, jj = np.concatenate(found_i), np.concatenate(found_j)
     if len(ii) == 0:
-        closest = dist[~np.eye(n, dtype=bool)].min()
         raise EmptyTrainingSet(f"no pairs within {max_translation} m; the closest pair is {closest:.3g} m apart")
     if len(ii) > max_pairs:
         rng = np.random.default_rng(seed)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import even_blocks
 from .errors import (
     BadMagic,
     CountMismatch,
@@ -93,26 +94,29 @@ class Match:
     rotation_error: float = math.nan
 
 
+def _refuse_first(ids, bad: np.ndarray, error, problem: str, part: str) -> None:
+    """Raise ``error`` for the first entry flagged in ``bad``, naming its index
+    and id; the error's ``entry`` attribute is that index and its ``part``
+    the file part that holds the fault (``"pose"`` or ``"descriptor"``)."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = error(f"map entry {i} ({ids[i]!r}): {problem}")
+        exc.entry, exc.part = i, part
+        raise exc
+
+
 def _check_poses(ids, t: np.ndarray, q: np.ndarray) -> None:
     """Raise for the first entry whose pose is not finite or whose quaternion
-    is not unit; the error's ``entry`` attribute is that entry's index.
+    is not unit (see :func:`_refuse_first`).
 
     Quaternions are checked, not renormalized: normalizing an already unit
     quaternion again can move its last bit.
     """
     finite = np.isfinite(t).all(axis=1) & np.isfinite(q).all(axis=1)
     norms = np.sqrt(np.einsum("ij,ij->i", q, q))
-    checks = (
-        (~finite, RefusedNonFinite, "pose translation and quaternion must be finite"),
-        (norms < 1e-12, ZeroQuaternion, "quaternion is zero"),
-        (np.abs(norms - 1.0) > _UNIT_QUAT_TOL, NonUnitQuaternion, "quaternion is not unit"),
-    )
-    for bad, error, problem in checks:
-        if bad.any():
-            i = int(np.argmax(bad))
-            exc = error(f"map entry {i} ({ids[i]!r}): {problem}")
-            exc.entry = i
-            raise exc
+    _refuse_first(ids, ~finite, RefusedNonFinite, "pose translation and quaternion must be finite", "pose")
+    _refuse_first(ids, norms < 1e-12, ZeroQuaternion, "quaternion is zero", "pose")
+    _refuse_first(ids, np.abs(norms - 1.0) > _UNIT_QUAT_TOL, NonUnitQuaternion, "quaternion is not unit", "pose")
 
 
 def _as_matrix(rows, dim=None) -> np.ndarray:
@@ -156,8 +160,8 @@ class ReferenceMap:
             desc = np.zeros((0, given.shape[1] if given.ndim == 2 else 0))
         if desc.shape[0] != n:
             raise CountMismatch(f"{n} ids but {desc.shape[0]} descriptor rows")
-        if not np.all(np.isfinite(desc)):
-            raise RefusedNonFinite("descriptors must be finite")
+        finite = np.isfinite(desc).all(axis=1)
+        _refuse_first(self.ids, ~finite, RefusedNonFinite, "descriptor must be finite", "descriptor")
         t = _pose_block(self.translations, n, 3, "translation")
         q = _pose_block(self.quaternions, n, 4, "quaternion")
         _check_poses(self.ids, t, q)
@@ -206,11 +210,11 @@ class ReferenceMap:
         )
 
 
-# Query rows per block in nearest_neighbors are chosen so that a block's
-# (rows, reference count) distance matrix holds about this many elements.
+# A block of queries in nearest_neighbors runs against at most about this
+# many (query, reference) pairs at once.
 _BLOCK_ELEMENTS = 1 << 18
-# Searches of at most this dimension are slab-pruned, in blocks of this
-# many queries, each bounded from a probe of this many refs.
+# Searches of at most this dimension are slab-pruned, in blocks of at most
+# this many queries, each bounded from a probe of this many refs.
 _SLAB_MAX_DIM = 3
 _SLAB_BLOCK = 128
 _PROBE_REFS = 32
@@ -238,24 +242,33 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     4 gamma (||q|| + max ||r||)^2 of the k-th approximate value; ``tol``
     is twice that.
 
-    For k = 1 the cut comes from ``argmin``; a row whose shortlist holds
-    only that entry needs no re-rank, since the nearest entry and any entry
-    tied with it are on the shortlist. Only rows with a near-tie are
-    re-ranked.
+    A row whose shortlist holds exactly k entries is ranked within the row,
+    by difference form and then by index; only rows with a near-tie at the
+    k-th place go through the re-rank of all shortlisted entries. For k = 1
+    the cut comes from ``argmin``, and a row whose shortlist holds only that
+    entry needs no ranking at all.
+
+    Blocks are even splits (:func:`copr.blocks.even_blocks`), so no block
+    holds a single query unless m == 1, and each block's distance matrix
+    holds at most about ``_BLOCK_ELEMENTS`` entries. The block size does
+    not change any result: every value is ranked exactly.
 
     When 0 < dim <= 3 and k < n, refs and queries are sorted along the
-    refs' widest axis a, and each block of queries runs only against the
-    slab of refs within R_i of some query's coordinate q_a. P_i, the k-th
-    smallest squared distance from query i to a probe of
-    max(k, ``_PROBE_REFS``) refs near the block, bounds the k-th smallest
-    over all refs. Summed in any order, a squared distance is within a
-    factor 1 +- gamma of the exact one, up to an absolute
+    refs' widest axis a, and each block of at most ``_SLAB_BLOCK`` queries
+    runs only against the slab of refs within R_i of some query's
+    coordinate q_a. P_i, the k-th smallest squared distance from query i to
+    a probe of max(k, ``_PROBE_REFS``) refs near the block, bounds the k-th
+    smallest over all refs. Summed in any order, a squared distance is
+    within a factor 1 +- gamma of the exact one, up to an absolute
     eta = (dim + 2) 2^-1074 where products underflow. So any ref ranked
     within the first k, or tied with the k-th, has
     (r_a - q_a)^2 <= (P_i + 3 eta) (1 + gamma) / (1 - gamma)^2. R_i, the
     square root of (P_i + (dim + 2) 2^-1022) (1 + 4 (dim + 2) eps)
     (eps = 2u), exceeds that bound also after rounding the product and the
-    root, and the slab ends are rounded outward by one ulp.
+    root, and the slab ends are rounded outward by one ulp. A block whose
+    slab is so wide that (queries x slab refs) exceeds ``_BLOCK_ELEMENTS``
+    (on a ring, a block's slab can span half the map) is split further,
+    each part against the narrower slab of its own queries' R_i.
     """
     n, dim = refs.shape
     m = len(queries)
@@ -266,14 +279,9 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     indices = np.empty((m, k), dtype=np.intp)
     d2 = np.empty((m, k))
     if not (0 < dim <= _SLAB_MAX_DIM and k < n):
-        # Scaling by -2 is exact, so one GEMM with -2 R gives -2 q.r.
-        refs_m2 = np.ascontiguousarray(-2.0 * refs.T)
-        block = max(1, _BLOCK_ELEMENTS // n)
-        for lo in range(0, m, block):
-            qb = queries[lo : lo + block]
-            indices[lo : lo + block], d2[lo : lo + block] = _block_knn(
-                qb, refs, refs_m2, ref_sq, tol[lo : lo + block], k, None
-            )
+        refs_m2 = _minus_two_transposed(refs)
+        for rows in even_blocks(m, _BLOCK_ELEMENTS // n):
+            indices[rows], d2[rows] = _block_knn(queries[rows], refs, refs_m2, ref_sq, tol[rows], k, None)
         return indices, d2
 
     axis = int(np.argmax(np.ptp(refs, axis=0)))
@@ -281,13 +289,19 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     sorted_refs = refs[ref_order]
     xs = np.ascontiguousarray(sorted_refs[:, axis])
     sorted_sq = ref_sq[ref_order]
-    refs_m2 = np.ascontiguousarray(-2.0 * sorted_refs.T)
+    refs_m2 = _minus_two_transposed(sorted_refs)
     query_order = np.argsort(queries[:, axis], kind="stable")
     widen = 1.0 + 4.0 * (dim + 2) * np.finfo(np.float64).eps
     floor = (dim + 2) * np.finfo(np.float64).tiny
     probe_size = max(_PROBE_REFS, k)
-    for lo in range(0, m, _SLAB_BLOCK):
-        rows = query_order[lo : lo + _SLAB_BLOCK]
+
+    def slab(lo_ends, hi_ends):
+        s0 = int(np.searchsorted(xs, np.nextafter(np.min(lo_ends), -np.inf), side="left"))
+        s1 = int(np.searchsorted(xs, np.nextafter(np.max(hi_ends), np.inf), side="right"))
+        return s0, s1
+
+    for block in even_blocks(m, _SLAB_BLOCK):
+        rows = query_order[block]
         qb = queries[rows]
         qa = qb[:, axis]
         mid = int(np.searchsorted(xs, qa[len(qa) // 2]))
@@ -299,12 +313,23 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
             probe_d2 += gap * gap
         bound = probe_d2.min(axis=1) if k == 1 else np.partition(probe_d2, k - 1, axis=1)[:, k - 1]
         reach = np.sqrt((bound + floor) * widen)
-        s0 = int(np.searchsorted(xs, np.nextafter(np.min(qa - reach), -np.inf), side="left"))
-        s1 = int(np.searchsorted(xs, np.nextafter(np.max(qa + reach), np.inf), side="right"))
-        indices[rows], d2[rows] = _block_knn(
-            qb, sorted_refs[s0:s1], refs_m2[:, s0:s1], sorted_sq[s0:s1], tol[rows], k, ref_order[s0:s1]
-        )
+        lo_ends, hi_ends = qa - reach, qa + reach
+        s0, s1 = slab(lo_ends, hi_ends)
+        parts = even_blocks(len(rows), _BLOCK_ELEMENTS // max(s1 - s0, 1))
+        for part in parts:
+            if len(parts) > 1:
+                s0, s1 = slab(lo_ends[part], hi_ends[part])
+            sub = rows[part]
+            indices[sub], d2[sub] = _block_knn(
+                qb[part], sorted_refs[s0:s1], refs_m2[:, s0:s1], sorted_sq[s0:s1], tol[sub], k, ref_order[s0:s1]
+            )
     return indices, d2
+
+
+def _minus_two_transposed(refs: np.ndarray) -> np.ndarray:
+    """-2 refs^T as a C-contiguous (dim, n) array, built in one allocation.
+    Scaling by -2 is exact, so one GEMM with it gives -2 q.r."""
+    return np.multiply(refs.T, -2.0, out=np.empty(refs.shape[::-1]))
 
 
 def _block_knn(qb, refs, refs_m2, ref_sq, tol, k, ref_ids):
@@ -320,15 +345,32 @@ def _block_knn(qb, refs, refs_m2, ref_sq, tol, k, ref_ids):
     shortlist = approx <= cut[:, None]
     # Non-finite magnitudes void the bound: re-rank the whole row.
     shortlist[~np.isfinite(cut)] = True
-    if k > 1:
-        return _rerank(qb, refs, shortlist, k, ref_ids)
-    diff = refs[best] - qb
-    found = (best if ref_ids is None else ref_ids[best])[:, None]
-    d2 = np.einsum("ij,ij->i", diff, diff)[:, None]
-    tied = np.flatnonzero(np.count_nonzero(shortlist, axis=1) > 1)
+    counts = np.count_nonzero(shortlist, axis=1)
+    if k == 1:
+        diff = refs[best] - qb
+        found = (best if ref_ids is None else ref_ids[best])[:, None]
+        d2 = np.einsum("ij,ij->i", diff, diff)[:, None]
+    else:
+        found = np.empty((len(qb), k), dtype=np.intp)
+        d2 = np.empty((len(qb), k))
+        flat = np.flatnonzero(shortlist)
+        full = np.flatnonzero(counts == k)
+        cols = flat[(np.cumsum(counts) - counts)[full, None] + np.arange(k)] % approx.shape[1]
+        found[full], d2[full] = _rank_rows(qb[full], refs, cols, ref_ids)
+    tied = np.flatnonzero(counts > k)
     if len(tied):
-        found[tied], d2[tied] = _rerank(qb[tied], refs, shortlist[tied], 1, ref_ids)
+        found[tied], d2[tied] = _rerank(qb[tied], refs, shortlist[tied], k, ref_ids)
     return found, d2
+
+
+def _rank_rows(qb, refs, cols, ref_ids):
+    """The refs at positions ``cols`` (rows, k) of each query row, ranked
+    within the row in difference form, ties by id."""
+    diff = (refs[cols] - qb[:, None, :]).reshape(-1, refs.shape[1])
+    exact = np.einsum("ij,ij->i", diff, diff).reshape(cols.shape)
+    ids = cols if ref_ids is None else ref_ids[cols]
+    pick = (np.arange(len(cols))[:, None], np.lexsort((ids, exact), axis=1))
+    return ids[pick], exact[pick]
 
 
 def _rerank(qb, refs, shortlist, k, ref_ids):
@@ -538,7 +580,12 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
     except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):
             raise
-        raise type(exc)(f"{pose_path} line {line_numbers[exc.entry]}: {exc}") from exc
+        where = (
+            f"{descriptor_path} row {exc.entry}"
+            if getattr(exc, "part", "pose") == "descriptor"
+            else f"{pose_path} line {line_numbers[exc.entry]}"
+        )
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 # Characters a pose-file id cannot hold: the field separator, the csv

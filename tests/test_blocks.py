@@ -1,0 +1,253 @@
+"""Row blocks: the even split, bit-equality of every blocked kernel with an
+unblocked reference at the block edges, and the peaks the blocks bound."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from copr import benchmarks as B
+from copr import vpr_map
+from copr.blocks import even_blocks
+from copr.densify import _FIT_BLOCK_ROWS, densify_map, gen_extrap_grid, plane_fit_many, subsample_trajectory
+from copr.errors import EmptyTrainingSet
+from copr.evaluate import _oracle_summary
+from copr.geometry import relative_pose_rows
+from copr.neural import core, training
+from copr.neural.core import Activation, forward_batch, gelu, regress_nonlinear_batch
+from copr.neural.training import build_training_pairs, init_encoder, init_regressor
+from copr.vpr_map import ReferenceMap, nearest_neighbors
+
+
+def _edges(r: int) -> list[int]:
+    """Row counts at the edges of blocks of r rows."""
+    return [1, 2, r - 1, r, r + 1, 2 * r + 1]
+
+
+class TestEvenBlocks:
+    @pytest.mark.parametrize("max_rows", [1, 2, 3, 4, 7, 512])
+    def test_blocks_cover_the_rows_in_order_evenly(self, max_rows):
+        for n in range(0, 80):
+            blocks = even_blocks(n, max_rows)
+            sizes = [b.stop - b.start for b in blocks]
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+            assert all(b.step is None for b in blocks)
+            if n:
+                assert max(sizes) - min(sizes) <= 1
+            if n >= 2:
+                # Never a one-row block, and the fewest blocks that allows.
+                assert min(sizes) >= 2
+                assert len(blocks) == min(-(-n // max_rows), n // 2)
+
+    def test_one_row_and_no_rows(self):
+        assert even_blocks(1, 512) == [slice(0, 1)]
+        assert even_blocks(0, 512) == []
+        assert even_blocks(5, 0) == [slice(0, 2), slice(2, 5)]
+
+
+def _forward_reference(model, x):
+    """The unblocked forward pass: every row through each layer at once."""
+    a = x
+    for layer in model.layers:
+        z = a @ layer.weights.T
+        z += layer.bias
+        a = gelu(z) if layer.activation is Activation.GELU else z
+    return a
+
+
+def _plane_fit_reference(descriptors, translations, neighbor_idx, t_new):
+    """The unblocked batched plane fit: one pseudo-inverse of all (m, k, 4) designs."""
+    m, k = neighbor_idx.shape
+    design = np.ones((m, k, 4))
+    design[:, :, :3] = translations[neighbor_idx]
+    x = np.ones((m, 1, 4))
+    x[:, 0, :3] = t_new
+    weights = np.matmul(x, np.linalg.pinv(design, rcond=1e-10))[:, 0, :]
+    out = weights[:, :1] * descriptors[neighbor_idx[:, 0]]
+    for j in range(1, k):
+        out += weights[:, j : j + 1] * descriptors[neighbor_idx[:, j]]
+    return out
+
+
+def _pairs_reference(ref_map, max_translation, max_pairs, seed):
+    """The unblocked pair construction: the whole (n, n, 3) difference array."""
+    n = len(ref_map)
+    t, q = ref_map.translations, ref_map.quaternions
+    diff = t[:, None, :] - t[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    ii, jj = np.nonzero((dist <= max_translation) & ~np.eye(n, dtype=bool))
+    if len(ii) > max_pairs:
+        keep = np.random.default_rng(seed).choice(len(ii), size=max_pairs, replace=False)
+        keep.sort()
+        ii, jj = ii[keep], jj[keep]
+    dp = relative_pose_rows(t[ii], q[ii], t[jj], q[jj])
+    return ref_map.descriptors[ii], dp, ref_map.descriptors[jj]
+
+
+def _random_map(rng, n, dim, spread=1.0):
+    q = rng.standard_normal((n, 4))
+    return ReferenceMap(
+        ids=tuple(f"r{i}" for i in range(n)),
+        descriptors=rng.standard_normal((n, dim)),
+        translations=rng.standard_normal((n, 3)) * spread,
+        quaternions=q / np.linalg.norm(q, axis=1, keepdims=True),
+    )
+
+
+class TestBlockEdgesKeepTheBits:
+    @pytest.mark.parametrize("n", _edges(core._BLOCK_ROWS))
+    @pytest.mark.parametrize("kind", ["regressor", "encoder"])
+    def test_forward_batch(self, n, kind):
+        rng = np.random.default_rng(n)
+        model = init_regressor(32, 3) if kind == "regressor" else init_encoder(64, 8, 4)
+        x = rng.standard_normal((n, model.input_dim))
+        want = _forward_reference(model, x)
+        out, cache = forward_batch(model, x)
+        assert cache is None
+        assert out.tobytes() == want.tobytes()
+        assert forward_batch(model, x, work=core.Workspace())[0].tobytes() == want.tobytes()
+        assert forward_batch(model, x, keep_cache=True)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", _edges(core._BLOCK_ROWS))
+    def test_regress_nonlinear_batch(self, n):
+        rng = np.random.default_rng(n)
+        model = init_regressor(32, 5)
+        f, dp = rng.standard_normal((n, 32)), rng.standard_normal((n, 7))
+        want = _forward_reference(model, np.hstack([f, dp]))
+        assert regress_nonlinear_batch(model, f, dp).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", _edges(_FIT_BLOCK_ROWS))
+    def test_plane_fit_many(self, n):
+        rng = np.random.default_rng(n)
+        refs = _random_map(rng, 40, 32)
+        t_new = rng.standard_normal((n, 3))
+        idx = nearest_neighbors(t_new, refs.translations, 4)[0]
+        # A few collinear, rank-deficient designs among them.
+        idx[::5] = idx[::5, :1]
+        want = _plane_fit_reference(refs.descriptors, refs.translations, idx, t_new)
+        got = plane_fit_many(refs.descriptors, refs.translations, idx, t_new)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", _edges(8))
+    def test_build_training_pairs(self, monkeypatch, n):
+        # Blocks of 8 rows of the (n, n, 3) difference array.
+        monkeypatch.setattr(training, "_PAIR_BLOCK_ELEMENTS", 3 * n * 8)
+        assert even_blocks(n, training._PAIR_BLOCK_ELEMENTS // (3 * n)) == even_blocks(n, 8)
+        rng = np.random.default_rng(n)
+        ref_map = _random_map(rng, n, 3, spread=0.4)
+        if n == 1:
+            with pytest.raises(EmptyTrainingSet):
+                build_training_pairs(ref_map, 1.5, 100, seed=0)
+            return
+        for max_pairs in (10**6, max(1, n * n // 3)):
+            got = build_training_pairs(ref_map, 1.5, max_pairs, seed=n)
+            want = _pairs_reference(ref_map, 1.5, max_pairs, seed=n)
+            for block, ref in zip((got.f_anchor, got.dp, got.f_target), want):
+                assert block.tobytes() == ref.tobytes()
+
+    def test_build_training_pairs_names_the_closest_pair_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(training, "_PAIR_BLOCK_ELEMENTS", 3 * 9 * 2)
+        t = np.c_[np.arange(9.0) * 2.0, np.zeros((9, 2))]
+        t[7, 0] = t[6, 0] + 1.25
+        ref_map = ReferenceMap(tuple(f"r{i}" for i in range(9)), np.zeros((9, 1)), t, np.tile([1.0, 0, 0, 0], (9, 1)))
+        with pytest.raises(EmptyTrainingSet, match="the closest pair is 1.25 m apart"):
+            build_training_pairs(ref_map, 1.0, 10, seed=0)
+
+
+def _ring(n, radius=10.0):
+    """Points on a circle in the z = 0 plane: a block of queries sorted by x
+    meets refs from both halves of the ring, so its slab is wide."""
+    angle = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return np.c_[radius * np.cos(angle), radius * np.sin(angle), np.zeros(n)]
+
+
+def _stable_argsort_knn(queries, refs, k):
+    """The unblocked search: a stable sort of each query's difference-form distances."""
+    k = min(k, len(refs))
+    indices, d2 = np.empty((len(queries), k), dtype=np.intp), np.empty((len(queries), k))
+    for i, q in enumerate(queries):
+        diff = refs - q
+        dist = np.einsum("ij,ij->i", diff, diff)
+        indices[i] = np.argsort(dist, kind="stable")[:k]
+        d2[i] = dist[indices[i]]
+    return indices, d2
+
+
+class TestWideSlabs:
+    def _count_blocks(self, monkeypatch):
+        calls = []
+        block_knn = vpr_map._block_knn
+
+        def counting(qb, *args):
+            calls.append(len(qb))
+            return block_knn(qb, *args)
+
+        monkeypatch.setattr(vpr_map, "_block_knn", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", _edges(vpr_map._SLAB_BLOCK))
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_split_slabs_match_the_unblocked_search(self, monkeypatch, m, k):
+        # A small budget splits every wide slab into parts of a few queries.
+        monkeypatch.setattr(vpr_map, "_BLOCK_ELEMENTS", 2048)
+        calls = self._count_blocks(monkeypatch)
+        rng = np.random.default_rng(m)
+        refs = _ring(400)
+        queries = _ring(m) * rng.uniform(0.9, 1.1, size=(m, 1))
+        indices, d2 = nearest_neighbors(queries, refs, k)
+        want_idx, want_d2 = _stable_argsort_knn(queries, refs, k)
+        np.testing.assert_array_equal(indices, want_idx)
+        assert d2.tobytes() == want_d2.tobytes()
+        assert 1 not in calls or m == 1
+        if m > 2:
+            assert len(calls) > len(even_blocks(m, vpr_map._SLAB_BLOCK))
+
+    def test_a_ring_block_is_split_at_the_pinned_budget(self, monkeypatch):
+        calls = self._count_blocks(monkeypatch)
+        refs = _ring(6000)
+        queries = _ring(128, radius=10.01)
+        indices, d2 = nearest_neighbors(queries, refs, 1)
+        want_idx, want_d2 = _stable_argsort_knn(queries, refs, 1)
+        np.testing.assert_array_equal(indices, want_idx)
+        assert d2.tobytes() == want_d2.tobytes()
+        assert len(calls) > 1
+
+
+@pytest.fixture(scope="module")
+def loop_plan():
+    """The pinned loop scene's reference map and its 0.05 m extrapolation plan."""
+    scene = B.make_benchmark_scene("loop")
+    anchors, _ = subsample_trajectory(scene.gt_dense, B.LOOP_DENSIFY.stride)
+    return scene, gen_extrap_grid(anchors, B.LOOP_DENSIFY)
+
+
+def _peak_over_output(fn, output_bytes) -> float:
+    """MB that ``fn`` holds at its peak beyond ``output_bytes(result)``."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - output_bytes(result)) / 1e6
+
+
+class TestBoundedPeaks:
+    """On the 17,231-entry dense loop map the unblocked kernels peaked at
+    29.4 MB (regression) and 21.4 MB (oracle) over their output; blocked,
+    at 6.3 and 3.3 MB."""
+
+    def test_nonlin_reg_densify(self, loop_plan):
+        scene, plan = loop_plan
+        model = init_regressor(scene.dim, 0)
+        dense_bytes = lambda m: m.descriptors.nbytes + m.translations.nbytes + m.quaternions.nbytes
+        peak = _peak_over_output(lambda: densify_map(scene.gt_dense, plan, "nonlin_reg", model=model), dense_bytes)
+        assert len(scene.gt_dense) + len(plan.targets) == 17231
+        assert peak < 12.0
+
+    def test_oracle_summary(self, loop_plan):
+        scene, plan = loop_plan
+        dense = densify_map(scene.gt_dense, plan, "lin_reg")
+        peak = _peak_over_output(lambda: _oracle_summary(scene.queries, dense), lambda summary: 0)
+        assert peak < 7.0

@@ -239,8 +239,38 @@ def _far_refs(count=60, dim=3):
     return far
 
 
+@st.composite
+def _ranked_searches(draw):
+    """Searches with k > 1 over lattice refs with duplicates and ties, of
+    dimension 1 to 5 (slab-pruned and not); with ``huge``, some refs at 1e200
+    overflow ||r||^2, so the shortlist cut is not finite."""
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refs = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    # Exact duplicates of earlier rows.
+    dups = rng.integers(0, n, size=n // 3)
+    refs[rng.integers(0, n, size=len(dups))] = refs[dups]
+    queries = rng.integers(-4, 5, size=(draw(st.sampled_from([1, 2, 7, 130])), dim)) / 2.0
+    huge = draw(st.booleans())
+    if huge:
+        refs[:: draw(st.integers(2, 9)), 0] = 1e200
+    k = draw(st.sampled_from([2, 3, 4, max(2, n - 1), n, n + 2]))
+    return queries, refs, k, huge
+
+
 class TestNearestNeighborsKernel:
     """The slab-pruned and k = 1 paths against a per-row stable argsort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ranked_searches())
+    def test_rows_ranked_within_the_row_match_stable_argsort(self, case):
+        # Most rows' shortlists hold exactly k entries and are ranked within
+        # the row; ties at the k-th place and non-finite cuts take the
+        # re-rank of all shortlisted entries.
+        queries, refs, k, huge = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_matches_stable_argsort(queries, refs, k)
 
     @settings(max_examples=200, deadline=None)
     @given(_low_dim_searches())
@@ -342,6 +372,12 @@ class TestMapType:
     def test_non_finite_descriptor_rejected(self):
         with pytest.raises(ValueError):
             _map_of([[math.inf]])
+
+    def test_non_finite_descriptor_names_the_first_bad_entry(self):
+        with pytest.raises(RefusedNonFinite) as info:
+            _map_of([[0.0, 1.0], [1.0, math.inf], [math.nan, 0.0]], ids=["a", "b#1", "c"])
+        assert str(info.value) == "map entry 1 ('b#1'): descriptor must be finite"
+        assert info.value.entry == 1
 
     def test_map_errors_are_typed(self):
         with pytest.raises(DuplicateId):
@@ -698,8 +734,9 @@ class TestCorruptedFilesFuzz:
         (tmp_path / "d.bin").write_bytes(bytes(blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RefusedNonFinite, match="descriptors must be finite"):
+            with pytest.raises(RefusedNonFinite) as info:
                 load_map(tmp_path / "p.csv", tmp_path / "d.bin")
+        assert str(info.value) == f"{tmp_path / 'd.bin'} row 0: map entry 0 ('r0'): descriptor must be finite"
 
 
 def _per_row_map(text: str, descriptors) -> ReferenceMap:
