@@ -41,7 +41,7 @@ from .densify import (
     gen_interp_targets,
     subsample_trajectory,
 )
-from .errors import CoprError, InvalidConfig, IoError
+from .errors import CoprError, InvalidConfig
 from .evaluate import (
     emit_report,
     exp_encoders,
@@ -51,10 +51,12 @@ from .evaluate import (
     localize_and_summarize,
     train_scene_regressor,
 )
+from .files import read_json, write_files
 from .geometry import pose_blocks
 from .neural.model_io import load_model, save_model
 from .neural.training import ENCODER_DEFAULT_LR, ENCODER_VARIANTS, TrainConfig, train_encoder
 from .synth import (
+    SCENE_FILES,
     FieldConfig,
     SceneConfig,
     gen_scene,
@@ -65,6 +67,8 @@ from .synth import (
 )
 from .vpr_map import load_descriptor_block, load_map, match_errors, retrieve_many, save_map
 
+# The (pose file, descriptor file) of a densified map in its --out directory.
+DENSE_FILES = ("dense_poses.csv", "dense_descriptors.bin")
 _METHOD_FLAGS = {
     "lin-interp": METHOD_LIN_INTERP,
     "lin-reg": METHOD_LIN_REG,
@@ -85,14 +89,10 @@ def _log(msg: str) -> None:
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = read_json(path, "config") if path else {}
+    if not isinstance(cfg, dict):
+        raise InvalidConfig(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _apply_set_overrides(cfg: dict, overrides) -> dict:
@@ -190,9 +190,9 @@ class _Config:
         self.echo[key] = {name: resolved[name] for name in self.keys.get(key, resolved)}
         return built
 
-    def write_echo(self, out_path: Path) -> None:
-        echo_path = out_path.parent / (out_path.name + ".config.json")
-        echo_path.write_text(json.dumps(self.echo, indent=2) + "\n", encoding="utf-8")
+    def write_echo(self, out_path) -> None:
+        """Write the echo to ``<out_path>.config.json``."""
+        write_files((f"{Path(out_path)}.config.json", json.dumps(self.echo, indent=2) + "\n"), what="config echo")
 
 
 def _densify(read: _Config, args) -> DensifyConfig:
@@ -219,10 +219,9 @@ def _cmd_synth(args) -> int:
     scene_base, field_base = benchmarks.NAMED_SCENES[args.benchmark] if args.benchmark else (None, None)
     scene_cfg = read.build(SceneConfig, "scene", scene_base, seed=args.seed)
     scene = gen_scene(scene_cfg, read.build(FieldConfig, "field", field_base))
-    out = Path(args.out)
-    save_scene(scene, out)
-    read.write_echo(out / "scene.json")
-    _log(f"scene written to {out} ({len(scene.gt_dense)} refs, {len(scene.query_map)} queries)")
+    save_scene(scene, args.out)
+    read.write_echo(Path(args.out) / "scene.json")
+    _log(f"scene written to {args.out} ({len(scene.gt_dense)} refs, {len(scene.query_map)} queries)")
     return 0
 
 
@@ -230,11 +229,9 @@ def _cmd_train_h(args) -> int:
     read = _Config(args, args.config_keys)
     scene = load_scene(args.scene)
     model, seconds = _scene_model(args, scene, read, default_cap=1.0)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    read.write_echo(out)
-    _log(f"regressor written to {out} ({seconds:.1f}s)")
+    save_model(model, args.out)
+    read.write_echo(args.out)
+    _log(f"regressor written to {args.out} ({seconds:.1f}s)")
     return 0
 
 
@@ -244,11 +241,9 @@ def _cmd_train_encoder(args) -> int:
     dataset = make_encoder_dataset(scene, nuisance_sigma=read.value("nuisance_sigma", 1.0))
     tc = read.build(TrainConfig, "train", TrainConfig(lr=ENCODER_DEFAULT_LR[args.variant]), seed=args.seed)
     encoder = train_encoder(dataset, args.variant, tc)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(encoder, out)
-    read.write_echo(out)
-    _log(f"{args.variant} encoder written to {out}")
+    save_model(encoder, args.out)
+    read.write_echo(args.out)
+    _log(f"{args.variant} encoder written to {args.out}")
     return 0
 
 
@@ -257,30 +252,25 @@ def _cmd_densify(args) -> int:
     scene = load_scene(args.scene)
     dc = _densify(read, args)
     method = _METHOD_FLAGS[args.method]
-    sparse = scene.gt_dense
+    anchors, dropped = subsample_trajectory(scene.gt_dense, dc.stride)
     if args.scheme == "interp":
-        anchors, dropped = subsample_trajectory(sparse, dc.stride)
-        plan = gen_interp_targets(anchors, dropped=dropped)
-        base = anchors
+        plan, base = gen_interp_targets(anchors, dropped=dropped), anchors
     else:
-        anchors, _ = subsample_trajectory(sparse, dc.stride)
-        plan = gen_extrap_grid(anchors, dc)
-        base = sparse
+        plan, base = gen_extrap_grid(anchors, dc), scene.gt_dense
     model = None
     if method == METHOD_NONLIN_REG:
         model, _ = _scene_model(args, scene, read, default_cap=max(1.0, dc.grid_span * 2))
     dense = densify_map(base, plan, method, model=model, neighbors=dc.neighbors)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_map(dense, out / "dense_poses.csv", out / "dense_descriptors.bin")
-    (out / "plan.json").write_text(plan.to_json() + "\n", encoding="utf-8")
-    read.write_echo(out / "dense_poses.csv")
-    _log(f"dense map written to {out} ({len(dense)} entries, {len(plan.targets)} regressed)")
+    poses, descriptors = (Path(args.out) / name for name in DENSE_FILES)
+    save_map(dense, poses, descriptors)
+    write_files((Path(args.out) / "plan.json", plan.to_json() + "\n"), what="plan")
+    read.write_echo(poses)
+    _log(f"dense map written to {args.out} ({len(dense)} entries, {len(plan.targets)} regressed)")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    ref_map = load_map(Path(args.map) / "refs_poses.csv", Path(args.map) / "refs_descriptors.bin")
+    ref_map = load_map(*(Path(args.map) / name for name in SCENE_FILES["refs"]))
     if args.query_poses:
         queries = load_map(args.query_poses, args.query)
         ids, descriptors = queries.ids, queries.descriptors
@@ -305,10 +295,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_eval(args) -> int:
     scene = load_scene(args.scene)
-    if args.map:
-        ref_map = load_map(Path(args.map) / "dense_poses.csv", Path(args.map) / "dense_descriptors.bin")
-    else:
-        ref_map = scene.gt_dense
+    ref_map = load_map(*(Path(args.map) / name for name in DENSE_FILES)) if args.map else scene.gt_dense
     summary = localize_and_summarize(scene.queries, ref_map)
     doc = {
         "mte_m": summary.mte_m,
@@ -317,7 +304,7 @@ def _cmd_eval(args) -> int:
         "map_size": len(ref_map),
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        write_files((args.out, json.dumps(doc, indent=2) + "\n"), what="evaluation summary")
     else:
         print(json.dumps(doc))
     return 0
@@ -385,11 +372,9 @@ def _cmd_exp(args) -> int:
     read = _Config(args, {"seed": int, **_MODEL_KEYS} if args.kind == "stray" and args.scene else args.config_keys)
     seed = read.value("seed", 0, args.seed)
     report = args.run(args, read, seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    emit_report(report, args.format, out)
-    read.write_echo(out)
-    _log(f"report written to {out} ({len(report.rows)} rows)")
+    emit_report(report, args.format, args.out)
+    read.write_echo(args.out)
+    _log(f"report written to {args.out} ({len(report.rows)} rows)")
     return 0
 
 

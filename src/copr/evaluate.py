@@ -15,7 +15,7 @@ import csv as csv_module
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .densify import (
     gen_interp_targets,
     subsample_trajectory,
 )
-from .errors import DimMismatch, EmptyMap, InvalidConfig, IoError
+from .errors import DimMismatch, EmptyMap, InvalidConfig
+from .files import write_files
 from .geometry import angular_error_deg_many, relative_pose_rows
 from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
 from .neural.training import ENCODER_VARIANTS, TrainConfig, build_training_pairs, train_regressor
@@ -128,20 +129,12 @@ class _Table:
         return cls(rows=tuple(cls.row_type(**r) for r in doc["rows"]), config=doc["config"])
 
     def to_csv(self) -> str:
-        cols = [f.name for f in fields(self.row_type)]
+        """One row per report row, floats to 6 significant digits."""
         buf = io.StringIO()
         writer = csv_module.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for r in self.rows:
-            d = asdict(r)
-            writer.writerow([_csv_cell(d[c]) for c in cols])
+        writer.writerow([f.name for f in fields(self.row_type)])
+        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in astuple(r)] for r in self.rows)
         return buf.getvalue()
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return v
 
 
 @dataclass(frozen=True)
@@ -189,14 +182,8 @@ def emit_report(report, fmt: str, path) -> None:
     """Write a report as CSV (6 significant digits) or lossless JSON."""
     if fmt not in ("csv", "json"):
         raise InvalidConfig(f"unknown report format {fmt!r}")
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if fmt == "json":
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report: {exc}") from exc
+    text = report.to_csv() if fmt == "csv" else report.to_json() + "\n"
+    write_files((path, text), what="report")
 
 
 def report_signature(report: ExperimentReport) -> str:
@@ -341,6 +328,12 @@ def _method_rows(
     return rows
 
 
+def _report(rows, scene: SyntheticScene, seed: int, **config) -> ExperimentReport:
+    """An experiment report whose config ends with the seed and the scene's two configs."""
+    config.update(seed=seed, scene_config=asdict(scene.scene_cfg), field_config=asdict(scene.field_cfg))
+    return ExperimentReport(rows=tuple(rows), config=config)
+
+
 def exp_interpolation(
     scene: SyntheticScene,
     stride: int,
@@ -364,16 +357,9 @@ def exp_interpolation(
     rows = _method_rows(
         "interp", scene.queries, anchors, plan, methods, model, _INTERP_NEIGHBORS, seed, t_enc, t_train_s, gt=gt
     )
-    config = {
-        "experiment": "interp",
-        "stride": stride,
-        "methods": list(methods),
-        "neighbors": _INTERP_NEIGHBORS,
-        "seed": seed,
-        "scene_config": asdict(scene.scene_cfg),
-        "field_config": asdict(scene.field_cfg),
-    }
-    return ExperimentReport(rows=tuple(rows), config=config)
+    return _report(
+        rows, scene, seed, experiment="interp", stride=stride, methods=list(methods), neighbors=_INTERP_NEIGHBORS
+    )
 
 
 def exp_extrapolation(
@@ -410,16 +396,10 @@ def exp_extrapolation(
                 label, scene.queries, sparse, plan, methods, model, cfg.neighbors, seed, t_enc, t_train_s
             )
         )
-    config = {
-        "experiment": "extrap" if step_list is None else "sweep",
-        "densify_config": asdict(cfg),
-        "steps": steps,
-        "methods": list(methods),
-        "seed": seed,
-        "scene_config": asdict(scene.scene_cfg),
-        "field_config": asdict(scene.field_cfg),
-    }
-    return ExperimentReport(rows=tuple(rows), config=config)
+    experiment = "extrap" if step_list is None else "sweep"
+    return _report(
+        rows, scene, seed, experiment=experiment, densify_config=asdict(cfg), steps=steps, methods=list(methods)
+    )
 
 
 def exp_encoders(
@@ -494,18 +474,10 @@ def exp_encoders(
                 sparse_train_s=encoder_seconds[variant],
             )
         )
-    config = {
-        "experiment": "encoders",
-        "variants": list(ENCODER_VARIANTS),
-        "densify_config": asdict(densify_cfg),
-        "max_translation": max_translation,
-        "max_pairs": max_pairs,
-        "nuisance_sigma": nuisance_sigma,
-        "seed": seed,
-        "scene_config": asdict(scene.scene_cfg),
-        "field_config": asdict(scene.field_cfg),
-    }
-    return ExperimentReport(rows=tuple(rows), config=config)
+    return _report(
+        rows, scene, seed, experiment="encoders", variants=list(ENCODER_VARIANTS), densify_config=asdict(densify_cfg),
+        max_translation=max_translation, max_pairs=max_pairs, nuisance_sigma=nuisance_sigma,
+    )
 
 
 def exp_stray(cases, model: MlpModel) -> StrayReport:

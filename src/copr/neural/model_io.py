@@ -12,41 +12,29 @@ import struct
 
 import numpy as np
 
-from ..errors import BadMagic, IoError, ParseError, VersionUnsupported
+from ..errors import ParseError
+from ..files import read_bytes, unpack_header, write_files
 from .core import Activation, Layer, MlpModel
 
 MODEL_MAGIC = b"CPRM"
 MODEL_VERSION = 1
+_MODEL_HEADER = "<4sII"  # magic, version, layer count
 
 
 def save_model(model: MlpModel, path) -> None:
-    chunks = [struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(model.layers))]
+    chunks = [struct.pack(_MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, len(model.layers))]
     for layer in model.layers:
         out_dim, in_dim = layer.weights.shape
         chunks.append(struct.pack("<III", in_dim, out_dim, layer.activation.value))
         chunks.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
-    except OSError as exc:
-        raise IoError(f"cannot write model: {exc}") from exc
+    write_files((path, b"".join(chunks)), what="model")
 
 
 def load_model(path) -> MlpModel:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read model {path}: {exc}") from exc
-    if len(blob) < 12:
-        raise ParseError("model file shorter than its 12-byte header", offset=len(blob))
-    magic, version, n_layers = struct.unpack_from("<4sII", blob, 0)
-    if magic != MODEL_MAGIC:
-        raise BadMagic(f"expected magic {MODEL_MAGIC!r}, found {magic!r}")
-    if version != MODEL_VERSION:
-        raise VersionUnsupported(f"model format version {version} not supported")
-    offset = 12
+    blob = read_bytes(path, "model")
+    (n_layers,) = unpack_header(blob, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
+    offset = struct.calcsize(_MODEL_HEADER)
     layers = []
     for _ in range(n_layers):
         if offset + 12 > len(blob):
@@ -57,15 +45,13 @@ def load_model(path) -> MlpModel:
             act = Activation(act_code)
         except ValueError as exc:
             raise ParseError(f"unknown activation code {act_code}", offset=offset - 4) from exc
-        w_bytes = out_dim * in_dim * 4
-        b_bytes = out_dim * 4
-        if offset + w_bytes + b_bytes > len(blob):
+        size = out_dim * (in_dim + 1)  # the weights, then the biases
+        if offset + 4 * size > len(blob):
             raise ParseError("truncated layer payload", offset=offset)
-        w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=offset).astype(np.float64)
-        offset += w_bytes
-        b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=offset).astype(np.float64)
-        offset += b_bytes
-        layers.append(Layer(weights=w.reshape(out_dim, in_dim), bias=b, activation=act))
+        values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).astype(np.float64)
+        offset += 4 * size
+        weights, bias = values[: out_dim * in_dim].reshape(out_dim, in_dim), values[out_dim * in_dim :]
+        layers.append(Layer(weights=weights, bias=bias, activation=act))
     if offset != len(blob):
         raise ParseError(f"{len(blob) - offset} trailing bytes after last layer", offset=offset)
     return MlpModel(layers=tuple(layers))

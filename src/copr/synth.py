@@ -25,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, IoError
+from .errors import ConfigConflict, InsufficientScenes, InvalidConfig, ParseError, VersionUnsupported
+from .files import read_json, write_files
 from .geometry import Pose, normalize_quat_rows, pose_blocks, poses
 from .neural.training import EncoderDataset
-from .vpr_map import ReferenceMap, load_map, save_map
+# save_map stays bound here: the benchmark tracer wraps copr.synth.save_map.
+from .vpr_map import ReferenceMap, load_map, map_files, save_map
 
 LAYOUTS = ("loop", "parallel_lanes", "multi_scene")
 
@@ -421,7 +423,8 @@ def make_encoder_dataset(scene: SyntheticScene, nuisance_sigma: float = 1.0, see
 
 
 SIDECAR_NAME = "scene.json"
-_FILES = {
+# Each key's (pose file, descriptor file) in a scene directory.
+SCENE_FILES = {
     "refs": ("refs_poses.csv", "refs_descriptors.bin"),
     "queries": ("query_poses.csv", "query_descriptors.bin"),
     "train": ("train_poses.csv", "train_descriptors.bin"),
@@ -438,26 +441,21 @@ def save_scene(scene: SyntheticScene, directory) -> None:
     """Export a scene as map files plus a JSON sidecar.
 
     The sidecar records both configs, the seeds, and per-entry scene
-    labels, so experiments can be re-run from disk alone.
+    labels, so experiments can be re-run from disk alone. All seven files
+    are replaced together, the sidecar last (see :func:`copr.files.write_files`).
     """
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create scene directory: {exc}") from exc
-    for key, (pose_name, descriptor_name) in _FILES.items():
-        save_map(getattr(scene, _MAPS[key][0]), directory / pose_name, directory / descriptor_name)
     sidecar = {
         "format_version": 1,
         "field_config": asdict(scene.field_cfg),
         "scene_config": asdict(scene.scene_cfg),
         "labels": {key: list(getattr(scene, labels)) for key, (_, labels) in _MAPS.items()},
-        "files": {k: list(v) for k, v in _FILES.items()},
+        "files": {k: list(v) for k, v in SCENE_FILES.items()},
     }
-    try:
-        (directory / SIDECAR_NAME).write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write scene sidecar: {exc}") from exc
+    files = []
+    for key, (pose_name, descriptor_name) in SCENE_FILES.items():
+        files += map_files(getattr(scene, _MAPS[key][0]), directory / pose_name, directory / descriptor_name)
+    write_files(*files, (directory / SIDECAR_NAME, json.dumps(sidecar, indent=2)), what="scene")
 
 
 def load_scene(directory) -> SyntheticScene:
@@ -466,17 +464,22 @@ def load_scene(directory) -> SyntheticScene:
     Map data comes from the exported files (bit-exact f32); the field
     handle is rebuilt from the sidecar's config so oracle evaluation and
     regressor training stay available.
+
+    A sidecar that is not JSON or lacks or mistypes a key raises
+    ParseError; a format_version other than 1, VersionUnsupported.
     """
     directory = Path(directory)
+    path = directory / SIDECAR_NAME
+    sidecar = read_json(path, "scene sidecar")
     try:
-        sidecar = json.loads((directory / SIDECAR_NAME).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read scene sidecar: {exc}") from exc
-    field_cfg = FieldConfig(**sidecar["field_config"])
-    scene_cfg = SceneConfig(**sidecar["scene_config"])
-    parts = {}
-    for key, (map_name, labels_name) in _MAPS.items():
-        pose_name, descriptor_name = _FILES[key]
-        parts[map_name] = load_map(directory / pose_name, directory / descriptor_name)
-        parts[labels_name] = tuple(sidecar["labels"][key])
+        version = sidecar["format_version"]
+        if version != 1:
+            raise VersionUnsupported(f"scene sidecar {path}: format version {version!r} not supported")
+        field_cfg = FieldConfig(**sidecar["field_config"])
+        scene_cfg = SceneConfig(**sidecar["scene_config"])
+        parts = {labels_name: tuple(sidecar["labels"][key]) for key, (_, labels_name) in _MAPS.items()}
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"scene sidecar {path} is malformed: {type(exc).__name__}: {exc}") from exc
+    for key, (map_name, _) in _MAPS.items():
+        parts[map_name] = load_map(*(directory / name for name in SCENE_FILES[key]))
     return SyntheticScene(**parts, field=make_field(field_cfg), scene_cfg=scene_cfg, field_cfg=field_cfg)

@@ -25,6 +25,10 @@ file's line.
 Descriptor binary: magic bytes ``CPRD``, u32 little-endian version (=1),
 u32 LE count, u32 LE dim N, then count*N f32 LE values row-major, rows in
 pose-file order.
+
+save_map replaces the descriptor file first and the pose file last, once both
+are written (:func:`copr.files.write_files`). A crash between the two renames
+can still pair a new descriptor file with an old pose file.
 """
 
 from __future__ import annotations
@@ -40,26 +44,25 @@ import numpy as np
 
 from .blocks import even_blocks
 from .errors import (
-    BadMagic,
     CountMismatch,
     DimMismatch,
     DuplicateId,
     EmptyMap,
     InvalidConfig,
-    IoError,
     NonUnitQuaternion,
     ParseError,
     RefusedNonFinite,
     UnwritableId,
-    VersionUnsupported,
     ZeroQuaternion,
 )
+from .files import read_bytes, unpack_header, write_files
 from .geometry import Pose, angular_error_deg_many, row_block, row_dots
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 _POSE_CSV_HEADER_LINE = ",".join(POSE_CSV_HEADER)
 DESCRIPTOR_MAGIC = b"CPRD"
 DESCRIPTOR_VERSION = 1
+_DESCRIPTOR_HEADER = "<4sIII"  # magic, version, count, dim
 # Largest accepted distance of a map quaternion's norm from 1.
 _UNIT_QUAT_TOL = 1e-6
 
@@ -461,18 +464,8 @@ def oracle_retrieve(query_pose: Pose, ref_map: ReferenceMap) -> Match:
 
 def load_descriptor_block(descriptor_path) -> np.ndarray:
     """Read one descriptor binary into a (count, dim) float64 matrix."""
-    try:
-        with open(descriptor_path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read descriptor file {descriptor_path}: {exc}") from exc
-    if len(blob) < 16:
-        raise ParseError("descriptor file shorter than its 16-byte header", offset=len(blob))
-    magic, version, count, dim = struct.unpack_from("<4sIII", blob, 0)
-    if magic != DESCRIPTOR_MAGIC:
-        raise BadMagic(f"expected magic {DESCRIPTOR_MAGIC!r}, found {magic!r}")
-    if version != DESCRIPTOR_VERSION:
-        raise VersionUnsupported(f"descriptor format version {version} not supported")
+    blob = read_bytes(descriptor_path, "descriptor file")
+    count, dim = unpack_header(blob, _DESCRIPTOR_HEADER, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, "descriptor")
     expected = 16 + count * dim * 4
     if len(blob) != expected:
         raise ParseError(f"descriptor payload is {len(blob)} bytes, expected {expected}", offset=16)
@@ -483,8 +476,10 @@ def load_descriptor_block(descriptor_path) -> np.ndarray:
     return values.reshape(count, dim) if count else np.zeros((0, dim))
 
 
-def _pose_fields(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank pose-file row after the header."""
+def _csv_pose_rows(text: str):
+    """(ids, (n, 7) pose values, line numbers) of the non-blank rows of any
+    pose file, read by the csv module and ``float()``; the first malformed
+    row raises ParseError."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
@@ -492,12 +487,7 @@ def _pose_fields(text: str) -> list[tuple[int, list[str]]]:
         raise ParseError(f"malformed pose file: {exc}", line=reader.line_num) from exc
     if not rows or rows[0] != POSE_CSV_HEADER:
         raise ParseError(f"pose file must start with header {_POSE_CSV_HEADER_LINE}", line=1)
-    return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
-
-
-def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
-    """(n, 7) pose values of the rows, each parsed by ``float()``; the first
-    malformed row raises ParseError."""
+    rows = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
     values = []
     for lineno, row in rows:
         if len(row) != 8:
@@ -506,7 +496,8 @@ def _pose_values(rows: list[tuple[int, list[str]]]) -> np.ndarray:
             values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise ParseError(f"bad float in pose row: {exc}", line=lineno) from exc
-    return np.array(values, dtype=np.float64).reshape(len(rows), 7)
+    values = np.array(values, dtype=np.float64).reshape(len(rows), 7)
+    return tuple(row[0] for _, row in rows), values, [lineno for lineno, _ in rows]
 
 
 # Characters that send a pose file to the csv reader: the quote and CR,
@@ -517,9 +508,9 @@ _CSV_ONLY_CHARS = '"\r\x1c\x1d\x1e\x1f'
 
 
 def _plain_pose_rows(text: str):
-    """(ids, (n, 7) pose values) of a plain pose file with at least one
-    row, read by numpy's C reader; None for any other file, for a line
-    longer than the csv field size limit and for a value numpy refuses."""
+    """(ids, (n, 7) pose values, line numbers) of a plain pose file with at
+    least one row, read by numpy's C reader; None for any other file, for a
+    line longer than the csv field size limit and for a value numpy refuses."""
     header, _, body = text.partition("\n")
     if header != _POSE_CSV_HEADER_LINE or not body.endswith("\n") or any(c in body for c in _CSV_ONLY_CHARS):
         return None
@@ -536,7 +527,7 @@ def _plain_pose_rows(text: str):
     # holds exactly 8 fields.
     if len(values) != len(lines):
         return None
-    return tuple([line.partition(",")[0] for line in lines]), values
+    return tuple([line.partition(",")[0] for line in lines]), values, range(2, len(lines) + 2)
 
 
 def load_map(pose_path, descriptor_path) -> ReferenceMap:
@@ -545,38 +536,17 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
     Row i of the descriptor file pairs with row i of the pose file; entry
     order is file order.
     """
-    try:
-        with open(pose_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read pose file {pose_path}: {exc}") from exc
+    raw = read_bytes(pose_path, "pose file")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"pose file is not UTF-8: {exc.reason}", line=raw.count(b"\n", 0, exc.start) + 1) from exc
-    plain = _plain_pose_rows(text)
-    if plain is None:
-        rows = _pose_fields(text)
-        values = _pose_values(rows)
-        ids = tuple(row[0] for _, row in rows)
-        line_numbers = [lineno for lineno, _ in rows]
-    else:
-        ids, values = plain
-        line_numbers = range(2, len(ids) + 2)
-
+    ids, values, line_numbers = _plain_pose_rows(text) or _csv_pose_rows(text)
     desc = load_descriptor_block(descriptor_path)
-    count = desc.shape[0]
-
-    if len(ids) != count:
-        raise CountMismatch(f"pose file has {len(ids)} rows but descriptor file declares {count}")
-
+    if len(ids) != len(desc):
+        raise CountMismatch(f"pose file has {len(ids)} rows but descriptor file declares {len(desc)}")
     try:
-        return ReferenceMap(
-            ids=ids,
-            descriptors=desc,
-            translations=values[:, :3],
-            quaternions=values[:, 3:],
-        )
+        return ReferenceMap(ids=ids, descriptors=desc, translations=values[:, :3], quaternions=values[:, 3:])
     except (RefusedNonFinite, ZeroQuaternion, NonUnitQuaternion, DuplicateId) as exc:
         if not hasattr(exc, "entry"):
             raise
@@ -593,13 +563,13 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
 _UNWRITABLE_ID_CHARS = ',"\r\n'
 
 
-def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
-    """Write a map to the pose CSV + descriptor binary formats.
+def map_files(ref_map: ReferenceMap, pose_path, descriptor_path) -> tuple[tuple, tuple]:
+    """The (path, data) pairs of a map's descriptor binary, then its pose CSV.
 
     Descriptor payloads are f32; poses are written with shortest
-    round-trip float repr so load_map is an exact inverse. Writes nothing
-    if a descriptor component is non-finite or an id holds a comma, a
-    double quote, CR or LF.
+    round-trip float repr so load_map is an exact inverse. Refuses a
+    non-finite descriptor component and an id holding a comma, a double
+    quote, CR or LF.
     """
     if not np.all(np.isfinite(ref_map.descriptors)):
         raise RefusedNonFinite("map contains non-finite descriptor components")
@@ -608,8 +578,8 @@ def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
     if any(c in all_ids for c in _UNWRITABLE_ID_CHARS):
         bad = next(i for i in ref_map.ids if any(c in i for c in _UNWRITABLE_ID_CHARS))
         raise UnwritableId(f"map id {bad!r} holds a comma, double quote, CR or LF")
-    payload = np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
-    header = struct.pack("<4sIII", DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
+    header = struct.pack(_DESCRIPTOR_HEADER, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
+    descriptor_blob = header + np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
     # Each distinct orientation and each distinct translation component is
     # formatted once (grid targets share their coordinates), keyed on its
     # bits so that -0.0 and 0.0 keep their own text.
@@ -622,11 +592,9 @@ def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
     t_columns = t_text[t_slot.reshape(-1, 3)].T.tolist()
     rows = zip(ref_map.ids, *t_columns, map(quat_text.__getitem__, quat_keys))
     text = "\n".join([_POSE_CSV_HEADER_LINE, *map(",".join, rows)]) + "\n"
-    try:
-        with open(pose_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        with open(descriptor_path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write map: {exc}") from exc
+    return (descriptor_path, descriptor_blob), (pose_path, text)
+
+
+def save_map(ref_map: ReferenceMap, pose_path, descriptor_path) -> None:
+    """Write a map as :func:`map_files`; a refused map or a failed write leaves both old files."""
+    write_files(*map_files(ref_map, pose_path, descriptor_path), what="map")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -17,6 +18,7 @@ from copr.neural.model_io import save_model
 from copr.neural.training import ENCODER_DEFAULT_LR, init_encoder
 from copr.synth import FieldConfig, SceneConfig, load_scene
 from copr.vpr_map import load_map
+from test_synth import BAD_SIDECARS, write_bad_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +262,19 @@ class TestRetrieveEval:
         assert dispatch(["eval", "--scene", str(tmp_path / "absent")]) == 2
         assert "io error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+    def test_a_bad_scene_sidecar_is_one_error_line(self, scene_dir, tmp_path, capsys, case):
+        shutil.copytree(scene_dir, tmp_path / "scene")
+        write_bad_sidecar(tmp_path / "scene", case)
+        assert dispatch(["eval", "--scene", str(tmp_path / "scene")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "scene.json" in err
+
+    def test_eval_out_creates_its_directory(self, scene_dir, tmp_path):
+        out = tmp_path / "new_dir" / "x.json"
+        assert dispatch(["eval", "--scene", str(scene_dir), "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"mte_m", "mre_deg", "queries", "map_size"}
+
     def test_eval_summary(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "summary.json"
         rc = dispatch(["eval", "--scene", str(scene_dir), "--out", str(out)])
@@ -446,6 +461,16 @@ class TestConfigKeys:
         args = _configurable_commands(scene_dir)[command]
         err = self._refused(tmp_path, capsys, args, {"no_such_key": 1})
         assert f"{command} reads no config key 'no_such_key'" in err
+
+    @pytest.mark.parametrize(
+        "text, message", [("{", "is not valid JSON"), ("[1]", "must hold a JSON object")]
+    )
+    def test_a_config_that_is_not_an_object_is_refused(self, tmp_path, capsys, text, message):
+        (tmp_path / "c.json").write_text(text)
+        assert dispatch(["synth", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "work")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {tmp_path / 'c.json'}") and message in err
+        assert not (tmp_path / "work").exists()
 
     def test_a_section_field_typo_is_refused_not_a_traceback(self, scene_dir, tmp_path, capsys):
         err = self._refused(tmp_path, capsys, ["exp", "extrap", "--scene", str(scene_dir)], {"densify": {"strde": 6}})

@@ -1,12 +1,13 @@
 """Synthetic-world tests: fields, scene layouts, stray cases, scene files."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
-from copr.errors import ConfigConflict, InsufficientScenes, InvalidConfig
+from copr.errors import ConfigConflict, InsufficientScenes, InvalidConfig, ParseError, VersionUnsupported
 from copr.geometry import Pose
 from copr.benchmarks import NAMED_SCENES
 from copr.synth import (
@@ -269,6 +270,40 @@ class TestSceneIo:
         save_scene(scene, tmp_path / "b")
         for name in ("refs_descriptors.bin", "query_descriptors.bin", "train_descriptors.bin", "refs_poses.csv", "scene.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Sidecar edits that load_scene must refuse with a typed error naming the
+# sidecar: (edit of the parsed sidecar, or raw text, error type).
+BAD_SIDECARS = {
+    "unknown field_config key": (lambda doc: doc["field_config"].update(bogus=1), ParseError),
+    "not JSON": ("{not json", ParseError),
+    "no labels": (lambda doc: doc.pop("labels"), ParseError),
+    "no format_version": (lambda doc: doc.pop("format_version"), ParseError),
+    "format_version 2": (lambda doc: doc.update(format_version=2), VersionUnsupported),
+}
+
+
+def write_bad_sidecar(directory, case):
+    """Rewrite the scene sidecar in ``directory`` as ``BAD_SIDECARS[case]``;
+    returns the error type load_scene must raise."""
+    edit, error = BAD_SIDECARS[case]
+    path = directory / "scene.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return error
+
+
+class TestSceneSidecar:
+    @pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+    def test_a_bad_sidecar_is_a_typed_error_naming_it(self, tmp_path, case):
+        save_scene(gen_scene(_loop_cfg(), FieldConfig(dim=3, kind="affine", seed=14)), tmp_path)
+        error = write_bad_sidecar(tmp_path, case)
+        with pytest.raises(error, match=f"scene sidecar {tmp_path / 'scene.json'}"):
+            load_scene(tmp_path)
 
 
 # The per-pose scene generator that gen_scene and make_stray_case replaced,

@@ -31,8 +31,7 @@ from copr.vpr_map import (
     POSE_CSV_HEADER,
     Origin,
     ReferenceMap,
-    _pose_fields,
-    _pose_values,
+    _csv_pose_rows,
     load_descriptor_block,
     load_map,
     nearest_neighbors,
@@ -741,9 +740,8 @@ class TestCorruptedFilesFuzz:
 
 def _per_row_map(text: str, descriptors) -> ReferenceMap:
     """The map of the per-row reader: csv fields, then ``float()`` per value."""
-    rows = _pose_fields(text)
-    values = _pose_values(rows)
-    return ReferenceMap(tuple(row[0] for _, row in rows), descriptors, values[:, :3], values[:, 3:])
+    ids, values, _ = _csv_pose_rows(text)
+    return ReferenceMap(ids, descriptors, values[:, :3], values[:, 3:])
 
 
 def _assert_loads_as_per_row(tmp, text: str) -> None:
