@@ -13,22 +13,17 @@ model over a writable copy of that buffer (:meth:`MlpModel.on_buffer`), and
 :class:`RawAdam`, the one optimizer, updates it in place from a flat
 gradient buffer of the same layout.
 
-Buffer ownership: :func:`forward_batch` and :func:`backward_batch` return
-fresh arrays unless given a :class:`Workspace`. Only the caller that owns
-every array those calls return may pass one (the regressor trainer does,
-for its batches and its validation set), because the next call reuses the
-arrays. An array handed to anyone else, such as densified descriptors or
-encoder outputs, always comes from a call without a workspace and is never
-overwritten.
+Every kernel returns arrays it allocated itself, so no later call
+overwrites what an earlier one returned. The one exception is
+:func:`backward_batch`'s ``grads``, which its caller passes in.
 
 Inference without a cache (:func:`forward_batch` with ``keep_cache=False``,
 and :func:`regress_nonlinear_batch`) runs its rows in even blocks of at
 most ``_BLOCK_ROWS`` (:func:`copr.blocks.even_blocks`, never a one-row block
-unless the batch has one row). The layers of a block share one set of
-(block, width) scratch arrays, and the last layer writes straight into the
-block's rows of the one output array, so the scratch stays cache-sized
-however many rows are regressed. Each row's output is bit-identical to an
-unblocked pass.
+unless the batch has one row) and copies each block's result into the one
+output array. A block's (block, width) intermediates are its own and are
+freed before the next block, so they stay cache-sized however many rows
+are regressed. Each row's output is bit-identical to an unblocked pass.
 """
 
 from __future__ import annotations
@@ -45,9 +40,13 @@ from ..errors import DimMismatch, InvalidConfig, RefusedNonFinite, ShapeMismatch
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _U64 = (1 << 64) - 1
-# Rows per block of an uncached forward pass: the four (rows, 39) scratch
-# arrays of the widest pinned regressor then hold 640 KiB.
+# Rows per block of an uncached forward pass: four (rows, 39) arrays of the
+# widest pinned regressor then hold 640 KiB.
 _BLOCK_ROWS = 512
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 class Activation(enum.Enum):
@@ -57,28 +56,28 @@ class Activation(enum.Enum):
     IDENTITY = 1
 
 
-def _gelu_into(z, th, out, scratch):
-    """GeLU of ``z`` written into ``out``; leaves the tanh term in ``th``.
+def _gelu(z):
+    """GeLU of ``z`` and its tanh term, as (activation, tanh).
 
     0.5 * z * (1 + tanh(sqrt(2/pi) * (z + 0.044715 * z^3))), with the cube
     taken as (z*z)*z: numpy's general ``power`` goes through libm ``pow``
-    and is tens of times slower. ``scratch`` receives 1 + tanh.
+    and is tens of times slower.
     """
-    np.multiply(z, z, out=th)
+    th = z * z
     th *= z
     th *= _GELU_A
     th += z
     th *= _GELU_C
     np.tanh(th, out=th)
-    np.multiply(z, 0.5, out=out)
-    out *= np.add(th, 1.0, out=scratch)
-    return out
+    out = z * 0.5
+    out *= th + 1.0
+    return out, th
 
 
 def gelu(x):
     """GeLU in its tanh approximation, the same kernel the network runs."""
     x = np.asarray(x, dtype=np.float64)
-    return _gelu_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    return _gelu(x.reshape(-1))[0].reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,79 +208,43 @@ def init_mlp(widths, activations, seed: int) -> MlpModel:
     return MlpModel(layers=tuple(layers))
 
 
-class Workspace:
-    """Scratch arrays reused across calls, one per (name, shape).
-
-    Only code that owns every array a call returns may pass a workspace to
-    :func:`forward_batch`, :func:`backward_batch` or :func:`mse_batch_grad`:
-    the next call with the same workspace and batch shape overwrites the
-    outputs, the cache and the gradients of the last one.
-    """
-
-    __slots__ = ("_arrays",)
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, name, shape) -> np.ndarray:
-        key = (name, shape)
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.empty(shape)
-        return arr
-
-
-def _fresh(name, shape) -> np.ndarray:
-    return np.empty(shape)
-
-
-def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False, work: Workspace | None = None):
+def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False):
     """Forward pass over a (batch, input_dim) matrix.
 
     Returns (output, cache); cache holds per-layer inputs,
     pre-activations, and the GeLU tanh terms so the backward pass never
-    recomputes a tanh. Every array is fresh unless ``work`` is given.
-    Without a cache (``cache`` is None) the rows run in blocks, and all
-    layers of a block share one set of buffers: a layer's pre-activation is
-    computed before its activation overwrites the previous layer's output.
+    recomputes a tanh. Without a cache (``cache`` is None) the rows run in
+    blocks.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
-    take = Workspace() if work is None else work
     if not keep_cache:
-        return _infer(model, len(x), x.__getitem__, take), None
+        return _infer(model, len(x), x.__getitem__), None
     cache = ([x], [], [])
-    return _layers(model, x, take, cache), cache
+    return _layers(model, x, cache), cache
 
 
-def _infer(model: MlpModel, n: int, block_input, take) -> np.ndarray:
+def _infer(model: MlpModel, n: int, block_input) -> np.ndarray:
     """Uncached forward pass over ``n`` rows in even blocks of at most
     ``_BLOCK_ROWS``; ``block_input(rows)`` gives the input rows of the
-    block ``rows`` (a slice), and the output is ``take("out", ...)``."""
-    out = take("out", (n, model.layers[-1].weights.shape[0]))
+    block ``rows`` (a slice)."""
+    out = np.empty((n, model.layers[-1].weights.shape[0]))
     for rows in even_blocks(n, _BLOCK_ROWS):
-        _layers(model, block_input(rows), take, None, out[rows])
+        out[rows] = _layers(model, block_input(rows), None)
     return out
 
 
-def _layers(model: MlpModel, x: np.ndarray, take, cache, out: np.ndarray | None = None) -> np.ndarray:
-    """The layers of :func:`forward_batch` over the rows ``x``; the last
-    layer writes into ``out`` when given. With a cache every layer has its
-    own buffers, and the cache lists them."""
+def _layers(model: MlpModel, x: np.ndarray, cache) -> np.ndarray:
+    """The layers of :func:`forward_batch` over the rows ``x``; a cache, when
+    given, lists every layer's output, pre-activation and tanh term."""
     a = x
-    last = len(model.layers) - 1
-    for li, layer in enumerate(model.layers):
-        slot = li if cache is not None else 0
-        shape = (x.shape[0], layer.weights.shape[0])
-        gelu_layer = layer.activation is Activation.GELU
-        target = out if li == last and out is not None else take(("a" if gelu_layer else "z", slot), shape)
-        z = np.matmul(a, layer.weights.T, out=take(("z", slot), shape) if gelu_layer else target)
+    for layer in model.layers:
+        z = np.matmul(a, layer.weights.T)
         z += layer.bias
         th = None
-        if gelu_layer:
-            th = take(("th", slot), shape)
-            a = _gelu_into(z, th, target, take("scratch", shape))
+        if layer.activation is Activation.GELU:
+            a, th = _gelu(z)
         else:
             a = z
         if cache is not None:
@@ -291,7 +254,7 @@ def _layers(model: MlpModel, x: np.ndarray, take, cache, out: np.ndarray | None 
     return a
 
 
-def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, work: Workspace | None = None):
+def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None):
     """Reverse-mode pass from an output gradient.
 
     ``d_output`` is dLoss/dOutput of shape (batch, output_dim). Returns
@@ -301,7 +264,6 @@ def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, wor
     cache is only read.
     """
     activations, pre, tanhs = cache
-    take = _fresh if work is None else work
     if grads is None:
         grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers]
     delta = np.asarray(d_output, dtype=np.float64)
@@ -311,37 +273,35 @@ def backward_batch(model: MlpModel, cache, d_output: np.ndarray, grads=None, wor
             z = pre[li]
             th = tanhs[li]
             # GeLU'(z) = 0.5 * (1 + th) + 0.5 * z * (1 - th^2) * c * (1 + 3a * z^2)
-            deriv = np.add(th, 1.0, out=take("deriv", z.shape))
+            deriv = th + 1.0
             deriv *= 0.5
-            term = np.multiply(z, 0.5, out=take("term", z.shape))
-            tmp = np.multiply(th, th, out=take("tmp", z.shape))
-            term *= np.subtract(1.0, tmp, out=tmp)
+            term = z * 0.5
+            term *= 1.0 - th * th
             term *= _GELU_C
-            np.multiply(z, z, out=tmp)
+            tmp = z * z
             tmp *= 3.0 * _GELU_A
             tmp += 1.0
             term *= tmp
             deriv += term
-            delta = np.multiply(delta, deriv, out=deriv)
+            delta = delta * deriv
         gw, gb = grads[li]
         np.matmul(delta.T, activations[li], out=gw)
         np.add.reduce(delta, axis=0, out=gb)
-        delta = np.matmul(delta, layer.weights, out=take(("delta", li), activations[li].shape))
+        delta = np.matmul(delta, layer.weights)
     return grads, delta
 
 
-def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray, grads=None, work: Workspace | None = None):
+def mse_batch_grad(model: MlpModel, x: np.ndarray, targets: np.ndarray, grads=None):
     """Gradients of the batch-mean MSE (averaged over the batch).
 
-    ``grads`` and ``work`` are passed on to :func:`backward_batch` and
-    :func:`forward_batch`. The loss itself is not computed.
+    ``grads`` is passed on to :func:`backward_batch`. The loss itself is
+    not computed.
     """
-    y, cache = forward_batch(model, x, keep_cache=True, work=work)
-    take = _fresh if work is None else work
-    d_out = np.subtract(y, targets, out=take("d_out", y.shape))
+    y, cache = forward_batch(model, x, keep_cache=True)
+    d_out = y - targets
     d_out *= 2.0
     d_out /= d_out.size
-    grads, _ = backward_batch(model, cache, d_out, grads=grads, work=work)
+    grads, _ = backward_batch(model, cache, d_out, grads=grads)
     return grads
 
 
@@ -351,44 +311,36 @@ class RawAdam:
     Holds the moments ``m`` and ``v`` and the gradient buffer ``grad``, all
     laid out like the model's ``flat``; ``grads`` lists the per-layer
     (dW, db) views into ``grad`` that :func:`backward_batch` writes. A step
-    updates the moments and the parameters in place, with two scratch
-    vectors for the temporaries, so it allocates nothing.
+    updates the moments and the parameters in place.
     """
 
-    __slots__ = ("lr", "beta1", "beta2", "eps", "t", "m", "v", "grad", "grads", "_s", "_u")
+    __slots__ = ("lr", "t", "m", "v", "grad", "grads")
 
-    def __init__(self, net: MlpModel, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net: MlpModel, lr: float):
         if not lr > 0.0:
             raise InvalidConfig("learning rate must be positive")
         if not net.flat.flags.writeable:
             raise InvalidConfig("Adam updates its model in place; pass a model on a writable buffer")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
         self.grad = np.zeros_like(net.flat)
         self.grads = net.views(self.grad)
-        self._s = np.empty_like(net.flat)
-        self._u = np.empty_like(net.flat)
 
     def step(self, net: MlpModel, grad: np.ndarray) -> None:
         """One update of ``net.flat`` from ``grad``, a flat gradient laid out like it."""
-        s, u = self._s, self._u
         self.t += 1
-        self.m *= self.beta1
-        self.m += np.multiply(grad, 1.0 - self.beta1, out=s)
-        self.v *= self.beta2
-        np.multiply(grad, grad, out=s)
-        s *= 1.0 - self.beta2
+        self.m *= _BETA1
+        self.m += grad * (1.0 - _BETA1)
+        self.v *= _BETA2
+        s = grad * grad
+        s *= 1.0 - _BETA2
         self.v += s
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=u)
+        u = self.m / (1.0 - _BETA1**self.t)
         u *= self.lr
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=s)
-        np.sqrt(s, out=s)
-        s += self.eps
+        s = np.sqrt(self.v / (1.0 - _BETA2**self.t))
+        s += _EPS
         u /= s
         np.subtract(net.flat, u, out=net.flat)
 
@@ -418,12 +370,11 @@ def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: 
         raise DimMismatch(f"stacked input length {width} does not match regressor input dim {model.input_dim}")
     if model.output_dim != width - 7:
         raise DimMismatch(f"regressor output dim {model.output_dim} does not match descriptor dim {width - 7}")
-    take = Workspace()
 
     def block_input(rows):
-        x = take("x", (rows.stop - rows.start, width))
+        x = np.empty((rows.stop - rows.start, width))
         x[:, :dim] = f[rows]
         x[:, dim:] = dp[rows]
         return x
 
-    return _infer(model, len(f), block_input, take)
+    return _infer(model, len(f), block_input)

@@ -35,7 +35,6 @@ from .core import (
     Activation,
     MlpModel,
     RawAdam,
-    Workspace,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -89,9 +88,9 @@ def init_regressor(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, acts, seed)
 
 
-def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray, work: Workspace | None = None) -> float:
+def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of the model over a stacked evaluation set."""
-    out, _ = forward_batch(model, x, work=work)
+    out, _ = forward_batch(model, x)
     return float(np.mean((out - y) ** 2))
 
 
@@ -292,17 +291,12 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
     net = _trainable(init_regressor(descriptor_dim, init_seed))
     opt = RawAdam(net, cfg.lr)
 
-    # This trainer owns every array its forward/backward passes return, so
-    # each batch shape's arrays are allocated once and reused.
-    work = Workspace()
-
+    # Each batch's gradients go straight into Adam's flat gradient buffer.
     def batch_grads(rows):
-        xb = np.take(x, rows, axis=0, out=work("x", (len(rows), x.shape[1])))
-        yb = np.take(y, rows, axis=0, out=work("y", (len(rows), y.shape[1])))
-        mse_batch_grad(net, xb, yb, grads=opt.grads, work=work)
+        mse_batch_grad(net, x[rows], y[rows], grads=opt.grads)
 
     return _fit(
-        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x[rows], y[rows], work)
+        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x[rows], y[rows])
     )
 
 

@@ -450,7 +450,6 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         "field_config": asdict(scene.field_cfg),
         "scene_config": asdict(scene.scene_cfg),
         "labels": {key: list(getattr(scene, labels)) for key, (_, labels) in _MAPS.items()},
-        "files": {k: list(v) for k, v in SCENE_FILES.items()},
     }
     files = []
     for key, (pose_name, descriptor_name) in SCENE_FILES.items():
@@ -465,8 +464,11 @@ def load_scene(directory) -> SyntheticScene:
     handle is rebuilt from the sidecar's config so oracle evaluation and
     regressor training stay available.
 
-    A sidecar that is not JSON or lacks or mistypes a key raises
-    ParseError; a format_version other than 1, VersionUnsupported.
+    A sidecar that is not JSON, lacks or mistypes a key, or holds a label
+    list whose length is not its map's row count raises ParseError; a
+    format_version other than 1, VersionUnsupported. A ``files`` table, which
+    earlier versions of :func:`save_scene` wrote, is ignored: the map files
+    always have the :data:`SCENE_FILES` names.
     """
     directory = Path(directory)
     path = directory / SIDECAR_NAME
@@ -480,6 +482,11 @@ def load_scene(directory) -> SyntheticScene:
         parts = {labels_name: tuple(sidecar["labels"][key]) for key, (_, labels_name) in _MAPS.items()}
     except (KeyError, TypeError) as exc:
         raise ParseError(f"scene sidecar {path} is malformed: {type(exc).__name__}: {exc}") from exc
-    for key, (map_name, _) in _MAPS.items():
+    for key, (map_name, labels_name) in _MAPS.items():
         parts[map_name] = load_map(*(directory / name for name in SCENE_FILES[key]))
+        if len(parts[labels_name]) != len(parts[map_name]):
+            raise ParseError(
+                f"scene sidecar {path}: labels.{key} has {len(parts[labels_name])} entries"
+                f" for {len(parts[map_name])} map rows"
+            )
     return SyntheticScene(**parts, field=make_field(field_cfg), scene_cfg=scene_cfg, field_cfg=field_cfg)

@@ -38,7 +38,6 @@ from copr.neural import (
 from copr.neural.core import (
     Layer,
     RawAdam,
-    Workspace,
     backward_batch,
     forward_batch,
     gelu,
@@ -247,15 +246,13 @@ class TestForward:
         assert peak <= 10 * x.nbytes
 
     def test_buffers_shared_across_layers_keep_the_bits(self):
-        # Consecutive identity layers of one width make a layer's input and
-        # output the same shared buffer.
+        # Consecutive identity layers of one width: a pass that shared one
+        # set of buffers across layers would read and write the same array.
         acts = [Activation.GELU, Activation.IDENTITY, Activation.IDENTITY, Activation.GELU, Activation.IDENTITY]
         model = init_mlp([6, 6, 6, 6, 6, 3], acts, 7)
         x = np.random.default_rng(5).standard_normal((50, 6))
         cached, _ = forward_batch(model, x, keep_cache=True)
-        work = Workspace()
-        for out in (forward_batch(model, x)[0], forward_batch(model, x, work=work)[0]):
-            assert out.tobytes() == cached.tobytes()
+        assert forward_batch(model, x)[0].tobytes() == cached.tobytes()
 
 
 class TestFlatModel:
@@ -422,7 +419,7 @@ class TestAdam:
 
 class TestTrainingStep:
     """The in-place step the regressor trainer runs: gradients written into
-    the optimizer's flat buffer, with per-batch buffers reused between calls."""
+    the optimizer's flat buffer."""
 
     def test_flat_gradients_match_backward_bitwise(self):
         rng = np.random.default_rng(21)
@@ -431,7 +428,7 @@ class TestTrainingStep:
         t = rng.standard_normal((9, model.output_dim))
         net = _trainable(model)
         opt = RawAdam(net, 1e-3)
-        mse_batch_grad(net, x, t, grads=opt.grads, work=Workspace())
+        mse_batch_grad(net, x, t, grads=opt.grads)
         y, cache = forward_batch(model, x, keep_cache=True)
         grads, _ = backward_batch(model, cache, 2.0 * (y - t) / y.size)
         assert opt.grad.tobytes() == _flatten_grads(grads).tobytes()
@@ -445,7 +442,7 @@ class TestTrainingStep:
             t = rng.standard_normal((6, model.output_dim))
             net = _trainable(model)
             opt = RawAdam(net, 1e-3)
-            mse_batch_grad(net, x, t, grads=opt.grads, work=Workspace())
+            mse_batch_grad(net, x, t, grads=opt.grads)
             flat = _flatten_params(model)
             for i in range(len(flat)):
                 bumped = flat.copy()
@@ -455,22 +452,6 @@ class TestTrainingStep:
                 lm = mse_over(_model_with_params(model, bumped), x, t)
                 fd = (lp - lm) / (2 * h)
                 assert abs(opt.grad[i] - fd) / max(1.0, abs(opt.grad[i]), abs(fd)) <= 1e-6
-
-    def test_reused_buffers_match_fresh_across_batch_sizes(self):
-        rng = np.random.default_rng(23)
-        model = init_regressor(8, seed=4)
-        reused, fresh = _trainable(model), _trainable(model)
-        reused_opt, fresh_opt = RawAdam(reused, 1e-3), RawAdam(fresh, 1e-3)
-        work = Workspace()
-        for rows in (64, 1, 64):
-            x = rng.standard_normal((rows, model.input_dim))
-            t = rng.standard_normal((rows, model.output_dim))
-            mse_batch_grad(reused, x, t, grads=reused_opt.grads, work=work)
-            fresh_grads = mse_batch_grad(fresh, x, t)
-            assert reused_opt.grad.tobytes() == _flatten_grads(fresh_grads).tobytes()
-            reused_opt.step(reused, reused_opt.grad)
-            fresh_opt.step(fresh, _flatten_grads(fresh_grads))
-            assert reused.flat.tobytes() == fresh.flat.tobytes()
 
     def test_returned_arrays_survive_later_calls(self):
         rng = np.random.default_rng(24)

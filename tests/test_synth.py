@@ -12,6 +12,7 @@ from copr.geometry import Pose
 from copr.benchmarks import NAMED_SCENES
 from copr.synth import (
     LAYOUTS,
+    SCENE_FILES,
     AffineField,
     FieldConfig,
     SceneConfig,
@@ -280,6 +281,8 @@ BAD_SIDECARS = {
     "no labels": (lambda doc: doc.pop("labels"), ParseError),
     "no format_version": (lambda doc: doc.pop("format_version"), ParseError),
     "format_version 2": (lambda doc: doc.update(format_version=2), VersionUnsupported),
+    "short ref labels": (lambda doc: doc["labels"].update(refs=doc["labels"]["refs"][:3]), ParseError),
+    "no query labels": (lambda doc: doc["labels"].update(queries=[]), ParseError),
 }
 
 
@@ -304,6 +307,20 @@ class TestSceneSidecar:
         error = write_bad_sidecar(tmp_path, case)
         with pytest.raises(error, match=f"scene sidecar {tmp_path / 'scene.json'}"):
             load_scene(tmp_path)
+
+    def test_a_files_table_is_still_read_and_ignored(self, tmp_path):
+        # Sidecars written before the table was dropped still carry it.
+        scene = gen_scene(_loop_cfg(), FieldConfig(dim=3, kind="affine", seed=14))
+        save_scene(scene, tmp_path)
+        path = tmp_path / "scene.json"
+        doc = json.loads(path.read_text())
+        assert "files" not in doc
+        doc["files"] = {k: list(v) for k, v in SCENE_FILES.items()}
+        path.write_text(json.dumps(doc))
+        loaded = load_scene(tmp_path)
+        assert loaded.ref_labels == scene.ref_labels and loaded.train_labels == scene.train_labels
+        for name in ("gt_dense", "query_map", "train_refs"):
+            assert getattr(loaded, name).ids == getattr(scene, name).ids
 
 
 # The per-pose scene generator that gen_scene and make_stray_case replaced,
@@ -524,7 +541,6 @@ class TestPerPoseReference:
             "field_config": asdict(field_cfg),
             "scene_config": asdict(scene_cfg),
             "labels": {name: list(splits[name][4]) for name in ("refs", "queries", "train")},
-            "files": {k: list(v) for k, v in files.items()},
         }
         (expected / "scene.json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
 
