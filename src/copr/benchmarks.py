@@ -1,15 +1,29 @@
-"""Fixed desk-scale benchmark definitions.
+"""Fixed desk-scale benchmark definitions and the pipeline built from them.
 
-These configs (and their seeds) pin down the scenes the acceptance suite
-and the CLI shortcuts run on. Encoder learning rates here are scaled up
-from the library defaults so the tiny synthetic encoders actually move
-within desk-scale epoch budgets; the relative ordering between variants
-is preserved.
+These configs (and their seeds) pin down the scenes the acceptance suite,
+``copr pipeline`` and the CLI shortcuts run on. Encoder learning rates here
+are scaled up from the library defaults so the tiny synthetic encoders
+actually move within desk-scale epoch budgets; the relative ordering
+between variants is preserved.
 """
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+
 from .densify import DensifyConfig
+from .evaluate import (
+    ExperimentReport,
+    StrayReport,
+    exp_encoders,
+    exp_extrapolation,
+    exp_interpolation,
+    exp_stray,
+    report_signature,
+    train_scene_regressor,
+)
+from .neural.core import MlpModel
 from .neural.training import TrainConfig
 from .synth import FieldConfig, SceneConfig, SyntheticScene, gen_scene, make_stray_case
 
@@ -72,8 +86,78 @@ def make_benchmark_scene(name: str) -> SyntheticScene:
     return gen_scene(scene_cfg, field_cfg)
 
 
-def make_stray_benchmark_cases():
-    return [
-        make_stray_case(MULTI_SCENE, MULTI_FIELD, STRAY_SIMILARITY, case_seed=i)
-        for i in range(STRAY_CASES)
-    ]
+# Each benchmark scene's regressor training (config, pair cap, pair count);
+# affine-loop trains none.
+_REGRESSORS = {
+    "loop": (LOOP_TRAIN, LOOP_PAIR_CAP, LOOP_PAIR_MAX),
+    "lanes": (LANES_TRAIN, LANES_PAIR_CAP, LANES_PAIR_MAX),
+    "multiscene": (MULTI_TRAIN, MULTI_PAIR_CAP, MULTI_PAIR_MAX),
+}
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One build of the pinned pipeline: each ``NAMED_SCENES`` scene, the
+    regressor of each scene that trains one, the six reports by name, and
+    the wall seconds of each stage: ``<scene>`` generates the scene and
+    trains its regressor, ``<scene> reports`` runs the reports on it."""
+
+    scenes: dict[str, SyntheticScene]
+    models: dict[str, MlpModel]
+    reports: dict[str, ExperimentReport | StrayReport]
+    seconds: dict[str, float]
+
+
+def build_pipeline() -> Pipeline:
+    """Generate every benchmark scene, train its regressor and run its reports.
+
+    Every report is a pure function of the pinned seeds, so two builds
+    agree on :func:`pipeline_signatures`; only the timings differ.
+    """
+    scenes, models, train_s, seconds = {}, {}, {}, {}
+    clock = [time.perf_counter()]
+
+    def lap(stage: str) -> None:
+        clock.append(time.perf_counter())
+        seconds[stage] = clock[-1] - clock[-2]
+
+    for name in NAMED_SCENES:
+        scenes[name] = make_benchmark_scene(name)
+        if name in _REGRESSORS:
+            models[name], train_s[name] = train_scene_regressor(scenes[name], *_REGRESSORS[name])
+        lap(name)
+
+    loop = dict(model=models["loop"], seed=LOOP_SCENE.seed, t_train_s=train_s["loop"])
+    reports = {
+        "loop_extrap": exp_extrapolation(scenes["loop"], LOOP_DENSIFY, **loop),
+        "loop_sweep": exp_extrapolation(
+            scenes["loop"], LOOP_DENSIFY, methods=("nonlin_reg",), step_list=list(SWEEP_STEPS), **loop
+        ),
+    }
+    lap("loop reports")
+    reports["lanes_extrap"] = exp_extrapolation(
+        scenes["lanes"], LANES_DENSIFY, model=models["lanes"], seed=LANES_SCENE.seed, t_train_s=train_s["lanes"]
+    )
+    lap("lanes reports")
+    reports["affine_interp"] = exp_interpolation(
+        scenes["affine-loop"], AFFINE_INTERP_STRIDE, methods=("lin_interp", "lin_reg"), seed=AFFINE_SCENE.seed
+    )
+    lap("affine-loop reports")
+    reports["encoders"] = exp_encoders(
+        scenes["multiscene"], MULTI_DENSIFY, encoder_cfgs=ENCODER_CONFIGS, regressor_cfg=ENCODER_REGRESSOR,
+        max_translation=MULTI_PAIR_CAP, max_pairs=ENCODER_PAIR_MAX, nuisance_sigma=MULTI_NUISANCE_SIGMA,
+        seed=MULTI_SCENE.seed,
+    )
+    cases = [make_stray_case(MULTI_SCENE, MULTI_FIELD, STRAY_SIMILARITY, case_seed=i) for i in range(STRAY_CASES)]
+    reports["stray"] = exp_stray(cases, models["multiscene"])
+    lap("multiscene reports")
+    return Pipeline(scenes, models, reports, seconds)
+
+
+def pipeline_signatures(reports: dict) -> dict[str, str]:
+    """What two pipeline builds must agree on exactly: each experiment
+    report's ``report_signature`` and each stray report's JSON."""
+    return {
+        name: report.to_json() if isinstance(report, StrayReport) else report_signature(report)
+        for name, report in reports.items()
+    }

@@ -1,18 +1,19 @@
 """Command-line entry point.
 
-Subcommands: synth, train-h, train-encoder, densify, retrieve, eval, and
-exp {interp, extrap, sweep, encoders, stray}. Each command, and each exp
-kind, accepts only the flags it reads; exp flags follow the kind. synth,
-train-h, train-encoder, densify and exp take an optional JSON --config, a
---seed override and generic --set dot.path=value overrides, which take
-precedence over config keys; only exp writes a report and takes --format.
-A config key is typed by its config dataclass field. Before anything is
-built or written, each run refuses a key it does not read or a value of
-the wrong type, naming its dotted path; only a run that trains a
-regressor reads train, pair_cap and max_pairs, and retrieve and eval read
-no config. Each run that writes files, eval aside, echoes every config value
-it resolved to <output>.config.json, a config the same command accepts
-back: it replays the run given the same other flags.
+Subcommands: synth, train-h, train-encoder, densify, retrieve, eval,
+pipeline, and exp {interp, extrap, sweep, encoders, stray}. Each command,
+and each exp kind, accepts only the flags it reads; exp flags follow the
+kind. synth, train-h, train-encoder, densify and exp take an optional JSON
+--config, a --seed override and generic --set dot.path=value overrides,
+which take precedence over config keys; only exp takes --format. A config
+key is typed by its config dataclass field. Before anything is built or
+written, each run refuses a key it does not read or a value of the wrong
+type, naming its dotted path; only a run that trains a regressor reads
+train, pair_cap and max_pairs. retrieve, eval and pipeline read no config
+and write no echo; every other run echoes each config value it resolved to
+<output>.config.json, a config that replays the run given the same other
+flags. pipeline writes the six reports of copr.benchmarks' pinned pipeline
+as lossless JSON, <out>/<report>.json.
 
 Exit codes: 0 success, 1 validation error or bad usage, 2 I/O error.
 stdout carries machine-readable output only; human-facing logs go to
@@ -310,6 +311,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _cmd_pipeline(args) -> int:
+    pipeline = benchmarks.build_pipeline()
+    for name, report in pipeline.reports.items():
+        emit_report(report, "json", Path(args.out) / f"{name}.json")
+    for stage, seconds in pipeline.seconds.items():
+        _log(f"{stage}: {seconds:.1f}s")
+    _log(f"{len(pipeline.reports)} reports written to {args.out}")
+    return 0
+
+
 def _exp_regressor(args, scene, read: _Config, default_methods: tuple, default_cap: float):
     """The methods to run, and the regressor and its training seconds when nonlin-reg is one of them."""
     methods = tuple(_METHOD_FLAGS[m] for m in args.methods) if args.methods else default_methods
@@ -433,6 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="densified map directory (defaults to the scene's own refs)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
+
+    p = sub.add_parser("pipeline", help="build the pinned benchmark pipeline and write its reports as JSON")
+    p.add_argument("--out", required=True, help="directory for <report>.json")
+    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("exp", help="run an experiment protocol")
     kinds = p.add_subparsers(dest="kind", required=True)

@@ -78,6 +78,9 @@ class DensifyConfig:
     dedupe_radius: float = 0.025
 
     def __post_init__(self):
+        for name in ("grid_step", "grid_span", "dedupe_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.stride < 2:
             raise InvalidConfig("stride must be at least 2")
         if self.grid_step <= 0:

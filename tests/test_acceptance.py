@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from copr import benchmarks as B
+from copr.benchmarks import pipeline_signatures
 from copr.densify import plane_fit_regress
 from copr.evaluate import oracle_violations
 from copr.geometry import RelativePose
@@ -18,7 +19,7 @@ from copr.neural.model_io import load_model, save_model
 from copr.synth import load_scene, save_scene
 from copr.vpr_map import load_map, retrieve, save_map
 
-from conftest import child_rerun, mte_of, rerun_outputs
+from conftest import child_rerun, mte_of
 from test_neural import gradient_check, _rand_model
 
 
@@ -176,17 +177,14 @@ def test_criterion_4_gradient_oracle():
     )
 
 
-def test_criterion_5_densification_gain(loop_bundle, lanes_bundle, report_bundle):
-    loop_sparse = mte_of(report_bundle.loop_extrap, "extrap", "M_sparse", "-")
-    loop_dense = mte_of(report_bundle.loop_extrap, "extrap", "M_dense", "NonLinReg")
-    lanes_sparse = mte_of(report_bundle.lanes_extrap, "extrap", "M_sparse", "-")
-    lanes_dense = mte_of(report_bundle.lanes_extrap, "extrap", "M_dense", "NonLinReg")
-    runtime = (
-        loop_bundle.build_seconds
-        + lanes_bundle.build_seconds
-        + report_bundle.loop_seconds
-        + report_bundle.lanes_seconds
-    )
+def test_criterion_5_densification_gain(pipeline):
+    reports, seconds = pipeline.reports, pipeline.seconds
+    loop_sparse = mte_of(reports["loop_extrap"], "extrap", "M_sparse", "-")
+    loop_dense = mte_of(reports["loop_extrap"], "extrap", "M_dense", "NonLinReg")
+    lanes_sparse = mte_of(reports["lanes_extrap"], "extrap", "M_sparse", "-")
+    lanes_dense = mte_of(reports["lanes_extrap"], "extrap", "M_dense", "NonLinReg")
+    # Each scene's generation and regressor training, plus its reports.
+    runtime = seconds["loop"] + seconds["lanes"] + seconds["loop reports"] + seconds["lanes reports"]
     ok = (
         loop_dense <= 0.80 * loop_sparse
         and lanes_dense <= 0.60 * lanes_sparse
@@ -202,12 +200,13 @@ def test_criterion_5_densification_gain(loop_bundle, lanes_bundle, report_bundle
     )
 
 
-def test_criterion_6_regressor_ordering(report_bundle):
-    sparse = mte_of(report_bundle.loop_extrap, "extrap", "M_sparse", "-")
-    lin = mte_of(report_bundle.loop_extrap, "extrap", "M_dense", "LinReg")
-    non = mte_of(report_bundle.loop_extrap, "extrap", "M_dense", "NonLinReg")
-    gt = mte_of(report_bundle.affine_interp, "interp", "M_dense", "GTMap")
-    lin_interp_scene = mte_of(report_bundle.affine_interp, "interp", "M_dense", "LinReg")
+def test_criterion_6_regressor_ordering(pipeline):
+    loop, affine = pipeline.reports["loop_extrap"], pipeline.reports["affine_interp"]
+    sparse = mte_of(loop, "extrap", "M_sparse", "-")
+    lin = mte_of(loop, "extrap", "M_dense", "LinReg")
+    non = mte_of(loop, "extrap", "M_dense", "NonLinReg")
+    gt = mte_of(affine, "interp", "M_dense", "GTMap")
+    lin_interp_scene = mte_of(affine, "interp", "M_dense", "LinReg")
     ok = (non <= lin <= sparse) and abs(lin_interp_scene - gt) <= 1e-9
     check(
         6,
@@ -217,16 +216,10 @@ def test_criterion_6_regressor_ordering(report_bundle):
     )
 
 
-def test_criterion_7_oracle_dominance(report_bundle):
+def test_criterion_7_oracle_dominance(pipeline):
     violations = []
-    for report in (
-        report_bundle.loop_extrap,
-        report_bundle.loop_sweep,
-        report_bundle.lanes_extrap,
-        report_bundle.affine_interp,
-        report_bundle.encoders,
-    ):
-        violations.extend(oracle_violations(report))
+    for name in ("loop_extrap", "loop_sweep", "lanes_extrap", "affine_interp", "encoders"):
+        violations.extend(oracle_violations(pipeline.reports[name]))
     check(
         7,
         "oracle MTE lower-bounds every VPR MTE in every emitted row set",
@@ -235,9 +228,9 @@ def test_criterion_7_oracle_dominance(report_bundle):
     )
 
 
-def test_criterion_8_step_size_trend(report_bundle):
+def test_criterion_8_step_size_trend(pipeline):
     mtes = [
-        mte_of(report_bundle.loop_sweep, f"extrap[step={s:g}]", "M_dense", "NonLinReg")
+        mte_of(pipeline.reports["loop_sweep"], f"extrap[step={s:g}]", "M_dense", "NonLinReg")
         for s in B.SWEEP_STEPS
     ]
     ok = all(mtes[i + 1] <= mtes[i] * 1.05 for i in range(len(mtes) - 1))
@@ -249,8 +242,8 @@ def test_criterion_8_step_size_trend(report_bundle):
     )
 
 
-def test_criterion_9_encoder_loss_direction(report_bundle):
-    rows = report_bundle.encoders
+def test_criterion_9_encoder_loss_direction(pipeline):
+    rows = pipeline.reports["encoders"]
     sparse = {v: mte_of(rows, f"encoders:{v}", "M_sparse", "-") for v in ("triplet", "relative", "distance")}
     dense = {v: mte_of(rows, f"encoders:{v}", "M_dense", "NonLinReg") for v in ("triplet", "relative", "distance")}
     ok = sparse["distance"] <= sparse["triplet"] and all(dense[v] <= sparse[v] for v in sparse)
@@ -262,8 +255,8 @@ def test_criterion_9_encoder_loss_direction(report_bundle):
     )
 
 
-def test_criterion_10_stray_cases(report_bundle):
-    rows = report_bundle.stray.rows
+def test_criterion_10_stray_cases(pipeline):
+    rows = pipeline.reports["stray"].rows
     before_ok = all(r.rank_before == 1 for r in rows) and len(rows) == 4
     demoted = sum(1 for r in rows if r.rank_after > 1)
     check(
@@ -274,17 +267,20 @@ def test_criterion_10_stray_cases(report_bundle):
     )
 
 
-def test_criterion_11_determinism_and_io(loop_bundle, affine_bundle, report_bundle, tmp_path):
-    # Full re-run from scratch in a child interpreter with another hash seed
-    # (started by conftest at collection): scenes regenerated, every model
-    # retrained.
-    rerun, stderr = child_rerun()
-    here = rerun_outputs(report_bundle)
+def test_criterion_11_determinism_and_io(pipeline, tmp_path):
+    # Full re-run from scratch by `copr pipeline` in a child interpreter with
+    # another hash seed (started by conftest at collection): scenes
+    # regenerated, every model retrained, every report read back from JSON.
+    rerun_dir, stderr = child_rerun()
+    here = pipeline_signatures(pipeline.reports)
+    rerun = rerun_dir and pipeline_signatures(
+        {name: type(r).from_json((rerun_dir / f"{name}.json").read_text()) for name, r in pipeline.reports.items()}
+    )
     reports_ok = rerun == here
     differing = [name for name in here if (rerun or {}).get(name) != here[name]]
 
     # Map files round-trip bitwise.
-    save_map(loop_bundle.scene.gt_dense, tmp_path / "p.csv", tmp_path / "d.bin")
+    save_map(pipeline.scenes["loop"].gt_dense, tmp_path / "p.csv", tmp_path / "d.bin")
     loaded = load_map(tmp_path / "p.csv", tmp_path / "d.bin")
     save_map(loaded, tmp_path / "p2.csv", tmp_path / "d2.bin")
     maps_ok = (
@@ -293,14 +289,14 @@ def test_criterion_11_determinism_and_io(loop_bundle, affine_bundle, report_bund
     )
 
     # Model files round-trip bitwise.
-    save_model(loop_bundle.model, tmp_path / "h.bin")
+    save_model(pipeline.models["loop"], tmp_path / "h.bin")
     save_model(load_model(tmp_path / "h.bin"), tmp_path / "h2.bin")
     models_ok = (tmp_path / "h.bin").read_bytes() == (tmp_path / "h2.bin").read_bytes()
 
     # Scene export round-trips through load_scene.
-    save_scene(affine_bundle.scene, tmp_path / "scene")
-    reloaded = load_scene(tmp_path / "scene")
-    scene_ok = reloaded.scene_cfg == affine_bundle.scene.scene_cfg
+    affine = pipeline.scenes["affine-loop"]
+    save_scene(affine, tmp_path / "scene")
+    scene_ok = load_scene(tmp_path / "scene").scene_cfg == affine.scene_cfg
 
     ok = reports_ok and maps_ok and models_ok and scene_ok
     check(

@@ -119,6 +119,13 @@ class TestTrainAndDensify:
         )
         assert rc == 0 and model_path.exists()
 
+    def test_non_finite_dedupe_radius_is_refused(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "dense"
+        cmd = ["densify", "--scene", str(scene_dir), "--method", "lin-reg", "--scheme", "extrap", "--stride", "6"]
+        assert dispatch([*cmd, "--dedupe-radius", "nan", "--out", str(out)]) == 1
+        assert "dedupe_radius must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_pairs_names_the_closest_pair(self, tmp_path, capsys):
         # The lanes traverse is 1.25 m apart, beyond the default 1.0 m pair cap.
         assert dispatch(["synth", "--benchmark", "lanes", "--out", str(tmp_path / "lanes")]) == 0
@@ -283,13 +290,13 @@ class TestRetrieveEval:
         assert set(doc) == {"mte_m", "mre_deg", "queries", "map_size"}
 
     def test_flags_a_command_does_not_read_are_refused(self, scene_dir, tmp_path):
-        # eval and retrieve read no config and write no report; the other
-        # commands that write no report take no --format.
+        # eval, retrieve and pipeline read no config, and only exp takes --format.
         out = str(tmp_path / "never")
         assert dispatch(["eval", "--scene", str(scene_dir), "--format", "json"]) == 1
         for flag in (["--config", "c.json"], ["--seed", "1"], ["--set", "a=1"], ["--format", "csv"]):
             assert dispatch(["eval", "--scene", str(scene_dir), *flag]) == 1
             assert dispatch(["retrieve", "--map", str(scene_dir), "--query", "q.bin", *flag]) == 1
+            assert dispatch(["pipeline", "--out", out, *flag]) == 1
         assert dispatch(["synth", "--benchmark", "loop", "--format", "json", "--out", out]) == 1
         assert dispatch(["train-h", "--scene", str(scene_dir), "--format", "json", "--out", out]) == 1
         assert not (tmp_path / "never").exists()

@@ -127,6 +127,12 @@ class TestSubsample:
         with pytest.raises(InvalidConfig):
             DensifyConfig(dedupe_radius=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["grid_step", "grid_span", "dedupe_radius"])
+    def test_config_refuses_a_non_finite_length(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            DensifyConfig(**{field: value})
+
 
 class TestInterpTargets:
     def test_midpoint_subdivision(self):

@@ -15,6 +15,7 @@ from copr.evaluate import (
     ExperimentReport,
     ExperimentRow,
     StrayReport,
+    StrayRow,
     _oracle_summary,
     emit_report,
     exp_extrapolation,
@@ -185,6 +186,21 @@ class TestReports:
         assert report_signature(report) == report_signature(jittered)
         assert report != jittered
 
+    def test_pipeline_signatures_survive_a_json_round_trip(self, tmp_path):
+        # Criterion 11 compares the signatures of the reports `copr pipeline` writes as JSON.
+        rows = tuple(ExperimentRow(**{**r.__dict__, "mte_m": r.mte_m / 3}) for r in self._report().rows)
+        stray = StrayRow(case_seed=0, similarity=0.9, rank_before=1, rank_after=2, demoted=True, stray_id="s")
+        reports = {
+            "extrap": ExperimentReport(rows=rows, config={"methods": ("lin_reg",), "step": 0.1 + 0.2}),
+            "stray": StrayReport(rows=(stray,), config={"cases": 1}),
+        }
+        for name, report in reports.items():
+            emit_report(report, "json", tmp_path / f"{name}.json")
+        back = {name: type(r).from_json((tmp_path / f"{name}.json").read_text()) for name, r in reports.items()}
+        signatures = B.pipeline_signatures(reports)
+        assert B.pipeline_signatures(back) == signatures
+        assert signatures == {"extrap": report_signature(reports["extrap"]), "stray": reports["stray"].to_json()}
+
     def test_oracle_violations_detects(self):
         good = self._report()
         assert oracle_violations(good) == []
@@ -289,7 +305,7 @@ class TestStrayExperiment:
 
     def test_report_round_trip(self, tmp_path):
         rows = (dict(case_seed=0, similarity=0.9, rank_before=1, rank_after=2, demoted=True, stray_id="stray"),)
-        report = StrayReport(rows=tuple(__import__("copr.evaluate", fromlist=["StrayRow"]).StrayRow(**r) for r in rows), config={"cases": 1})
+        report = StrayReport(rows=tuple(StrayRow(**r) for r in rows), config={"cases": 1})
         emit_report(report, "json", tmp_path / "s.json")
         back = StrayReport.from_json((tmp_path / "s.json").read_text())
         assert back == report
