@@ -313,8 +313,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     pipeline = benchmarks.build_pipeline()
-    for name, report in pipeline.reports.items():
-        emit_report(report, "json", Path(args.out) / f"{name}.json")
+    # One write for all six: a report that cannot be written leaves every old report in place.
+    out = Path(args.out)
+    write_files(*((out / f"{name}.json", r.to_json() + "\n") for name, r in pipeline.reports.items()), what="reports")
     for stage, seconds in pipeline.seconds.items():
         _log(f"{stage}: {seconds:.1f}s")
     _log(f"{len(pipeline.reports)} reports written to {args.out}")

@@ -18,8 +18,9 @@ overwrites what an earlier one returned. The one exception is
 :func:`backward_batch`'s ``grads``, which its caller passes in.
 
 Inference without a cache (:func:`forward_batch` with ``keep_cache=False``,
-and :func:`regress_nonlinear_batch`) runs its rows in even blocks of at
-most ``_BLOCK_ROWS`` (:func:`copr.blocks.even_blocks`, never a one-row block
+:func:`regress_nonlinear_batch`, and :func:`infer_blocks`, which builds each
+block's input rows on demand) runs its rows in even blocks of at most
+``_BLOCK_ROWS`` (:func:`copr.blocks.even_blocks`, never a one-row block
 unless the batch has one row) and copies each block's result into the one
 output array. A block's (block, width) intermediates are its own and are
 freed before the next block, so they stay cache-sized however many rows
@@ -220,12 +221,12 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False):
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimMismatch(f"input shape {x.shape} does not match model input dim {model.input_dim}")
     if not keep_cache:
-        return _infer(model, len(x), x.__getitem__), None
+        return infer_blocks(model, len(x), x.__getitem__), None
     cache = ([x], [], [])
     return _layers(model, x, cache), cache
 
 
-def _infer(model: MlpModel, n: int, block_input) -> np.ndarray:
+def infer_blocks(model: MlpModel, n: int, block_input) -> np.ndarray:
     """Uncached forward pass over ``n`` rows in even blocks of at most
     ``_BLOCK_ROWS``; ``block_input(rows)`` gives the input rows of the
     block ``rows`` (a slice)."""
@@ -377,4 +378,4 @@ def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: 
         x[:, dim:] = dp[rows]
         return x
 
-    return _infer(model, len(f), block_input)
+    return infer_blocks(model, len(f), block_input)

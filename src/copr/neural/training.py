@@ -2,14 +2,13 @@
 one loop (:func:`_fit`) that owns the validation split, the shuffle, the
 minibatches, the Adam steps and the early stop.
 
-Validation runs one epoch behind, on a second core: a child forked when a
-fit begins scores each epoch's parameter snapshot while the next epoch
-trains (:class:`_Validator`). The loop trains ahead only when the pending
-loss cannot stop the run, so it trains exactly the epochs of a sequential
-loop. Where fork is unavailable or fails, or the child dies or fails, the
-loop scores the snapshots inline; the results are bit-identical either way.
-A process with other threads should not fork, so one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``) is recommended.
+Validation runs one epoch behind, on a worker thread (:class:`_Validator`):
+it scores each epoch's parameter snapshot while the next epoch trains, on a
+second core, because numpy releases the GIL (Python's global interpreter
+lock) inside the validation pass. The loop trains ahead only when the
+pending loss cannot stop the run, so it trains exactly the epochs of a
+sequential loop, and its models and validation curves are bit-identical to
+scoring each epoch at once.
 
 Everything here is deterministic given the config seed: weight init draws
 from SplitMix64-derived per-layer streams, and all sampling/shuffling uses
@@ -19,9 +18,8 @@ config produce bitwise-identical models.
 
 from __future__ import annotations
 
-import mmap
-import os
-import struct
+import math
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -37,6 +35,7 @@ from .core import (
     RawAdam,
     backward_batch,
     forward_batch,
+    infer_blocks,
     init_mlp,
     mse_batch_grad,
     regressor_input,
@@ -66,6 +65,8 @@ class TrainConfig:
     early_stop_patience: int = 20
 
     def __post_init__(self):
+        if not math.isfinite(self.lr):
+            raise InvalidConfig(f"lr must be finite, got {self.lr!r}")
         if self.lr <= 0 or self.epochs <= 0 or self.batch_size <= 0 or self.early_stop_patience <= 0:
             raise InvalidConfig("lr, epochs, batch_size and early_stop_patience must be positive")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -88,10 +89,14 @@ def init_regressor(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, acts, seed)
 
 
-def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of the model over a stacked evaluation set."""
-    out, _ = forward_batch(model, x)
-    return float(np.mean((out - y) ** 2))
+def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> float:
+    """Mean squared error of the model over the rows ``rows`` of the inputs
+    ``x`` and targets ``y``. The input rows are gathered block by block
+    (:func:`copr.neural.core.infer_blocks`), and the errors squared in place."""
+    err = infer_blocks(model, len(rows), lambda block: x[rows[block]])
+    err -= y[rows]
+    err *= err
+    return float(np.mean(err))
 
 
 @dataclass(frozen=True)
@@ -116,81 +121,38 @@ def _trainable(model: MlpModel) -> MlpModel:
 
 
 class _Validator:
-    """Scores snapshots of the trained models, in a forked child when it can.
+    """Scores snapshots of the trained models on one worker thread.
 
-    :meth:`submit` copies every trained model's parameters into one shared
-    anonymous buffer, over which ``snapshot`` lays the models, and asks for
-    the loss ``val_loss(snapshot, rows)``; :meth:`result` returns it. The
-    child, forked at construction, inherits ``val_loss`` and its data and
-    scores each snapshot while the parent goes on training. Without a child
-    (``os.fork`` missing or failing, or the child dead or failed),
-    :meth:`result` calls ``val_loss`` on the same buffer itself, so a failing
-    validation raises its own error. The child leaves on end of file, so it
-    also ends when the parent dies; :meth:`close` ends and reaps it.
+    :meth:`submit` copies every trained model's parameters into one buffer,
+    over which ``snapshot`` lays the models, and schedules the loss
+    ``val_loss(snapshot, rows)`` on the worker; :meth:`result` waits for it,
+    so a failing validation raises its own error there. The caller submits
+    again only after reading the result, so the worker never reads the
+    buffer while it is written. :meth:`close` shuts the worker down, waiting
+    for any pending score.
     """
 
     def __init__(self, models, val_loss, rows):
         self._models = models
         sizes = [m.flat.size for m in models]
-        self._slot = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        # Zeros, not np.empty: on_buffer builds layers that refuse non-finite values.
+        self._slot = np.zeros(sum(sizes))
         self.snapshot = [m.on_buffer(part) for m, part in zip(models, np.split(self._slot, np.cumsum(sizes)[:-1]))]
         self._val_loss, self._rows = val_loss, rows
-        self._pid = None
-        fds = (*os.pipe(), *os.pipe())  # requests (read, write), replies (read, write)
-        pid = None
-        try:
-            pid = os.fork()
-        except (AttributeError, OSError):  # no fork on this platform, or EAGAIN/ENOMEM
-            pass
-        finally:
-            if pid is None:
-                for fd in fds:
-                    os.close(fd)
-        if pid == 0:
-            status = 1
-            try:
-                os.close(fds[1])
-                os.close(fds[2])
-                while os.read(fds[0], 1):
-                    os.write(fds[3], struct.pack("d", self._score()))
-                status = 0
-            finally:
-                os._exit(status)
-        if pid is not None:
-            os.close(fds[0])
-            os.close(fds[3])
-            self._pid, self._requests, self._replies = pid, fds[1], fds[2]
-
-    def _score(self) -> float:
-        # A method, not a lambda over ``self``: that cycle would keep the
-        # fit's data alive after it returns, until the cycle collector runs.
-        return self._val_loss(self.snapshot, self._rows)
+        self._pool = ThreadPoolExecutor(max_workers=1)
 
     def submit(self) -> None:
-        """Snapshot the trained models and ask for the snapshot's loss."""
+        """Snapshot the trained models and schedule the snapshot's loss."""
         np.concatenate([m.flat for m in self._models], out=self._slot)
-        if self._pid is not None:
-            try:
-                os.write(self._requests, b"v")
-            except BrokenPipeError:  # the child is gone
-                self.close()
+        self._pending = self._pool.submit(self._val_loss, self.snapshot, self._rows)
 
     def result(self) -> float:
         """The loss of the last submitted snapshot."""
-        if self._pid is not None:
-            reply = os.read(self._replies, 8)
-            if len(reply) == 8:
-                return struct.unpack("d", reply)[0]
-            self.close()  # the child died or failed: score here from now on
-        return self._score()
+        return self._pending.result()
 
     def close(self) -> None:
-        """End and reap the child; later snapshots are scored inline."""
-        if self._pid is not None:
-            pid, self._pid = self._pid, None
-            os.close(self._requests)
-            os.close(self._replies)
-            os.waitpid(pid, 0)
+        """Shut the worker down once any pending score is done."""
+        self._pool.shutdown()
 
 
 def _fit(n: int, cfg: TrainConfig, rng: np.random.Generator, trained, batch_grads, val_loss) -> TrainResult:
@@ -296,7 +258,7 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
         mse_batch_grad(net, x[rows], y[rows], grads=opt.grads)
 
     return _fit(
-        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x[rows], y[rows])
+        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x, y, rows)
     )
 
 

@@ -60,6 +60,9 @@ class FieldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("freq_scale", "orientation_weight", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim < 1:
             raise InvalidConfig("field dim must be at least 1")
         if self.kind not in ("affine", "random_fourier"):

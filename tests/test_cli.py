@@ -5,6 +5,7 @@ import math
 import shutil
 import struct
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,6 +87,16 @@ class TestSynth:
     def test_benchmark_shortcut_validates_name(self, tmp_path):
         assert dispatch(["synth", "--benchmark", "nope", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_non_finite_noise_sigma_is_refused(self, scene_dir, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        shutil.copy(scene_dir.parent / "scene_cfg.json", cfg)
+        out = tmp_path / "scene"
+        cmd = ["synth", "--config", str(cfg), "--set", f"field.noise_sigma={value}", "--out", str(out)]
+        assert dispatch(cmd) == 1
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestTrainAndDensify:
     def test_train_h_and_densify(self, scene_dir, tmp_path):
@@ -124,6 +135,13 @@ class TestTrainAndDensify:
         cmd = ["densify", "--scene", str(scene_dir), "--method", "lin-reg", "--scheme", "extrap", "--stride", "6"]
         assert dispatch([*cmd, "--dedupe-radius", "nan", "--out", str(out)]) == 1
         assert "dedupe_radius must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["1e999", "NaN"])
+    def test_non_finite_lr_is_refused(self, scene_dir, tmp_path, capsys, value):
+        out = tmp_path / "h.model"
+        assert dispatch(["train-h", "--scene", str(scene_dir), "--set", f"train.lr={value}", "--out", str(out)]) == 1
+        assert "lr must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_no_pairs_names_the_closest_pair(self, tmp_path, capsys):
@@ -300,6 +318,35 @@ class TestRetrieveEval:
         assert dispatch(["synth", "--benchmark", "loop", "--format", "json", "--out", out]) == 1
         assert dispatch(["train-h", "--scene", str(scene_dir), "--format", "json", "--out", out]) == 1
         assert not (tmp_path / "never").exists()
+
+
+class TestPipelineReports:
+    """``copr pipeline`` writes its reports together, through a stand-in build."""
+
+    @staticmethod
+    def _run(monkeypatch, out, run):
+        reports = {
+            name: SimpleNamespace(to_json=lambda name=name: json.dumps({"report": name, "run": run}))
+            for name in ("loop_extrap", "encoders", "stray")
+        }
+        monkeypatch.setattr(benchmarks, "build_pipeline", lambda: benchmarks.Pipeline({}, {}, reports, {"loop": 1.0}))
+        return dispatch(["pipeline", "--out", str(out)])
+
+    def test_writes_one_json_file_per_report(self, tmp_path, monkeypatch):
+        assert self._run(monkeypatch, tmp_path / "out", 1) == 0
+        found = {p.name: json.loads(p.read_text()) for p in (tmp_path / "out").iterdir()}
+        assert found == {f"{n}.json": {"report": n, "run": 1} for n in ("loop_extrap", "encoders", "stray")}
+
+    def test_a_report_that_cannot_be_written_leaves_every_old_report(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self._run(monkeypatch, out, 1) == 0
+        (out / "stray.json").unlink()
+        (out / "stray.json").mkdir()  # the last report cannot be written
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert self._run(monkeypatch, out, 2) == 2
+        assert "cannot write reports" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["encoders.json", "loop_extrap.json", "stray.json"]
 
 
 class TestExp:

@@ -4,8 +4,9 @@ buffers, the regressor architecture, encoder losses, and model files."""
 
 import gc
 import math
-import os
 import struct
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -164,9 +165,9 @@ def gradient_check(model, x, target, h=1e-6, tol=1e-6) -> float:
     for i in range(len(flat)):
         bumped = flat.copy()
         bumped[i] += h
-        lp = mse_over(_model_with_params(model, bumped), x, target)
+        lp = mse_over(_model_with_params(model, bumped), x, target, [0])
         bumped[i] -= 2 * h
-        lm = mse_over(_model_with_params(model, bumped), x, target)
+        lm = mse_over(_model_with_params(model, bumped), x, target, [0])
         fd = (lp - lm) / (2 * h)
         err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))
         worst = max(worst, err)
@@ -319,7 +320,7 @@ class TestGradients:
         model = _rand_model(rng)
         x = rng.standard_normal((1, model.input_dim))
         target, _ = forward_batch(model, x)
-        assert mse_over(model, x, target) == 0.0
+        assert mse_over(model, x, target, [0]) == 0.0
         for gw, gb in mse_batch_grad(model, x, target):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
@@ -338,8 +339,8 @@ class TestGradients:
         )
         x = np.array([[1.0, 1.0]])
         y, _ = forward_batch(model, x)
-        l1 = mse_over(model, x, y + 0.5)
-        l2 = mse_over(model, x, y + 1.0)
+        l1 = mse_over(model, x, y + 0.5, [0])
+        l2 = mse_over(model, x, y + 1.0, [0])
         np.testing.assert_allclose(l2, 4.0 * l1, rtol=1e-12)
 
 
@@ -444,12 +445,13 @@ class TestTrainingStep:
             opt = RawAdam(net, 1e-3)
             mse_batch_grad(net, x, t, grads=opt.grads)
             flat = _flatten_params(model)
+            rows = np.arange(len(x))
             for i in range(len(flat)):
                 bumped = flat.copy()
                 bumped[i] += h
-                lp = mse_over(_model_with_params(model, bumped), x, t)
+                lp = mse_over(_model_with_params(model, bumped), x, t, rows)
                 bumped[i] -= 2 * h
-                lm = mse_over(_model_with_params(model, bumped), x, t)
+                lm = mse_over(_model_with_params(model, bumped), x, t, rows)
                 fd = (lp - lm) / (2 * h)
                 assert abs(opt.grad[i] - fd) / max(1.0, abs(opt.grad[i]), abs(fd)) <= 1e-6
 
@@ -513,6 +515,11 @@ class TestRegressor:
         wide = init_mlp([11, 5], [Activation.IDENTITY], 0)
         with pytest.raises(DimMismatch):
             regress_nonlinear_batch(wide, np.ones((1, 4)), dp.as_vector()[None])
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_a_non_finite_lr(self, lr):
+        with pytest.raises(InvalidConfig, match="lr must be finite"):
+            TrainConfig(lr=lr)
 
     def test_empty_training_set(self):
         empty = TrainingPairs(np.zeros((0, 4)), np.zeros((0, 7)), np.zeros((0, 4)))
@@ -892,67 +899,75 @@ def _fit_counting_batches(monkeypatch, kind, cfg, batches, val_loss_wrapper=None
     return train_encoder_full(_toy_dataset(), kind, cfg)
 
 
-@pytest.fixture
-def fork_pids(monkeypatch):
-    """Pids of the children ``os.fork`` starts while the fixture is active."""
-    pids = []
-    real_fork = os.fork
+class _CallingThreadValidator:
+    """A validator that scores each snapshot in ``result()``, on the calling
+    thread: the sequential reference for :class:`training._Validator`."""
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def __init__(self, models, val_loss, rows):
+        self._models, self._val_loss, self._rows = models, val_loss, rows
+        self.snapshot = [m.on_buffer(np.zeros_like(m.flat)) for m in models]
 
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
+    def submit(self):
+        for model, snap in zip(self._models, self.snapshot):
+            snap.flat[:] = model.flat
 
+    def result(self):
+        return self._val_loss(self.snapshot, self._rows)
 
-def _no_fork(monkeypatch):
-    def fork():
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "fork", fork)
+    def close(self):
+        pass
 
 
-def _assert_reaped(pids):
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-
-
-class TestForkedValidation:
-    """Validation scored by a forked child one epoch behind gives the bits of
-    validation scored inline, trains no extra epoch and leaves no child."""
+class TestThreadedValidation:
+    """Validation scored on a worker thread one epoch behind gives the bits of
+    validation scored on the calling thread, trains no extra epoch and leaves
+    no thread running."""
 
     @pytest.mark.parametrize("stop", sorted(_FIT_CONFIGS))
     @pytest.mark.parametrize("kind", ("regressor", *ENCODER_VARIANTS))
-    def test_forked_and_inline_validation_agree_bitwise(self, monkeypatch, fork_pids, kind, stop):
+    def test_threaded_and_sequential_validation_agree_bitwise(self, monkeypatch, kind, stop):
         cfg = _FIT_CONFIGS[stop]
-        forked_batches, inline_batches = [], []
-        forked = _fit_counting_batches(monkeypatch, kind, cfg, forked_batches)
-        _assert_reaped(fork_pids)
-        _no_fork(monkeypatch)
-        inline = _fit_counting_batches(monkeypatch, kind, cfg, inline_batches)
-        assert forked.model.flat.tobytes() == inline.model.flat.tobytes()
+        threaded_batches, sequential_batches = [], []
+        threaded = _fit_counting_batches(monkeypatch, kind, cfg, threaded_batches)
+        monkeypatch.setattr(training, "_Validator", _CallingThreadValidator)
+        sequential = _fit_counting_batches(monkeypatch, kind, cfg, sequential_batches)
+        assert threaded.model.flat.tobytes() == sequential.model.flat.tobytes()
         fields = ("initial_val_loss", "best_val_loss", "epochs_run", "stop_reason", "val_curve")
-        assert [getattr(forked, f) for f in fields] == [getattr(inline, f) for f in fields]
-        assert forked.stop_reason == stop
-        assert len(forked.val_curve) == forked.epochs_run + 1
-        assert forked.initial_val_loss == forked.val_curve[0]
-        assert forked.best_val_loss == min(forked.val_curve)
+        assert [getattr(threaded, f) for f in fields] == [getattr(sequential, f) for f in fields]
+        assert threaded.stop_reason == stop
+        assert len(threaded.val_curve) == threaded.epochs_run + 1
+        assert threaded.initial_val_loss == threaded.val_curve[0]
+        assert threaded.best_val_loss == min(threaded.val_curve)
         n = len(_noise_pairs()) if kind == "regressor" else training._ENCODER_POOL
         n_train = n - round(cfg.validation_fraction * n)
         per_epoch = math.ceil(n_train / cfg.batch_size)
-        assert len(forked_batches) == len(inline_batches) == forked.epochs_run * per_epoch
+        assert len(threaded_batches) == len(sequential_batches) == threaded.epochs_run * per_epoch
 
-    def test_missing_fork_validates_inline(self, monkeypatch):
+    def test_agrees_bitwise_under_rapid_thread_switches(self, monkeypatch):
         cfg = _FIT_CONFIGS["early_stop"]
-        forked = train_regressor_full(_noise_pairs(), cfg, 3)
-        monkeypatch.delattr(os, "fork")
-        inline = train_regressor_full(_noise_pairs(), cfg, 3)
-        assert forked.model.flat.tobytes() == inline.model.flat.tobytes()
-        assert forked.val_curve == inline.val_curve
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = train_regressor_full(_noise_pairs(), cfg, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(training, "_Validator", _CallingThreadValidator)
+        sequential = train_regressor_full(_noise_pairs(), cfg, 3)
+        assert threaded.model.flat.tobytes() == sequential.model.flat.tobytes()
+        assert threaded.val_curve == sequential.val_curve
+
+    def test_validation_runs_off_the_calling_thread(self, monkeypatch):
+        scoring_threads = set()
+
+        def recording(val_loss):
+            def scored(models, rows):
+                scoring_threads.add(threading.get_ident())
+                return val_loss(models, rows)
+
+            return scored
+
+        _fit_counting_batches(monkeypatch, "regressor", _FIT_CONFIGS["max_epochs"], [], recording)
+        assert len(scoring_threads) == 1 and threading.get_ident() not in scoring_threads
 
     def test_validator_is_freed_without_the_cycle_collector(self):
         # A validator left to the cycle collector keeps the fit's data and
@@ -965,11 +980,12 @@ class TestForkedValidation:
         finally:
             gc.enable()
 
-    def test_child_is_reaped_after_a_normal_return(self, fork_pids):
+    def test_worker_is_joined_after_a_normal_return(self):
+        before = threading.active_count()
         train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
-        _assert_reaped(fork_pids)
+        assert threading.active_count() == before
 
-    def test_child_is_reaped_when_training_raises(self, monkeypatch, fork_pids):
+    def test_worker_is_joined_when_training_raises(self, monkeypatch):
         def fit(n, cfg, rng, trained, batch_grads, val_loss):
             calls = []
 
@@ -981,14 +997,15 @@ class TestForkedValidation:
 
             return _fit(n, cfg, rng, trained, failing, val_loss)
 
+        before = threading.active_count()
         monkeypatch.setattr(training, "_fit", fit)
         with pytest.raises(RuntimeError, match="batch failed"):
             train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
-        _assert_reaped(fork_pids)
+        assert threading.active_count() == before
 
-    def test_validation_failing_in_the_child_raises_as_inline(self, monkeypatch, fork_pids):
+    def test_failing_validation_raises_its_own_error_and_joins_the_worker(self, monkeypatch):
         def failing_after_the_first(val_loss):
-            calls = []  # per process: the child's count is its own copy
+            calls = []
 
             def scored(models, rows):
                 calls.append(1)
@@ -998,33 +1015,11 @@ class TestForkedValidation:
 
             return scored
 
+        before = threading.active_count()
         cfg = _FIT_CONFIGS["max_epochs"]
-        with pytest.raises(RefusedNonFinite) as forked:
+        with pytest.raises(RefusedNonFinite, match="validation loss failed"):
             _fit_counting_batches(monkeypatch, "regressor", cfg, [], failing_after_the_first)
-        _assert_reaped(fork_pids)
-        _no_fork(monkeypatch)
-        with pytest.raises(RefusedNonFinite) as inline:
-            _fit_counting_batches(monkeypatch, "regressor", cfg, [], failing_after_the_first)
-        assert type(forked.value) is type(inline.value)
-
-    def test_child_failure_hands_over_to_inline_scoring(self, monkeypatch, fork_pids):
-        parent = os.getpid()
-
-        def failing_in_the_child(val_loss):
-            def scored(models, rows):
-                if os.getpid() != parent:
-                    raise RefusedNonFinite("validation loss failed")
-                return val_loss(models, rows)
-
-            return scored
-
-        cfg = _FIT_CONFIGS["early_stop"]
-        handed_over = _fit_counting_batches(monkeypatch, "relative", cfg, [], failing_in_the_child)
-        _assert_reaped(fork_pids)
-        _no_fork(monkeypatch)
-        inline = _fit_counting_batches(monkeypatch, "relative", cfg, [])
-        assert handed_over.model.flat.tobytes() == inline.model.flat.tobytes()
-        assert handed_over.val_curve == inline.val_curve
+        assert threading.active_count() == before
 
 
 class TestModelIo:

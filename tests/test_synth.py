@@ -90,6 +90,12 @@ class TestFields:
         with pytest.raises(InvalidConfig):
             FieldConfig(dim=2, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["freq_scale", "orientation_weight", "noise_sigma"])
+    def test_config_refuses_a_non_finite_value(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            FieldConfig(dim=2, **{field: value})
+
 
 class TestGenScene:
     def test_loop_counts_and_order(self):
