@@ -50,6 +50,7 @@ from .evaluate import (
     exp_interpolation,
     exp_stray,
     localize_and_summarize,
+    report_text,
     train_scene_regressor,
 )
 from .files import read_json, write_files
@@ -313,9 +314,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     pipeline = benchmarks.build_pipeline()
-    # One write for all six: a report that cannot be written leaves every old report in place.
+    # One write for all six: a report that cannot be staged (a path that is a
+    # directory, a full disk) leaves every old report in place; a rename that
+    # fails leaves the reports renamed before it new.
     out = Path(args.out)
-    write_files(*((out / f"{name}.json", r.to_json() + "\n") for name, r in pipeline.reports.items()), what="reports")
+    reports = pipeline.reports.items()
+    write_files(*((out / f"{name}.json", report_text(r, "json")) for name, r in reports), what="reports")
     for stage, seconds in pipeline.seconds.items():
         _log(f"{stage}: {seconds:.1f}s")
     _log(f"{len(pipeline.reports)} reports written to {args.out}")

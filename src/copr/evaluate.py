@@ -178,12 +178,16 @@ class StrayReport(_Table):
     row_type = StrayRow
 
 
-def emit_report(report, fmt: str, path) -> None:
-    """Write a report as CSV (6 significant digits) or lossless JSON."""
+def report_text(report, fmt: str) -> str:
+    """A report's file text: CSV (6 significant digits) or lossless JSON."""
     if fmt not in ("csv", "json"):
         raise InvalidConfig(f"unknown report format {fmt!r}")
-    text = report.to_csv() if fmt == "csv" else report.to_json() + "\n"
-    write_files((path, text), what="report")
+    return report.to_csv() if fmt == "csv" else report.to_json() + "\n"
+
+
+def emit_report(report, fmt: str, path) -> None:
+    """Write a report as CSV (6 significant digits) or lossless JSON."""
+    write_files((path, report_text(report, fmt)), what="report")
 
 
 def report_signature(report: ExperimentReport) -> str:

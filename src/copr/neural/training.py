@@ -2,13 +2,10 @@
 one loop (:func:`_fit`) that owns the validation split, the shuffle, the
 minibatches, the Adam steps and the early stop.
 
-Validation runs one epoch behind, on a worker thread (:class:`_Validator`):
-it scores each epoch's parameter snapshot while the next epoch trains, on a
-second core, because numpy releases the GIL (Python's global interpreter
-lock) inside the validation pass. The loop trains ahead only when the
-pending loss cannot stop the run, so it trains exactly the epochs of a
-sequential loop, and its models and validation curves are bit-identical to
-scoring each epoch at once.
+Validation scores the validation rows on the calling thread, before
+training and after each epoch. Keep it there: perfbench's tracer keeps one
+span stack per process, so training code on a second thread would corrupt
+its spans and counts.
 
 Everything here is deterministic given the config seed: weight init draws
 from SplitMix64-derived per-layer streams, and all sampling/shuffling uses
@@ -19,8 +16,6 @@ config produce bitwise-identical models.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,93 +115,45 @@ def _trainable(model: MlpModel) -> MlpModel:
     return model.on_buffer(model.flat.copy())
 
 
-class _Validator:
-    """Scores snapshots of the trained models on one worker thread.
-
-    :meth:`submit` copies every trained model's parameters into one buffer,
-    over which ``snapshot`` lays the models, and schedules the loss
-    ``val_loss(snapshot, rows)`` on the worker; :meth:`result` waits for it,
-    so a failing validation raises its own error there. The caller submits
-    again only after reading the result, so the worker never reads the
-    buffer while it is written. :meth:`close` shuts the worker down, waiting
-    for any pending score.
-    """
-
-    def __init__(self, models, val_loss, rows):
-        self._models = models
-        sizes = [m.flat.size for m in models]
-        # Zeros, not np.empty: on_buffer builds layers that refuse non-finite values.
-        self._slot = np.zeros(sum(sizes))
-        self.snapshot = [m.on_buffer(part) for m, part in zip(models, np.split(self._slot, np.cumsum(sizes)[:-1]))]
-        self._val_loss, self._rows = val_loss, rows
-        self._pool = ThreadPoolExecutor(max_workers=1)
-
-    def submit(self) -> None:
-        """Snapshot the trained models and schedule the snapshot's loss."""
-        np.concatenate([m.flat for m in self._models], out=self._slot)
-        self._pending = self._pool.submit(self._val_loss, self.snapshot, self._rows)
-
-    def result(self) -> float:
-        """The loss of the last submitted snapshot."""
-        return self._pending.result()
-
-    def close(self) -> None:
-        """Shut the worker down once any pending score is done."""
-        self._pool.shutdown()
-
-
 def _fit(n: int, cfg: TrainConfig, rng: np.random.Generator, trained, batch_grads, val_loss) -> TrainResult:
     """The one training loop. Splits ``n`` sample rows into training and
     validation rows (validating on the training rows if the split leaves
     none); per epoch shuffles the training rows and, per minibatch, has
     ``batch_grads(rows)`` fill the gradient buffer of every ``(model,
     RawAdam)`` pair in ``trained`` and steps each model.
-    ``val_loss(models, rows)`` scores the validation rows on ``models``, a
-    snapshot of the trained models, before training and after each epoch,
-    through a :class:`_Validator`. Runs until ``cfg.epochs`` or early
+    ``val_loss(rows)`` scores the validation rows on the trained models,
+    before training and after each epoch. Runs until ``cfg.epochs`` or early
     stopping and exports the first model's best snapshot (the untrained
     init if none improves), read-only."""
     perm = rng.permutation(n)
     n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1) if n >= 2 else 0
     train_idx = perm[n_val:]
     val_idx = perm[:n_val] if n_val else train_idx
+    net = trained[0][0]
 
-    def train_epoch():
+    best_val = val_loss(val_idx)
+    best_params = net.flat.copy()
+    curve = [best_val]
+    stale = 0
+    stop_reason = "max_epochs"
+    epochs_run = 0
+    while epochs_run < cfg.epochs:
         order = train_idx[rng.permutation(len(train_idx))]
         for start in range(0, len(order), cfg.batch_size):
             batch_grads(order[start : start + cfg.batch_size])
             for model, opt in trained:
                 opt.step(model, opt.grad)
-
-    curve = []
-    stale = 0
-    stop_reason = "max_epochs"
-    epochs_run = 0
-    with closing(_Validator([model for model, _ in trained], val_loss, val_idx)) as validator:
-        validator.submit()
-        while True:
-            # The loss pending is epoch ``epochs_run``'s. The next epoch trains
-            # before it is read only when it cannot stop the run.
-            ahead = epochs_run < cfg.epochs and (epochs_run == 0 or stale + 1 < cfg.early_stop_patience)
-            if ahead:
-                train_epoch()
-            val = validator.result()
-            curve.append(val)
-            if epochs_run == 0 or val < best_val:
-                best_val, best_params, stale = val, validator.snapshot[0].flat.copy(), 0
-            else:
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    stop_reason = "early_stop"
-                    break
-            if epochs_run == cfg.epochs:
+        epochs_run += 1
+        val = val_loss(val_idx)
+        curve.append(val)
+        if val < best_val:
+            best_val, best_params, stale = val, net.flat.copy(), 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                stop_reason = "early_stop"
                 break
-            if not ahead:
-                train_epoch()
-            epochs_run += 1
-            validator.submit()
     best_params.setflags(write=False)
-    net = trained[0][0]
     return TrainResult(net.on_buffer(best_params), curve[0], best_val, epochs_run, stop_reason, tuple(curve))
 
 
@@ -257,9 +204,7 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
     def batch_grads(rows):
         mse_batch_grad(net, x[rows], y[rows], grads=opt.grads)
 
-    return _fit(
-        len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda models, rows: mse_over(models[0], x, y, rows)
-    )
+    return _fit(len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda rows: mse_over(net, x, y, rows))
 
 
 def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
@@ -401,15 +346,15 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
 
     # Each objective maps the encoded columns of a batch's sample rows to the
     # batch loss followed, with ``with_grads``, by one output gradient per
-    # column; ``models`` are the encoder and, for ``relative``, the head.
+    # column.
     if variant == "triplet":
 
-        def objective(models, feats, rows, with_grads):
+        def objective(feats, rows, with_grads):
             return triplet_grads(*feats, DEFAULT_TRIPLET_MARGIN)
 
     elif variant == "distance":
 
-        def objective(models, feats, rows, with_grads):
+        def objective(feats, rows, with_grads):
             return distance_grads(*feats, t[samples[rows, 0]], t[samples[rows, 1]])
 
     else:
@@ -420,12 +365,12 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
         dp_pool = relative_pose_rows(t[a], q[a], t[b], q[b])
         n = dataset.descriptor_dim
 
-        def objective(models, feats, rows, with_grads):
-            dp_hat, cache = forward_batch(models[1], np.hstack(feats), keep_cache=with_grads)
+        def objective(feats, rows, with_grads):
+            dp_hat, cache = forward_batch(head, np.hstack(feats), keep_cache=with_grads)
             loss, g_dp = relative_grads(dp_hat, dp_pool[rows])
             if not with_grads:
                 return (loss,)
-            _, g_stacked = backward_batch(models[1], cache, g_dp, grads=head_opt.grads)
+            _, g_stacked = backward_batch(head, cache, g_dp, grads=head_opt.grads)
             return loss, g_stacked[:, :n], g_stacked[:, n:]
 
     # The first column's gradients go to enc_opt.grad; each later column's
@@ -433,24 +378,18 @@ def train_encoder_full(dataset: EncoderDataset, variant: str, cfg: TrainConfig) 
     part = np.empty_like(enc_opt.grad)
     part_grads = encoder.views(part)
 
-    def batch_loss(models, rows, with_grads):
-        passes = [forward_batch(models[0], obs[col], keep_cache=with_grads) for col in samples[rows].T]
-        loss, *grads = objective(models, [f for f, _ in passes], rows, with_grads)
+    def batch_loss(rows, with_grads):
+        passes = [forward_batch(encoder, obs[col], keep_cache=with_grads) for col in samples[rows].T]
+        loss, *grads = objective([f for f, _ in passes], rows, with_grads)
         if with_grads:
             for k, ((_, cache), g) in enumerate(zip(passes, grads)):
-                backward_batch(models[0], cache, g, grads=part_grads if k else enc_opt.grads)
+                backward_batch(encoder, cache, g, grads=part_grads if k else enc_opt.grads)
                 if k:
                     enc_opt.grad += part
         return loss
 
-    models = [model for model, _ in trained]
     return _fit(
-        len(samples),
-        cfg,
-        rng,
-        trained,
-        lambda rows: batch_loss(models, rows, True),
-        lambda snapshot, rows: batch_loss(snapshot, rows, False),
+        len(samples), cfg, rng, trained, lambda rows: batch_loss(rows, True), lambda rows: batch_loss(rows, False)
     )
 
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import shutil
 import struct
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -347,6 +349,24 @@ class TestPipelineReports:
         assert "cannot write reports" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == ["encoders.json", "loop_extrap.json", "stray.json"]
+
+    def test_a_failed_rename_leaves_the_later_reports_old(self, tmp_path, monkeypatch, capsys):
+        # The reports are renamed into place one by one, in build order; a
+        # rename that fails leaves those before it new and the rest old.
+        out = tmp_path / "out"
+        assert self._run(monkeypatch, out, 1) == 0
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "encoders.json":
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert self._run(monkeypatch, out, 2) == 2
+        assert "cannot write reports" in capsys.readouterr().err
+        runs = {p.name: json.loads(p.read_text())["run"] for p in out.iterdir()}
+        assert runs == {"loop_extrap.json": 2, "encoders.json": 1, "stray.json": 1}
 
 
 class TestExp:

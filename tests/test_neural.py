@@ -5,7 +5,6 @@ buffers, the regressor architecture, encoder losses, and model files."""
 import gc
 import math
 import struct
-import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -899,127 +898,100 @@ def _fit_counting_batches(monkeypatch, kind, cfg, batches, val_loss_wrapper=None
     return train_encoder_full(_toy_dataset(), kind, cfg)
 
 
-class _CallingThreadValidator:
-    """A validator that scores each snapshot in ``result()``, on the calling
-    thread: the sequential reference for :class:`training._Validator`."""
-
-    def __init__(self, models, val_loss, rows):
-        self._models, self._val_loss, self._rows = models, val_loss, rows
-        self.snapshot = [m.on_buffer(np.zeros_like(m.flat)) for m in models]
-
-    def submit(self):
-        for model, snap in zip(self._models, self.snapshot):
-            snap.flat[:] = model.flat
-
-    def result(self):
-        return self._val_loss(self.snapshot, self._rows)
-
-    def close(self):
-        pass
-
-
-class TestThreadedValidation:
-    """Validation scored on a worker thread one epoch behind gives the bits of
-    validation scored on the calling thread, trains no extra epoch and leaves
-    no thread running."""
+class TestValidation:
+    """The loop scores the validation rows once before training and once per
+    epoch, on the calling thread, stops by its rule after whole epochs and
+    returns the best-scoring snapshot."""
 
     @pytest.mark.parametrize("stop", sorted(_FIT_CONFIGS))
     @pytest.mark.parametrize("kind", ("regressor", *ENCODER_VARIANTS))
-    def test_threaded_and_sequential_validation_agree_bitwise(self, monkeypatch, kind, stop):
+    def test_stops_by_its_rule_after_whole_epochs(self, monkeypatch, kind, stop):
         cfg = _FIT_CONFIGS[stop]
-        threaded_batches, sequential_batches = [], []
-        threaded = _fit_counting_batches(monkeypatch, kind, cfg, threaded_batches)
-        monkeypatch.setattr(training, "_Validator", _CallingThreadValidator)
-        sequential = _fit_counting_batches(monkeypatch, kind, cfg, sequential_batches)
-        assert threaded.model.flat.tobytes() == sequential.model.flat.tobytes()
-        fields = ("initial_val_loss", "best_val_loss", "epochs_run", "stop_reason", "val_curve")
-        assert [getattr(threaded, f) for f in fields] == [getattr(sequential, f) for f in fields]
-        assert threaded.stop_reason == stop
-        assert len(threaded.val_curve) == threaded.epochs_run + 1
-        assert threaded.initial_val_loss == threaded.val_curve[0]
-        assert threaded.best_val_loss == min(threaded.val_curve)
+        batches, scored = [], []
+
+        def recording(val_loss):
+            def score(rows):
+                scored.append(val_loss(rows))
+                return scored[-1]
+
+            return score
+
+        result = _fit_counting_batches(monkeypatch, kind, cfg, batches, recording)
+        assert result.stop_reason == stop
+        assert list(result.val_curve) == scored
+        assert len(result.val_curve) == result.epochs_run + 1
+        assert result.initial_val_loss == result.val_curve[0]
+        assert result.best_val_loss == min(result.val_curve)
+        best = result.val_curve.index(result.best_val_loss)
+        if stop == "early_stop":
+            assert result.epochs_run < cfg.epochs
+            assert best == result.epochs_run - cfg.early_stop_patience
+        else:
+            assert result.epochs_run == cfg.epochs
+            assert result.epochs_run - best < cfg.early_stop_patience
         n = len(_noise_pairs()) if kind == "regressor" else training._ENCODER_POOL
         n_train = n - round(cfg.validation_fraction * n)
         per_epoch = math.ceil(n_train / cfg.batch_size)
-        assert len(threaded_batches) == len(sequential_batches) == threaded.epochs_run * per_epoch
+        assert len(batches) == result.epochs_run * per_epoch
 
-    def test_agrees_bitwise_under_rapid_thread_switches(self, monkeypatch):
-        cfg = _FIT_CONFIGS["early_stop"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = train_regressor_full(_noise_pairs(), cfg, 3)
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(training, "_Validator", _CallingThreadValidator)
-        sequential = train_regressor_full(_noise_pairs(), cfg, 3)
-        assert threaded.model.flat.tobytes() == sequential.model.flat.tobytes()
-        assert threaded.val_curve == sequential.val_curve
+    @pytest.mark.parametrize("stop", sorted(_FIT_CONFIGS))
+    def test_returns_the_snapshot_that_scored_best(self, monkeypatch, stop):
+        val_rows = []
 
-    def test_validation_runs_off_the_calling_thread(self, monkeypatch):
+        def recording(val_loss):
+            def score(rows):
+                val_rows.append(rows)
+                return val_loss(rows)
+
+            return score
+
+        pairs = _noise_pairs()
+        result = _fit_counting_batches(monkeypatch, "regressor", _FIT_CONFIGS[stop], [], recording)
+        x = training.regressor_input(pairs.f_anchor, pairs.dp)
+        assert mse_over(result.model, x, pairs.f_target, val_rows[0]) == result.best_val_loss
+
+    def test_validation_runs_on_the_calling_thread(self, monkeypatch):
         scoring_threads = set()
 
         def recording(val_loss):
-            def scored(models, rows):
+            def score(rows):
                 scoring_threads.add(threading.get_ident())
-                return val_loss(models, rows)
+                return val_loss(rows)
 
-            return scored
+            return score
 
         _fit_counting_batches(monkeypatch, "regressor", _FIT_CONFIGS["max_epochs"], [], recording)
-        assert len(scoring_threads) == 1 and threading.get_ident() not in scoring_threads
+        assert scoring_threads == {threading.get_ident()}
 
-    def test_validator_is_freed_without_the_cycle_collector(self):
-        # A validator left to the cycle collector keeps the fit's data and
-        # buffers alive after it returns, which raises peak memory.
+    @pytest.mark.parametrize("kind", ("regressor", *ENCODER_VARIANTS))
+    def test_training_state_is_freed_without_the_cycle_collector(self, kind):
+        # State left to the cycle collector keeps the fit's data and buffers
+        # alive after it returns, which raises peak memory.
         gc.collect()
         gc.disable()
         try:
-            train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
-            assert not [o for o in gc.get_objects() if isinstance(o, training._Validator)]
+            if kind == "regressor":
+                train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
+            else:
+                train_encoder_full(_toy_dataset(), kind, _FIT_CONFIGS["max_epochs"])
+            assert not [o for o in gc.get_objects() if isinstance(o, RawAdam)]
         finally:
             gc.enable()
 
-    def test_worker_is_joined_after_a_normal_return(self):
-        before = threading.active_count()
-        train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
-        assert threading.active_count() == before
-
-    def test_worker_is_joined_when_training_raises(self, monkeypatch):
-        def fit(n, cfg, rng, trained, batch_grads, val_loss):
-            calls = []
-
-            def failing(rows):
-                calls.append(1)
-                if len(calls) == 3:
-                    raise RuntimeError("batch failed")
-                return batch_grads(rows)
-
-            return _fit(n, cfg, rng, trained, failing, val_loss)
-
-        before = threading.active_count()
-        monkeypatch.setattr(training, "_fit", fit)
-        with pytest.raises(RuntimeError, match="batch failed"):
-            train_regressor_full(_noise_pairs(), _FIT_CONFIGS["max_epochs"], 3)
-        assert threading.active_count() == before
-
-    def test_failing_validation_raises_its_own_error_and_joins_the_worker(self, monkeypatch):
+    def test_failing_validation_raises_its_own_error(self, monkeypatch):
         def failing_after_the_first(val_loss):
             calls = []
 
-            def scored(models, rows):
+            def score(rows):
                 calls.append(1)
                 if len(calls) == 2:
                     raise RefusedNonFinite("validation loss failed")
-                return val_loss(models, rows)
+                return val_loss(rows)
 
-            return scored
+            return score
 
-        before = threading.active_count()
-        cfg = _FIT_CONFIGS["max_epochs"]
         with pytest.raises(RefusedNonFinite, match="validation loss failed"):
-            _fit_counting_batches(monkeypatch, "regressor", cfg, [], failing_after_the_first)
-        assert threading.active_count() == before
+            _fit_counting_batches(monkeypatch, "regressor", _FIT_CONFIGS["max_epochs"], [], failing_after_the_first)
 
 
 class TestModelIo:
