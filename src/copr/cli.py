@@ -223,7 +223,7 @@ def _cmd_synth(args) -> int:
     scene = gen_scene(scene_cfg, read.build(FieldConfig, "field", field_base))
     save_scene(scene, args.out)
     read.write_echo(Path(args.out) / "scene.json")
-    _log(f"scene written to {args.out} ({len(scene.gt_dense)} refs, {len(scene.query_map)} queries)")
+    _log(f"scene written to {args.out} ({len(scene.gt_dense)} refs, {len(scene.queries)} queries)")
     return 0
 
 
@@ -315,8 +315,7 @@ def _cmd_eval(args) -> int:
 def _cmd_pipeline(args) -> int:
     pipeline = benchmarks.build_pipeline()
     # One write for all six: a report that cannot be staged (a path that is a
-    # directory, a full disk) leaves every old report in place; a rename that
-    # fails leaves the reports renamed before it new.
+    # directory, a full disk) or renamed leaves every old report in place.
     out = Path(args.out)
     reports = pipeline.reports.items()
     write_files(*((out / f"{name}.json", report_text(r, "json")) for name, r in reports), what="reports")

@@ -37,7 +37,7 @@ from .geometry import angular_error_deg_many, relative_pose_rows
 from .neural.core import MlpModel, forward_batch, regress_nonlinear_batch
 from .neural.training import ENCODER_VARIANTS, TrainConfig, build_training_pairs, train_regressor
 from .synth import SyntheticScene, make_encoder_dataset, make_observations
-from .vpr_map import ReferenceMap, match_errors, nearest_neighbors, oracle_retrieve, origin_of, retrieve, retrieve_many
+from .vpr_map import ReferenceMap, match_errors, nearest_neighbors, oracle_retrieve, retrieve, retrieve_many
 
 METHOD_LABELS = {
     METHOD_LIN_INTERP: "LinInterp",
@@ -50,10 +50,15 @@ _INTERP_NEIGHBORS = 4
 
 @dataclass(frozen=True)
 class PerQuery:
-    translation_error: float
-    rotation_error: float
-    matched_id: str
-    matched_origin: str
+    """Per-query results as columns, row i for query i: the translation
+    error (m), the rotation error (deg) and the matched map row."""
+
+    translation_error: np.ndarray
+    rotation_error: np.ndarray
+    matched: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matched)
 
 
 @dataclass(frozen=True)
@@ -62,56 +67,40 @@ class ErrorSummary:
 
     mte_m: float
     mre_deg: float
-    per_query: tuple[PerQuery, ...]
+    per_query: PerQuery
 
 
-def localize_and_summarize(queries, ref_map: ReferenceMap) -> ErrorSummary:
-    """Retrieve the top match per query and summarize the pose errors.
+def localize_and_summarize(queries: ReferenceMap, ref_map: ReferenceMap) -> ErrorSummary:
+    """Retrieve the top match of each query-map row and summarize the pose errors.
 
-    Each query is a (descriptor, pose) pair; its estimated pose is the
-    retrieved reference's pose, so the translation error is the Euclidean
-    gap between the two translations and the rotation error the quaternion
-    angle. MTE and MRE are medians taken independently.
+    A query's estimated pose is the retrieved reference's pose, so the
+    translation error is the Euclidean gap between the two translations and
+    the rotation error the angle between the two stored quaternions. MTE and
+    MRE are medians taken independently.
+
+    Raises:
+        EmptyMap: the reference map has no entries.
+        DimMismatch: the query descriptors are not of the map's dim.
     """
-    if len(ref_map) == 0:
-        raise EmptyMap("cannot localize against an empty map")
-    queries = list(queries)
-    if not queries:
-        return ErrorSummary(mte_m=float("nan"), mre_deg=float("nan"), per_query=())
-    descriptors = [np.asarray(desc, dtype=np.float64).reshape(-1) for desc, _ in queries]
-    if any(len(desc) != ref_map.dim for desc in descriptors):
-        raise DimMismatch(f"query dims do not all match map dim {ref_map.dim}")
-    matched = retrieve_many(np.asarray(descriptors), ref_map, k=1)[0][:, 0]
-    query_t = np.asarray([pose.t for _, pose in queries])
-    query_q = np.asarray([pose.q for _, pose in queries])
-    return _summary(ref_map, matched, *match_errors(ref_map, matched, query_t, query_q))
+    matched = retrieve_many(queries.descriptors, ref_map, k=1)[0][:, 0]
+    return _summary(matched, *match_errors(ref_map, matched, queries.translations, queries.quaternions))
 
 
-def _oracle_summary(queries, ref_map: ReferenceMap) -> ErrorSummary:
+def _oracle_summary(queries: ReferenceMap, ref_map: ReferenceMap) -> ErrorSummary:
     """The summary of :func:`oracle_retrieve` over all queries: each query
     matched to the physically closest reference, ties by index."""
     if len(ref_map) == 0:
         raise EmptyMap("cannot retrieve from an empty map")
-    if not queries:
-        return ErrorSummary(mte_m=float("nan"), mre_deg=float("nan"), per_query=())
-    matched, d2 = nearest_neighbors(np.asarray([pose.t for _, pose in queries]), ref_map.translations, 1)
-    r_errs = angular_error_deg_many(ref_map.quaternions[matched[:, 0]], np.asarray([pose.q for _, pose in queries]))
-    return _summary(ref_map, matched[:, 0], np.sqrt(d2[:, 0]), r_errs)
+    matched, d2 = nearest_neighbors(queries.translations, ref_map.translations, 1)
+    r_errs = angular_error_deg_many(ref_map.quaternions[matched[:, 0]], queries.quaternions)
+    return _summary(matched[:, 0], np.sqrt(d2[:, 0]), r_errs)
 
 
-def _summary(ref_map: ReferenceMap, matched: np.ndarray, t_errs: np.ndarray, r_errs: np.ndarray) -> ErrorSummary:
-    """Per-query results and medians for queries matched to the map rows
-    ``matched`` with translation errors ``t_errs`` and rotation errors ``r_errs``."""
-    results = tuple(
-        PerQuery(
-            translation_error=te,
-            rotation_error=re,
-            matched_id=ref_map.ids[i],
-            matched_origin=origin_of(ref_map.ids[i]).value,
-        )
-        for te, re, i in zip(t_errs.tolist(), r_errs.tolist(), matched.tolist())
-    )
-    return ErrorSummary(mte_m=float(np.median(t_errs)), mre_deg=float(np.median(r_errs)), per_query=results)
+def _summary(matched: np.ndarray, t_errs: np.ndarray, r_errs: np.ndarray) -> ErrorSummary:
+    """Medians of the errors of queries matched to the map rows ``matched``;
+    NaN when there are no queries."""
+    mte, mre = (float(np.median(e)) if len(e) else float("nan") for e in (t_errs, r_errs))
+    return ErrorSummary(mte_m=mte, mre_deg=mre, per_query=PerQuery(t_errs, r_errs, matched))
 
 
 class _Table:
@@ -221,7 +210,7 @@ def oracle_violations(report: ExperimentReport) -> list[tuple[str, str, float, f
     return bad
 
 
-def _timed_localize(queries, ref_map: ReferenceMap):
+def _timed_localize(queries: ReferenceMap, ref_map: ReferenceMap):
     start = time.perf_counter()
     summary = localize_and_summarize(queries, ref_map)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -230,7 +219,7 @@ def _timed_localize(queries, ref_map: ReferenceMap):
 
 def _time_encoding(scene: SyntheticScene) -> float:
     """Per-query field-evaluation time in ms (the synthetic 'encoder')."""
-    queries = scene.query_map
+    queries = scene.queries
     start = time.perf_counter()
     scene.field.eval_many(queries.translations, queries.quaternions)
     return (time.perf_counter() - start) * 1e3 / max(len(queries), 1)
@@ -258,7 +247,7 @@ def train_scene_regressor(
 
 def _method_rows(
     experiment: str,
-    scene_queries,
+    queries: ReferenceMap,
     sparse: ReferenceMap,
     plan: TargetPlan,
     methods,
@@ -286,7 +275,7 @@ def _method_rows(
         dense_times[method] = (time.perf_counter() - start) * 1e3
 
     def vpr_row(map_name, densification, ref_map, **timings):
-        summary, t_match = _timed_localize(scene_queries, ref_map)
+        summary, t_match = _timed_localize(queries, ref_map)
         return ExperimentRow(
             experiment=experiment,
             map=map_name,
@@ -303,7 +292,7 @@ def _method_rows(
         )
 
     oracle_map = gt if gt is not None else next(iter(dense_maps.values()), sparse)
-    osum = _oracle_summary(scene_queries, oracle_map)
+    osum = _oracle_summary(queries, oracle_map)
     rows = [
         ExperimentRow(
             experiment=experiment,
@@ -432,8 +421,7 @@ def exp_encoders(
     seeds = np.random.SeedSequence([scene.scene_cfg.seed, 613, seed]).spawn(3)
     ref_rng = np.random.default_rng(seeds[0])
     query_rng = np.random.default_rng(seeds[1])
-    queries = scene.query_map
-    query_poses = [pose for _, pose in scene.queries]
+    queries = scene.queries
     rows = []
     encoder_seconds = {}
     for variant in ENCODER_VARIANTS:
@@ -453,7 +441,7 @@ def exp_encoders(
         )
         q_desc, _ = forward_batch(encoder, q_obs)
         t_enc = (time.perf_counter() - enc_start) * 1e3 / max(len(queries), 1)
-        queries_e = list(zip(q_desc, query_poses))
+        queries_e = replace(queries, descriptors=q_desc)
 
         train_e = replace(scene.train_refs, descriptors=forward_batch(encoder, dataset.observations)[0])
         h_start = time.perf_counter()

@@ -52,13 +52,20 @@ def write_files(*files: tuple[os.PathLike | str, bytes | str], what: str) -> Non
 
     Every payload goes to an exclusively created sibling temporary file
     (its mode from the umask, or the old file's); only once all are written
-    are they renamed over their targets, in argument order. On a failure the
-    temporary files not yet renamed are deleted. Parent directories are
-    created. A symlink keeps its link: the file it resolves to is replaced.
-    A target that is not a regular file (a FIFO, a device) is written in
-    place. Nothing is fsynced.
+    are they renamed over their targets, in argument order. Before the first
+    rename each existing target is hard-linked to a sibling temporary name;
+    if a rename fails, the links are renamed back over the targets already
+    replaced and the targets that did not exist are deleted, so every target
+    is as it was. Temporary files and links are deleted either way. A target
+    that refuses ``os.link`` keeps its new data when a later rename fails.
+    Parent directories are created. A symlink keeps its link: the file it
+    resolves to is replaced. A target that is not a regular file (a FIFO, a
+    device) is written in place and never restored. Nothing is fsynced, so a
+    crash between two renames can still leave a mix.
     """
     staged = []  # (temporary, target) not yet renamed
+    old = {}  # target: a link to its old file, or None where it had none
+    renamed = []
     try:
         for path, data in files:
             data = data.encode("utf-8") if isinstance(data, str) else data
@@ -67,18 +74,35 @@ def write_files(*files: tuple[os.PathLike | str, bytes | str], what: str) -> Non
             if target.exists() and not target.is_file():
                 target.write_bytes(data)
                 continue
-            tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+            tmp = _temporary(target)
             with open(tmp, "xb") as fh:
                 staged.append((tmp, target))
                 fh.write(data)
             if target.exists():
                 shutil.copymode(target, tmp)
+        for _, target in staged:
+            link = _temporary(target) if target.exists() else None
+            with contextlib.suppress(OSError):
+                if link:
+                    os.link(target, link)
+                old[target] = link
         while staged:
             os.replace(*staged[0])
-            staged.pop(0)
+            renamed.append(staged.pop(0)[1])
     except OSError as exc:
+        for target in reversed(renamed):
+            with contextlib.suppress(OSError):
+                if old.get(target):
+                    os.replace(old[target], target)
+                elif target in old:
+                    target.unlink()
         raise IoError(f"cannot write {what}: {exc}") from exc
     finally:
-        for tmp, _ in staged:
+        for tmp in [tmp for tmp, _ in staged] + [link for link in old.values() if link]:
             with contextlib.suppress(OSError):
                 tmp.unlink()
+
+
+def _temporary(target: Path) -> Path:
+    """A fresh sibling name for ``target`` ending in ``.tmp``."""
+    return target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")

@@ -7,7 +7,8 @@ construction. A scene is three maps: a reference trajectory (the
 ground-truth dense map), an offset query trajectory and a viewpoint-varied
 training traverse, mirroring the reference/query/training splits of indoor
 relocalization benchmarks. Trajectories are built as (n, 3) translation and
-(n, 4) quaternion blocks.
+(n, 4) quaternion blocks; the queries stay one map, whose blocks evaluation
+reads.
 
 Everything is a pure function of its seeds; generating a scene twice with
 the same configs yields bitwise-identical arrays. Each map's descriptors
@@ -164,6 +165,9 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("extent_m", "lane_offset_m", "scene_spacing_m", "query_offset_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.layout not in LAYOUTS:
             raise InvalidConfig(f"unknown layout {self.layout!r}")
         if self.layout == "loop":
@@ -189,14 +193,17 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """A generated world: three maps (references, queries, training
-    traverse), their scene labels, and the field they were evaluated on.
+    """A generated world: three maps (the references ``gt_dense``, the
+    ``queries`` and the training traverse ``train_refs``), their scene
+    labels, and the field they were evaluated on.
 
-    The query map's ids are ``q%05d``, as :func:`save_scene` writes them.
+    The query map is the one form of the queries: localization and the
+    oracle read its descriptor, translation and quaternion blocks. Its ids
+    are ``q%05d``, as :func:`save_scene` writes them.
     """
 
     gt_dense: ReferenceMap
-    query_map: ReferenceMap
+    queries: ReferenceMap
     train_refs: ReferenceMap
     field: object
     ref_labels: tuple[int, ...]
@@ -208,14 +215,6 @@ class SyntheticScene:
     @property
     def dim(self) -> int:
         return self.gt_dense.dim
-
-    @property
-    def queries(self) -> list:
-        """The query map as (descriptor, Pose) pairs, derived on each call:
-        :func:`~copr.evaluate.localize_and_summarize` and the benchmark
-        take the queries in that form."""
-        m = self.query_map
-        return list(zip(m.descriptors, poses(m.translations, m.quaternions)))
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
@@ -310,10 +309,10 @@ def gen_scene(scene_cfg: SceneConfig, field_cfg: FieldConfig) -> SyntheticScene:
     noise_rng = np.random.default_rng(noise_seed)
     gt_dense = _map_from(field, *blocks[0], "r", noise_rng)
     train_refs = _map_from(field, *blocks[2], "t", noise_rng)
-    query_map = _map_from(field, *blocks[1], "q", noise_rng)
+    queries = _map_from(field, *blocks[1], "q", noise_rng)
     return SyntheticScene(
         gt_dense=gt_dense,
-        query_map=query_map,
+        queries=queries,
         train_refs=train_refs,
         field=field,
         ref_labels=labels[0], query_labels=labels[1], train_labels=labels[2],
@@ -435,7 +434,7 @@ SCENE_FILES = {
 # The scene fields holding each key's map and labels.
 _MAPS = {
     "refs": ("gt_dense", "ref_labels"),
-    "queries": ("query_map", "query_labels"),
+    "queries": ("queries", "query_labels"),
     "train": ("train_refs", "train_labels"),
 }
 

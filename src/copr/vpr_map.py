@@ -56,7 +56,7 @@ from .errors import (
     ZeroQuaternion,
 )
 from .files import read_bytes, unpack_header, write_files
-from .geometry import Pose, angular_error_deg_many, row_block, row_dots
+from .geometry import Pose, angular_error_deg_many, poses, row_block, row_dots
 
 POSE_CSV_HEADER = ["id", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 _POSE_CSV_HEADER_LINE = ",".join(POSE_CSV_HEADER)
@@ -188,6 +188,11 @@ class ReferenceMap:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __iter__(self):
+        """(descriptor, :class:`Pose`) per entry, the poses from one :func:`~copr.geometry.poses`
+        call; the benchmark's per-query oracle loop reads a scene's queries so."""
+        return zip(self.descriptors, poses(self.translations, self.quaternions))
 
     @property
     def dim(self) -> int:

@@ -99,6 +99,16 @@ class TestSynth:
         assert "noise_sigma must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["extent_m", "lane_offset_m", "scene_spacing_m", "query_offset_m"])
+    def test_non_finite_scene_value_is_refused(self, tmp_path, capsys, key, value):
+        out = tmp_path / "scene"
+        cmd = ["synth", "--set", "scene.layout=loop", "--set", "field.dim=4", "--set", f"scene.{key}={value}"]
+        assert dispatch([*cmd, "--out", str(out)]) == 1
+        got = float(value)
+        assert capsys.readouterr().err.splitlines() == [f"error: {key} must be finite, got {got!r}"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainAndDensify:
     def test_train_h_and_densify(self, scene_dir, tmp_path):
@@ -350,9 +360,9 @@ class TestPipelineReports:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == ["encoders.json", "loop_extrap.json", "stray.json"]
 
-    def test_a_failed_rename_leaves_the_later_reports_old(self, tmp_path, monkeypatch, capsys):
+    def test_a_failed_rename_leaves_every_report_old(self, tmp_path, monkeypatch, capsys):
         # The reports are renamed into place one by one, in build order; a
-        # rename that fails leaves those before it new and the rest old.
+        # rename that fails puts back the reports renamed before it.
         out = tmp_path / "out"
         assert self._run(monkeypatch, out, 1) == 0
         real_replace = os.replace
@@ -366,7 +376,7 @@ class TestPipelineReports:
         assert self._run(monkeypatch, out, 2) == 2
         assert "cannot write reports" in capsys.readouterr().err
         runs = {p.name: json.loads(p.read_text())["run"] for p in out.iterdir()}
-        assert runs == {"loop_extrap.json": 2, "encoders.json": 1, "stray.json": 1}
+        assert runs == {"loop_extrap.json": 1, "encoders.json": 1, "stray.json": 1}
 
 
 class TestExp:

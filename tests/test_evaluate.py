@@ -3,14 +3,14 @@
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from copr import benchmarks as B
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, subsample_trajectory
-from copr.errors import EmptyMap, InvalidConfig
+from copr.errors import DimMismatch, EmptyMap, InvalidConfig
 from copr.evaluate import (
     ExperimentReport,
     ExperimentRow,
@@ -26,17 +26,12 @@ from copr.evaluate import (
     report_signature,
     train_scene_regressor,
 )
-from copr.geometry import Pose
 from copr.neural.training import TrainConfig
 from copr.synth import FieldConfig, SceneConfig, gen_scene, make_stray_case
-from copr.vpr_map import ReferenceMap, oracle_retrieve, retrieve
+from copr.vpr_map import Origin, ReferenceMap, oracle_retrieve, origin_of, retrieve
 
 
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
-
-
-def _pose(x=0.0, y=0.0):
-    return Pose(t=[x, y, 0], q=[1, 0, 0, 0])
 
 
 def _map_line(values, xs):
@@ -59,10 +54,10 @@ def _small_scene(seed=30, n=48):
 class TestLocalize:
     def test_exact_matches_zero_errors(self):
         m = _map_line([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        queries = [(m.descriptors[i], m.pose(i)) for i in range(3)]
-        s = localize_and_summarize(queries, m)
+        s = localize_and_summarize(m, m)
         assert s.mte_m == 0.0 and s.mre_deg == 0.0
-        assert all(p.matched_origin == "anchor" for p in s.per_query)
+        assert s.per_query.matched.tolist() == [0, 1, 2]
+        assert all(origin_of(m.ids[i]) is Origin.ANCHOR for i in s.per_query.matched)
 
     def test_matched_origin_is_read_from_the_matched_id(self):
         base = _map_line([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
@@ -72,62 +67,60 @@ class TestLocalize:
             translations=base.translations,
             quaternions=base.quaternions,
         )
-        queries = [(m.descriptors[i], m.pose(i)) for i in (2, 0, 1)]
+        rows = [2, 0, 1]
+        queries = ReferenceMap(("a", "b", "c"), m.descriptors[rows], m.translations[rows], m.quaternions[rows])
         s = localize_and_summarize(queries, m)
-        assert [p.matched_origin for p in s.per_query] == ["regressed", "anchor", "regressed"]
+        assert [origin_of(m.ids[i]).value for i in s.per_query.matched] == ["regressed", "anchor", "regressed"]
 
     def test_odd_median(self):
         m = _map_line([0.0, 10.0, 20.0], [0.0, 10.0, 20.0])
-        queries = [
-            (np.array([0.0]), _pose(0.1)),
-            (np.array([10.0]), _pose(10.2)),
-            (np.array([20.0]), _pose(20.3)),
-        ]
-        s = localize_and_summarize(queries, m)
+        s = localize_and_summarize(_map_line([0.0, 10.0, 20.0], [0.1, 10.2, 20.3]), m)
         np.testing.assert_allclose(s.mte_m, 0.2, atol=1e-12)
 
     def test_even_median_mean_of_middle_two(self):
         m = _map_line([0.0, 10.0, 20.0, 30.0], [0.0, 10.0, 20.0, 30.0])
-        queries = [
-            (np.array([0.0]), _pose(0.1)),
-            (np.array([10.0]), _pose(10.2)),
-            (np.array([20.0]), _pose(20.3)),
-            (np.array([30.0]), _pose(30.4)),
-        ]
-        s = localize_and_summarize(queries, m)
+        s = localize_and_summarize(_map_line([0.0, 10.0, 20.0, 30.0], [0.1, 10.2, 20.3, 30.4]), m)
         np.testing.assert_allclose(s.mte_m, 0.25, atol=1e-12)
 
     def test_per_query_errors_equal_scalar_retrieve(self):
         # The batched scoring must give each query exactly what one
         # retrieve(..., query_pose) call reports.
         scene = _small_scene(seed=34, n=60)
-        s = localize_and_summarize(scene.queries, scene.gt_dense)
-        assert len(s.per_query) == len(scene.queries)
-        for (desc, pose), got in zip(scene.queries, s.per_query):
-            match = retrieve(desc, scene.gt_dense, k=1, query_pose=pose)[0]
-            assert got.matched_id == match.ref_id
-            assert got.translation_error == match.translation_error
-            assert abs(got.rotation_error - match.rotation_error) <= 1e-12
+        queries = scene.queries
+        s = localize_and_summarize(queries, scene.gt_dense)
+        assert len(s.per_query) == len(queries)
+        for i in range(len(queries)):
+            match = retrieve(queries.descriptors[i], scene.gt_dense, k=1, query_pose=queries.pose(i))[0]
+            assert scene.gt_dense.ids[s.per_query.matched[i]] == match.ref_id
+            assert s.per_query.translation_error[i] == match.translation_error
+            assert abs(s.per_query.rotation_error[i] - match.rotation_error) <= 1e-12
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):
             empty = ReferenceMap((), np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 4)))
-            localize_and_summarize([(np.array([0.0]), _pose())], empty)
+            localize_and_summarize(_map_line([0.0], [0.0]), empty)
 
     @pytest.mark.parametrize("summarize", [localize_and_summarize, _oracle_summary])
     def test_no_queries_give_nan_without_a_warning(self, summarize):
         m = _map_line([0.0, 1.0], [0.0, 1.0])
+        no_queries = ReferenceMap((), np.zeros((0, 1)), np.zeros((0, 3)), np.zeros((0, 4)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = summarize([], m)
+            s = summarize(no_queries, m)
         assert math.isnan(s.mte_m) and math.isnan(s.mre_deg)
-        assert s.per_query == ()
+        assert len(s.per_query) == 0
+        assert [len(c) for c in astuple(s.per_query)] == [0, 0, 0]
+
+    def test_a_query_map_of_another_dim_is_refused(self):
+        m = _map_line([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(DimMismatch):
+            localize_and_summarize(_map_line([[0.0, 1.0]], [0.0]), m)
 
     def test_matched_metadata(self):
         m = _map_line([0.0, 5.0], [0.0, 5.0])
-        s = localize_and_summarize([(np.array([4.9]), _pose(1.0))], m)
-        assert s.per_query[0].matched_id == "r1"
-        np.testing.assert_allclose(s.per_query[0].translation_error, 4.0)
+        s = localize_and_summarize(_map_line([4.9], [1.0]), m)
+        assert m.ids[s.per_query.matched[0]] == "r1"
+        np.testing.assert_allclose(s.per_query.translation_error[0], 4.0)
 
 
 class TestReports:

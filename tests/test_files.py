@@ -73,7 +73,7 @@ def _map_bytes(m):
 
 
 def _scene_bytes(scene):
-    maps = (scene.gt_dense, scene.query_map, scene.train_refs)
+    maps = (scene.gt_dense, scene.queries, scene.train_refs)
     labels = (scene.ref_labels, scene.query_labels, scene.train_labels)
     return [_map_bytes(m) for m in maps], labels, scene.scene_cfg, scene.field_cfg
 
@@ -105,6 +105,28 @@ class TestFailedWritesLeaveTheOldArtifact:
         full_disk(failing)
         with pytest.raises(IoError, match="cannot write map"):
             save_map(_map(1), *paths)  # same ids, other descriptors and poses
+        assert _map_bytes(load_map(*paths)) == old
+        assert _listing(tmp_path) == ["m_descriptors.bin", "m_poses.csv"]
+
+    def test_map_whose_second_rename_fails(self, tmp_path, monkeypatch):
+        # The descriptor file is renamed into place first; when the pose
+        # file's rename fails, the old descriptor file is put back.
+        paths = tmp_path / "m_poses.csv", tmp_path / "m_descriptors.bin"
+        save_map(_map(0), *paths)
+        old = _map_bytes(load_map(*paths))
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(os.path.basename(dst))
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(IoError, match="cannot write map"):
+            save_map(_map(1), *paths)  # same ids, other descriptors and poses
+        assert calls[:2] == ["m_descriptors.bin", "m_poses.csv"]
         assert _map_bytes(load_map(*paths)) == old
         assert _listing(tmp_path) == ["m_descriptors.bin", "m_poses.csv"]
 
@@ -205,14 +227,52 @@ class TestWriteFiles:
         real_replace = os.replace
 
         def replace(src, dst):
-            seen.append((os.path.basename(dst), sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp")))
+            seen.append((os.path.basename(dst), sorted(p.read_bytes() for p in tmp_path.iterdir() if p.suffix == ".tmp")))
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
         write_files((tmp_path / "b", b"new b"), (tmp_path / "a", b"new a"), what="test")
-        assert [name for name, _ in seen] == ["b", "a"]
-        assert len(seen[0][1]) == 2 and len(seen[1][1]) == 1
+        # Every payload is staged, and every old file linked, before the first rename.
+        assert seen == [("b", [b"new a", b"new b", b"old", b"old"]), ("a", [b"new a", b"old", b"old"])]
         assert (tmp_path / "a").read_bytes() == b"new a" and _listing(tmp_path) == ["a", "b"]
+
+    @staticmethod
+    def _refuse_rename_to(monkeypatch, name):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_a_failed_rename_puts_every_old_target_back(self, tmp_path, monkeypatch):
+        (tmp_path / "a").write_bytes(b"old a")
+        (tmp_path / "c").write_bytes(b"old c")
+        os.chmod(tmp_path / "a", 0o640)
+        inode = os.stat(tmp_path / "a").st_ino
+        self._refuse_rename_to(monkeypatch, "c")
+        with pytest.raises(IoError, match="cannot write test: rename refused"):
+            write_files((tmp_path / "a", b"new a"), (tmp_path / "b", b"new b"), (tmp_path / "c", b"new c"), what="test")
+        assert (tmp_path / "a").read_bytes() == b"old a" and (tmp_path / "c").read_bytes() == b"old c"
+        assert os.stat(tmp_path / "a").st_ino == inode and stat.S_IMODE(os.stat(tmp_path / "a").st_mode) == 0o640
+        # b did not exist before the write, so it is deleted again.
+        assert _listing(tmp_path) == ["a", "c"]
+
+    def test_a_target_that_refuses_a_link_keeps_its_new_data(self, tmp_path, monkeypatch):
+        for name in "ab":
+            (tmp_path / name).write_bytes(b"old")
+
+        def link(src, dst):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "link", link)
+        self._refuse_rename_to(monkeypatch, "b")
+        with pytest.raises(IoError, match="cannot write test: rename refused"):
+            write_files((tmp_path / "a", b"new a"), (tmp_path / "b", b"new b"), what="test")
+        assert (tmp_path / "a").read_bytes() == b"new a" and (tmp_path / "b").read_bytes() == b"old"
+        assert _listing(tmp_path) == ["a", "b"]
 
     def test_a_failure_leaves_every_target_and_no_temporary_file(self, tmp_path):
         (tmp_path / "a").write_bytes(b"old")

@@ -108,8 +108,7 @@ class TestGenScene:
         cfg = SceneConfig(layout="parallel_lanes", n_per_lane=20, lane_offset_m=1.8, seed=3)
         scene = gen_scene(cfg, FieldConfig(dim=4, kind="affine", seed=1))
         assert np.all(scene.gt_dense.translations[:, 0] == 0.0)
-        for _, pose in scene.queries:
-            assert pose.t[0] == 1.8
+        assert np.all(scene.queries.translations[:, 0] == 1.8)
 
     def test_multi_scene_labels(self):
         cfg = SceneConfig(layout="multi_scene", n_scenes=3, scene_spacing_m=30.0, refs_per_scene=20, query_offset_m=0.2, seed=9)
@@ -126,15 +125,21 @@ class TestGenScene:
         s1, s2 = gen_scene(cfg, fcfg), gen_scene(cfg, fcfg)
         np.testing.assert_array_equal(s1.gt_dense.descriptors, s2.gt_dense.descriptors)
         np.testing.assert_array_equal(s1.train_refs.translations, s2.train_refs.translations)
-        for (d1, p1), (d2, p2) in zip(s1.queries, s2.queries):
-            np.testing.assert_array_equal(d1, d2)
-            np.testing.assert_array_equal(p1.t, p2.t)
+        np.testing.assert_array_equal(s1.queries.descriptors, s2.queries.descriptors)
+        np.testing.assert_array_equal(s1.queries.translations, s2.queries.translations)
 
     def test_config_conflicts(self):
         with pytest.raises(ConfigConflict):
             gen_scene(_loop_cfg(query_offset_m=4.0), FieldConfig(dim=2, kind="affine", seed=0))
         with pytest.raises(ConfigConflict):
             SceneConfig(layout="multi_scene", n_scenes=2, scene_spacing_m=1.0, refs_per_scene=10, seed=0)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["extent_m", "lane_offset_m", "scene_spacing_m", "query_offset_m"])
+    def test_config_refuses_a_non_finite_value(self, layout, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            SceneConfig(layout=layout, **{field: value})
 
     def test_descriptors_match_field_plus_noise_seeded(self):
         # Noiseless scenes evaluate the field exactly.
@@ -268,7 +273,7 @@ class TestSceneIo:
         )
         assert len(loaded.queries) == len(scene.queries)
         # The rebuilt field handle evaluates identically.
-        pose = scene.queries[0][1]
+        pose = scene.queries.pose(0)
         np.testing.assert_array_equal(_value(loaded.field, pose.t, pose.q), _value(scene.field, pose.t, pose.q))
 
     def test_save_twice_identical_bytes(self, tmp_path):
@@ -325,7 +330,7 @@ class TestSceneSidecar:
         path.write_text(json.dumps(doc))
         loaded = load_scene(tmp_path)
         assert loaded.ref_labels == scene.ref_labels and loaded.train_labels == scene.train_labels
-        for name in ("gt_dense", "query_map", "train_refs"):
+        for name in ("gt_dense", "queries", "train_refs"):
             assert getattr(loaded, name).ids == getattr(scene, name).ids
 
 
@@ -517,7 +522,7 @@ class TestPerPoseReference:
         splits, pairs = _reference_scene(scene_cfg, field_cfg)
         for name, m, labels in (
             ("refs", scene.gt_dense, scene.ref_labels),
-            ("queries", scene.query_map, scene.query_labels),
+            ("queries", scene.queries, scene.query_labels),
             ("train", scene.train_refs, scene.train_labels),
         ):
             ids, desc, t, q, ref_labels = splits[name]

@@ -417,6 +417,18 @@ class TestMapType:
         with pytest.raises(error):
             m.extended(("x#1", "x#2"), [[2.0], [3.0]], t, q)
 
+    def test_iteration_yields_each_row_with_its_pose(self):
+        # Each pair is the row's descriptor and Pose(t=..., q=...) of its
+        # pose rows, whose quaternion is normalized once more, byte for byte.
+        m = _random_map(np.random.default_rng(7), 64)
+        pairs = list(m)
+        assert len(pairs) == len(m)
+        for i, (desc, pose) in enumerate(pairs):
+            ref = Pose(t=m.translations[i], q=m.quaternions[i])
+            assert desc.tobytes() == m.descriptors[i].tobytes()
+            assert (pose.t.tobytes(), pose.q.tobytes()) == (ref.t.tobytes(), ref.q.tobytes())
+        assert list(_EMPTY_MAP) == []
+
     def test_extended_leaves_original_untouched(self):
         m = _map_of([[0.0], [1.0]])
         before = m.descriptors.copy()
