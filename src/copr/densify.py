@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import even_blocks
+from .blocks import even_blocks, output_block
 from .errors import (
     CoincidentAnchors,
     CountMismatch,
@@ -390,7 +390,7 @@ def plane_fit_regress(neighbors, t_new) -> np.ndarray:
     return plane_fit_many(f, t, np.arange(len(neighbors))[None, :], t_new)[0]
 
 
-def plane_fit_many(descriptors, translations, neighbor_idx, t_new) -> np.ndarray:
+def plane_fit_many(descriptors, translations, neighbor_idx, t_new, out=None) -> np.ndarray:
     """Stacked :func:`plane_fit_regress` over the rows of ``neighbor_idx``.
 
     Row i fits ``descriptors[neighbor_idx[i]]`` over
@@ -401,12 +401,13 @@ def plane_fit_many(descriptors, translations, neighbor_idx, t_new) -> np.ndarray
     descriptors with weights [t_new, 1] @ pinv(design). Each system is
     factored on its own, so the rows run in even blocks of at most
     ``_FIT_BLOCK_ROWS`` (:func:`copr.blocks.even_blocks`) with the same
-    result as one batch.
+    result as one batch, written into ``out`` when given
+    (:func:`copr.blocks.output_block`).
     """
     neighbor_idx = np.asarray(neighbor_idx)
     t_new = np.asarray(t_new, dtype=np.float64)
     m, k = neighbor_idx.shape
-    out = np.empty((m, descriptors.shape[1]))
+    out = output_block(out, m, descriptors.shape[1])
     for rows in even_blocks(m, _FIT_BLOCK_ROWS):
         idx = neighbor_idx[rows]
         design = np.ones((len(idx), k, 4))
@@ -435,6 +436,14 @@ def densify_map(
     nearest sparse entry and the relative pose through ``model``. The
     input map is never mutated; regressed entries are appended in plan
     order under their target ids.
+
+    The dense map's (len(sparse) + targets, dim) descriptor block is
+    allocated once and the sparse rows are copied into its head.
+    ``lin_reg`` and ``nonlin_reg`` write their rows straight into its tail,
+    so neither builds a block of its rows alone to copy; ``lin_interp``'s
+    blend is copied in. Besides its output, a call holds the regressors'
+    row-blocked scratch, the targets' neighbor indices and, for
+    ``nonlin_reg``, the gathered anchor descriptors.
     """
     if method not in METHODS:
         raise InvalidConfig(f"unknown densification method {method!r}")
@@ -451,32 +460,42 @@ def densify_map(
         return sparse
     if len(sparse) == 0:
         raise EmptyMap("cannot densify an empty map")
+    if method == METHOD_LIN_REG and min(neighbors, len(sparse)) < 4:
+        raise TooFewNeighbors("sparse map too small for a plane fit")
 
+    n = len(sparse)
+    descriptors = np.empty((n + len(plan.targets), sparse.dim))
+    descriptors[:n] = sparse.descriptors
+    regressed = descriptors[n:]
     target_t = plan.translations
     if method == METHOD_LIN_INTERP:
         pairs = np.array(plan.anchor_ids)
         names, inverse = np.unique(pairs, return_inverse=True)
+        row_of = dict(zip(sparse.ids, range(n)))
         try:
-            rows = np.array([sparse.index_of(name) for name in names.tolist()], dtype=np.intp)
+            rows = np.array([row_of[name] for name in names.tolist()], dtype=np.intp)
         except KeyError as exc:
             r = int(np.argmax((pairs == exc.args[0]).any(axis=1)))
             raise UnknownAnchor(
                 f"target {plan.targets[r]!r} names anchor {exc.args[0]!r}, which the map does not hold"
             ) from None
         i1, i2 = rows[inverse].reshape(-1, 2).T
-        regressed = lin_interp_many(
+        regressed[:] = lin_interp_many(
             sparse.descriptors[i1], sparse.descriptors[i2], sparse.translations[i1], sparse.translations[i2], target_t
         )
     elif method == METHOD_LIN_REG:
-        if min(neighbors, len(sparse)) < 4:
-            raise TooFewNeighbors("sparse map too small for a plane fit")
         idx = nearest_neighbors(target_t, sparse.translations, neighbors)[0]
-        regressed = plane_fit_many(sparse.descriptors, sparse.translations, idx, target_t)
+        plane_fit_many(sparse.descriptors, sparse.translations, idx, target_t, out=regressed)
     else:
         nearest = nearest_neighbors(target_t, sparse.translations, 1)[0][:, 0]
         dp_rows = relative_pose_rows(
             sparse.translations[nearest], sparse.quaternions[nearest], target_t, plan.quaternions
         )
-        regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows)
+        regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows, out=regressed)
 
-    return sparse.extended(plan.targets, regressed, target_t, plan.quaternions)
+    return ReferenceMap(
+        ids=sparse.ids + plan.targets,
+        descriptors=descriptors,
+        translations=np.concatenate([sparse.translations, target_t]),
+        quaternions=np.concatenate([sparse.quaternions, plan.quaternions]),
+    )

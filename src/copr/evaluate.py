@@ -264,15 +264,11 @@ def _method_rows(
 
     The oracle runs on ``gt`` when given, else on the first densified map,
     else on the sparse map.
+
+    At most one dense map is alive at a time: each method's map is built,
+    scored (its VPR row, and the oracle when it is the first dense map and
+    there is no ``gt``) and released before the next method densifies.
     """
-    dense_maps = {}
-    dense_times = {}
-    for method in methods:
-        start = time.perf_counter()
-        dense_maps[method] = densify_map(
-            sparse, plan, method, model=model if method == METHOD_NONLIN_REG else None, neighbors=neighbors
-        )
-        dense_times[method] = (time.perf_counter() - start) * 1e3
 
     def vpr_row(map_name, densification, ref_map, **timings):
         summary, t_match = _timed_localize(queries, ref_map)
@@ -291,34 +287,35 @@ def _method_rows(
             **timings,
         )
 
-    oracle_map = gt if gt is not None else next(iter(dense_maps.values()), sparse)
-    osum = _oracle_summary(queries, oracle_map)
-    rows = [
-        ExperimentRow(
+    def oracle_row(map_name, ref_map):
+        osum = _oracle_summary(queries, ref_map)
+        return ExperimentRow(
             experiment=experiment,
-            map="M_sparse" if gt is None and not dense_maps else "M_dense",
+            map=map_name,
             densification="-",
             retrieval="Oracle",
             mte_m=osum.mte_m,
             mre_deg=osum.mre_deg,
-            map_size=len(oracle_map),
+            map_size=len(ref_map),
             seed=seed,
         )
-    ]
-    if gt is not None:
-        rows.append(vpr_row("M_dense", "GTMap", gt))
+
+    oracle = None if gt is None else oracle_row("M_dense", gt)
+    rows = [] if gt is None else [vpr_row("M_dense", "GTMap", gt)]
     rows.append(vpr_row("M_sparse", "-", sparse, t_train_s=sparse_train_s))
     for method in methods:
-        rows.append(
-            vpr_row(
-                "M_dense",
-                METHOD_LABELS[method],
-                dense_maps[method],
-                t_train_s=t_train_s if method == METHOD_NONLIN_REG else 0.0,
-                t_dense_ms=dense_times[method],
-            )
+        start = time.perf_counter()
+        dense = densify_map(
+            sparse, plan, method, model=model if method == METHOD_NONLIN_REG else None, neighbors=neighbors
         )
-    return rows
+        t_dense_ms = (time.perf_counter() - start) * 1e3
+        if oracle is None:
+            oracle = oracle_row("M_dense", dense)
+        t_train = t_train_s if method == METHOD_NONLIN_REG else 0.0
+        rows.append(vpr_row("M_dense", METHOD_LABELS[method], dense, t_train_s=t_train, t_dense_ms=t_dense_ms))
+        # Released here, not when the next method's map replaces it.
+        del dense
+    return [oracle if oracle is not None else oracle_row("M_sparse", sparse), *rows]
 
 
 def _report(rows, scene: SyntheticScene, seed: int, **config) -> ExperimentReport:

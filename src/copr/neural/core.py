@@ -14,8 +14,9 @@ model over a writable copy of that buffer (:meth:`MlpModel.on_buffer`), and
 gradient buffer of the same layout.
 
 Every kernel returns arrays it allocated itself, so no later call
-overwrites what an earlier one returned. The one exception is
-:func:`backward_batch`'s ``grads``, which its caller passes in.
+overwrites what an earlier one returned. The exceptions are
+:func:`backward_batch`'s ``grads`` and the ``out`` of :func:`infer_blocks`
+and :func:`regress_nonlinear_batch`, which their callers pass in.
 
 Inference without a cache (:func:`forward_batch` with ``keep_cache=False``,
 :func:`regress_nonlinear_batch`, and :func:`infer_blocks`, which builds each
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..blocks import even_blocks
+from ..blocks import even_blocks, output_block
 from ..errors import DimMismatch, InvalidConfig, RefusedNonFinite, ShapeMismatch
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -226,11 +227,12 @@ def forward_batch(model: MlpModel, x: np.ndarray, keep_cache: bool = False):
     return _layers(model, x, cache), cache
 
 
-def infer_blocks(model: MlpModel, n: int, block_input) -> np.ndarray:
+def infer_blocks(model: MlpModel, n: int, block_input, out=None) -> np.ndarray:
     """Uncached forward pass over ``n`` rows in even blocks of at most
     ``_BLOCK_ROWS``; ``block_input(rows)`` gives the input rows of the
-    block ``rows`` (a slice)."""
-    out = np.empty((n, model.layers[-1].weights.shape[0]))
+    block ``rows`` (a slice). The rows are written into ``out``, an
+    (n, output dim) float64 array, when given, and returned in it."""
+    out = output_block(out, n, model.layers[-1].weights.shape[0])
     for rows in even_blocks(n, _BLOCK_ROWS):
         out[rows] = _layers(model, block_input(rows), None)
     return out
@@ -352,14 +354,15 @@ def regressor_input(f_anchors: np.ndarray, dp_rows: np.ndarray) -> np.ndarray:
     return np.hstack([f_anchors, dp_rows])
 
 
-def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: np.ndarray) -> np.ndarray:
+def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: np.ndarray, out=None) -> np.ndarray:
     """Regress descriptors at target poses, one row per (anchor, target).
 
     Row i runs the regressor on :func:`regressor_input` of anchor descriptor
     ``f_anchors[i]`` and the 7-component relative pose ``dp_vectors[i]``; the
     model input dim must equal descriptor dim + 7, its output dim the
     descriptor dim. Each block of rows builds its own input rows, so no
-    (rows, input dim) matrix of the whole batch is made.
+    (rows, input dim) matrix of the whole batch is made. The rows go into
+    ``out`` when given, as in :func:`infer_blocks`.
     """
     f = np.asarray(f_anchors, dtype=np.float64)
     dp = np.asarray(dp_vectors, dtype=np.float64)
@@ -378,4 +381,4 @@ def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: 
         x[:, dim:] = dp[rows]
         return x
 
-    return infer_blocks(model, len(f), block_input)
+    return infer_blocks(model, len(f), block_input, out=out)

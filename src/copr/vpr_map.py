@@ -38,7 +38,7 @@ import enum
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,14 +145,16 @@ class ReferenceMap:
     entry's provenance is :func:`origin_of` its id.
 
     Immutable after construction; retrieval over it is pure and can run in
-    parallel across queries.
+    parallel across queries. A map holds its three blocks and its ids and
+    nothing else that grows with them: a given C-contiguous float64 block
+    becomes the map's own, made read-only and not copied, and no id-to-row
+    lookup is stored, so a caller that looks ids up builds its own.
     """
 
     ids: tuple[str, ...]
     descriptors: np.ndarray  # (n, dim) float64, C-contiguous
     translations: np.ndarray  # (n, 3) float64
     quaternions: np.ndarray  # (n, 4) float64, unit, canonical sign
-    _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -168,8 +170,7 @@ class ReferenceMap:
         t = _pose_block(self.translations, n, 3, "translation")
         q = _pose_block(self.quaternions, n, 4, "quaternion")
         _check_poses(self.ids, t, q)
-        index = dict(zip(self.ids, range(n)))
-        if len(index) != n:
+        if len(set(self.ids)) != n:
             seen = set()
             for i, entry_id in enumerate(self.ids):
                 if entry_id in seen:
@@ -184,7 +185,6 @@ class ReferenceMap:
         object.__setattr__(self, "translations", t)
         object.__setattr__(self, "quaternions", q)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -197,9 +197,6 @@ class ReferenceMap:
     @property
     def dim(self) -> int:
         return int(self.descriptors.shape[1])
-
-    def index_of(self, entry_id: str) -> int:
-        return self._index[entry_id]
 
     def pose(self, i: int) -> Pose:
         return Pose(t=self.translations[i], q=self.quaternions[i])
@@ -516,11 +513,15 @@ def _plain_pose_rows(text: str):
     """(ids, (n, 7) pose values, line numbers) of a plain pose file with at
     least one row, read by numpy's C reader; None for any other file, for a
     line longer than the csv field size limit and for a value numpy refuses."""
-    header, _, body = text.partition("\n")
-    if header != _POSE_CSV_HEADER_LINE or not body.endswith("\n") or any(c in body for c in _CSV_ONLY_CHARS):
+    # One split, no copy of the body. The header holds 7 commas and none of
+    # the csv-only characters; the text ends in LF when the last piece is empty.
+    lines = text.split("\n")
+    if lines[0] != _POSE_CSV_HEADER_LINE or len(lines) < 3 or lines[-1]:
         return None
-    lines = body[:-1].split("\n")
-    if body.count(",") != 7 * len(lines) or max(map(len, lines)) > csv.field_size_limit():
+    if any(c in text for c in _CSV_ONLY_CHARS):
+        return None
+    lines = lines[1:-1]
+    if text.count(",") != 7 * (len(lines) + 1) or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         # comments=None: regressed ids hold '#'.
@@ -547,6 +548,8 @@ def load_map(pose_path, descriptor_path) -> ReferenceMap:
     except UnicodeDecodeError as exc:
         raise ParseError(f"pose file is not UTF-8: {exc.reason}", line=raw.count(b"\n", 0, exc.start) + 1) from exc
     ids, values, line_numbers = _plain_pose_rows(text) or _csv_pose_rows(text)
+    # Released before the descriptor block, the larger file, is read.
+    del raw, text
     desc = load_descriptor_block(descriptor_path)
     if len(ids) != len(desc):
         raise CountMismatch(f"pose file has {len(ids)} rows but descriptor file declares {len(desc)}")
@@ -583,8 +586,6 @@ def map_files(ref_map: ReferenceMap, pose_path, descriptor_path) -> tuple[tuple,
     if any(c in all_ids for c in _UNWRITABLE_ID_CHARS):
         bad = next(i for i in ref_map.ids if any(c in i for c in _UNWRITABLE_ID_CHARS))
         raise UnwritableId(f"map id {bad!r} holds a comma, double quote, CR or LF")
-    header = struct.pack(_DESCRIPTOR_HEADER, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim)
-    descriptor_blob = header + np.ascontiguousarray(ref_map.descriptors, dtype="<f4").tobytes()
     # Each distinct orientation and each distinct translation component is
     # formatted once (grid targets share their coordinates), keyed on its
     # bits so that -0.0 and 0.0 keep their own text.
@@ -596,7 +597,16 @@ def map_files(ref_map: ReferenceMap, pose_path, descriptor_path) -> tuple[tuple,
     t_text = np.array(list(map(float.__repr__, t_bits.view(np.float64).tolist())), dtype=object)
     t_columns = t_text[t_slot.reshape(-1, 3)].T.tolist()
     rows = zip(ref_map.ids, *t_columns, map(quat_text.__getitem__, quat_keys))
-    text = "\n".join([_POSE_CSV_HEADER_LINE, *map(",".join, rows)]) + "\n"
+    text = "\n".join([_POSE_CSV_HEADER_LINE, *map(",".join, rows), ""])
+    # One buffer, built last so that it is not alive beside the row strings:
+    # the header, then the f32 rows cast into it in place.
+    header_size = struct.calcsize(_DESCRIPTOR_HEADER)
+    descriptor_blob = bytearray(header_size + 4 * ref_map.descriptors.size)
+    struct.pack_into(
+        _DESCRIPTOR_HEADER, descriptor_blob, 0, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim
+    )
+    payload = np.frombuffer(descriptor_blob, dtype="<f4", offset=header_size).reshape(ref_map.descriptors.shape)
+    np.copyto(payload, ref_map.descriptors, casting="same_kind")
     return (descriptor_path, descriptor_blob), (pose_path, text)
 
 

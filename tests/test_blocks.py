@@ -1,17 +1,27 @@
 """Row blocks: the even split, bit-equality of every blocked kernel with an
-unblocked reference at the block edges, and the peaks the blocks bound."""
+unblocked reference at the block edges and of the in-place densify with
+the extended-map reference, and the peaks the blocks bound."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from copr import benchmarks as B
-from copr import vpr_map
+from copr import evaluate, vpr_map
 from copr.blocks import even_blocks
-from copr.densify import _FIT_BLOCK_ROWS, densify_map, gen_extrap_grid, plane_fit_many, subsample_trajectory
-from copr.errors import EmptyTrainingSet
-from copr.evaluate import _oracle_summary
+from copr.densify import (
+    _FIT_BLOCK_ROWS,
+    densify_map,
+    gen_extrap_grid,
+    gen_interp_targets,
+    lin_interp_many,
+    plane_fit_many,
+    subsample_trajectory,
+)
+from copr.errors import EmptyTrainingSet, ShapeMismatch
+from copr.evaluate import _oracle_summary, exp_extrapolation
 from copr.geometry import relative_pose_rows
 from copr.neural import core, training
 from copr.neural.core import Activation, forward_batch, gelu, regress_nonlinear_batch
@@ -127,6 +137,26 @@ class TestBlockEdgesKeepTheBits:
         got = plane_fit_many(refs.descriptors, refs.translations, idx, t_new)
         assert got.tobytes() == want.tobytes()
 
+    def test_kernels_write_into_a_given_output_block(self):
+        rng = np.random.default_rng(3)
+        refs = _random_map(rng, 40, 32)
+        t_new = rng.standard_normal((600, 3))
+        idx = nearest_neighbors(t_new, refs.translations, 4)[0]
+        model = init_regressor(32, 5)
+        f, dp = rng.standard_normal((600, 32)), rng.standard_normal((600, 7))
+        runs = (
+            lambda out: plane_fit_many(refs.descriptors, refs.translations, idx, t_new, out=out),
+            lambda out: regress_nonlinear_batch(model, f, dp, out=out),
+        )
+        for run in runs:
+            out = np.full((601, 32), np.nan)
+            assert run(out[1:]).base is out
+            assert np.isnan(out[0]).all()
+            assert out[1:].tobytes() == run(None).tobytes()
+            for bad in (np.empty((599, 32)), np.empty((600, 31)), np.empty((600, 32), dtype=np.float32), [[0.0]]):
+                with pytest.raises(ShapeMismatch):
+                    run(bad)
+
     @pytest.mark.parametrize("n", _edges(8))
     def test_build_training_pairs(self, monkeypatch, n):
         # Blocks of 8 rows of the (n, n, 3) difference array.
@@ -220,6 +250,43 @@ def loop_plan():
     return scene, gen_extrap_grid(anchors, B.LOOP_DENSIFY)
 
 
+def _densify_reference(sparse, plan, method, model=None, neighbors=4):
+    """The dense map built the way densify_map built it before it wrote into
+    one block: the regressed rows as a block of their own, appended by
+    :meth:`ReferenceMap.extended`."""
+    t = plan.translations
+    if method == "lin_interp":
+        row_of = {entry_id: i for i, entry_id in enumerate(sparse.ids)}
+        i1, i2 = np.array([[row_of[a] for a in pair] for pair in plan.anchor_ids]).T
+        f, p = sparse.descriptors, sparse.translations
+        regressed = lin_interp_many(f[i1], f[i2], p[i1], p[i2], t)
+    elif method == "lin_reg":
+        idx = nearest_neighbors(t, sparse.translations, neighbors)[0]
+        regressed = plane_fit_many(sparse.descriptors, sparse.translations, idx, t)
+    else:
+        nearest = nearest_neighbors(t, sparse.translations, 1)[0][:, 0]
+        dp = relative_pose_rows(sparse.translations[nearest], sparse.quaternions[nearest], t, plan.quaternions)
+        regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp)
+    return sparse.extended(plan.targets, regressed, t, plan.quaternions)
+
+
+class TestDensifyInPlaceKeepsTheBits:
+    @pytest.mark.parametrize("method", ["lin_interp", "lin_reg", "nonlin_reg"])
+    def test_densify_map_equals_extended(self, loop_plan, method):
+        scene, plan = loop_plan
+        sparse = scene.gt_dense
+        if method == "lin_interp":
+            sparse, dropped = subsample_trajectory(scene.gt_dense, 7)
+            plan = gen_interp_targets(sparse, dropped)
+        model = init_regressor(scene.dim, 0) if method == "nonlin_reg" else None
+        got = densify_map(sparse, plan, method, model=model)
+        want = _densify_reference(sparse, plan, method, model)
+        assert got.ids == want.ids
+        for block in ("descriptors", "translations", "quaternions"):
+            assert getattr(got, block).tobytes() == getattr(want, block).tobytes()
+        assert not got.descriptors.flags.writeable
+
+
 def _peak_over_output(fn, output_bytes) -> float:
     """MB that ``fn`` holds at its peak beyond ``output_bytes(result)``."""
     fn()
@@ -232,21 +299,58 @@ def _peak_over_output(fn, output_bytes) -> float:
     return (peak - output_bytes(result)) / 1e6
 
 
+def _dense_bytes(ref_map) -> int:
+    return ref_map.descriptors.nbytes + ref_map.translations.nbytes + ref_map.quaternions.nbytes
+
+
 class TestBoundedPeaks:
     """On the 17,231-entry dense loop map the unblocked kernels peaked at
     29.4 MB (regression) and 21.4 MB (oracle) over their output; blocked,
-    at 6.3 and 3.3 MB."""
+    at 6.3 and 3.3 MB.
+
+    densify_map writes the regressed rows straight into the dense map's
+    one descriptor block, so neither regressor holds a second copy of its
+    rows: nonlin_reg then peaked at 5.2 MB over its output (6.3 before) and
+    lin_reg at 1.3 MB (5.8 before). The protocols hold one dense map at a
+    time, so one loop extrapolation, which densifies twice, peaked at
+    14.7 MB (22.2 MB before both changes).
+    """
 
     def test_nonlin_reg_densify(self, loop_plan):
         scene, plan = loop_plan
         model = init_regressor(scene.dim, 0)
-        dense_bytes = lambda m: m.descriptors.nbytes + m.translations.nbytes + m.quaternions.nbytes
-        peak = _peak_over_output(lambda: densify_map(scene.gt_dense, plan, "nonlin_reg", model=model), dense_bytes)
+        peak = _peak_over_output(lambda: densify_map(scene.gt_dense, plan, "nonlin_reg", model=model), _dense_bytes)
         assert len(scene.gt_dense) + len(plan.targets) == 17231
-        assert peak < 12.0
+        assert peak < 6.0
+
+    def test_lin_reg_densify(self, loop_plan):
+        scene, plan = loop_plan
+        peak = _peak_over_output(lambda: densify_map(scene.gt_dense, plan, "lin_reg"), _dense_bytes)
+        assert peak < 3.0
 
     def test_oracle_summary(self, loop_plan):
         scene, plan = loop_plan
         dense = densify_map(scene.gt_dense, plan, "lin_reg")
         peak = _peak_over_output(lambda: _oracle_summary(scene.queries, dense), lambda summary: 0)
         assert peak < 7.0
+
+    def test_exp_extrapolation(self, loop_plan):
+        scene, _ = loop_plan
+        model = init_regressor(scene.dim, 0)
+        peak = _peak_over_output(lambda: exp_extrapolation(scene, B.LOOP_DENSIFY, model=model), lambda report: 0)
+        assert peak < 17.0
+
+    def test_one_dense_map_alive_at_a_time(self, loop_plan, monkeypatch):
+        scene, _ = loop_plan
+        built = []
+
+        def densify_tracked(*args, **kwargs):
+            assert [ref() for ref in built if ref() is not None] == []
+            dense = densify_map(*args, **kwargs)
+            built.append(weakref.ref(dense))
+            return dense
+
+        monkeypatch.setattr(evaluate, "densify_map", densify_tracked)
+        report = exp_extrapolation(scene, B.LOOP_DENSIFY, model=init_regressor(scene.dim, 0))
+        assert len(built) == 2
+        assert [r.densification for r in report.rows] == ["-", "-", "LinReg", "NonLinReg"]

@@ -279,7 +279,7 @@ class TestRetrieveEval:
             pose = queries.pose(i)
             assert len(line["matches"]) == 7
             for match in line["matches"]:
-                j = refs.index_of(match["ref_id"])
+                j = refs.ids.index(match["ref_id"])
                 assert match["translation_error"] == float(np.linalg.norm(refs.translations[j] - pose.t))
                 dot = min(1.0, abs(float(np.dot(refs.quaternions[j], pose.q))))
                 assert match["rotation_error"] == math.degrees(2.0 * math.acos(dot))

@@ -584,7 +584,7 @@ class TestDensifyMap:
         plan = gen_interp_targets(anchors, dropped=dropped)
         dense = densify_map(anchors, plan, "lin_interp")
         for r, (pair, t) in enumerate(zip(plan.anchor_ids, plan.translations)):
-            i1, i2 = (anchors.index_of(a) for a in pair)
+            i1, i2 = (anchors.ids.index(a) for a in pair)
             # The scalar blend the batched kernel replaced.
             b1 = float(np.linalg.norm(t - anchors.translations[i1]))
             b2 = float(np.linalg.norm(t - anchors.translations[i2]))
