@@ -98,47 +98,51 @@ class TargetPlan:
     """Poses to regress plus the anchors assigned to each, as columns in plan order.
 
     ``targets`` holds the target ids, ``translations`` (n, 3) and
-    ``quaternions`` (n, 4) their poses, read-only, and ``anchor_ids`` one
-    tuple per target: the two bracketing anchors of an interpolation
-    target, or the grid anchor of an extrapolation target. Every target id
-    holds the ``#`` provenance marker of a regressed entry. Translations
-    must be finite; quaternions are normalized here, once.
+    ``quaternions`` (n, 4) their poses, read-only, ``anchors`` the anchor
+    map's ids, once, and ``anchor_rows`` a read-only integer block of rows
+    into them: (n, 2), the two bracketing anchors of each interpolation
+    target, or (n, 1), the grid anchor of each extrapolation target. Every
+    target id holds the ``#`` provenance marker of a regressed entry.
+    Translations must be finite; quaternions are normalized here, once.
     """
 
     scheme: str
     targets: tuple[str, ...]
     translations: np.ndarray
     quaternions: np.ndarray
-    anchor_ids: tuple[tuple[str, ...], ...]
+    anchors: tuple[str, ...]
+    anchor_rows: np.ndarray
 
     def __post_init__(self):
         if self.scheme not in (INTERPOLATION, EXTRAPOLATION):
             raise InvalidConfig(f"unknown plan scheme {self.scheme!r}")
-        targets, anchor_ids = tuple(self.targets), tuple(map(tuple, self.anchor_ids))
+        targets, anchors = tuple(self.targets), tuple(self.anchors)
         unmarked = [target for target in targets if "#" not in target]
         if unmarked:
             raise InvalidConfig(f"target id {unmarked[0]!r} lacks the '#' marker of a regressed entry")
-        counts = set(map(len, anchor_ids))
-        if self.scheme == INTERPOLATION and counts - {2}:
-            raise InvalidConfig("interpolation targets carry exactly two anchor ids")
-        if self.scheme == EXTRAPOLATION and 0 in counts:
-            raise InvalidConfig("extrapolation targets carry at least one anchor id")
+        rows = np.asarray(self.anchor_rows)
+        width = 2 if self.scheme == INTERPOLATION else 1
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise InvalidConfig(f"{self.scheme} anchor rows must be an (n, {width}) block, got shape {rows.shape}")
+        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(anchors)):
+            raise InvalidConfig(f"anchor rows must be integers in [0, {len(anchors)})")
         translations, quaternions = pose_blocks(self.translations, self.quaternions)
-        if not len(targets) == len(anchor_ids) == len(translations):
-            raise CountMismatch(f"{len(targets)} target ids, {len(anchor_ids)} anchor tuples, {len(translations)} poses")
+        if not len(targets) == len(rows) == len(translations):
+            raise CountMismatch(f"{len(targets)} target ids, {len(rows)} anchor rows, {len(translations)} poses")
+        rows = rows.astype(np.intp)
+        rows.setflags(write=False)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "anchor_ids", anchor_ids)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchor_rows", rows)
         object.__setattr__(self, "translations", translations)
         object.__setattr__(self, "quaternions", quaternions)
 
     def to_json(self) -> str:
-        rows = zip(self.targets, self.translations.tolist(), self.quaternions.tolist(), self.anchor_ids)
+        anchor_ids = [[self.anchors[a] for a in row] for row in self.anchor_rows.tolist()]
+        rows = zip(self.targets, self.translations.tolist(), self.quaternions.tolist(), anchor_ids)
         doc = {
             "scheme": self.scheme,
-            "targets": [
-                {"id": target, "pose": {"t": t, "q": q}, "anchor_ids": list(anchors)}
-                for target, t, q, anchors in rows
-            ],
+            "targets": [{"id": target, "pose": {"t": t, "q": q}, "anchor_ids": ids} for target, t, q, ids in rows],
         }
         # One line: with an indent, json.dumps falls back to its pure-Python encoder.
         return json.dumps(doc)
@@ -193,15 +197,14 @@ def gen_interp_targets(anchors: ReferenceMap, dropped: DroppedPoses) -> TargetPl
     order = np.argsort(slots, kind="stable")
     k = np.empty(len(slots), dtype=np.intp)
     k[order] = np.arange(len(slots)) - np.searchsorted(slots[order], slots[order]) + 1
-    pairs = list(zip(anchors.ids, anchors.ids[1:]))
-    prefixes = [f"{a1}~{a2}#k" for a1, a2 in pairs]
-    slots_l = slots.tolist()
+    prefixes = [f"{a1}~{a2}#k" for a1, a2 in zip(anchors.ids, anchors.ids[1:])]
     return TargetPlan(
         scheme=INTERPOLATION,
-        targets=[prefixes[slot] + str(n) for slot, n in zip(slots_l, k.tolist())],
+        targets=[prefixes[slot] + str(n) for slot, n in zip(slots.tolist(), k.tolist())],
         translations=dropped.translations,
         quaternions=dropped.quaternions,
-        anchor_ids=[pairs[slot] for slot in slots_l],
+        anchors=anchors.ids,
+        anchor_rows=np.column_stack([slots, slots + 1]),
     )
 
 
@@ -343,14 +346,13 @@ def gen_extrap_grid(anchors: ReferenceMap, cfg: DensifyConfig) -> TargetPlan:
     kept = np.flatnonzero(keep)
     owner, slot = np.divmod(kept, len(steps))
     suffixes = [f"#gx{i}y{j}" for i, j in steps]
-    anchor_ids = [(aid,) for aid in anchors.ids]
-    owner_l = owner.tolist()
     return TargetPlan(
         scheme=EXTRAPOLATION,
-        targets=[anchors.ids[a] + suffixes[k] for a, k in zip(owner_l, slot.tolist())],
+        targets=[anchors.ids[a] + suffixes[k] for a, k in zip(owner.tolist(), slot.tolist())],
         translations=candidates[kept],
         quaternions=anchors.quaternions[owner],
-        anchor_ids=[anchor_ids[a] for a in owner_l],
+        anchors=anchors.ids,
+        anchor_rows=owner[:, None],
     )
 
 
@@ -439,11 +441,13 @@ def densify_map(
 
     The dense map's (len(sparse) + targets, dim) descriptor block is
     allocated once and the sparse rows are copied into its head.
-    ``lin_reg`` and ``nonlin_reg`` write their rows straight into its tail,
-    so neither builds a block of its rows alone to copy; ``lin_interp``'s
-    blend is copied in. Besides its output, a call holds the regressors'
-    row-blocked scratch, the targets' neighbor indices and, for
-    ``nonlin_reg``, the gathered anchor descriptors.
+    ``lin_reg`` and ``nonlin_reg`` read the sparse map's descriptor block in
+    place through the targets' neighbor rows, one row block at a time, and
+    write their rows straight into its tail, so neither gathers the anchor
+    descriptors of every target or builds a block of its rows alone to
+    copy; ``lin_interp``'s blend is copied in. Besides its output, a call
+    holds the regressors' row-blocked scratch, the targets' neighbor
+    indices and, for ``nonlin_reg``, the targets' relative-pose rows.
     """
     if method not in METHODS:
         raise InvalidConfig(f"unknown densification method {method!r}")
@@ -469,17 +473,13 @@ def densify_map(
     regressed = descriptors[n:]
     target_t = plan.translations
     if method == METHOD_LIN_INTERP:
-        pairs = np.array(plan.anchor_ids)
-        names, inverse = np.unique(pairs, return_inverse=True)
         row_of = dict(zip(sparse.ids, range(n)))
-        try:
-            rows = np.array([row_of[name] for name in names.tolist()], dtype=np.intp)
-        except KeyError as exc:
-            r = int(np.argmax((pairs == exc.args[0]).any(axis=1)))
-            raise UnknownAnchor(
-                f"target {plan.targets[r]!r} names anchor {exc.args[0]!r}, which the map does not hold"
-            ) from None
-        i1, i2 = rows[inverse].reshape(-1, 2).T
+        pairs = np.array([row_of.get(a, -1) for a in plan.anchors], dtype=np.intp)[plan.anchor_rows]
+        if (pairs < 0).any():
+            r, c = divmod(int(np.argmax(pairs < 0)), 2)
+            missing = plan.anchors[plan.anchor_rows[r, c]]
+            raise UnknownAnchor(f"target {plan.targets[r]!r} names anchor {missing!r}, which the map does not hold")
+        i1, i2 = pairs.T
         regressed[:] = lin_interp_many(
             sparse.descriptors[i1], sparse.descriptors[i2], sparse.translations[i1], sparse.translations[i2], target_t
         )
@@ -491,7 +491,7 @@ def densify_map(
         dp_rows = relative_pose_rows(
             sparse.translations[nearest], sparse.quaternions[nearest], target_t, plan.quaternions
         )
-        regress_nonlinear_batch(model, sparse.descriptors[nearest], dp_rows, out=regressed)
+        regress_nonlinear_batch(model, sparse.descriptors, nearest, dp_rows, out=regressed)
 
     return ReferenceMap(
         ids=sparse.ids + plan.targets,

@@ -342,7 +342,7 @@ def exp_interpolation(
     if len(anchors) >= 2:
         plan = gen_interp_targets(anchors, dropped=dropped)
     else:
-        plan = TargetPlan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), ())
+        plan = TargetPlan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), anchors.ids, np.zeros((0, 2), int))
     t_enc = _time_encoding(scene)
     rows = _method_rows(
         "interp", scene.queries, anchors, plan, methods, model, _INTERP_NEIGHBORS, seed, t_enc, t_train_s, gt=gt
@@ -488,7 +488,7 @@ def exp_stray(cases, model: MlpModel) -> StrayReport:
         i = oracle_retrieve(case.query_pose, case.refs).ref_index
         anchor = case.refs.pose(i)
         dp = relative_pose_rows(anchor.t, anchor.q, case.query_pose.t, case.query_pose.q)
-        regressed = regress_nonlinear_batch(model, case.refs.descriptors[i : i + 1], dp)
+        regressed = regress_nonlinear_batch(model, case.refs.descriptors, [i], dp)
         after = before.extended(("regressed#q",), regressed, case.query_pose.t, case.query_pose.q)
         matches = retrieve(case.query_descriptor, after, k=len(after))
         rank_after = 1 + next(i for i, m in enumerate(matches) if m.ref_id == case.stray_id)

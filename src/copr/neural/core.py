@@ -25,7 +25,8 @@ block's input rows on demand) runs its rows in even blocks of at most
 unless the batch has one row) and copies each block's result into the one
 output array. A block's (block, width) intermediates are its own and are
 freed before the next block, so they stay cache-sized however many rows
-are regressed. Each row's output is bit-identical to an unblocked pass.
+are regressed (:func:`regress_nonlinear_batch` gathers only each block's
+anchor rows). Each row's output is bit-identical to an unblocked pass.
 """
 
 from __future__ import annotations
@@ -349,36 +350,33 @@ class RawAdam:
 
 
 def regressor_input(f_anchors: np.ndarray, dp_rows: np.ndarray) -> np.ndarray:
-    """The regressor's input rows ``[f_anchor | dp]``: each anchor descriptor
-    followed by its 7-component relative pose."""
+    """The regressor's input rows ``[f_anchor | dp]``, each anchor descriptor
+    followed by its 7-component relative pose; the one builder of that layout."""
     return np.hstack([f_anchors, dp_rows])
 
 
-def regress_nonlinear_batch(model: MlpModel, f_anchors: np.ndarray, dp_vectors: np.ndarray, out=None) -> np.ndarray:
+def regress_nonlinear_batch(model: MlpModel, descriptors: np.ndarray, anchor_rows, dp_vectors, out=None) -> np.ndarray:
     """Regress descriptors at target poses, one row per (anchor, target).
 
     Row i runs the regressor on :func:`regressor_input` of anchor descriptor
-    ``f_anchors[i]`` and the 7-component relative pose ``dp_vectors[i]``; the
-    model input dim must equal descriptor dim + 7, its output dim the
-    descriptor dim. Each block of rows builds its own input rows, so no
-    (rows, input dim) matrix of the whole batch is made. The rows go into
-    ``out`` when given, as in :func:`infer_blocks`.
+    ``descriptors[anchor_rows[i]]``, a row of a map's (n, dim) block, and the
+    7-component relative pose ``dp_vectors[i]``; the model input dim must
+    equal dim + 7, its output dim the descriptor dim. Each block of rows
+    gathers its own anchor rows into its own input rows, so no block of the
+    whole batch is gathered. The rows go into ``out`` when given, as in
+    :func:`infer_blocks`. Rows that do not pair with ``dp_vectors`` raise
+    DimMismatch, rows that are not integers in [0, n) InvalidConfig.
     """
-    f = np.asarray(f_anchors, dtype=np.float64)
+    f = np.asarray(descriptors, dtype=np.float64)
+    rows = np.asarray(anchor_rows)
     dp = np.asarray(dp_vectors, dtype=np.float64)
-    if f.ndim != 2 or dp.ndim != 2 or len(f) != len(dp):
-        raise DimMismatch(f"anchor block {f.shape} and relative-pose block {dp.shape} do not pair row by row")
-    dim = f.shape[1]
-    width = dim + dp.shape[1]
+    if f.ndim != 2 or dp.ndim != 2 or rows.shape != (len(dp),):
+        raise DimMismatch(f"anchor rows {rows.shape} and relative-pose block {dp.shape} do not pair row by row")
+    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(f)):
+        raise InvalidConfig(f"anchor rows must be integers in [0, {len(f)})")
+    width = f.shape[1] + dp.shape[1]
     if width != model.input_dim:
         raise DimMismatch(f"stacked input length {width} does not match regressor input dim {model.input_dim}")
     if model.output_dim != width - 7:
         raise DimMismatch(f"regressor output dim {model.output_dim} does not match descriptor dim {width - 7}")
-
-    def block_input(rows):
-        x = np.empty((rows.stop - rows.start, width))
-        x[:, :dim] = f[rows]
-        x[:, dim:] = dp[rows]
-        return x
-
-    return infer_blocks(model, len(f), block_input, out=out)
+    return infer_blocks(model, len(dp), lambda b: regressor_input(f[rows[b]], dp[b]), out=out)

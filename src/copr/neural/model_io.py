@@ -3,7 +3,8 @@
 Format: magic ``CPRM``, u32 LE version (=1), u32 LE layer count, then per
 layer: u32 in_dim, u32 out_dim, u32 activation code (0=GeLU, 1=Identity),
 out*in f32 LE weights row-major, out f32 LE biases. Weights persist in f32
-even though the in-memory model is float64.
+even though the in-memory model is float64; a parameter beyond the f32
+range, which would be written as inf, is refused before the file is written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import ParseError, RefusedNonFinite
 from ..files import read_bytes, unpack_header, write_files
 from .core import Activation, Layer, MlpModel
 
@@ -23,11 +24,13 @@ _MODEL_HEADER = "<4sII"  # magic, version, layer count
 
 def save_model(model: MlpModel, path) -> None:
     chunks = [struct.pack(_MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, len(model.layers))]
-    for layer in model.layers:
+    with np.errstate(over="ignore"):
+        params = model.views(model.flat.astype("<f4"))
+    for i, (layer, (weights, bias)) in enumerate(zip(model.layers, params)):
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise RefusedNonFinite(f"layer {i}: parameters are not finite in f32")
         out_dim, in_dim = layer.weights.shape
-        chunks.append(struct.pack("<III", in_dim, out_dim, layer.activation.value))
-        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
+        chunks += [struct.pack("<III", in_dim, out_dim, layer.activation.value), weights.tobytes(), bias.tobytes()]
     write_files((path, b"".join(chunks)), what="model")
 
 

@@ -236,7 +236,9 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
 
     One GEMM per block of queries gives approximate values
     ||r||^2 - 2 q.r (the FAISS decomposition, Johnson et al.,
-    arXiv:1702.08734; the constant ||q||^2 is dropped). The entries within
+    arXiv:1702.08734; the constant ||q||^2 is dropped). It reads ``refs``
+    in place, through ``refs.T``, and scales its block by -2 after, which is
+    exact, so no scaled copy of ``refs`` is made. The entries within
     ``tol`` of the k-th smallest approximate value form a shortlist, which
     is re-ranked in difference form. With gamma = (dim + 2) u (u = 2^-53),
     both the approximate value (shifted by ||q||^2) and the difference form
@@ -284,9 +286,8 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     indices = np.empty((m, k), dtype=np.intp)
     d2 = np.empty((m, k))
     if not (0 < dim <= _SLAB_MAX_DIM and k < n):
-        refs_m2 = _minus_two_transposed(refs)
         for rows in even_blocks(m, _BLOCK_ELEMENTS // n):
-            indices[rows], d2[rows] = _block_knn(queries[rows], refs, refs_m2, ref_sq, tol[rows], k, None)
+            indices[rows], d2[rows] = _block_knn(queries[rows], refs, ref_sq, tol[rows], k, None)
         return indices, d2
 
     axis = int(np.argmax(np.ptp(refs, axis=0)))
@@ -294,7 +295,6 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
     sorted_refs = refs[ref_order]
     xs = np.ascontiguousarray(sorted_refs[:, axis])
     sorted_sq = ref_sq[ref_order]
-    refs_m2 = _minus_two_transposed(sorted_refs)
     query_order = np.argsort(queries[:, axis], kind="stable")
     widen = 1.0 + 4.0 * (dim + 2) * np.finfo(np.float64).eps
     floor = (dim + 2) * np.finfo(np.float64).tiny
@@ -326,21 +326,16 @@ def nearest_neighbors(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np
                 s0, s1 = slab(lo_ends[part], hi_ends[part])
             sub = rows[part]
             indices[sub], d2[sub] = _block_knn(
-                qb[part], sorted_refs[s0:s1], refs_m2[:, s0:s1], sorted_sq[s0:s1], tol[sub], k, ref_order[s0:s1]
+                qb[part], sorted_refs[s0:s1], sorted_sq[s0:s1], tol[sub], k, ref_order[s0:s1]
             )
     return indices, d2
 
 
-def _minus_two_transposed(refs: np.ndarray) -> np.ndarray:
-    """-2 refs^T as a C-contiguous (dim, n) array, built in one allocation.
-    Scaling by -2 is exact, so one GEMM with it gives -2 q.r."""
-    return np.multiply(refs.T, -2.0, out=np.empty(refs.shape[::-1]))
-
-
-def _block_knn(qb, refs, refs_m2, ref_sq, tol, k, ref_ids):
+def _block_knn(qb, refs, ref_sq, tol, k, ref_ids):
     """:func:`nearest_neighbors` of one query block over ``refs``; indices
     are positions in ``refs`` or, when given, ``ref_ids`` at them."""
-    approx = np.matmul(qb, refs_m2)
+    approx = np.matmul(qb, refs.T)
+    approx *= -2.0
     approx += ref_sq
     if k == 1:
         best = approx.argmin(axis=1)
@@ -575,12 +570,11 @@ def map_files(ref_map: ReferenceMap, pose_path, descriptor_path) -> tuple[tuple,
     """The (path, data) pairs of a map's descriptor binary, then its pose CSV.
 
     Descriptor payloads are f32; poses are written with shortest
-    round-trip float repr so load_map is an exact inverse. Refuses a
-    non-finite descriptor component and an id holding a comma, a double
-    quote, CR or LF.
+    round-trip float repr so load_map is an exact inverse. Refuses an id
+    holding a comma, a double quote, CR or LF, and names the first entry
+    whose descriptor is not finite in f32, which load_map would refuse (a
+    finite float64 beyond the f32 range casts to inf).
     """
-    if not np.all(np.isfinite(ref_map.descriptors)):
-        raise RefusedNonFinite("map contains non-finite descriptor components")
     # The NUL separator is not one of the refused characters.
     all_ids = "\0".join(ref_map.ids)
     if any(c in all_ids for c in _UNWRITABLE_ID_CHARS):
@@ -606,7 +600,10 @@ def map_files(ref_map: ReferenceMap, pose_path, descriptor_path) -> tuple[tuple,
         _DESCRIPTOR_HEADER, descriptor_blob, 0, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, len(ref_map), ref_map.dim
     )
     payload = np.frombuffer(descriptor_blob, dtype="<f4", offset=header_size).reshape(ref_map.descriptors.shape)
-    np.copyto(payload, ref_map.descriptors, casting="same_kind")
+    with np.errstate(over="ignore"):
+        np.copyto(payload, ref_map.descriptors, casting="same_kind")
+    bad = ~np.isfinite(payload).all(axis=1)
+    _refuse_first(ref_map.ids, bad, RefusedNonFinite, "descriptor is not finite in f32", "descriptor")
     return (descriptor_path, descriptor_blob), (pose_path, text)
 
 

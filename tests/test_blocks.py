@@ -20,7 +20,7 @@ from copr.densify import (
     plane_fit_many,
     subsample_trajectory,
 )
-from copr.errors import EmptyTrainingSet, ShapeMismatch
+from copr.errors import DimMismatch, EmptyTrainingSet, InvalidConfig, ShapeMismatch
 from copr.evaluate import _oracle_summary, exp_extrapolation
 from copr.geometry import relative_pose_rows
 from copr.neural import core, training
@@ -119,11 +119,26 @@ class TestBlockEdgesKeepTheBits:
 
     @pytest.mark.parametrize("n", _edges(core._BLOCK_ROWS))
     def test_regress_nonlinear_batch(self, n):
+        # Unordered, repeated rows of a 40-row block; n == 1 is a single row.
         rng = np.random.default_rng(n)
         model = init_regressor(32, 5)
-        f, dp = rng.standard_normal((n, 32)), rng.standard_normal((n, 7))
-        want = _forward_reference(model, np.hstack([f, dp]))
-        assert regress_nonlinear_batch(model, f, dp).tobytes() == want.tobytes()
+        f, rows, dp = rng.standard_normal((40, 32)), rng.integers(0, 40, n), rng.standard_normal((n, 7))
+        want = _forward_reference(model, np.hstack([f[rows], dp]))
+        assert regress_nonlinear_batch(model, f, rows, dp).tobytes() == want.tobytes()
+        out = np.empty((n, 32))
+        assert regress_nonlinear_batch(model, f, rows.tolist(), dp, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_regress_nonlinear_batch_refuses_rows_that_do_not_fit(self):
+        model = init_regressor(32, 5)
+        f, dp = np.zeros((40, 32)), np.zeros((3, 7))
+        for rows in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], 0):
+            with pytest.raises(DimMismatch):
+                regress_nonlinear_batch(model, f, rows, dp)
+        for rows in ([0, 1, 40], [-1, 0, 1], [0.0, 1.0, 2.0], [True, False, True]):
+            with pytest.raises(InvalidConfig):
+                regress_nonlinear_batch(model, f, rows, dp)
+        assert regress_nonlinear_batch(model, f, [], np.zeros((0, 7))).shape == (0, 32)
 
     @pytest.mark.parametrize("n", _edges(_FIT_BLOCK_ROWS))
     def test_plane_fit_many(self, n):
@@ -143,10 +158,10 @@ class TestBlockEdgesKeepTheBits:
         t_new = rng.standard_normal((600, 3))
         idx = nearest_neighbors(t_new, refs.translations, 4)[0]
         model = init_regressor(32, 5)
-        f, dp = rng.standard_normal((600, 32)), rng.standard_normal((600, 7))
+        dp = rng.standard_normal((600, 7))
         runs = (
             lambda out: plane_fit_many(refs.descriptors, refs.translations, idx, t_new, out=out),
-            lambda out: regress_nonlinear_batch(model, f, dp, out=out),
+            lambda out: regress_nonlinear_batch(model, refs.descriptors, idx[:, 0], dp, out=out),
         )
         for run in runs:
             out = np.full((601, 32), np.nan)
@@ -242,6 +257,69 @@ class TestWideSlabs:
         assert len(calls) > 1
 
 
+def _block_knn_scaled_copy(qb, refs, ref_sq, tol, k, ref_ids):
+    """The block search as it ran with a C-contiguous -2 refs^T copy: the
+    GEMM against the scaled copy, then the same shortlist and re-rank."""
+    approx = np.matmul(qb, np.multiply(refs.T, -2.0, out=np.empty(refs.shape[::-1])))
+    approx += ref_sq
+    if k == 1:
+        best = approx.argmin(axis=1)
+        cut = approx[np.arange(len(qb)), best] + tol
+    else:
+        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + tol
+    shortlist = approx <= cut[:, None]
+    shortlist[~np.isfinite(cut)] = True
+    counts = np.count_nonzero(shortlist, axis=1)
+    if k == 1:
+        diff = refs[best] - qb
+        found = (best if ref_ids is None else ref_ids[best])[:, None]
+        d2 = np.einsum("ij,ij->i", diff, diff)[:, None]
+    else:
+        found = np.empty((len(qb), k), dtype=np.intp)
+        d2 = np.empty((len(qb), k))
+        flat = np.flatnonzero(shortlist)
+        full = np.flatnonzero(counts == k)
+        cols = flat[(np.cumsum(counts) - counts)[full, None] + np.arange(k)] % approx.shape[1]
+        found[full], d2[full] = vpr_map._rank_rows(qb[full], refs, cols, ref_ids)
+    tied = np.flatnonzero(counts > k)
+    if len(tied):
+        found[tied], d2[tied] = vpr_map._rerank(qb[tied], refs, shortlist[tied], k, ref_ids)
+    return found, d2
+
+
+class TestShortlistReadsTheRefsInPlace:
+    """The GEMM reads refs through a transposed view and scales its block by
+    -2 afterwards; indices and d2 bytes equal those of the scaled copy."""
+
+    def _check(self, monkeypatch, queries, refs, k):
+        got = nearest_neighbors(queries, refs, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(vpr_map, "_block_knn", _block_knn_scaled_copy)
+            want = nearest_neighbors(queries, refs, k)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_loop_plan(self, monkeypatch, loop_plan, k):
+        scene, plan = loop_plan
+        self._check(monkeypatch, plan.translations, scene.gt_dense.translations, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_dense_map_retrieval(self, monkeypatch, loop_plan, k):
+        scene, plan = loop_plan
+        dense = densify_map(scene.gt_dense, plan, "lin_reg")
+        self._check(monkeypatch, scene.queries.descriptors, dense.descriptors, k)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_half_integer_grids(self, monkeypatch, dim, k):
+        # Small integer grids tie many refs at the same distance.
+        rng = np.random.default_rng(dim * 100 + k)
+        refs = rng.integers(-4, 5, size=(3000, dim)) / 2.0
+        queries = rng.integers(-8, 9, size=(700, dim)) / 4.0
+        self._check(monkeypatch, queries, refs, k)
+
+
 @pytest.fixture(scope="module")
 def loop_plan():
     """The pinned loop scene's reference map and its 0.05 m extrapolation plan."""
@@ -257,7 +335,7 @@ def _densify_reference(sparse, plan, method, model=None, neighbors=4):
     t = plan.translations
     if method == "lin_interp":
         row_of = {entry_id: i for i, entry_id in enumerate(sparse.ids)}
-        i1, i2 = np.array([[row_of[a] for a in pair] for pair in plan.anchor_ids]).T
+        i1, i2 = np.array([[row_of[plan.anchors[a]] for a in pair] for pair in plan.anchor_rows]).T
         f, p = sparse.descriptors, sparse.translations
         regressed = lin_interp_many(f[i1], f[i2], p[i1], p[i2], t)
     elif method == "lin_reg":
@@ -266,7 +344,7 @@ def _densify_reference(sparse, plan, method, model=None, neighbors=4):
     else:
         nearest = nearest_neighbors(t, sparse.translations, 1)[0][:, 0]
         dp = relative_pose_rows(sparse.translations[nearest], sparse.quaternions[nearest], t, plan.quaternions)
-        regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], dp)
+        regressed = regress_nonlinear_batch(model, sparse.descriptors[nearest], np.arange(len(dp)), dp)
     return sparse.extended(plan.targets, regressed, t, plan.quaternions)
 
 
@@ -314,6 +392,14 @@ class TestBoundedPeaks:
     lin_reg at 1.3 MB (5.8 before). The protocols hold one dense map at a
     time, so one loop extrapolation, which densifies twice, peaked at
     14.7 MB (22.2 MB before both changes).
+
+    The kernels read the map's blocks in place: nonlin_reg gathers each
+    block's anchor rows, not the whole (16,231, 32) anchor block, and the
+    k-NN GEMM reads the refs through a transposed view, not a -2 refs^T
+    copy. nonlin_reg then peaked at 2.9 MB (5.2 before), one loop
+    extrapolation at 10.6 MB (14.7), the oracle summary at 2.8 MB (3.3)
+    and localization of the scene's queries on the dense map at 2.5 MB
+    (7.0).
     """
 
     def test_nonlin_reg_densify(self, loop_plan):
@@ -321,7 +407,7 @@ class TestBoundedPeaks:
         model = init_regressor(scene.dim, 0)
         peak = _peak_over_output(lambda: densify_map(scene.gt_dense, plan, "nonlin_reg", model=model), _dense_bytes)
         assert len(scene.gt_dense) + len(plan.targets) == 17231
-        assert peak < 6.0
+        assert peak < 4.0
 
     def test_lin_reg_densify(self, loop_plan):
         scene, plan = loop_plan
@@ -332,13 +418,19 @@ class TestBoundedPeaks:
         scene, plan = loop_plan
         dense = densify_map(scene.gt_dense, plan, "lin_reg")
         peak = _peak_over_output(lambda: _oracle_summary(scene.queries, dense), lambda summary: 0)
-        assert peak < 7.0
+        assert peak < 4.0
+
+    def test_localize_and_summarize(self, loop_plan):
+        scene, plan = loop_plan
+        dense = densify_map(scene.gt_dense, plan, "lin_reg")
+        peak = _peak_over_output(lambda: evaluate.localize_and_summarize(scene.queries, dense), lambda summary: 0)
+        assert peak < 4.0
 
     def test_exp_extrapolation(self, loop_plan):
         scene, _ = loop_plan
         model = init_regressor(scene.dim, 0)
         peak = _peak_over_output(lambda: exp_extrapolation(scene, B.LOOP_DENSIFY, model=model), lambda report: 0)
-        assert peak < 17.0
+        assert peak < 12.0
 
     def test_one_dense_map_alive_at_a_time(self, loop_plan, monkeypatch):
         scene, _ = loop_plan

@@ -63,8 +63,14 @@ def _interp_plan(m, stride):
     return anchors, gen_interp_targets(anchors, dropped=dropped)
 
 
-def _plan(scheme, ids, t, q, anchor_ids):
-    return TargetPlan(scheme, ids, np.asarray(t, dtype=np.float64), np.asarray(q, dtype=np.float64), anchor_ids)
+def _plan(scheme, ids, t, q, anchors, anchor_rows):
+    t, q = np.asarray(t, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return TargetPlan(scheme, ids, t, q, anchors, np.asarray(anchor_rows))
+
+
+def _anchor_ids(plan):
+    """The anchor ids of each target, one tuple per target, in plan order."""
+    return tuple(tuple(plan.anchors[a] for a in row) for row in plan.anchor_rows.tolist())
 
 
 def _pairs_of(m, index_pairs):
@@ -139,7 +145,7 @@ class TestInterpTargets:
         _, plan = _interp_plan(_line_map(3), 2)
         assert plan.targets == ("a0~a2#k1",)
         np.testing.assert_array_equal(plan.translations, [[1.0, 0, 0]])
-        assert plan.anchor_ids == (("a0", "a2"),)
+        assert _anchor_ids(plan) == (("a0", "a2"),)
 
     def test_equal_spacing_three(self):
         _, plan = _interp_plan(_line_map(5), 4)
@@ -156,7 +162,7 @@ class TestInterpTargets:
         m = _line_map(7)
         anchors, dropped = subsample_trajectory(m, 3)  # anchors a0, a3, a6
         plan = gen_interp_targets(anchors, dropped=dropped)
-        by_x = dict(zip(plan.translations[:, 0].tolist(), plan.anchor_ids))
+        by_x = dict(zip(plan.translations[:, 0].tolist(), _anchor_ids(plan)))
         assert by_x[1.0] == ("a0", "a3")
         assert by_x[2.0] == ("a0", "a3")
         assert by_x[4.0] == ("a3", "a6")
@@ -166,7 +172,7 @@ class TestInterpTargets:
         anchors, dropped = subsample_trajectory(m, 3)  # anchors a0, a3, a6; a7 trails
         plan = gen_interp_targets(anchors, dropped=dropped)
         assert plan.translations[-1, 0] == 7.0
-        assert plan.targets[-1] == "a3~a6#k3" and plan.anchor_ids[-1] == ("a3", "a6")
+        assert plan.targets[-1] == "a3~a6#k3" and _anchor_ids(plan)[-1] == ("a3", "a6")
 
     def test_orientation_normalized_once(self):
         # Map quaternions may sit up to 1e-6 off unit; a plan normalizes each
@@ -231,7 +237,7 @@ class TestExtrapGrid:
         plan = gen_extrap_grid(m, cfg)
         assert np.all(plan.translations[:, 2] == 3.0)
         np.testing.assert_array_equal(plan.quaternions, np.tile(m.quaternions[0], (len(plan.targets), 1)))
-        assert plan.anchor_ids == (("a0",),) * len(plan.targets)
+        assert _anchor_ids(plan) == (("a0",),) * len(plan.targets)
 
     def test_grid_ids_deterministic(self):
         m = _line_map(1)
@@ -294,8 +300,13 @@ def _anchor_map(translations, yaws):
 
 
 def _plan_rows(plan):
-    rows = zip(plan.targets, plan.translations, plan.quaternions, plan.anchor_ids)
-    return [(target, t.tobytes(), q.tobytes(), anchors) for target, t, q, anchors in rows]
+    """(id, t, q, anchor ids) per target; plan.json must give the same rows."""
+    rows = zip(plan.targets, plan.translations, plan.quaternions, _anchor_ids(plan))
+    rows = [(target, t.tobytes(), q.tobytes(), anchors) for target, t, q, anchors in rows]
+    doc = json.loads(plan.to_json())["targets"]
+    pose = [(np.array(d["pose"]["t"]).tobytes(), np.array(d["pose"]["q"]).tobytes()) for d in doc]
+    assert [(d["id"], *p, tuple(d["anchor_ids"])) for d, p in zip(doc, pose)] == rows
+    return rows
 
 
 _STEPS = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 1.8])
@@ -548,7 +559,7 @@ def _affine_line_map(n, a, b, spacing=0.5):
 class TestDensifyMap:
     def test_empty_plan_identity(self):
         m = _line_map(3)
-        plan = _plan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), ())
+        plan = _plan(INTERPOLATION, (), np.zeros((0, 3)), np.zeros((0, 4)), m.ids, np.zeros((0, 2), dtype=int))
         assert densify_map(m, plan, "lin_interp") is m
 
     def test_lin_interp_requires_interpolation_plan(self):
@@ -560,10 +571,23 @@ class TestDensifyMap:
 
     def test_lin_interp_unknown_anchor_is_typed(self):
         m = _line_map(3)
-        plan = _plan(INTERPOLATION, ("x~y#k1",), [[0.5, 0, 0]], [[1, 0, 0, 0]], (("a0", "y"),))
+        plan = _plan(INTERPOLATION, ("x~y#k1",), [[0.5, 0, 0]], [[1, 0, 0, 0]], ("a0", "y"), [[0, 1]])
         with pytest.raises(UnknownAnchor, match=r"'x~y#k1' names anchor 'y'"):
             densify_map(m, plan, "lin_interp")
         assert issubclass(UnknownAnchor, CoprError)
+
+    def test_unknown_anchor_names_the_first_target_in_plan_order(self):
+        # The ids of the plan's anchors are looked up once; the error names the
+        # first target, and its first anchor, that the map does not hold.
+        m = _line_map(3)
+        ids = ("a0~a1#k1", "a0~zz#k1", "yy~a1#k1")
+        t, q = [[0.5, 0, 0], [0.5, 0, 0], [0.5, 0, 0]], np.tile([1.0, 0, 0, 0], (3, 1))
+        plan = _plan(INTERPOLATION, ids, t, q, ("a0", "a1", "yy", "zz", "xx"), [[0, 1], [0, 3], [2, 1]])
+        with pytest.raises(UnknownAnchor, match=r"'a0~zz#k1' names anchor 'zz'"):
+            densify_map(m, plan, "lin_interp")
+        # An anchor id that no target names is not looked for.
+        plan = _plan(INTERPOLATION, ids[:1], t[:1], q[:1], ("a0", "a1", "zz"), [[0, 1]])
+        assert densify_map(m, plan, "lin_interp").ids == m.ids + ids[:1]
 
     def test_nonlin_needs_model(self):
         m, plan = _interp_plan(_line_map(5), 2)
@@ -583,7 +607,7 @@ class TestDensifyMap:
         anchors, dropped = subsample_trajectory(m, 3)
         plan = gen_interp_targets(anchors, dropped=dropped)
         dense = densify_map(anchors, plan, "lin_interp")
-        for r, (pair, t) in enumerate(zip(plan.anchor_ids, plan.translations)):
+        for r, (pair, t) in enumerate(zip(_anchor_ids(plan), plan.translations)):
             i1, i2 = (anchors.ids.index(a) for a in pair)
             # The scalar blend the batched kernel replaced.
             b1 = float(np.linalg.norm(t - anchors.translations[i1]))
@@ -637,7 +661,7 @@ class TestDensifyMap:
         for r, (t, q) in enumerate(zip(plan.translations, plan.quaternions)):
             i = int(_stable_knn(m.translations, t, 1)[0])
             a, b = m.pose(i), Pose(t=t, q=q)
-            want = regress_nonlinear_batch(model, m.descriptors[i : i + 1], relative_pose_rows(a.t, a.q, b.t, b.q))[0]
+            want = regress_nonlinear_batch(model, m.descriptors, [i], relative_pose_rows(a.t, a.q, b.t, b.q))[0]
             np.testing.assert_allclose(dense.descriptors[len(m) + r], want, rtol=1e-12, atol=1e-12)
 
     def test_plan_json_round_trip(self):
@@ -647,29 +671,60 @@ class TestDensifyMap:
         doc = json.loads(plan.to_json())
         assert doc["scheme"] == INTERPOLATION
         assert [t["id"] for t in doc["targets"]] == list(plan.targets)
-        assert [tuple(t["anchor_ids"]) for t in doc["targets"]] == list(plan.anchor_ids)
+        assert [tuple(t["anchor_ids"]) for t in doc["targets"]] == list(_anchor_ids(plan))
         # Floats are written in shortest round-trip form, so they read back bit-exact.
         assert np.array([t["pose"]["t"] for t in doc["targets"]]).tobytes() == plan.translations.tobytes()
         assert np.array([t["pose"]["q"] for t in doc["targets"]]).tobytes() == plan.quaternions.tobytes()
 
     def test_interpolation_plan_invariant(self):
-        with pytest.raises(InvalidConfig, match="two anchor ids"):
-            _plan(INTERPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], (("a",),))
-        with pytest.raises(InvalidConfig, match="at least one anchor id"):
-            _plan(EXTRAPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], ((),))
+        with pytest.raises(InvalidConfig, match=r"\(n, 2\) block"):
+            _plan(INTERPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], ("a",), [[0]])
+        with pytest.raises(InvalidConfig, match=r"\(n, 1\) block"):
+            _plan(EXTRAPOLATION, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], ("a", "b"), [[0, 1]])
         assert EXTRAPOLATION == "extrapolation"
+
+    @pytest.mark.parametrize(
+        "scheme, rows",
+        [
+            (INTERPOLATION, [0, 1]),  # not a block
+            (INTERPOLATION, [[[0, 1]]]),
+            (INTERPOLATION, [[0, 1, 1]]),
+            (EXTRAPOLATION, np.zeros((1, 0), dtype=int)),
+            (INTERPOLATION, [[0.0, 1.0]]),  # not integers
+            (EXTRAPOLATION, [[True]]),
+            (EXTRAPOLATION, [["a0"]]),
+            (INTERPOLATION, [[0, 2]]),  # out of range
+            (INTERPOLATION, [[-1, 1]]),
+            (EXTRAPOLATION, np.array([[2]], dtype=np.uint8)),
+        ],
+    )
+    def test_anchor_rows_are_validated(self, scheme, rows):
+        with pytest.raises(InvalidConfig):
+            _plan(scheme, ("x#k1",), [[0, 0, 0]], [[1, 0, 0, 0]], ("a0", "a1"), rows)
+
+    def test_anchor_rows_are_a_read_only_copy(self):
+        rows = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        t, q = np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1))
+        plan = _plan(INTERPOLATION, ("a#k1", "b#k1"), t, q, ("x", "y", "z"), rows)
+        assert plan.anchors == ("x", "y", "z") and plan.anchor_rows.dtype == np.intp
+        rows[0, 0] = 2
+        assert plan.anchor_rows.tolist() == [[0, 1], [1, 2]] and not plan.anchor_rows.flags.writeable
+        with pytest.raises(ValueError):
+            plan.anchor_rows[0, 0] = 1
+        with pytest.raises(CountMismatch):
+            _plan(INTERPOLATION, ("a#k1",), t[:1], q[:1], ("x", "y", "z"), rows)
 
     def test_target_id_without_marker_refused(self):
         # A '#'-less id would read back as an anchor once the map is saved.
         t, q = [[0, 0, 0], [1, 0, 0]], [[1, 0, 0, 0], [1, 0, 0, 0]]
-        assert len(_plan(EXTRAPOLATION, ("a0#gx1y0",), t[:1], q[:1], (("a0",),)).targets) == 1
+        assert len(_plan(EXTRAPOLATION, ("a0#gx1y0",), t[:1], q[:1], ("a0",), [[0]]).targets) == 1
         with pytest.raises(InvalidConfig, match="'#'"):
-            _plan(EXTRAPOLATION, ("a0#gx1y0", "a0gx1y0"), t, q, (("a0",), ("a0",)))
+            _plan(EXTRAPOLATION, ("a0#gx1y0", "a0gx1y0"), t, q, ("a0",), [[0], [0]])
 
     def test_column_blocks_are_validated(self):
-        ids, anchors = ("a0#gx1y0", "a0#gx0y1"), (("a0",), ("a0",))
+        ids, anchors = ("a0#gx1y0", "a0#gx0y1"), np.zeros((2, 1), dtype=int)
         t, q = np.zeros((2, 3)), np.tile([2.0, 0, 0, 0], (2, 1))
-        plan = _plan(EXTRAPOLATION, ids, t, q, anchors)
+        plan = _plan(EXTRAPOLATION, ids, t, q, ("a0",), anchors)
         np.testing.assert_array_equal(plan.quaternions, np.tile([1.0, 0, 0, 0], (2, 1)))
         t[0, 0] = 5.0
         assert plan.translations[0, 0] == 0.0 and not plan.translations.flags.writeable
@@ -684,6 +739,6 @@ class TestDensifyMap:
             ((ids, t, np.zeros((2, 4)), anchors), ZeroQuaternion),
         ):
             with pytest.raises(error):
-                _plan(EXTRAPOLATION, *bad)
+                _plan(EXTRAPOLATION, *bad[:3], ("a0",), bad[3])
         with pytest.raises(InvalidConfig, match="unknown plan scheme"):
-            _plan("grid", ids, t, q, anchors)
+            _plan("grid", ids, t, q, ("a0",), anchors)

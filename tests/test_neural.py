@@ -458,9 +458,9 @@ class TestTrainingStep:
         rng = np.random.default_rng(24)
         model = init_regressor(8, seed=5)
         anchors, dps = rng.standard_normal((2, 16, 8)), rng.standard_normal((2, 16, 7))
-        first = regress_nonlinear_batch(model, anchors[0], dps[0])
+        first = regress_nonlinear_batch(model, anchors[0], np.arange(16), dps[0])
         kept = first.copy()
-        regress_nonlinear_batch(model, anchors[1], dps[1])
+        regress_nonlinear_batch(model, anchors[1], np.arange(16), dps[1])
         assert first.tobytes() == kept.tobytes()
 
         x = rng.standard_normal((2, 16, model.input_dim))
@@ -503,17 +503,17 @@ class TestRegressor:
         )
         model = MlpModel(layers=layers)
         dp = RelativePose(dt=[1, 0, 0], dq=[1, 0, 0, 0])
-        out = regress_nonlinear_batch(model, np.ones((1, 4)), dp.as_vector()[None])
+        out = regress_nonlinear_batch(model, np.ones((1, 4)), [0], dp.as_vector()[None])
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_dim_mismatch(self):
         model = init_regressor(4, seed=0)
         dp = RelativePose(dt=[0, 0, 0], dq=[1, 0, 0, 0])
         with pytest.raises(DimMismatch):
-            regress_nonlinear_batch(model, np.ones((1, 5)), dp.as_vector()[None])
+            regress_nonlinear_batch(model, np.ones((1, 5)), [0], dp.as_vector()[None])
         wide = init_mlp([11, 5], [Activation.IDENTITY], 0)
         with pytest.raises(DimMismatch):
-            regress_nonlinear_batch(wide, np.ones((1, 4)), dp.as_vector()[None])
+            regress_nonlinear_batch(wide, np.ones((1, 4)), [0], dp.as_vector()[None])
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
     def test_config_refuses_a_non_finite_lr(self, lr):
@@ -547,7 +547,7 @@ class TestRegressor:
         for _ in range(100):
             t1 = rng.uniform(-1, 1, 3)
             t2 = t1 + rng.uniform(-0.5, 0.5, 3)
-            pred = regress_nonlinear_batch(res.model, field(t1)[None], _with_identity_dq(t2 - t1))[0]
+            pred = regress_nonlinear_batch(res.model, field(t1)[None], [0], _with_identity_dq(t2 - t1))[0]
             held.append(np.mean((pred - field(t2)) ** 2))
         assert float(np.mean(held)) <= 1e-3
 
@@ -1008,6 +1008,31 @@ class TestModelIo:
             )
         save_model(loaded, tmp_path / "h2.bin")
         assert (tmp_path / "h2.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_refuses_a_parameter_beyond_f32_and_keeps_the_old_file(self, tmp_path, part):
+        path = tmp_path / "h.bin"
+        model = init_regressor(2, seed=1)
+        save_model(model, path)
+        old = path.read_bytes()
+        layers = list(model.layers)
+        params = {"weights": layers[2].weights.copy(), "bias": layers[2].bias.copy()}
+        params[part].flat[0] = 1e39
+        layers[2] = Layer(activation=layers[2].activation, **params)
+        with pytest.raises(RefusedNonFinite, match="layer 2"):
+            save_model(MlpModel(tuple(layers)), path)
+        assert path.read_bytes() == old
+
+    def test_f32_max_round_trips(self, tmp_path):
+        model = init_regressor(2, seed=1)
+        layers = list(model.layers)
+        w = layers[0].weights.copy()
+        w[0, 0], w[0, 1] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+        model = MlpModel((Layer(w, layers[0].bias, layers[0].activation), *layers[1:]))
+        save_model(model, tmp_path / "h.bin")
+        loaded = load_model(tmp_path / "h.bin").flat
+        assert loaded.tobytes() == model.flat.astype(np.float32).astype(np.float64).tobytes()
+        assert loaded[:2].tolist() == [np.finfo(np.float32).max, -np.finfo(np.float32).max]
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"XXXX" + b"\x00" * 8)

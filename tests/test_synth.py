@@ -1,5 +1,6 @@
 """Synthetic-world tests: fields, scene layouts, stray cases, scene files."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 from copr.densify import DensifyConfig, densify_map, gen_extrap_grid, gen_interp_targets, subsample_trajectory
-from copr.errors import ConfigConflict, InsufficientScenes, InvalidConfig, ParseError, VersionUnsupported
+from copr.errors import (
+    ConfigConflict,
+    InsufficientScenes,
+    InvalidConfig,
+    ParseError,
+    RefusedNonFinite,
+    VersionUnsupported,
+)
 from copr.geometry import Pose
 from copr.benchmarks import NAMED_SCENES
 from copr.synth import (
@@ -282,6 +290,18 @@ class TestSceneIo:
         save_scene(scene, tmp_path / "b")
         for name in ("refs_descriptors.bin", "query_descriptors.bin", "train_descriptors.bin", "refs_poses.csv", "scene.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_refuses_a_descriptor_beyond_f32_and_keeps_the_old_files(self, tmp_path):
+        scene = gen_scene(_loop_cfg(), FieldConfig(dim=3, kind="affine", seed=14))
+        save_scene(scene, tmp_path)
+        old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        q = scene.queries
+        descriptors = q.descriptors.copy()
+        descriptors[3, 1] = 1e39
+        queries = ReferenceMap(q.ids, descriptors, q.translations, q.quaternions)
+        with pytest.raises(RefusedNonFinite, match=r"map entry 3 \('q00003'\)"):
+            save_scene(dataclasses.replace(scene, queries=queries), tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
 
 
 # Sidecar edits that load_scene must refuse with a typed error naming the

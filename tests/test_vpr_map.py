@@ -542,6 +542,22 @@ class TestMapIo:
         assert not (tmp_path / "p.csv").exists()
         assert not (tmp_path / "d.bin").exists()
 
+    def test_refuses_a_descriptor_beyond_f32_and_keeps_the_old_files(self, tmp_path):
+        # A finite float64 above the f32 range casts to inf, which load_map refuses.
+        paths = tmp_path / "p.csv", tmp_path / "d.bin"
+        save_map(_map_of([[0.0, 1.0], [2.0, 3.0]]), *paths)
+        old = [path.read_bytes() for path in paths]
+        for value in (1e39, -1e39):
+            with pytest.raises(RefusedNonFinite, match=r"map entry 1 \('r1'\)"):
+                save_map(_map_of([[0.0, 1.0], [value, 3.0]]), *paths)
+            assert [path.read_bytes() for path in paths] == old
+
+    def test_f32_extremes_round_trip(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        m = _map_of([[float(f32.max), -float(f32.max)], [float(f32.tiny), float(f32.smallest_subnormal)]])
+        save_map(m, tmp_path / "p.csv", tmp_path / "d.bin")
+        assert load_map(tmp_path / "p.csv", tmp_path / "d.bin").descriptors.tobytes() == m.descriptors.tobytes()
+
     @pytest.mark.parametrize(
         "row, error",
         [
