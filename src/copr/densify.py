@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +88,10 @@ class DensifyConfig:
             raise InvalidConfig("grid_step must be positive")
         if self.grid_span < self.grid_step:
             raise InvalidConfig("grid_span must be at least grid_step")
+        if not math.isfinite(self.grid_span / self.grid_step):
+            raise InvalidConfig(
+                f"grid_span / grid_step must be finite, got grid_span={self.grid_span!r}, grid_step={self.grid_step!r}"
+            )
         if self.neighbors < 4:
             raise InvalidConfig("plane fit needs at least 4 neighbors")
         if self.dedupe_radius < 0:
@@ -212,49 +217,85 @@ def gen_interp_targets(anchors: ReferenceMap, dropped: DroppedPoses) -> TargetPl
 # The codes of a cell's 27 neighbors are distinct; codes of far-apart cells
 # can collide, so every pair found through a code has its keys compared.
 _CELL_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 1], dtype=np.uint64)
-_NEIGHBORS = list(itertools.product((-1, 0, 1), repeat=3))
-_NEIGHBOR_SHIFTS = np.array(_NEIGHBORS).astype(np.uint64) @ _CELL_MULTIPLIERS
-# The same cell and the 13 neighbors lexicographically after it: within one
-# point set, each pair in two different neighbor cells is found once.
-_HALF_SHIFTS = _NEIGHBOR_SHIFTS[[i for i, n in enumerate(_NEIGHBORS) if n >= (0, 0, 0)]]
+_NEIGHBORS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_NEIGHBOR_SHIFTS = _NEIGHBORS.astype(np.uint64) @ _CELL_MULTIPLIERS
+# Shifts named by their rows in _NEIGHBORS: all 27, and the same cell with
+# the 13 neighbors lexicographically after it, so that within one point set
+# each pair in two different neighbor cells is found once.
+_ALL_SHIFTS = np.arange(len(_NEIGHBORS))
+_HALF_SHIFTS = np.array([i for i, n in enumerate(map(tuple, _NEIGHBORS)) if n >= (0, 0, 0)])
 
 
-def _close_pairs(points, keys, codes, queries, others, radius, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """(query, other) pairs of ``points`` indices that the dedupe calls close,
-    for every other point in a cell ``shifts`` away from the query's cell.
+class _CellTable(NamedTuple):
+    """Rows of the deduped block in cell-code order with their codes, and
+    per-axis bounds (3,) that hold the cell keys of every row."""
+
+    codes: np.ndarray
+    rows: np.ndarray
+    key_lo: np.ndarray
+    key_hi: np.ndarray
+
+    def take(self, mask: np.ndarray) -> _CellTable:
+        """The rows under ``mask``, still in code order; the bounds still hold their keys."""
+        return _CellTable(self.codes[mask], self.rows[mask], self.key_lo, self.key_hi)
+
+    def merge(self, new: _CellTable) -> _CellTable:
+        """This table with the rows of ``new``, also in code order, inserted."""
+        at = np.searchsorted(self.codes, new.codes)
+        return _CellTable(
+            np.insert(self.codes, at, new.codes),
+            np.insert(self.rows, at, new.rows),
+            np.minimum(self.key_lo, new.key_lo),
+            np.maximum(self.key_hi, new.key_hi),
+        )
+
+
+def _cell_table(keys: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> _CellTable:
+    """The table of ``rows`` for (3, n) cell keys and their codes."""
+    rows = rows[np.argsort(codes[rows], kind="stable")]
+    held = keys[:, rows]
+    bounds = np.iinfo(keys.dtype)
+    return _CellTable(codes[rows], rows, held.min(axis=1, initial=bounds.max), held.max(axis=1, initial=bounds.min))
+
+
+def _close_pairs(
+    points, keys, queries: _CellTable, others: _CellTable, radius, shifts
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query, other) rows of the pairs the dedupe calls close, for every
+    other point in a cell one of ``shifts`` away from the query's cell;
+    ``keys`` are the (3, n) cell keys of ``points``.
 
     Two points are close when their cell keys differ by at most 1 on every
     axis and d @ d <= radius**2 for their difference d (its sign does not
-    change d @ d).
+    change d @ d). A shift is searched only when the query key bounds,
+    moved by it, meet the other key bounds on every axis.
     """
     found_query, found_other = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    if not (len(queries) and len(others)):
+    if not (len(queries.rows) and len(others.rows)):
         return found_query[0], found_other[0]
-    others = others[np.argsort(codes[others], kind="stable")]
-    other_codes, other_points, other_keys = codes[others], points[others], keys[others]
+    moved = _NEIGHBORS[shifts]
+    reach = np.all((queries.key_lo + moved <= others.key_hi) & (queries.key_hi + moved >= others.key_lo), axis=1)
     # One entry per occupied cell: its code, first position in ``others`` and size.
-    starts = np.flatnonzero(np.r_[True, other_codes[1:] != other_codes[:-1]])
-    cells, sizes = other_codes[starts], np.diff(np.r_[starts, len(others)])
-    # Queries in code order let each binary search start where the last one ended.
-    queries = queries[np.argsort(codes[queries], kind="stable")]
-    query_codes, query_points, query_keys = codes[queries], points[queries], keys[queries]
+    starts = np.flatnonzero(np.r_[True, others.codes[1:] != others.codes[:-1]])
+    cells, sizes = others.codes[starts], np.diff(np.r_[starts, len(others.codes)])
+    query_points = points[queries.rows]
     r2 = radius * radius
-    for shift in shifts:
-        wanted = query_codes + shift
+    # Queries in code order let each binary search start where the last one ended.
+    for shift in _NEIGHBOR_SHIFTS[shifts[reach]]:
+        wanted = queries.codes + shift
         cell = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
         counts = np.where(cells[cell] == wanted, sizes[cell], 0)
-        lo = starts[cell]
         total = int(counts.sum())
         if not total:
             continue
-        q = np.repeat(np.arange(len(queries)), counts)
-        o = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        d = np.repeat(query_points, counts, axis=0) - other_points[o]
+        q = np.repeat(np.arange(len(wanted)), counts)
+        o = others.rows[np.arange(total) + np.repeat(starts[cell] - (np.cumsum(counts) - counts), counts)]
+        d = query_points[q] - points[o]
         close = row_dots(d, d) <= r2
-        q, o = q[close], o[close]
-        close = np.all(np.abs(query_keys[q] - other_keys[o]) <= 1, axis=1)
-        found_query.append(queries[q[close]])
-        found_other.append(others[o[close]])
+        q, o = queries.rows[q[close]], o[close]
+        close = np.all(np.abs(keys[:, q] - keys[:, o]) <= 1, axis=0)
+        found_query.append(q[close])
+        found_other.append(o[close])
     return np.concatenate(found_query), np.concatenate(found_other)
 
 
@@ -279,29 +320,33 @@ _DEDUPE_CHUNK = 2048
 def _dedupe(points: np.ndarray, first: int, radius: float) -> np.ndarray:
     """Keep mask over ``points[first:]``: greedy, in order, a point is dropped
     when it is close to one of ``points[:first]`` or to an earlier kept point.
+
+    Each search sends a table of queries in cell-code order into another
+    table sorted by code (:func:`_close_pairs`). The fixed points search the
+    table of all candidates once. Then, chunk by chunk, the chunk's
+    candidates search the table of the points kept so far, those left
+    search their own table, and the points the chunk keeps are merged into
+    the kept table: the kept set is never gathered or sorted again. The
+    candidates' table is O(candidates), the kept table O(kept), and a
+    chunk's scratch O(chunk x neighbors).
     """
     cell = max(radius, 1e-9)
     with np.errstate(over="ignore"):
-        keys = np.stack([_cell_ranks(np.floor(points[:, axis] / cell)) for axis in range(3)], axis=1)
-    codes = keys.astype(np.uint64) @ _CELL_MULTIPLIERS
+        keys = np.stack([_cell_ranks(np.floor(points[:, axis] / cell)) for axis in range(3)])
+    codes = keys.T.astype(np.uint64) @ _CELL_MULTIPLIERS
     keep = np.ones(len(points), dtype=bool)
     # Fixed points are always kept, so a point close to one is dropped outright.
-    near_fixed, _ = _close_pairs(
-        points, keys, codes, np.arange(first, len(points)), np.arange(first), radius, _NEIGHBOR_SHIFTS
-    )
-    keep[near_fixed] = False
-    kept = np.zeros(0, dtype=np.intp)
+    fixed, candidates = (_cell_table(keys, codes, rows) for rows in np.split(np.arange(len(points)), [first]))
+    keep[_close_pairs(points, keys, fixed, candidates, radius, _ALL_SHIFTS)[1]] = False
+    kept = _cell_table(keys, codes, np.arange(0))
     for lo in range(first, len(points), _DEDUPE_CHUNK):
         hi = min(lo + _DEDUPE_CHUNK, len(points))
-        chunk = np.arange(lo, hi)
-        near_kept, _ = _close_pairs(points, keys, codes, chunk[keep[lo:hi]], kept, radius, _NEIGHBOR_SHIFTS)
-        keep[near_kept] = False
-        rest = chunk[keep[lo:hi]]
-        a, b = _close_pairs(points, keys, codes, rest, rest, radius, _HALF_SHIFTS)
+        chunk = _cell_table(keys, codes, np.arange(lo, hi)[keep[lo:hi]])
+        keep[_close_pairs(points, keys, chunk, kept, radius, _ALL_SHIFTS)[0]] = False
+        rest = chunk.take(keep[chunk.rows])
+        a, b = _close_pairs(points, keys, rest, rest, radius, _HALF_SHIFTS)
         keep[lo:hi] = _greedy(keep[lo:hi].tolist(), np.maximum(a, b) - lo, np.minimum(a, b) - lo)
-        kept = np.concatenate([kept, rest[keep[rest]]])
-        # In code order, so the next chunk's sort of it is a merge of two runs.
-        kept = kept[np.argsort(codes[kept], kind="stable")]
+        kept = kept.merge(rest.take(keep[rest.rows]))
     return keep[first:]
 
 

@@ -149,6 +149,14 @@ class TestTrainAndDensify:
         assert "dedupe_radius must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_of_infinite_half_width_is_refused(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "dense"
+        cmd = ["densify", "--scene", str(scene_dir), "--method", "lin-reg", "--scheme", "extrap"]
+        assert dispatch([*cmd, "--e-step", "1e-300", "--e-span", "1e10", "--out", str(out)]) == 1
+        want = "error: grid_span / grid_step must be finite, got grid_span=10000000000.0, grid_step=1e-300"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["1e999", "NaN"])
     def test_non_finite_lr_is_refused(self, scene_dir, tmp_path, capsys, value):
         out = tmp_path / "h.model"

@@ -1,7 +1,9 @@
 """Densification tests: target plans, linear regressors, map assembly."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copr import benchmarks
 from copr import densify as densify_module
 from copr.densify import (
     EXTRAPOLATION,
@@ -138,6 +141,12 @@ class TestSubsample:
     def test_config_refuses_a_non_finite_length(self, field, value):
         with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
             DensifyConfig(**{field: value})
+
+    def test_config_refuses_a_grid_of_infinite_half_width(self):
+        # 1e10 / 1e-300 overflows to inf, which the grid's half-width cannot hold.
+        want = r"grid_span / grid_step must be finite, got grid_span=10000000000\.0, grid_step=1e-300"
+        with pytest.raises(InvalidConfig, match=want):
+            DensifyConfig(grid_step=1e-300, grid_span=1e10)
 
 
 class TestInterpTargets:
@@ -393,6 +402,110 @@ class TestExtrapGridMatchesReference:
         assert plan.translations.tobytes() == b"".join(row[1] for row in want)
         assert plan.quaternions.tobytes() == b"".join(row[2] for row in want)
         assert not plan.translations.flags.writeable and not plan.quaternions.flags.writeable
+
+
+_CHUNKS = [1, 3, densify_module._DEDUPE_CHUNK]
+
+
+class TestDedupeSearch:
+    """Cases the shift pruning and the kept table must not lose, at several chunk sizes."""
+
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    def test_only_partner_one_z_cell_away(self, chunk):
+        # a1's candidate (1, 0, 0.11) sits 0.02 m above a0's kept (1, 0, 0.09), in
+        # the next z cell; a2's candidate (11, 0, 0.05) sits 0.08 m below anchor a3.
+        # Each has no other partner within the radius.
+        translations = [(0.0, 0.0, 0.09), (2.0, 0.0, 0.11), (10.0, 0.0, 0.05), (11.0, 0.0, 0.13)]
+        m = _anchor_map(translations, [0.0] * 4)
+        cfg = DensifyConfig(stride=2, grid_step=1.0, grid_span=1.0, dedupe_radius=0.1)
+        want = _reference_extrap_grid(m, cfg)
+        ids = [row[0] for row in want]
+        assert "a0#gx1y0" in ids and "a1#gx-1y0" not in ids and "a2#gx1y0" not in ids
+        with mock.patch.object(densify_module, "_DEDUPE_CHUNK", chunk):
+            assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    def test_only_partner_kept_in_an_earlier_chunk(self, chunk):
+        # Anchors 1 m apart, 8 candidates each, none within the radius of another
+        # grid, so that the last anchor's candidates start at the largest chunk
+        # size. The last anchor sits 0.21 m from a0: its candidates at x = 0.11
+        # are 0.01 m from a0's kept candidates at x = 0.1, and from nothing else.
+        n = _CHUNKS[-1] // 8 + 1
+        translations = [(0.0, 0.0, 0.0)] + [(float(i), 5.0, 0.0) for i in range(1, n - 1)] + [(0.21, 0.0, 0.0)]
+        m = _anchor_map(translations, [0.0] * n)
+        cfg = DensifyConfig(stride=2, grid_step=0.1, grid_span=0.1, dedupe_radius=0.05)
+        want = _reference_extrap_grid(m, cfg)
+        ids = {row[0] for row in want}
+        assert len(want) == 8 * n - 3 and f"a{n - 1}#gx-1y0" not in ids and "a0#gx1y0" in ids
+        with mock.patch.object(densify_module, "_DEDUPE_CHUNK", chunk):
+            assert _plan_rows(gen_extrap_grid(m, cfg)) == want
+
+
+def _pinned_plans():
+    """(name, plan) of the loop extrapolation plan, the loop sweep's plans and
+    the lanes plan, each built as the benchmark reports build it."""
+    loop = subsample_trajectory(benchmarks.make_benchmark_scene("loop").gt_dense, benchmarks.LOOP_DENSIFY.stride)[0]
+    yield "loop", gen_extrap_grid(loop, benchmarks.LOOP_DENSIFY)
+    cfg = benchmarks.LOOP_DENSIFY
+    for step in benchmarks.SWEEP_STEPS:
+        # As exp_extrapolation scales each sweep step's config.
+        scaled = replace(
+            cfg, grid_step=step, grid_span=max(cfg.grid_span, step), dedupe_radius=cfg.dedupe_radius * (step / cfg.grid_step)
+        )
+        yield f"sweep@{step:g}", gen_extrap_grid(loop, scaled)
+    lanes = subsample_trajectory(benchmarks.make_benchmark_scene("lanes").gt_dense, benchmarks.LANES_DENSIFY.stride)[0]
+    yield "lanes", gen_extrap_grid(lanes, benchmarks.LANES_DENSIFY)
+
+
+# Target count and sha256 of to_json(), the translation bytes and the
+# quaternion bytes of each pinned plan. A faster dedupe or grid must build
+# these plans byte for byte.
+_PINNED_PLAN_DIGESTS = {
+    "loop": (
+        16231,
+        "b3e442e4972f3bb3e0186e1373804e0f83762755ccd49cd3371b4ae052ac905d",
+        "57f1051e6da7507adbda46315a1a3064fb156b18ee40f8897ca6abf292891563",
+        "5ff7e755aeb78f62f5e87ad39e64b1f1ec2b48445d9d59cff437c133e6bd93f5",
+    ),
+    "sweep@0.4": (
+        338,
+        "b06ce48d56108edf04739022f1ed4684daba6937837e1293ff01eb992d962fe5",
+        "214a3d1d65b78f245a9f01e497155c4bf047f59e9fdda2ca8d873af8fa2d5ae3",
+        "e4a1524379faf1fc61bbafe9c9893a6f6dc53534b99271ce089cbb4321f8fdfe",
+    ),
+    "sweep@0.2": (
+        1217,
+        "d6b0b68688f4d19d89fefa5f878c97875a8b126b4d4e3a8bdcddb2e6c1a4e9bd",
+        "f557efe39dd6852f9522ff49f0990328a9653f77c1010a5624f2be5b2c3d518e",
+        "002b7db7b772fae83e9fd0524bd6e3c787139ede9a74a338329084dbc7256362",
+    ),
+    "sweep@0.1": (
+        3723,
+        "b5cfdd2065dca4025e4a83ca9fbb5405b3be5f15316f1e581bb02cd31ebec7db",
+        "a15a5a0c2f3c611744187deb7970073758342934f4e7237acfb265f21d9093b3",
+        "8d4e026825acdc0ec125903bc0dd8ba8df4646f2b7df3270551e365ed9c06eff",
+    ),
+    "sweep@0.05": (
+        16231,
+        "b3e442e4972f3bb3e0186e1373804e0f83762755ccd49cd3371b4ae052ac905d",
+        "57f1051e6da7507adbda46315a1a3064fb156b18ee40f8897ca6abf292891563",
+        "5ff7e755aeb78f62f5e87ad39e64b1f1ec2b48445d9d59cff437c133e6bd93f5",
+    ),
+    "lanes": (
+        86,
+        "1f158ba9bf388b818403ef8ce8f72e76b602b8263f6085e0da41185306a52df2",
+        "b0efbde27c56205122edecef7e646795fef70dd411e113146ca5699c7f215803",
+        "24d077a9f4ed749b9be0cc4a27c74728070a7d5ff9e637f7d74507482e5d52b5",
+    ),
+}
+
+
+def test_pinned_plans_keep_their_bytes():
+    got = {}
+    for name, plan in _pinned_plans():
+        blobs = (plan.to_json().encode(), plan.translations.tobytes(), plan.quaternions.tobytes())
+        got[name] = (len(plan.targets), *(hashlib.sha256(blob).hexdigest() for blob in blobs))
+    assert got == _PINNED_PLAN_DIGESTS
 
 
 def _blend(f1, f2, t1, t2, t_new):
