@@ -352,7 +352,7 @@ class RawAdam:
 def regressor_input(f_anchors: np.ndarray, dp_rows: np.ndarray) -> np.ndarray:
     """The regressor's input rows ``[f_anchor | dp]``, each anchor descriptor
     followed by its 7-component relative pose; the one builder of that layout."""
-    return np.hstack([f_anchors, dp_rows])
+    return np.concatenate((f_anchors, dp_rows), axis=1)
 
 
 def regress_nonlinear_batch(model: MlpModel, descriptors: np.ndarray, anchor_rows, dp_vectors, out=None) -> np.ndarray:

@@ -51,7 +51,10 @@ def load_model(path) -> MlpModel:
         size = out_dim * (in_dim + 1)  # the weights, then the biases
         if offset + 4 * size > len(blob):
             raise ParseError("truncated layer payload", offset=offset)
-        values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).astype(np.float64)
+        # A corrupted word may be a signalling NaN, whose cast warns; Layer
+        # refuses it with a typed error.
+        with np.errstate(invalid="ignore"):
+            values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).astype(np.float64)
         offset += 4 * size
         weights, bias = values[: out_dim * in_dim].reshape(out_dim, in_dim), values[out_dim * in_dim :]
         layers.append(Layer(weights=weights, bias=bias, activation=act))

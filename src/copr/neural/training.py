@@ -25,6 +25,7 @@ from ..errors import DimMismatch, EmptyTrainingSet, InsufficientScenes, InvalidC
 from ..geometry import RelativePose  # noqa: F401  (perfbench/tracer.py wraps copr.neural.training.RelativePose)
 from ..geometry import relative_pose_rows
 from .core import (
+    _BLOCK_ROWS,
     Activation,
     MlpModel,
     RawAdam,
@@ -84,12 +85,16 @@ def init_regressor(descriptor_dim: int, seed: int) -> MlpModel:
     return init_mlp(widths, acts, seed)
 
 
-def mse_over(model: MlpModel, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> float:
-    """Mean squared error of the model over the rows ``rows`` of the inputs
-    ``x`` and targets ``y``. The input rows are gathered block by block
-    (:func:`copr.neural.core.infer_blocks`), and the errors squared in place."""
-    err = infer_blocks(model, len(rows), lambda block: x[rows[block]])
-    err -= y[rows]
+def mse_over(model: MlpModel, pairs: TrainingPairs, rows) -> float:
+    """Mean squared error of the model over the training pairs ``rows``.
+    Each row block builds its own input rows and subtracts its own target
+    rows (:meth:`TrainingPairs.inputs`, :meth:`TrainingPairs.targets`), so
+    no (rows, dim) gather is made beyond the error block, which is squared
+    in place."""
+    rows = np.asarray(rows)
+    err = infer_blocks(model, len(rows), lambda block: pairs.inputs(rows[block]))
+    for block in even_blocks(len(rows), _BLOCK_ROWS):
+        err[block] -= pairs.targets(rows[block])
     err *= err
     return float(np.mean(err))
 
@@ -159,26 +164,52 @@ def _fit(n: int, cfg: TrainConfig, rng: np.random.Generator, trained, batch_grad
 
 @dataclass(frozen=True)
 class TrainingPairs:
-    """Regressor training pairs as row-aligned blocks: pair i regresses
-    ``f_target[i]`` (n, dim) from ``f_anchor[i]`` (n, dim) and the relative
-    pose ``dp[i]`` (n, 7) from the anchor to the target, in the (dt, dq)
-    layout of :func:`copr.geometry.relative_pose_rows`."""
+    """Regressor training pairs as rows into one descriptor block: pair i
+    regresses ``descriptors[target_rows[i]]`` from
+    ``descriptors[anchor_rows[i]]`` and the relative pose ``dp[i]`` from the
+    anchor to the target, in the (dt, dq) layout of
+    :func:`copr.geometry.relative_pose_rows`.
 
-    f_anchor: np.ndarray
+    ``descriptors`` is an (m, dim) block, a traverse map's own, held and not
+    copied; ``anchor_rows`` and ``target_rows`` are (n,) integer blocks of
+    rows into it and ``dp`` is (n, 7). So pairs cost O(n) however wide the
+    descriptors. A caller with raw (n, dim) anchor and target blocks passes
+    their ``np.vstack`` with rows ``arange(n)`` and ``n + arange(n)``.
+    Blocks that do not pair row by row raise DimMismatch, rows that are not
+    integers in [0, m) InvalidConfig.
+    """
+
+    descriptors: np.ndarray
+    anchor_rows: np.ndarray
+    target_rows: np.ndarray
     dp: np.ndarray
-    f_target: np.ndarray
 
     def __post_init__(self):
-        f_anchor, dp, f_target = (np.asarray(a, dtype=np.float64) for a in (self.f_anchor, self.dp, self.f_target))
-        if f_anchor.ndim != 2 or f_target.shape != f_anchor.shape or dp.shape != (len(f_anchor), 7):
-            shapes = f"{f_anchor.shape}, {dp.shape}, {f_target.shape}"
-            raise DimMismatch(f"training pair blocks {shapes} are not (n, dim), (n, 7), (n, dim)")
-        object.__setattr__(self, "f_anchor", f_anchor)
+        f, dp = np.asarray(self.descriptors, dtype=np.float64), np.asarray(self.dp, dtype=np.float64)
+        anchor_rows, target_rows = np.asarray(self.anchor_rows), np.asarray(self.target_rows)
+        if f.ndim != 2 or dp.ndim != 2 or dp.shape[1] != 7 or not anchor_rows.shape == target_rows.shape == (len(dp),):
+            shapes = f"{f.shape}, {anchor_rows.shape}, {target_rows.shape}, {dp.shape}"
+            raise DimMismatch(f"training pair blocks {shapes} are not (m, dim), (n,), (n,), (n, 7)")
+        for rows in (anchor_rows, target_rows):
+            if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(f)):
+                raise InvalidConfig(f"training pair rows must be integers in [0, {len(f)})")
+        object.__setattr__(self, "descriptors", f)
+        object.__setattr__(self, "anchor_rows", anchor_rows.astype(np.intp, copy=False))
+        object.__setattr__(self, "target_rows", target_rows.astype(np.intp, copy=False))
         object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "f_target", f_target)
 
     def __len__(self) -> int:
-        return len(self.f_anchor)
+        return len(self.dp)
+
+    # The gathers use ``take``: the rows fancy indexing copies, for less
+    # call overhead, which a fit pays once per minibatch.
+    def inputs(self, rows) -> np.ndarray:
+        """The regressor input rows ``[f_anchor | dp]`` of the pairs ``rows``."""
+        return regressor_input(self.descriptors.take(self.anchor_rows.take(rows), axis=0), self.dp.take(rows, axis=0))
+
+    def targets(self, rows) -> np.ndarray:
+        """The target descriptor rows of the pairs ``rows``."""
+        return self.descriptors.take(self.target_rows.take(rows), axis=0)
 
 
 def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> TrainResult:
@@ -190,21 +221,20 @@ def train_regressor_full(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim:
     """
     if len(pairs) == 0:
         raise EmptyTrainingSet("no regressor training pairs")
-    if pairs.f_anchor.shape[1] != descriptor_dim:
-        raise DimMismatch(f"training pair descriptor dim {pairs.f_anchor.shape[1]} is not {descriptor_dim}")
-    x = regressor_input(pairs.f_anchor, pairs.dp)
-    y = pairs.f_target
+    if pairs.descriptors.shape[1] != descriptor_dim:
+        raise DimMismatch(f"training pair descriptor dim {pairs.descriptors.shape[1]} is not {descriptor_dim}")
 
     init_seed, rng_seed = splitmix64(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     net = _trainable(init_regressor(descriptor_dim, init_seed))
     opt = RawAdam(net, cfg.lr)
 
-    # Each batch's gradients go straight into Adam's flat gradient buffer.
+    # Each batch builds its own input and target rows; its gradients go
+    # straight into Adam's flat gradient buffer.
     def batch_grads(rows):
-        mse_batch_grad(net, x[rows], y[rows], grads=opt.grads)
+        mse_batch_grad(net, pairs.inputs(rows), pairs.targets(rows), grads=opt.grads)
 
-    return _fit(len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda rows: mse_over(net, x, y, rows))
+    return _fit(len(pairs), cfg, rng, [(net, opt)], batch_grads, lambda rows: mse_over(net, pairs, rows))
 
 
 def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int) -> MlpModel:
@@ -213,7 +243,8 @@ def train_regressor(pairs: TrainingPairs, cfg: TrainConfig, descriptor_dim: int)
 
 
 def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: int) -> TrainingPairs:
-    """Ordered (f_anchor, dp, f_target) pairs from one trajectory map.
+    """Ordered (anchor, dp, target) pairs from one trajectory map, as rows
+    into the map's own descriptor block.
 
     Keeps all ordered pairs whose relative translation stays at or below
     ``max_translation`` (matching the span the regressor will be asked to
@@ -246,7 +277,7 @@ def build_training_pairs(ref_map, max_translation: float, max_pairs: int, seed: 
         ii, jj = ii[keep], jj[keep]
     q = ref_map.quaternions
     dp = relative_pose_rows(t[ii], q[ii], t[jj], q[jj])
-    return TrainingPairs(ref_map.descriptors[ii], dp, ref_map.descriptors[jj])
+    return TrainingPairs(ref_map.descriptors, ii, jj, dp)
 
 
 @dataclass(frozen=True)

@@ -185,9 +185,25 @@ class TestBlockEdgesKeepTheBits:
             return
         for max_pairs in (10**6, max(1, n * n // 3)):
             got = build_training_pairs(ref_map, 1.5, max_pairs, seed=n)
-            want = _pairs_reference(ref_map, 1.5, max_pairs, seed=n)
-            for block, ref in zip((got.f_anchor, got.dp, got.f_target), want):
-                assert block.tobytes() == ref.tobytes()
+            f_anchor, dp, f_target = _pairs_reference(ref_map, 1.5, max_pairs, seed=n)
+            # Rows into the map's own block, which is not copied.
+            assert got.descriptors is ref_map.descriptors
+            rows = np.arange(len(got))
+            assert got.inputs(rows).tobytes() == np.hstack([f_anchor, dp]).tobytes()
+            assert got.targets(rows).tobytes() == f_target.tobytes()
+
+    @pytest.mark.parametrize("n", _edges(core._BLOCK_ROWS))
+    def test_mse_over(self, n):
+        # Unordered, repeated validation rows over pairs into a 40-row block.
+        rng = np.random.default_rng(n)
+        model = init_regressor(32, 5)
+        f = rng.standard_normal((40, 32))
+        pairs = training.TrainingPairs(f, rng.integers(0, 40, 50), rng.integers(0, 40, 50), rng.standard_normal((50, 7)))
+        rows = rng.integers(0, 50, n)
+        err = _forward_reference(model, np.hstack([f[pairs.anchor_rows[rows]], pairs.dp[rows]]))
+        err -= f[pairs.target_rows[rows]]
+        err *= err
+        assert training.mse_over(model, pairs, rows) == float(np.mean(err))
 
     def test_build_training_pairs_names_the_closest_pair_across_blocks(self, monkeypatch):
         monkeypatch.setattr(training, "_PAIR_BLOCK_ELEMENTS", 3 * 9 * 2)
@@ -245,6 +261,21 @@ class TestWideSlabs:
         assert 1 not in calls or m == 1
         if m > 2:
             assert len(calls) > len(even_blocks(m, vpr_map._SLAB_BLOCK))
+
+    @pytest.mark.parametrize(
+        "spans, axis", [((4.0, 1.0, 4.0), 0), ((1.0, 4.0, 4.0), 1), ((2.0, 2.0, 2.0), 0), ((0.0, 0.0, 0.0), 0)]
+    )
+    def test_the_first_widest_axis_wins_a_tie(self, spans, axis):
+        rng = np.random.default_rng(7)
+        refs = rng.uniform(0.0, 1.0, (300, 3)) * spans
+        refs[:2] = [[0.0, 0.0, 0.0], spans]
+        assert vpr_map._slab_axis(refs) == int(np.argmax(np.ptp(refs, axis=0))) == axis
+        queries = rng.uniform(0.0, 1.0, (40, 3)) * spans
+        for k in (1, 4):
+            indices, d2 = nearest_neighbors(queries, refs, k)
+            want_idx, want_d2 = _stable_argsort_knn(queries, refs, k)
+            np.testing.assert_array_equal(indices, want_idx)
+            assert d2.tobytes() == want_d2.tobytes()
 
     def test_a_ring_block_is_split_at_the_pinned_budget(self, monkeypatch):
         calls = self._count_blocks(monkeypatch)

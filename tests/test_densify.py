@@ -81,7 +81,7 @@ def _pairs_of(m, index_pairs):
     a, b = np.array(index_pairs).T
     pa, pb = [m.pose(i) for i in a], [m.pose(j) for j in b]
     dp = relative_pose_rows([p.t for p in pa], [p.q for p in pa], [p.t for p in pb], [p.q for p in pb])
-    return TrainingPairs(m.descriptors[a], dp, m.descriptors[b])
+    return TrainingPairs(m.descriptors, a, b, dp)
 
 
 class TestSubsample:

@@ -7,6 +7,7 @@ import math
 import struct
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -69,10 +70,24 @@ def _with_identity_dq(dt) -> np.ndarray:
     return np.hstack([dt, np.tile([1.0, 0.0, 0.0, 0.0], (len(dt), 1))])
 
 
+def _stacked_pairs(f_anchor, dp, f_target) -> TrainingPairs:
+    """Training pairs over raw (n, dim) anchor and target blocks: rows into
+    their vstack."""
+    n = len(dp)
+    return TrainingPairs(np.vstack([f_anchor, f_target]), np.arange(n), n + np.arange(n), dp)
+
+
 def _translation_pairs(rows) -> TrainingPairs:
     """Training pairs from (f_anchor, dt, f_target) rows with no rotation."""
     f_anchor, dt, f_target = map(np.array, zip(*rows))
-    return TrainingPairs(f_anchor, _with_identity_dq(dt), f_target)
+    return _stacked_pairs(f_anchor, _with_identity_dq(dt), f_target)
+
+
+def _mse(model, x, target) -> float:
+    """Mean squared error of the model's outputs on the rows ``x`` against
+    ``target``: the loss :func:`mse_batch_grad` differentiates."""
+    y, _ = forward_batch(model, np.asarray(x, dtype=np.float64))
+    return float(np.mean((y - target) ** 2))
 
 
 def _noise_pairs() -> TrainingPairs:
@@ -152,8 +167,8 @@ def adam_reference(theta, m, v, g, lr, beta1, beta2, eps, t):
 def gradient_check(model, x, target, h=1e-6, tol=1e-6) -> float:
     """Max relative error of analytic gradients vs central differences.
 
-    Runs the gradient and loss pair training uses (``mse_batch_grad``,
-    ``mse_over``) on a one-row batch. Relative error uses a unit floor:
+    Runs the gradient training uses (``mse_batch_grad``) against the loss it
+    differentiates on a one-row batch. Relative error uses a unit floor:
     |g - g_fd| / max(1, |g|, |g_fd|).
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -164,9 +179,9 @@ def gradient_check(model, x, target, h=1e-6, tol=1e-6) -> float:
     for i in range(len(flat)):
         bumped = flat.copy()
         bumped[i] += h
-        lp = mse_over(_model_with_params(model, bumped), x, target, [0])
+        lp = _mse(_model_with_params(model, bumped), x, target)
         bumped[i] -= 2 * h
-        lm = mse_over(_model_with_params(model, bumped), x, target, [0])
+        lm = _mse(_model_with_params(model, bumped), x, target)
         fd = (lp - lm) / (2 * h)
         err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))
         worst = max(worst, err)
@@ -319,7 +334,7 @@ class TestGradients:
         model = _rand_model(rng)
         x = rng.standard_normal((1, model.input_dim))
         target, _ = forward_batch(model, x)
-        assert mse_over(model, x, target, [0]) == 0.0
+        assert _mse(model, x, target) == 0.0
         for gw, gb in mse_batch_grad(model, x, target):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
@@ -338,8 +353,8 @@ class TestGradients:
         )
         x = np.array([[1.0, 1.0]])
         y, _ = forward_batch(model, x)
-        l1 = mse_over(model, x, y + 0.5, [0])
-        l2 = mse_over(model, x, y + 1.0, [0])
+        l1 = _mse(model, x, y + 0.5)
+        l2 = _mse(model, x, y + 1.0)
         np.testing.assert_allclose(l2, 4.0 * l1, rtol=1e-12)
 
 
@@ -448,9 +463,9 @@ class TestTrainingStep:
             for i in range(len(flat)):
                 bumped = flat.copy()
                 bumped[i] += h
-                lp = mse_over(_model_with_params(model, bumped), x, t, rows)
+                lp = _mse(_model_with_params(model, bumped), x, t)
                 bumped[i] -= 2 * h
-                lm = mse_over(_model_with_params(model, bumped), x, t, rows)
+                lm = _mse(_model_with_params(model, bumped), x, t)
                 fd = (lp - lm) / (2 * h)
                 assert abs(opt.grad[i] - fd) / max(1.0, abs(opt.grad[i]), abs(fd)) <= 1e-6
 
@@ -521,7 +536,7 @@ class TestRegressor:
             TrainConfig(lr=lr)
 
     def test_empty_training_set(self):
-        empty = TrainingPairs(np.zeros((0, 4)), np.zeros((0, 7)), np.zeros((0, 4)))
+        empty = TrainingPairs(np.zeros((5, 4)), np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 7)))
         with pytest.raises(EmptyTrainingSet):
             train_regressor(empty, TrainConfig(seed=0), 4)
 
@@ -596,7 +611,7 @@ class TestBuildTrainingPairs:
         p1 = build_training_pairs(m, 10.0, 50, seed=4)
         p2 = build_training_pairs(m, 10.0, 50, seed=4)
         assert len(p1) == 50
-        for block in ("f_anchor", "dp", "f_target"):
+        for block in ("anchor_rows", "target_rows", "dp"):
             assert getattr(p1, block).tobytes() == getattr(p2, block).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -628,22 +643,63 @@ class TestBuildTrainingPairs:
             x.append(np.concatenate([m.descriptors[a], RelativePose(dt=pb.t - pa.t, dq=dq).as_vector()]))
         y = [m.descriptors[b] for _, b in kept]
         assert len(pairs) == len(kept)
-        assert regressor_input(pairs.f_anchor, pairs.dp).tobytes() == np.array(x).tobytes()
-        assert pairs.f_target.tobytes() == np.array(y).tobytes()
+        rows = np.arange(len(pairs))
+        assert pairs.inputs(rows).tobytes() == np.array(x).tobytes()
+        assert pairs.targets(rows).tobytes() == np.array(y).tobytes()
 
     def test_blocks_must_align(self):
-        ok = TrainingPairs(np.zeros((3, 2)), np.zeros((3, 7)), np.zeros((3, 2)))
+        ok = TrainingPairs(np.zeros((4, 2)), np.arange(3), np.arange(1, 4), np.zeros((3, 7)))
         assert len(ok) == 3 and ok
-        for f_anchor, dp, f_target in (
-            (np.zeros((3, 2)), np.zeros((3, 6)), np.zeros((3, 2))),
-            (np.zeros((3, 2)), np.zeros((2, 7)), np.zeros((3, 2))),
-            (np.zeros((3, 2)), np.zeros((3, 7)), np.zeros((3, 3))),
-            (np.zeros(3), np.zeros((3, 7)), np.zeros(3)),
+        rows = np.arange(3)
+        for descriptors, anchor_rows, target_rows, dp in (
+            (np.zeros((4, 2)), rows, rows, np.zeros((3, 6))),
+            (np.zeros((4, 2)), rows, rows, np.zeros((2, 7))),
+            (np.zeros((4, 2)), rows, rows[:2], np.zeros((3, 7))),
+            (np.zeros((4, 2)), rows[:, None], rows, np.zeros((3, 7))),
+            (np.zeros(4), rows, rows, np.zeros((3, 7))),
         ):
             with pytest.raises(DimMismatch):
-                TrainingPairs(f_anchor, dp, f_target)
+                TrainingPairs(descriptors, anchor_rows, target_rows, dp)
         with pytest.raises(DimMismatch):
             train_regressor(ok, TrainConfig(epochs=1), 3)
+
+    @pytest.mark.parametrize("bad", [np.array([0.0, 1.0, 2.0]), np.array([0, -1, 2]), np.array([0, 1, 4])])
+    @pytest.mark.parametrize("column", ["anchor_rows", "target_rows"])
+    def test_rows_must_be_integers_into_the_block(self, bad, column):
+        blocks = {"anchor_rows": np.arange(3), "target_rows": np.arange(3), column: bad}
+        with pytest.raises(InvalidConfig, match=r"integers in \[0, 4\)"):
+            TrainingPairs(np.zeros((4, 2)), dp=np.zeros((3, 7)), **blocks)
+
+    def test_a_fit_on_rows_equals_a_fit_on_the_stacked_copy(self):
+        rng = np.random.default_rng(12)
+        poses = [Pose(t=rng.uniform(-1, 1, 3), q=rng.standard_normal(4)) for _ in range(40)]
+        m = _map(rng.standard_normal((40, 4)), [p.t for p in poses], [p.q for p in poses])
+        pairs = build_training_pairs(m, 1.0, 300, seed=3)
+        stacked = _stacked_pairs(m.descriptors[pairs.anchor_rows], pairs.dp, m.descriptors[pairs.target_rows])
+        cfg = TrainConfig(lr=1e-3, epochs=4, batch_size=16, seed=5)
+        on_rows, on_copy = (train_regressor_full(p, cfg, 4) for p in (pairs, stacked))
+        assert on_rows.model.flat.tobytes() == on_copy.model.flat.tobytes()
+        assert np.array(on_rows.val_curve).tobytes() == np.array(on_copy.val_curve).tobytes()
+
+    def test_a_fit_builds_no_input_block(self):
+        # 20,000 rows into a 500 x 32 block: the (n, 39) input block a fit
+        # built before it trained took n * (32 + 7) * 8 B = 6.2 MB. By
+        # minibatch and validation block the fit holds the (8,000, 32)
+        # validation error block (2 MB), the model and Adam state and one
+        # inference block's scratch.
+        rng = np.random.default_rng(13)
+        n, dim = 20_000, 32
+        pairs = TrainingPairs(
+            rng.standard_normal((500, dim)), rng.integers(0, 500, n), rng.integers(0, 500, n), rng.standard_normal((n, 7))
+        )
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=0)
+        tracemalloc.start()
+        try:
+            train_regressor_full(pairs, cfg, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (dim + 7) * 8
 
 
 def _central_differences(loss, arrays, h=1e-6):
@@ -947,8 +1003,7 @@ class TestValidation:
 
         pairs = _noise_pairs()
         result = _fit_counting_batches(monkeypatch, "regressor", _FIT_CONFIGS[stop], [], recording)
-        x = training.regressor_input(pairs.f_anchor, pairs.dp)
-        assert mse_over(result.model, x, pairs.f_target, val_rows[0]) == result.best_val_loss
+        assert mse_over(result.model, pairs, val_rows[0]) == result.best_val_loss
 
     def test_validation_runs_on_the_calling_thread(self, monkeypatch):
         scoring_threads = set()
@@ -1068,6 +1123,19 @@ class TestModelIo:
         with pytest.raises(RefusedNonFinite) as caught:
             load_model(path)
         assert isinstance(caught.value, CoprError)
+
+    def test_signalling_nan_weight_is_typed_without_a_warning(self, tmp_path):
+        # Casting the f32 word 0x7f800001, a signalling NaN, to f64 raises the
+        # invalid-operation flag.
+        path = tmp_path / "h.bin"
+        save_model(init_regressor(2, seed=1), path)
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RefusedNonFinite):
+                load_model(path)
 
     @pytest.mark.parametrize("in_dim, out_dim", [(5, 0), (0, 5), (0, 0)])
     def test_zero_width_layer_is_typed(self, tmp_path, in_dim, out_dim):
